@@ -130,6 +130,9 @@ def _format_entry(run: Dict, entry: Dict) -> str:
         for key in ("retried_shards", "resumed_shards")
         if entry.get(key)
     ]
+    # Spread of a median-of-repeats speedup.
+    if "speedup_min" in entry and "speedup_max" in entry:
+        extras.append(f"range={entry['speedup_min']:.2f}-{entry['speedup_max']:.2f}x")
     if extras:
         line += "  " + " ".join(extras)
     return line

@@ -8,8 +8,8 @@ is the import guard between it and the rest of the engine, mirroring how
   verdict for the process.
 - :func:`resolve_kernel` turns the configured ``kernel`` into a concrete
   backend: ``"compiled"`` without numba is a :class:`ConfigurationError`,
-  ``"auto"`` warns once and falls back to the numpy kernels (identical
-  results, only slower).
+  ``"auto"`` falls back silently to the numpy kernels (identical results,
+  only slower).
 - :func:`kernel_context` activates the backend for the calling thread's
   kernel invocations via :func:`repro.core.policies.vectorized.kernel_ops`.
 
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import warnings
 from typing import Optional
 
 from repro.core.policies import vectorized as _vectorized
@@ -55,7 +54,7 @@ __all__ = [
 ]
 
 #: Accepted kernel backends: "auto" prefers the compiled scans when numba is
-#: importable and falls back to numpy with a one-time warning; "numpy",
+#: importable and otherwise runs numpy (silently: numba is optional); "numpy",
 #: "compiled" and "fused" force their backend ("compiled"/"fused" error
 #: without numba).  "auto" never resolves to "fused" — the fused loops own
 #: their draw discipline, so trading bit-identity for speed is explicit.
@@ -63,9 +62,6 @@ KERNELS = ("auto", "numpy", "compiled", "fused")
 
 #: Cached verdict of the numba import probe (None = not probed yet).
 _NUMBA_USABLE: Optional[bool] = None
-
-#: Whether the auto-fallback warning has fired this process.
-_AUTO_WARNED = False
 
 #: Lazily built table of compiled primitives (shared process-wide; numba
 #: dispatchers are thread-safe, so thread-pool shards reuse one table).
@@ -95,10 +91,9 @@ def compiled_available() -> bool:
 
 
 def reset_compiled_state() -> None:
-    """Forget the cached probe, warn-once flag and built ops (test hook)."""
-    global _NUMBA_USABLE, _AUTO_WARNED, _OPS
+    """Forget the cached probe and built ops (test hook)."""
+    global _NUMBA_USABLE, _OPS
     _NUMBA_USABLE = None
-    _AUTO_WARNED = False
     _OPS = None
 
 
@@ -106,10 +101,10 @@ def resolve_kernel(kernel: str) -> str:
     """Resolve a configured kernel to a concrete backend name.
 
     Returns ``"numpy"``, ``"compiled"`` or ``"fused"``.  Parents resolve
-    before dispatching shards so workers receive a concrete value and the
-    ``auto`` fallback warning fires at most once, in the parent.
+    before dispatching shards so workers receive a concrete value.
+    ``auto`` without numba is the default path, not a misconfiguration, so
+    it resolves to numpy without a warning.
     """
-    global _AUTO_WARNED
     if kernel not in KERNELS:
         raise ConfigurationError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     if kernel == "numpy":
@@ -134,18 +129,7 @@ def resolve_kernel(kernel: str) -> str:
             )
         return "compiled"
     # kernel == "auto"
-    if compiled_available():
-        return "compiled"
-    if not _AUTO_WARNED:
-        _AUTO_WARNED = True
-        warnings.warn(
-            "kernel='auto' resolved to the numpy kernels: numba is not "
-            "installed (pip install '.[compiled]' enables the compiled "
-            "backend); results are identical, only slower",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return "numpy"
+    return "compiled" if compiled_available() else "numpy"
 
 
 def compiled_ops():

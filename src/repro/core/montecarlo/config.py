@@ -29,7 +29,7 @@ EXECUTORS = ("auto", "batch", "scalar")
 from repro.core.montecarlo.transport import TRANSPORTS  # noqa: E402
 
 #: Accepted kernel backends: ``"auto"`` prefers the compiled (numba) row
-#: scans when importable and falls back to numpy with a one-time warning,
+#: scans when importable and otherwise runs numpy without a warning,
 #: ``"numpy"`` pins the pure-numpy kernels (the bit-identity oracle),
 #: ``"compiled"`` demands numba.  Re-exported from the compiled module,
 #: the single source of truth (mirrors the TRANSPORTS re-export above).

@@ -5,15 +5,15 @@ Every figure in the paper is a sweep: availability versus failure rate
 across policies (Fig. 7).  The engine here runs such sweeps against any
 registered policy on either evaluation backend:
 
-* **analytical** sweeps are template-driven: the policy's chain is built
-  once per (policy, geometry, structure) through
-  :mod:`repro.core.evaluation`'s cache, and each sweep point only rewrites
-  the generator entries whose symbolic rates mention the swept parameter,
-  then re-factorizes (dense or sparse by state count).  No builder, chain
-  or solver objects are reconstructed per point — see
-  ``benchmarks/bench_sweep.py`` for the resulting speedup over the retired
-  per-point rebuild loop (kept as :func:`sweep_per_point_rebuild` for
-  reference and regression testing).
+* **analytical** sweeps are columnar: each distinct axis value is
+  validated once, the swept parameters become float64 symbol columns, and
+  the policy's cached chain template (one per (policy, geometry, structure),
+  see :mod:`repro.core.evaluation`) evaluates each transition rate once over
+  those columns and solves the whole generator stack in one batched
+  factorization.  No parameter object, builder, chain or solver is
+  constructed per point — see ``benchmarks/bench_sweep.py`` for the speedup
+  over the per-point rebuild loop (kept as :func:`sweep_per_point_rebuild`
+  for reference and regression testing).
 * **monte_carlo** sweeps run on the **stacked-grid engine** by default:
   per-study scalars become per-lifetime broadcast arrays and one kernel
   invocation per shard simulates the whole ``points x lifetimes`` grid
@@ -37,7 +37,9 @@ Monte Carlo it becomes a single stacked grid.
 
 Periodic-scheme policies (the erasure k-of-N family) have no ergodic steady
 state; analytical sweeps route their points through the checker-cycle solver
-in :mod:`repro.markov.checker` instead of the template engine.
+in :mod:`repro.markov.checker` instead of the template engine, building the
+decay chain and its cycle operator once per group of points that differ
+only in ``hep``.
 
 The legacy helpers (:func:`sweep_hep`, :func:`sweep_failure_rate`, ...) keep
 their signatures; any registered policy name or :class:`SimulationPolicy`
@@ -51,6 +53,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
+from repro.availability.metrics import availability_to_nines
 from repro.core.evaluation import (
     analytical_result,
     chain_template,
@@ -67,7 +72,9 @@ from repro.core.parameters import AvailabilityParameters
 from repro.core.policies.base import SimulationPolicy
 from repro.core.policies.registry import resolve_policy
 from repro.exceptions import ConfigurationError
-from repro.markov.metrics import availability_from_up_mass, steady_state_availability
+from repro.markov import checker
+from repro.markov.metrics import steady_state_availability
+from repro.markov.rates import PARAMETER_SYMBOLS, symbol_table
 
 #: Sweepable parameter axes: public alias -> AvailabilityParameters field.
 SWEEP_AXES: Dict[str, str] = {
@@ -177,64 +184,134 @@ def _with_axis(
     return replace(params, **{field: float(value)})
 
 
-def _point_from_pi(pi, up_indices, x: float) -> SweepPoint:
-    # The clip/convert arithmetic lives in availability_from_up_mass so sweep
-    # points and evaluate()/analytical_result() can never drift apart.
-    availability, unavailability, nines = availability_from_up_mass(
-        pi[i] for i in up_indices
-    )
-    return SweepPoint(
-        x=float(x),
-        availability=availability,
-        unavailability=unavailability,
-        nines=nines,
-    )
+def _axis_column(
+    base: AvailabilityParameters, field: str, values: Sequence[float]
+) -> np.ndarray:
+    """Validate each distinct axis value once and return the axis as a column.
+
+    :class:`AvailabilityParameters` has no cross-field checks, so a value
+    that is valid on ``base`` is valid at every point of the sweep, and an
+    invalid one raises the same :class:`ConfigurationError` a per-point
+    build would.
+    """
+    column = [float(value) for value in values]
+    for value in dict.fromkeys(column):
+        _with_axis(base, field, value)
+    return np.array(column)
+
+
+def _params_at(
+    base: AvailabilityParameters, swept: Dict[str, np.ndarray], row: int
+) -> AvailabilityParameters:
+    """Return the parameter point of one row of the swept columns."""
+    params = base
+    for field, column in swept.items():
+        params = _with_axis(params, field, column[row])
+    return params
+
+
+def _points_from_availability(
+    availability: np.ndarray, xs: Sequence[float]
+) -> List[SweepPoint]:
+    # Column-wise twin of availability_from_up_mass: the caller summed the
+    # up-state mass left to right from 0, as the scalar path does; clip and
+    # convert the same way, point by point.
+    clipped = np.minimum(np.maximum(availability, 0.0), 1.0).tolist()
+    return [
+        SweepPoint(
+            x=x,
+            availability=value,
+            unavailability=1.0 - value,
+            nines=availability_to_nines(value),
+        )
+        for x, value in zip(xs, clipped)
+    ]
 
 
 def _analytical_points(
-    point_params: Sequence[AvailabilityParameters],
+    base: AvailabilityParameters,
+    swept: Dict[str, np.ndarray],
     xs: Sequence[float],
     policy: SimulationPolicy,
     method: str,
 ) -> List[SweepPoint]:
-    """Evaluate arbitrary parameter points through the template engine.
+    """Evaluate a sweep analytically from its parameter columns.
 
-    Points are grouped by chain structure — the hep = 0 rung of a sweep
-    uses the reduced chain — and each group is handed to the template's
-    vectorized solve_many: only the generator entries the swept symbols
-    touch are re-evaluated, and one batched factorization covers the whole
-    group.  Periodic-scheme policies (the erasure family) have no ergodic
-    steady state; their points route through the checker-cycle solver
-    instead, one tiny share-count chain per point.
+    ``swept`` maps each swept :class:`AvailabilityParameters` field to its
+    ``(k,)`` float64 column; every other parameter keeps its ``base`` value.
+    Points are grouped by chain structure — ``hep == 0`` and
+    ``crash_rate == 0`` select reduced chains — and each group's template
+    solves its rows in one :meth:`~repro.markov.template.ChainTemplate.solve_many`
+    call on the symbol columns.  Periodic-scheme policies (the erasure
+    family) have no ergodic steady state and go through
+    :func:`_periodic_availability` instead.
     """
     if policy.has_periodic_checks:
-        points = []
-        for params, x in zip(point_params, xs):
-            result = analytical_result(params, policy, method=method)
-            points.append(
-                SweepPoint(
-                    x=float(x),
-                    availability=result.availability,
-                    unavailability=result.unavailability,
-                    nines=result.nines,
-                )
-            )
-        return points
-    groups: Dict[int, List[int]] = {}
-    templates: Dict[int, object] = {}
-    for index, params in enumerate(point_params):
-        template = chain_template(policy, params)
-        templates[id(template)] = template
-        groups.setdefault(id(template), []).append(index)
-    points: List[Optional[SweepPoint]] = [None] * len(point_params)
-    for key, indices in groups.items():
-        template = templates[key]
-        pis = template.solve_many(
-            [point_params[i] for i in indices], method=method
+        return _points_from_availability(
+            _periodic_availability(base, swept, len(xs), policy, method), xs
         )
-        for row, i in enumerate(indices):
-            points[i] = _point_from_pi(pis[row], template.up_indices, xs[i])
-    return points
+    columns = symbol_table(base)
+    columns.update({PARAMETER_SYMBOLS[field]: c for field, c in swept.items()})
+    structure = np.broadcast_to(
+        2 * (np.asarray(columns["hep"]) > 0.0)
+        + (np.asarray(columns["lam_crash"]) > 0.0),
+        (len(xs),),
+    )
+    availability = np.empty(len(xs))
+    # Groups in first-appearance order, so templates build in point order.
+    for first in sorted(np.unique(structure, return_index=True)[1].tolist()):
+        rows = np.flatnonzero(structure == structure[first])
+        template = chain_template(policy, _params_at(base, swept, first))
+        pi = template.solve_many(
+            {
+                symbol: c[rows] if isinstance(c, np.ndarray) else c
+                for symbol, c in columns.items()
+            },
+            method=method,
+        )
+        availability[rows] = sum(pi[:, i] for i in template.up_indices)
+    return _points_from_availability(availability, xs)
+
+
+def _periodic_availability(
+    base: AvailabilityParameters,
+    swept: Dict[str, np.ndarray],
+    k: int,
+    policy: SimulationPolicy,
+    method: str,
+) -> np.ndarray:
+    """Return the checker-cycle availability column of a periodic sweep.
+
+    The between-checks decay chain and its cycle operator ``(M, OCC)``
+    depend on every parameter except ``hep``, which only enters the
+    check-instant repair matrix.  Rows are therefore grouped by their
+    non-hep values; each group builds its chain and operator once, and
+    each point solves only its own repair matrix and cycle fixed point —
+    the same arithmetic as :func:`repro.core.evaluation.analytical_result`.
+    """
+    others = [field for field in swept if field != "hep"]
+    keys = list(zip(*(swept[field].tolist() for field in others))) or [()] * k
+    heps = swept["hep"].tolist() if "hep" in swept else [base.hep] * k
+    groups: Dict[tuple, List[int]] = {}
+    for row, key in enumerate(keys):
+        groups.setdefault(key, []).append(row)
+    checker_method = "uniformization" if method == "uniformization" else "expm"
+    availability = np.empty(k)
+    for rows in groups.values():
+        params = _params_at(base, swept, rows[0])
+        scheme = policy.scheme.resolve(params)
+        chain = policy.build_chain(params)
+        period = float(scheme.check_period_hours)
+        m, occ = checker.chain_cycle_operator(chain, period, checker_method)
+        occupancy = []
+        for row in rows:
+            repair = checker.check_repair_matrix(
+                chain, scheme.n_shares, scheme.k, scheme.repair_threshold, heps[row]
+            )
+            occupancy.append(checker.cycle_start_distribution(m @ repair) @ occ)
+        fractions = np.array(occupancy) / period
+        availability[rows] = sum(fractions[:, chain.index_of(s)] for s in chain.up_states())
+    return availability
 
 
 def _check_mc_options_for_backend(
@@ -531,13 +608,13 @@ def sweep(
     if backend == "auto":
         backend = "analytical" if resolved.has_analytical_model else "monte_carlo"
     _check_mc_options_for_backend(backend, mc_engine, crn, biasing)
-    point_params = [_with_axis(base_params, field, value) for value in values]
-    xs = [float(value) for value in values]
+    column = _axis_column(base_params, field, values)
+    xs = column.tolist()
 
     if backend == "analytical":
-        return _analytical_points(point_params, xs, resolved, method)
+        return _analytical_points(base_params, {field: column}, xs, resolved, method)
     return _monte_carlo_points(
-        point_params,
+        [_with_axis(base_params, field, x) for x in xs],
         xs,
         resolved,
         mc_iterations=mc_iterations,
@@ -715,20 +792,21 @@ def sweep_grid(
     if backend == "auto":
         backend = "analytical" if resolved.has_analytical_model else "monte_carlo"
     _check_mc_options_for_backend(backend, mc_engine, crn, biasing)
-    point_params: List[AvailabilityParameters] = []
-    xs: List[float] = []
-    for v1 in values1:
-        for v2 in values2:
-            point_params.append(
-                _with_axis(_with_axis(base_params, field1, v1), field2, v2)
-            )
-            xs.append(float(v2))
+    column1 = _axis_column(base_params, field1, values1)
+    column2 = _axis_column(base_params, field2, values2)
+    n1, n2 = len(column1), len(column2)
+    xs = np.tile(column2, n1).tolist()
 
     if backend == "analytical":
-        flat = _analytical_points(point_params, xs, resolved, method)
+        swept = {field1: np.repeat(column1, n2), field2: np.tile(column2, n1)}
+        flat = _analytical_points(base_params, swept, xs, resolved, method)
     else:
         flat = _monte_carlo_points(
-            point_params,
+            [
+                _with_axis(_with_axis(base_params, field1, v1), field2, v2)
+                for v1 in column1.tolist()
+                for v2 in column2.tolist()
+            ],
             xs,
             resolved,
             mc_iterations=mc_iterations,
@@ -754,13 +832,12 @@ def sweep_grid(
             checkpoint=checkpoint,
             resume=resume,
         )
-    n2 = len(values2)
-    rows = [flat[i * n2 : (i + 1) * n2] for i in range(len(values1))]
+    rows = [flat[i * n2 : (i + 1) * n2] for i in range(n1)]
     return SweepGrid(
         axis1=axis1,
         axis2=axis2,
-        values1=tuple(float(v) for v in values1),
-        values2=tuple(float(v) for v in values2),
+        values1=tuple(column1.tolist()),
+        values2=tuple(column2.tolist()),
         points=rows,
     )
 
@@ -776,26 +853,23 @@ def sweep_per_point_rebuild(
 
     This is the pre-template algorithm (one builder + chain + validation +
     solver per point), retained as the ground truth the engine is benchmarked
-    and regression-tested against — `sweep(...)` must reproduce it to 1e-12.
+    and regression-tested against — `sweep(...)` must reproduce it exactly.
+    Periodic-scheme policies have no ergodic steady state; their reference
+    is the per-point checker-cycle solve of
+    :func:`~repro.core.evaluation.analytical_result`, which rebuilds the
+    decay chain and cycle operator at every point.
     """
     if not values:
         raise ConfigurationError(f"sweep over {axis!r} requires at least one value")
     field = _axis_field(axis)
     resolved = resolve_policy(policy)
-    if resolved.has_periodic_checks:
-        # A periodic-scheme decay chain is absorbing — there is no ergodic
-        # steady state to solve for.  The checker-cycle path already rebuilds
-        # per point, so it doubles as its own reference algorithm.
-        return _analytical_points(
-            [_with_axis(base_params, field, v) for v in values],
-            [float(v) for v in values],
-            resolved,
-            method,
-        )
     points = []
     for value in values:
         params = _with_axis(base_params, field, value)
-        result = steady_state_availability(resolved.build_chain(params), method=method)
+        if resolved.has_periodic_checks:
+            result = analytical_result(params, resolved, method=method)
+        else:
+            result = steady_state_availability(resolved.build_chain(params), method=method)
         points.append(
             SweepPoint(
                 x=float(value),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from repro.distributions.base import ArrayLike, Distribution
 from repro.exceptions import DistributionError
@@ -106,6 +106,8 @@ class Gamma(Distribution):
     def percentile(self, q: float, upper: float = 1e12, tol: float = 1e-9) -> float:
         if not 0.0 < q < 1.0:
             raise DistributionError(f"percentile requires 0 < q < 1, got {q!r}")
+        from scipy import stats  # ~0.5 s to import; only this method needs it
+
         return float(stats.gamma.ppf(q, a=self._shape, scale=self._scale))
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:

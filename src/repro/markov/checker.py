@@ -202,6 +202,21 @@ def _uniformized_operator(chain: MarkovChain, period_hours: float, n_grid: int =
     return m, occ
 
 
+def chain_cycle_operator(chain: MarkovChain, period_hours: float, method: str = "expm"):
+    """Return ``(M, OCC)`` of a decay chain over one check period.
+
+    ``method="expm"`` uses the exact augmented exponential
+    (:func:`cycle_operator`), ``method="uniformization"`` the transient
+    engine reference.  Neither depends on ``hep``, which only enters the
+    check-instant matrix, so a hep sweep builds the operator once.
+    """
+    if method == "expm":
+        return cycle_operator(chain.generator_matrix(), period_hours)
+    if method == "uniformization":
+        return _uniformized_operator(chain, period_hours)
+    raise SolverError(f"unknown checker method {method!r}")
+
+
 def cycle_stationary_availability(
     chain: MarkovChain,
     repair: np.ndarray,
@@ -224,12 +239,7 @@ def cycle_stationary_availability(
             f"repair matrix shape {repair.shape!r} does not match "
             f"{size} chain states"
         )
-    if method == "expm":
-        m, occ = cycle_operator(chain.generator_matrix(), period_hours)
-    elif method == "uniformization":
-        m, occ = _uniformized_operator(chain, period_hours)
-    else:
-        raise SolverError(f"unknown checker method {method!r}")
+    m, occ = chain_cycle_operator(chain, period_hours, method)
     phi = cycle_start_distribution(m @ repair)
     occupancy = phi @ occ
     down_mask = ~chain.up_mask()

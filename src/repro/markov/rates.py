@@ -3,8 +3,8 @@
 Every transition the model builders declare carries a symbolic label such as
 ``"n*lambda"`` or ``"hep*mu_DF"``.  This module turns those labels into
 compiled, reusable rate expressions so a chain built **once** can be
-re-evaluated at many parameter points: a sweep rewrites only the generator
-entries whose expressions mention the swept symbol instead of reconstructing
+re-evaluated at many parameter points: a sweep evaluates each expression
+once over the swept symbol columns instead of reconstructing
 builder/chain/solver objects per point (see :mod:`repro.markov.template`).
 
 The grammar is deliberately tiny — names, numeric literals and the four
@@ -60,8 +60,8 @@ RATE_SYMBOLS: Tuple[str, ...] = (
     "hep",
 )
 
-#: Parameter field -> rate symbol, used by the sweep engine to find which
-#: transitions a parameter change affects.  ``geometry`` maps to ``n``.
+#: Parameter field -> rate symbol, used by the sweep engine to turn a swept
+#: field into its symbol column.  ``geometry`` maps to ``n``.
 PARAMETER_SYMBOLS: Dict[str, str] = {
     "geometry": "n",
     "disk_failure_rate": "lam",
@@ -112,9 +112,15 @@ class RateExpression:
     symbols: FrozenSet[str]
     _code: object
 
-    def __call__(self, table: Mapping[str, float]) -> float:
-        """Evaluate the expression against a :func:`symbol_table`."""
-        return float(eval(self._code, {"__builtins__": {}}, dict(table)))  # noqa: S307
+    def __call__(self, table: Mapping[str, object]):
+        """Evaluate the expression against a :func:`symbol_table`.
+
+        Symbols may also be bound to ``(k,)`` float arrays (symbol columns
+        of ``k`` parameter points): the result is then an array wherever
+        the expression mentions a column and a scalar otherwise, with the
+        same IEEE arithmetic at every point as the scalar evaluation.
+        """
+        return eval(self._code, {"__builtins__": {}}, dict(table))  # noqa: S307
 
     @property
     def is_constant(self) -> bool:

@@ -6,34 +6,24 @@ transition (see :mod:`repro.markov.rates`).  The template is derived from a
 chain the model builders produced once per (policy, geometry); afterwards a
 parameter sweep never reconstructs builder/chain/solver objects:
 
-* a :class:`TemplateEvaluator` owns one generator matrix ``Q`` assembled
-  from the template,
-* moving to the next sweep point rewrites **only** the ``Q`` entries whose
-  rate expressions mention a symbol that actually changed (plus the affected
-  diagonal entries), and
-* the updated ``Q`` is re-factorized by the array-level solvers in
-  :mod:`repro.markov.solver`, with dense/sparse selection by state count.
+* the sweep hands the template its points as **symbol columns** — a scalar
+  for every symbol that is the same at all points, a ``(k,)`` array for each
+  swept one,
+* every transition's expression is evaluated once over those columns (a
+  scalar where none of its symbols varies, a column otherwise) and
+  scatter-added into a ``(k, n, n)`` generator stack, and
+* the stack is factorized by one batched LAPACK solve (dense path) or row
+  by row through the array-level solvers in :mod:`repro.markov.solver`.
 
 The assembly mirrors :meth:`~repro.markov.chain.MarkovChain.generator_matrix`
 entry for entry (same scatter order, same row-sum diagonal), so a template
-solve is numerically indistinguishable from rebuilding the chain at every
-point — the sweep-engine tests assert agreement to 1e-12 and typically see
-bit-identical series.
+solve is bit-identical to rebuilding the chain at every point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    FrozenSet,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -88,24 +78,9 @@ class ChainTemplate:
                 )
             )
         self._transitions: Tuple[TemplateTransition, ...] = tuple(transitions)
-        # Entry groups: declaration-ordered transition indices per (i, j)
-        # cell, so a rewrite accumulates duplicates in the same order as a
-        # fresh generator_matrix() scatter.
-        groups: Dict[Tuple[int, int], List[int]] = {}
-        for k, t in enumerate(self._transitions):
-            groups.setdefault((t.source_index, t.target_index), []).append(k)
-        self._entry_groups: Dict[Tuple[int, int], Tuple[int, ...]] = {
-            key: tuple(members) for key, members in groups.items()
-        }
-        # Symbol -> entries whose rate depends on it (for targeted rewrites).
-        by_symbol: Dict[str, set] = {}
-        for key, members in self._entry_groups.items():
-            for k in members:
-                for symbol in self._transitions[k].expression.symbols:
-                    by_symbol.setdefault(symbol, set()).add(key)
-        self._entries_by_symbol: Dict[str, Tuple[Tuple[int, int], ...]] = {
-            symbol: tuple(sorted(keys)) for symbol, keys in by_symbol.items()
-        }
+        self._symbols: FrozenSet[str] = frozenset().union(
+            *(t.expression.symbols for t in self._transitions)
+        )
         self._check_against(chain, params)
 
     # ------------------------------------------------------------------
@@ -144,106 +119,76 @@ class ChainTemplate:
     @property
     def symbols(self) -> FrozenSet[str]:
         """Return every rate symbol any transition depends on."""
-        return frozenset(self._entries_by_symbol)
+        return self._symbols
 
     def depends_on(self, symbol: str) -> bool:
         """Return whether any transition rate mentions ``symbol``."""
-        return symbol in self._entries_by_symbol
+        return symbol in self._symbols
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def rates(self, table: Mapping[str, float]) -> np.ndarray:
-        """Evaluate every transition rate against a symbol table."""
-        return np.array(
-            [t.expression(table) for t in self._transitions], dtype=float
-        )
+    def generator_stack(self, columns: Mapping[str, object]) -> np.ndarray:
+        """Assemble the generator matrices of ``k`` points given as columns.
+
+        ``columns`` maps every rate symbol to a scalar (the same at every
+        point) or a ``(k,)`` float array.  Each transition's expression is
+        evaluated once over the columns and scatter-added into
+        ``q[:, i, j]`` in declaration order; the diagonal is then restored
+        from the row sums — the same arithmetic, cell for cell, as
+        :meth:`MarkovChain.generator_matrix` at each point.  Returns an
+        array of shape ``(k, n, n)`` (``k = 1`` when no column varies).
+        """
+        sizes = {len(v) for v in columns.values() if isinstance(v, np.ndarray)}
+        if len(sizes) > 1:
+            raise SolverError(
+                f"symbol columns of template {self._name!r} disagree in length: "
+                f"{sorted(sizes)}"
+            )
+        n = self.n_states
+        q = np.zeros((sizes.pop() if sizes else 1, n, n))
+        for t in self._transitions:
+            q[:, t.source_index, t.target_index] += t.expression(columns)
+        diagonal = np.arange(n)
+        q[:, diagonal, diagonal] = 0.0
+        q[:, diagonal, diagonal] = -q.sum(axis=2)
+        return q
 
     def generator_matrix(self, params: "AvailabilityParameters") -> np.ndarray:
         """Assemble a fresh generator matrix at one parameter point."""
-        return self.evaluator(params).generator_matrix()
+        return self.generator_stack(symbol_table(params))[0]
 
     def evaluator(self, params: "AvailabilityParameters") -> "TemplateEvaluator":
-        """Return a mutable evaluator positioned at ``params``."""
+        """Return an evaluator positioned at ``params``."""
         return TemplateEvaluator(self, params)
 
     def solve_many(
-        self,
-        params_list: Sequence["AvailabilityParameters"],
-        method: str = "auto",
+        self, columns: Mapping[str, object], method: str = "auto"
     ) -> np.ndarray:
-        """Return the stationary vectors of many parameter points at once.
+        """Return the stationary vectors of many points given as columns.
 
-        This is the vectorized heart of the sweep engine.  On the dense path
-        (the ``"auto"`` choice for every paper-sized chain) all points are
-        assembled into one ``(k, n, n)`` generator stack — base entries
-        broadcast, only the transitions whose symbols actually vary across
-        the points re-evaluated — and factorized by a **single** batched
-        LAPACK solve, then validated and normalised with vectorized
-        arithmetic that matches the scalar solver operation for operation.
-        Non-dense methods fall back to a per-point loop on one evaluator.
+        This is the vectorized heart of the sweep engine.  ``columns`` is a
+        symbol table whose swept symbols are ``(k,)`` arrays (see
+        :meth:`generator_stack`).  On the dense path (the ``"auto"`` choice
+        for every paper-sized chain) the whole generator stack is
+        factorized by a **single** batched LAPACK solve, then validated and
+        normalised with vectorized arithmetic that matches the scalar
+        solver operation for operation.  Non-dense methods solve the same
+        stack one point at a time.
 
-        Returns an array of shape ``(len(params_list), n_states)``.
+        Returns an array of shape ``(k, n_states)``.
         """
-        if len(params_list) == 0:
-            return np.zeros((0, self.n_states))
+        q = self.generator_stack(columns)
         resolved = resolve_method(method, self.n_states)
         if resolved != "dense":
-            evaluator = self.evaluator(params_list[0])
-            rows = [evaluator.solve(method=resolved)]
-            for params in params_list[1:]:
-                evaluator.set_params(params)
-                rows.append(evaluator.solve(method=resolved))
-            return np.stack(rows)
-
-        k = len(params_list)
-        n = self.n_states
-        tables = [symbol_table(params) for params in params_list]
-        base = tables[0]
-        varying = {
-            symbol
-            for table in tables[1:]
-            for symbol, value in table.items()
-            if base.get(symbol) != value
-        }
-        affected = set()
-        for symbol in varying:
-            affected.update(self._entries_by_symbol.get(symbol, ()))
-
-        base_rates = self.rates(base)
-        q0 = np.zeros((n, n))
-        for idx, t in enumerate(self._transitions):
-            q0[t.source_index, t.target_index] += base_rates[idx]
-        np.fill_diagonal(q0, 0.0)
-        q0[np.diag_indices_from(q0)] = -q0.sum(axis=1)
-        q = np.broadcast_to(q0, (k, n, n)).copy()
-
-        if affected:
-            affected_transitions = sorted(
-                {idx for key in affected for idx in self._entry_groups[key]}
+            return np.stack(
+                [stationary_from_q(qi, method=resolved, name=self._name) for qi in q]
             )
-            rate_columns = {
-                idx: np.array(
-                    [self._transitions[idx].expression(table) for table in tables]
-                )
-                for idx in affected_transitions
-            }
-            for i, j in affected:
-                total = np.zeros(k)
-                for idx in self._entry_groups[(i, j)]:
-                    column = rate_columns.get(idx)
-                    if column is None:
-                        column = np.full(k, base_rates[idx])
-                    total = total + column
-                q[:, i, j] = total
-            rows = sorted({i for i, _ in affected})
-            for i in rows:
-                q[:, i, i] = 0.0
-                q[:, i, i] = -q[:, i, :].sum(axis=-1)
 
         # One batched factorization for the whole sweep: the stacked system
         # mirrors stationary_dense_from_q (replace one balance equation by
         # the normalisation row) applied to every point at once.
+        k, n = q.shape[0], self.n_states
         a = q.transpose(0, 2, 1).copy()
         a[:, -1, :] = 1.0
         b = np.zeros((k, n, 1))
@@ -300,27 +245,16 @@ class ChainTemplate:
 
 
 class TemplateEvaluator:
-    """A template bound to a generator matrix that tracks parameter changes.
+    """A template bound to the generator matrix of one parameter point.
 
-    The evaluator owns ``Q`` and the last evaluated symbol table.  Each
-    :meth:`set_params` call rewrites only the entries whose expressions
-    depend on a symbol whose value actually changed; :meth:`solve` then
-    re-factorizes through the array-level steady-state solvers.
+    :meth:`solve` factorizes that generator through the array-level
+    steady-state solvers; sweeps over many points use
+    :meth:`ChainTemplate.solve_many` instead.
     """
 
     def __init__(self, template: ChainTemplate, params: "AvailabilityParameters") -> None:
         self._template = template
-        self._table = symbol_table(params)
-        self._rates = template.rates(self._table)
-        n = template.n_states
-        self._q = np.zeros((n, n), dtype=float)
-        for k, t in enumerate(template.transitions):
-            self._q[t.source_index, t.target_index] += self._rates[k]
-        np.fill_diagonal(self._q, 0.0)
-        self._q[np.diag_indices_from(self._q)] = -self._q.sum(axis=1)
-        #: Number of Q entries rewritten by the last set_params call; kept
-        #: for benchmarks and tests of the targeted-update path.
-        self.last_rewrites = int(len(template._entry_groups))
+        self._q = template.generator_matrix(params)
 
     @property
     def template(self) -> ChainTemplate:
@@ -330,48 +264,6 @@ class TemplateEvaluator:
     def generator_matrix(self) -> np.ndarray:
         """Return a copy of the current generator matrix."""
         return self._q.copy()
-
-    def set_params(self, params: "AvailabilityParameters") -> "TemplateEvaluator":
-        """Move the evaluator to a new parameter point.
-
-        Only the generator entries whose rate expressions mention a symbol
-        with a changed value are rewritten; each affected off-diagonal cell
-        is recomputed from its declaration-ordered transition rates, and the
-        affected rows get their diagonal restored from a fresh row sum.
-        """
-        template = self._template
-        new_table = symbol_table(params)
-        changed = {
-            symbol for symbol, value in new_table.items()
-            if self._table.get(symbol) != value
-        }
-        self._table = new_table
-        if not changed:
-            self.last_rewrites = 0
-            return self
-        affected: set = set()
-        for symbol in changed:
-            affected.update(template._entries_by_symbol.get(symbol, ()))
-        if not affected:
-            self.last_rewrites = 0
-            return self
-        transitions = template.transitions
-        entry_groups = template._entry_groups
-        for key in affected:
-            for k in entry_groups[key]:
-                self._rates[k] = transitions[k].expression(new_table)
-        rows = set()
-        for i, j in affected:
-            total = 0.0
-            for k in entry_groups[(i, j)]:
-                total += self._rates[k]
-            self._q[i, j] = total
-            rows.add(i)
-        for i in rows:
-            self._q[i, i] = 0.0
-            self._q[i, i] = -self._q[i, :].sum()
-        self.last_rewrites = int(len(affected))
-        return self
 
     def solve(self, method: str = "auto") -> np.ndarray:
         """Return the stationary vector of the current generator.

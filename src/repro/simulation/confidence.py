@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro.exceptions import SimulationError
 
@@ -232,6 +232,13 @@ def segmented_moments(
     ]
 
 
+def _float_array(samples: Iterable[float]) -> np.ndarray:
+    """Return ``samples`` as a float array, copying only non-array iterables."""
+    if isinstance(samples, np.ndarray):
+        return np.asarray(samples, dtype=float)
+    return np.asarray(list(samples), dtype=float)
+
+
 def t_critical(confidence: float, n_samples: int) -> float:
     """Return the two-sided Student-t critical value for the given level."""
     if not 0.0 < confidence < 1.0:
@@ -239,12 +246,12 @@ def t_critical(confidence: float, n_samples: int) -> float:
     if n_samples < 2:
         raise SimulationError(f"at least two samples are required, got {n_samples!r}")
     alpha = 1.0 - confidence
-    return float(stats.t.ppf(1.0 - alpha / 2.0, df=n_samples - 1))
+    return float(special.stdtrit(n_samples - 1, 1.0 - alpha / 2.0))
 
 
 def confidence_interval(samples: Sequence[float], confidence: float = 0.99) -> ConfidenceInterval:
     """Return the Student-t confidence interval of the sample mean."""
-    data = np.asarray(list(samples), dtype=float)
+    data = _float_array(samples)
     if data.size < 2:
         raise SimulationError("confidence interval requires at least two samples")
     if np.any(~np.isfinite(data)):
@@ -279,7 +286,7 @@ def required_samples(
         raise SimulationError(f"target half-width must be positive, got {target_half_width!r}")
     if sample_std == 0.0:
         return 2
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    z = float(special.ndtri(0.5 + confidence / 2.0))
     n = max(int(math.ceil((z * sample_std / target_half_width) ** 2)), 2)
     if n > max_samples:
         raise SimulationError(
@@ -302,7 +309,7 @@ def batch_means(samples: Sequence[float], n_batches: int = 20) -> np.ndarray:
     estimates; batching restores approximate independence before a
     Student-t interval is applied.
     """
-    data = np.asarray(list(samples), dtype=float)
+    data = _float_array(samples)
     if n_batches < 2:
         raise SimulationError(f"need at least two batches, got {n_batches!r}")
     if data.size < n_batches:

@@ -113,7 +113,6 @@ class TestFusedResolution:
         assert fused_available()
         assert resolve_kernel("fused") == "fused"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_auto_never_resolves_to_fused(self):
         assert resolve_kernel("auto") in ("numpy", "compiled")
 

@@ -5,16 +5,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.evaluation import clear_template_cache
+from dataclasses import replace
+
+from repro.core.evaluation import (
+    analytical_policies,
+    analytical_result,
+    clear_template_cache,
+    evaluate,
+)
 from repro.core.parameters import paper_parameters
+from repro.core.policies.erasure import erasure_policy
 from repro.core.sweep import (
     SWEEP_AXES,
     sweep,
+    sweep_grid,
     sweep_hep,
     sweep_per_point_rebuild,
     sweep_policies,
 )
 from repro.exceptions import ConfigurationError
+from repro.markov import checker
+from repro.storage.raid import RaidGeometry
 
 #: Fig. 4's failure-rate grid (positive part) and Fig. 5's hep grid.
 FIG4_RATES = [float(r) for r in np.linspace(5e-7, 5.5e-6, 11)]
@@ -172,3 +183,147 @@ class TestSweepBehaviour:
         low = max(points[0].ci_lower, single.ci_lower)
         high = min(points[0].ci_upper, single.ci_upper)
         assert low <= high
+
+
+#: Values per sweep axis for the bit-identity tests: zero rungs where the
+#: axis allows them (they select reduced chain structures) and a spread of
+#: magnitudes elsewhere.
+AXIS_VALUES = {
+    "hep": [0.0, 1e-4, 0.003, 0.0, 0.3, 1.0],
+    "failure_rate": [5e-7, 1e-6, 2.2e-5, 1e-4],
+    "disk_failure_rate": [3e-7, 4e-6],
+    "repair_rate": [0.01, 0.1, 1.0],
+    "disk_repair_rate": [0.05, 0.5],
+    "ddf_recovery_rate": [0.01, 0.03, 1.0],
+    "human_error_rate": [0.1, 1.0, 10.0],
+    "spare_replacement_rate": [0.2, 1.0, 5.0],
+    "crash_rate": [0.0, 0.005, 0.05, 0.0],
+}
+
+
+def assert_point_equals(point, x, reference):
+    """Exact equality of every field, not approximate agreement."""
+    assert point.x == x
+    assert point.availability == reference.availability
+    assert point.unavailability == reference.unavailability
+    assert point.nines == reference.nines
+
+
+class TestColumnarSweepBitIdentity:
+    """The columnar path must equal per-point evaluation byte for byte."""
+
+    def test_axis_table_covers_every_axis(self):
+        assert set(AXIS_VALUES) == set(SWEEP_AXES)
+
+    @pytest.mark.parametrize("axis", sorted(SWEEP_AXES))
+    @pytest.mark.parametrize("policy", analytical_policies())
+    def test_sweep_equals_per_point_evaluate(self, policy, axis):
+        base = paper_parameters(disk_failure_rate=2e-6, hep=0.01)
+        values = AXIS_VALUES[axis]
+        points = sweep(base, axis, values, policy, backend="analytical")
+        assert len(points) == len(values)
+        for point, value in zip(points, values):
+            params = replace(base, **{SWEEP_AXES[axis]: value})
+            assert_point_equals(
+                point, value, evaluate(params, policy, backend="analytical")
+            )
+
+    @pytest.mark.parametrize("method", ["sparse", "power"])
+    def test_non_dense_methods_equal_per_point_evaluate(self, method):
+        base = paper_parameters(hep=0.01)
+        values = [0.0, 0.001, 0.05]
+        points = sweep(base, "hep", values, "automatic_failover", method=method)
+        for point, value in zip(points, values):
+            reference = evaluate(
+                base.with_hep(value), "automatic_failover",
+                backend="analytical", method=method,
+            )
+            assert_point_equals(point, value, reference)
+
+    @pytest.mark.parametrize("policy", ["conventional", "automatic_failover"])
+    def test_grid_with_mixed_structure_groups(self, policy):
+        # A hep = 0 rung and a crash_rate = 0 column in one call: four
+        # chain structures, each solved as its own group.
+        base = paper_parameters(disk_failure_rate=5e-6, hep=0.01)
+        heps, crashes = [0.0, 0.001, 0.05], [0.0, 0.01, 0.2]
+        grid = sweep_grid(base, "hep", heps, "crash_rate", crashes, policy, backend="analytical")
+        assert grid.shape == (3, 3)
+        assert grid.values1 == tuple(heps) and grid.values2 == tuple(crashes)
+        for hep, row in zip(heps, grid.points):
+            for crash, point in zip(crashes, row):
+                params = replace(base, hep=hep, crash_rate=crash)
+                assert_point_equals(
+                    point, crash, evaluate(params, policy, backend="analytical")
+                )
+
+    @pytest.mark.parametrize(
+        ("axis", "bad"),
+        [("hep", 1.5), ("failure_rate", -1e-6), ("crash_rate", float("nan"))],
+    )
+    def test_invalid_values_raise_the_per_point_error(self, axis, bad):
+        base = paper_parameters(hep=0.01)
+        with pytest.raises(ConfigurationError) as expected:
+            replace(base, **{SWEEP_AXES[axis]: bad})
+        with pytest.raises(ConfigurationError) as swept:
+            sweep(base, axis, [0.01, bad], "conventional", backend="analytical")
+        assert str(swept.value) == str(expected.value)
+        with pytest.raises(ConfigurationError) as gridded:
+            sweep_grid(base, "repair_rate", [0.1], axis, [bad], "conventional", backend="analytical")
+        assert str(gridded.value) == str(expected.value)
+
+
+class TestErasureSweepOperatorReuse:
+    """Periodic sweeps build the cycle operator once per non-hep group."""
+
+    POLICY = erasure_policy(3, 10, repair_threshold=8)
+    BASE = paper_parameters(geometry=RaidGeometry.erasure(3, 10), disk_failure_rate=1e-5)
+
+    @pytest.fixture
+    def operator_calls(self, monkeypatch):
+        calls = []
+        original = checker.chain_cycle_operator
+
+        def counting(chain, period_hours, method="expm"):
+            calls.append(chain.generator_matrix())
+            return original(chain, period_hours, method)
+
+        monkeypatch.setattr(checker, "chain_cycle_operator", counting)
+        return calls
+
+    @pytest.mark.parametrize("method", ["auto", "uniformization"])
+    def test_hep_sweep_builds_one_operator(self, operator_calls, method):
+        heps = [0.0, 1e-4, 0.01, 0.5, 1.0]
+        points = sweep(self.BASE, "hep", heps, self.POLICY, backend="analytical", method=method)
+        assert len(operator_calls) == 1
+        for point, hep in zip(points, heps):
+            reference = analytical_result(self.BASE.with_hep(hep), self.POLICY, method=method)
+            assert_point_equals(point, hep, reference)
+
+    def test_rate_sweep_recomputes_the_operator_per_rate(self, operator_calls):
+        rates = [1e-6, 1e-5, 1e-4, 1e-5]
+        points = sweep(self.BASE, "failure_rate", rates, self.POLICY, backend="analytical")
+        # Three distinct rates, three operators, each from its own generator.
+        assert len(operator_calls) == 3
+        assert not np.array_equal(operator_calls[0], operator_calls[1])
+        for point, rate in zip(points, rates):
+            reference = analytical_result(
+                self.BASE.with_failure_rate(rate), self.POLICY
+            )
+            assert_point_equals(point, rate, reference)
+
+    def test_grid_groups_by_rate(self, operator_calls):
+        rates, heps = [1e-6, 1e-4], [0.0, 0.01, 0.2]
+        grid = sweep_grid(
+            self.BASE, "failure_rate", rates, "hep", heps, self.POLICY, backend="analytical"
+        )
+        assert len(operator_calls) == len(rates)
+        for rate, row in zip(rates, grid.points):
+            for hep, point in zip(heps, row):
+                params = self.BASE.with_failure_rate(rate).with_hep(hep)
+                assert_point_equals(point, hep, analytical_result(params, self.POLICY))
+
+    def test_per_point_rebuild_matches(self):
+        heps = [0.0, 0.01, 0.3]
+        fast = sweep(self.BASE, "hep", heps, self.POLICY, backend="analytical")
+        slow = sweep_per_point_rebuild(self.BASE, "hep", heps, self.POLICY)
+        assert fast == slow

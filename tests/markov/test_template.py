@@ -79,6 +79,14 @@ class TestRateExpressions:
             assert hasattr(params, field)
 
 
+def _columns(base, points, *symbols):
+    """Return ``base``'s symbol table with ``symbols`` as columns over ``points``."""
+    columns = symbol_table(base)
+    for symbol in symbols:
+        columns[symbol] = np.array([symbol_table(p)[symbol] for p in points])
+    return columns
+
+
 class TestChainTemplate:
     @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
     def test_generator_matches_fresh_build(self, name):
@@ -91,47 +99,64 @@ class TestChainTemplate:
 
     @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
     def test_incremental_update_matches_fresh_build(self, name):
+        # One generator stack over hep and lambda columns reproduces a fresh
+        # build at every point, bit for bit.
         build = MODEL_BUILDERS[name]
         base = paper_parameters(hep=0.003)
-        evaluator = ChainTemplate(build(base), base).evaluator(base)
-        for params in (
+        template = ChainTemplate(build(base), base)
+        points = (
             base.with_hep(0.01),
             base.with_hep(0.01).with_failure_rate(2e-5),
             base.with_failure_rate(7e-7).with_hep(0.25),
-        ):
-            evaluator.set_params(params)
-            assert np.array_equal(
-                evaluator.generator_matrix(), build(params).generator_matrix()
-            )
+        )
+        stack = template.generator_stack(_columns(base, points, "hep", "lam"))
+        assert stack.shape == (len(points), template.n_states, template.n_states)
+        for q, params in zip(stack, points):
+            assert np.array_equal(q, build(params).generator_matrix())
 
     def test_hep_change_rewrites_only_affected_entries(self):
         params = paper_parameters(hep=0.003)
         chain = build_conventional_chain(params)
-        evaluator = ChainTemplate(chain, params).evaluator(params)
-        evaluator.set_params(params.with_hep(0.01))
-        hep_entries = sum(
-            1 for t in chain.transitions if "hep" in t.label
-        )
-        assert evaluator.last_rewrites == hep_entries
-        evaluator.set_params(params.with_hep(0.01))  # no change at all
-        assert evaluator.last_rewrites == 0
+        template = ChainTemplate(chain, params)
+        index = {name: i for i, name in enumerate(chain.state_names)}
+        hep_cells = {
+            (index[t.source], index[t.target]) for t in chain.transitions if "hep" in t.label
+        }
+        points = (params, params.with_hep(0.01))
+        first, second = template.generator_stack(_columns(params, points, "hep"))
+        off_diagonal = ~np.eye(template.n_states, dtype=bool)
+        changed = {
+            (int(i), int(j)) for i, j in zip(*np.nonzero((first != second) & off_diagonal))
+        }
+        assert changed == hep_cells
+        # A column that does not vary leaves every matrix of the stack equal.
+        same = (params.with_hep(0.01), params.with_hep(0.01))
+        first, second = template.generator_stack(_columns(params, same, "hep"))
+        assert np.array_equal(first, second)
 
     def test_unaffected_symbol_rewrites_nothing(self):
-        # The baseline chain never mentions hep, so a hep change is free.
+        # The baseline chain never mentions hep, so a hep column is inert.
         params = paper_parameters(hep=0.003)
-        evaluator = ChainTemplate(build_baseline_chain(params), params).evaluator(params)
-        evaluator.set_params(params.with_hep(0.42))
-        assert evaluator.last_rewrites == 0
+        template = ChainTemplate(build_baseline_chain(params), params)
+        points = (params, params.with_hep(0.42))
+        for q in template.generator_stack(_columns(params, points, "hep")):
+            assert np.array_equal(q, template.generator_matrix(params))
 
     def test_geometry_is_a_template_axis(self):
         params = paper_parameters(geometry=RaidGeometry.raid5(3), hep=0.01)
         build = build_conventional_chain
-        evaluator = ChainTemplate(build(params), params).evaluator(params)
+        template = ChainTemplate(build(params), params)
         wider = params.with_geometry(RaidGeometry.raid5(7))
-        evaluator.set_params(wider)
-        assert np.array_equal(
-            evaluator.generator_matrix(), build(wider).generator_matrix()
-        )
+        assert np.array_equal(template.generator_matrix(wider), build(wider).generator_matrix())
+        stack = template.generator_stack(_columns(params, (params, wider), "n"))
+        assert np.array_equal(stack[1], build(wider).generator_matrix())
+
+    def test_columns_of_different_lengths_rejected(self):
+        params = paper_parameters(hep=0.01)
+        template = ChainTemplate(build_conventional_chain(params), params)
+        columns = dict(symbol_table(params), hep=np.array([0.1, 0.2]), lam=np.array([1e-6]))
+        with pytest.raises(SolverError, match="disagree"):
+            template.generator_stack(columns)
 
     def test_unlabelled_transition_rejected(self):
         params = paper_parameters()
