@@ -20,6 +20,12 @@ Four acceptance criteria live here:
   stacked grid, the compacted/arena kernel path must beat the retained
   uncompacted oracle (``compact=False``) by at least **1.3x** while
   consuming the random stream identically (batches compared bitwise).
+* **Row searches**: one paper-point batch of 500k lifetimes per policy
+  (conventional, automatic fail-over), run on the numpy column-pass row
+  searches and on the per-row ``argmin``/``partition`` searches they
+  replaced (the test-only references in ``tests/core/test_compiled.py``).
+  Byte-identical batches and generator states are asserted; the speedup is
+  recorded with its spread and carries no floor.
 * **Zero-copy transport** (PR 5): a 256-point x 10k-lifetime grid on 4
   workers, run on the zero-copy execution plane (shared-memory parameter
   planes + compacted kernels, today's default), measured against the
@@ -100,9 +106,11 @@ runs and rendered by ``python -m repro bench history``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -113,7 +121,7 @@ from repro.core.montecarlo.parallel import worker_pool
 from repro.core.montecarlo.transport import shared_memory_available
 from repro.core.montecarlo.simulator import simulate_conventional
 from repro.core.parameters import paper_parameters
-from repro.core.policies import get_policy
+from repro.core.policies import get_policy, vectorized
 from repro.core.policies.base import SimulationPolicy
 from repro.core.policies.stacked import stack_parameter_points
 from repro.core.policies.vectorized import batch_conventional
@@ -367,6 +375,72 @@ def test_stacked_kernel_compaction_1_3x(bench_record):
     assert speedup >= REQUIRED_COMPACTION_SPEEDUP, (
         f"compacted kernel only {speedup:.2f}x faster than the uncompacted "
         f"oracle (required {REQUIRED_COMPACTION_SPEEDUP:g}x)"
+    )
+
+
+#: Lifetimes of the row-search comparison: one paper-point batch.
+ROW_SEARCH_LIFETIMES = 500_000
+
+
+def _paper_point_batch(policy: str, retired: bool):
+    """Run one paper-point batch, optionally on the retired row searches."""
+    from tests.core.test_compiled import RETIRED_PRIMITIVES
+
+    rng = RandomStreams(2017).stream("montecarlo")
+    searches = (
+        mock.patch.multiple(vectorized, **RETIRED_PRIMITIVES)
+        if retired
+        else contextlib.nullcontext()
+    )
+    with searches:
+        batch = get_policy(policy).batch(BASE, 87_600.0, ROW_SEARCH_LIFETIMES, rng)
+    return batch, rng
+
+
+@pytest.mark.parametrize("policy", ["conventional", "automatic_failover"])
+def test_kernel_row_search(policy, bench_record):
+    """Column-pass row searches vs the per-row argmin/partition searches.
+
+    The retired searches are the test-only references in
+    ``tests/core/test_compiled.py``, patched into the kernels.  Batches and
+    the final generator state must match byte for byte.  Both sides are
+    timed warm, alternating, as the median of :data:`TIMING_REPEATS` calls;
+    the speedup carries no floor because host speed drifts between calls.
+    """
+    _paper_point_batch(policy, False), _paper_point_batch(policy, True)  # warm
+    seconds = {False: [], True: []}
+    for _ in range(TIMING_REPEATS):
+        for retired in (True, False):
+            start = time.perf_counter()
+            _paper_point_batch(policy, retired)
+            seconds[retired].append(time.perf_counter() - start)
+
+    batch, rng = _paper_point_batch(policy, False)
+    reference, rng_ref = _paper_point_batch(policy, True)
+    for field in _BATCH_FIELDS:
+        assert getattr(batch, field).tobytes() == getattr(reference, field).tobytes(), field
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    new, old = seconds[False], seconds[True]
+    speedup = float(np.median(old)) / max(float(np.median(new)), 1e-9)
+    print(
+        f"\nkernel row search {policy}: {ROW_SEARCH_LIFETIMES} lifetimes — column "
+        f"passes {np.median(new):.3f}s ({min(new):.3f}-{max(new):.3f}), argmin/partition "
+        f"{np.median(old):.3f}s ({min(old):.3f}-{max(old):.3f}), speedup {speedup:.2f}x"
+    )
+    bench_record(
+        f"kernel_row_search:{policy}",
+        points=1,
+        seconds=float(np.median(new)),
+        speedup=speedup,
+        lifetimes_per_point=ROW_SEARCH_LIFETIMES,
+        seconds_min=round(min(new), 6),
+        seconds_max=round(max(new), 6),
+        reference_seconds=round(float(np.median(old)), 6),
+        reference_seconds_min=round(min(old), 6),
+        reference_seconds_max=round(max(old), 6),
+        speedup_min=round(min(old) / max(max(new), 1e-9), 3),
+        speedup_max=round(max(old) / max(min(new), 1e-9), 3),
     )
 
 

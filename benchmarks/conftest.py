@@ -26,10 +26,12 @@ from typing import Dict, List, Optional
 import pytest
 
 # The harness writes through repro.bench; make src/ importable even when
-# benchmarks run without an installed package or PYTHONPATH.
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+# benchmarks run without an installed package or PYTHONPATH, and the
+# repository root too, for benchmarks that time test-only references.
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT, _ROOT / "src"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from repro.bench import append_run  # noqa: E402
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import types
 from typing import Optional
 
 from repro.core.policies import vectorized as _vectorized
@@ -174,9 +175,12 @@ def _build_ops():
       ``exclude[row]`` to inf, then argmin", including rows whose remaining
       clocks are all inf (slot 0 with value inf when column 0 is excluded
       and the rest are inf, exactly as argmin over an all-inf row gives 0).
-    - ``second_smallest``: a two-running-minima scan equals the partition's
-      second order statistic, duplicates included; clocks are sampled times
-      or inf, never NaN.
+    - ``second_smallest``: returns ``(slot, second)``, ``min_and_slot``'s
+      slot beside a two-running-minima scan's second order statistic,
+      duplicates included; clocks are sampled times or inf, never NaN.
+
+    The numpy helpers run the same selections as column passes, so the two
+    backends differ in loop order only.
     """
     import numba
     import numpy as np
@@ -219,8 +223,10 @@ def _build_ops():
     @numba.njit(parallel=True, cache=True)
     def second_smallest(clocks):
         m, n = clocks.shape
+        slot = np.empty(m, dtype=np.int64)
         second = np.empty(m, dtype=np.float64)
         for i in numba.prange(m):
+            s = 0
             m1 = clocks[i, 0]
             m2 = np.inf
             for j in range(1, n):
@@ -228,21 +234,20 @@ def _build_ops():
                 if v < m1:
                     m2 = m1
                     m1 = v
+                    s = j
                 elif v < m2:
                     m2 = v
+            slot[i] = s
             second[i] = m2
-        return second
+        return slot, second
 
-    class _CompiledOps:
-        """The ops table ``vectorized.kernel_ops`` expects."""
-
-        __slots__ = ()
-
-        min_and_slot = staticmethod(min_and_slot)
-        min_excluding = staticmethod(min_excluding)
-        second_smallest = staticmethod(second_smallest)
-
-    return _CompiledOps()
+    # The ops table ``vectorized.kernel_ops`` expects.  (A class body cannot
+    # rebind these names: it does not see this function's locals.)
+    return types.SimpleNamespace(
+        min_and_slot=min_and_slot,
+        min_excluding=min_excluding,
+        second_smallest=second_smallest,
+    )
 
 
 @contextlib.contextmanager

@@ -41,9 +41,8 @@ a *physically compacted* working set: the clock matrix, episode clocks and
 bookkeeping arrays hold only the still-active lifetimes, shrinking whenever
 lifetimes reach the horizon, so late rounds touch only live rows instead of
 gathering ``clocks[active]`` out of the full-width matrix every round.
-Per-round scratch (the masked matrix of the second-failure search, the
-compaction target) comes from a reusable :class:`_Arena` sized once to the
-shard.  Compaction only changes *where* state lives, never which rows are
+The compaction targets come from a reusable :class:`_Arena` sized once to
+the shard.  Compaction only changes *where* state lives, never which rows are
 stepped or in which order they are sampled, so the random draw sequence —
 and therefore every result — is bit-identical to the retained uncompacted
 path (``compact=False``), which is kept as the bit-identity oracle and the
@@ -150,65 +149,90 @@ def kernel_ops(ops):
         _KERNEL_OPS_LOCAL.ops = previous
 
 
-def _min_and_slot(
-    clocks: np.ndarray, rows: Optional[np.ndarray] = None
-) -> Tuple[np.ndarray, np.ndarray]:
+# The numpy row searches walk the ``n`` columns of the row-major clock
+# matrix instead of calling ``argmin``/``partition`` per row: numpy pays a
+# fixed cost per row on rows this narrow, while a column pass is one
+# ``np.minimum``/``np.maximum`` over every row at once.  Both only *select*
+# elements (clocks are sampled times or ``+inf``, never NaN or ``-0.0``), so
+# every result is the element ``argmin``/``partition`` would pick.
+def _row_min(clocks: np.ndarray) -> np.ndarray:
+    """Return each row's earliest pending failure time (no slot).
+
+    One ``np.minimum`` per column, so the compiled scans have nothing to
+    add here.
+    """
+    best = np.minimum(clocks[:, 0], clocks[:, -1])
+    for j in range(1, clocks.shape[1] - 1):
+        np.minimum(best, clocks[:, j], out=best)
+    return best
+
+
+def _scan_columns(columns, m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return each row's running ``(slot, first, second)`` over ``columns``.
+
+    ``first`` and ``second`` are the two smallest values, duplicates
+    included: the elements ``argmin`` and ``partition(1)`` select.  The slot
+    moves only where a column is strictly below ``first``, so ties keep the
+    lowest column as ``argmin`` does; slots only grow, so
+    ``maximum(slot, lower * j)`` sets them without a masked write.
+    """
+    columns = iter(columns)
+    first = next(columns)
+    second = np.full(m, np.inf)
+    slot = np.zeros(m, dtype=np.intp)
+    for j, column in enumerate(columns, 1):
+        lower = np.minimum(first, column)
+        np.minimum(second, np.maximum(first, column), out=second)
+        np.maximum(slot, (lower < first) * j, out=slot)
+        first = lower
+    return slot, first, second
+
+
+def _columns(clocks: np.ndarray):
+    """Yield the column views of ``clocks`` in slot order."""
+    return (clocks[:, j] for j in range(clocks.shape[1]))
+
+
+def _min_and_slot(clocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Return per-row ``(slot, time)`` of the earliest pending failure.
 
-    ``rows`` optionally supplies a cached ``arange(m)`` (an arena view on
-    the compacted paths).  Ties resolve to the lowest slot index on both
-    backends (numpy ``argmin`` and the compiled strict-``<`` scan).
+    Ties resolve to the lowest slot index on both backends (the numpy
+    column pass and the compiled strict-``<`` scan), as ``argmin`` does.
     """
     ops = active_kernel_ops()
     if ops is not None:
         return ops.min_and_slot(clocks)
-    slot = np.argmin(clocks, axis=1)
-    if rows is None:
-        rows = np.arange(clocks.shape[0])
-    return slot, clocks[rows, slot]
+    return _scan_columns(_columns(clocks), clocks.shape[0])[:2]
 
 
-def _min_excluding(
-    clocks: np.ndarray, exclude: np.ndarray, out: Optional[np.ndarray] = None
-) -> Tuple[np.ndarray, np.ndarray]:
+def _min_excluding(clocks: np.ndarray, exclude: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Return per-row ``(slot, time)`` of the earliest failure outside ``exclude``.
 
-    ``out`` optionally supplies the scratch matrix for the masked copy (an
-    arena buffer on the compacted path); ``None`` allocates as before.  The
-    compiled backend needs no masked copy at all — it skips column
-    ``exclude[row]`` inside the scan — and ignores ``out``.
+    Equals masking column ``exclude[row]`` to ``inf`` and taking ``argmin``,
+    including rows left all-``inf`` (slot 0, time ``inf``).
     """
     ops = active_kernel_ops()
     if ops is not None:
         return ops.min_excluding(clocks, exclude)
-    if out is None:
-        masked = clocks.copy()
-    else:
-        masked = out
-        np.copyto(masked, clocks)
-    rows = np.arange(clocks.shape[0])
-    masked[rows, exclude] = np.inf
-    slot = np.argmin(masked, axis=1)
-    return slot, masked[rows, slot]
+    masked = (
+        np.where(exclude == j, np.inf, column) for j, column in enumerate(_columns(clocks))
+    )
+    return _scan_columns(masked, clocks.shape[0])[:2]
 
 
-def _second_smallest(clocks: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Return each row's second-smallest clock via an in-place partition.
+def _second_smallest(clocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Return each row's ``(slot, second)``: the earliest slot, second-smallest clock.
 
-    Equals ``_min_excluding(clocks, argmin(clocks, axis=1))[1]`` — removing
-    one instance of a row's minimum leaves its second order statistic, ties
-    included — without the fancy-indexed mask writes.  Requires at least two
-    columns, which every kernel guarantees (``n_disks >= 2``).  The compiled
-    backend keeps two running minima per row instead of partitioning, which
-    selects the same element (duplicates included, NaN impossible — clocks
-    are sampled times or ``inf``).
+    ``second`` equals ``_min_excluding(clocks, slot)[1]``: removing one
+    instance of a row's minimum leaves its second order statistic.
+    Requires at least two columns, which every kernel guarantees
+    (``n_disks >= 2``).
     """
     ops = active_kernel_ops()
     if ops is not None:
         return ops.second_smallest(clocks)
-    np.copyto(out, clocks)
-    out.partition(1, axis=1)
-    return out[:, 1]
+    slot, _, second = _scan_columns(_columns(clocks), clocks.shape[0])
+    return slot, second
 
 
 def _initial_clocks(params, failure_dist, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -560,7 +584,7 @@ _SCRATCH_LOCAL = threading.local()
 def _scratch_state() -> dict:
     state = getattr(_SCRATCH_LOCAL, "buffers", None)
     if state is None:
-        state = {"ping": None, "pong": None, "masked": None, "arange": None}
+        state = {"ping": None, "pong": None}
         _SCRATCH_LOCAL.buffers = state
     return state
 
@@ -576,37 +600,21 @@ def _scratch_matrix(state: dict, key: str, m: int, n: int) -> np.ndarray:
 class _Arena:
     """Reusable scratch buffers, sized to the shard, backed process-wide.
 
-    Holds three full-size clock-matrix buffers — one as the scratch of
-    masked second-failure searches (:meth:`masked`), two as the alternating
-    targets of working-set compactions (:meth:`compact`) — plus a shared
-    ``arange``.  Because the live set only ever shrinks, every later
-    round's view fits inside the buffers sized for round one; no per-round
-    allocation of matrix-sized temporaries remains, and repeat invocations
-    (a worker stepping through its shards) reuse the same backing pages
-    outright.
+    Holds two full-size clock-matrix buffers, the alternating targets of
+    working-set compactions (:meth:`compact`).  Because the live set only
+    ever shrinks, every later round's view fits inside the buffers sized
+    for round one; no per-round allocation of matrix-sized temporaries
+    remains, and repeat invocations (a worker stepping through its shards)
+    reuse the same backing pages outright.
     """
 
-    __slots__ = ("_ping", "_pong", "_masked", "_arange", "_use_ping")
+    __slots__ = ("_ping", "_pong", "_use_ping")
 
     def __init__(self, m: int, n: int) -> None:
         state = _scratch_state()
         self._ping = _scratch_matrix(state, "ping", m, n)
         self._pong = _scratch_matrix(state, "pong", m, n)
-        self._masked = _scratch_matrix(state, "masked", m, n)
-        arange = state["arange"]
-        if arange is None or arange.size < m:
-            arange = np.arange(m)
-            state["arange"] = arange
-        self._arange = arange
         self._use_ping = True
-
-    def arange(self, k: int) -> np.ndarray:
-        """Return the cached ``arange(k)`` view."""
-        return self._arange[:k]
-
-    def masked(self, k: int) -> np.ndarray:
-        """Return a ``(k, n)`` scratch matrix for masked clock searches."""
-        return self._masked[:k]
 
     def compact(self, clocks: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """Copy the ``keep`` rows of ``clocks`` into the next free buffer.
@@ -777,9 +785,9 @@ def _conventional_compacted(
     first_round = True
 
     while rows.size:
-        k = rows.size
-        r = arena.arange(k)
-        slot, fail = _min_and_slot(clocks, r)
+        # Only the minimum decides who reaches the horizon; the slot and the
+        # second failure are searched on the survivors.
+        fail = _row_min(clocks)
         if first_round:
             # ``now`` is still all-zero and clocks are non-negative, so the
             # episode-start clamp is a no-op this round.
@@ -794,14 +802,12 @@ def _conventional_compacted(
             clocks = arena.compact(clocks, keep)
             now = now[keep]
             rows = rows[keep]
-            slot = slot[keep]
             fail = fail[keep]
-            k = keep.size
-            r = arena.arange(k)
+        k = rows.size
         batch.disk_failures[rows] += 1
 
         repair_done = fail + _sample_rows(repair_dist, rows, rng)
-        second = _second_smallest(clocks, arena.masked(k))
+        slot, second = _second_smallest(clocks)
         np.maximum(second, fail, out=second)
 
         # Double disk failure during the repair: data loss, backup restore.
@@ -932,10 +938,6 @@ class _SparePoolState:
         """Translate local working-set indices to global lifetime ids."""
         return idx if self.rows is None else self.rows[idx]
 
-    def scratch(self, k: int) -> Optional[np.ndarray]:
-        """Return a ``(k, n)`` arena scratch matrix (``None`` uncompacted)."""
-        return None if self.arena is None else self.arena.masked(k)
-
     def restock(self, idx: np.ndarray) -> None:
         """Refill the pools of ``idx`` to their configured sizes."""
         self.spares[idx] = _rows(self.n_spares, self.gids(idx))
@@ -1029,7 +1031,8 @@ def _spare_pool_gathered(state: _SparePoolState, m: int) -> BatchLifetimes:
         has_spare = state.spares[active] > 0
         sp = np.flatnonzero(has_spare)
         if sp.size:
-            _spare_rebuild_step(state, active[sp], slot[sp], fail[sp], c[sp], exposed)
+            _, second = _min_excluding(c[sp], slot[sp])
+            _spare_rebuild_step(state, active[sp], slot[sp], fail[sp], second, exposed)
         ns = np.flatnonzero(~has_spare)
         if ns.size:
             exposed.append((active[ns], slot[ns], fail[ns]))
@@ -1045,10 +1048,9 @@ def _spare_pool_gathered(state: _SparePoolState, m: int) -> BatchLifetimes:
 
 def _spare_pool_compacted(state: _SparePoolState) -> BatchLifetimes:
     """The allocation-lean spare-pool round loop (compacted working set)."""
-    arena = state.arena
     first_round = True
     while state.rows.size:
-        slot, fail = _min_and_slot(state.clocks, arena.arange(state.rows.size))
+        fail = _row_min(state.clocks)
         if first_round:
             first_round = False
         else:
@@ -1058,12 +1060,12 @@ def _spare_pool_compacted(state: _SparePoolState) -> BatchLifetimes:
             keep = np.flatnonzero(alive)
             if keep.size == 0:
                 break
-            state.clocks = arena.compact(state.clocks, keep)
+            state.clocks = state.arena.compact(state.clocks, keep)
             state.now = state.now[keep]
             state.spares = state.spares[keep]
             state.rows = state.rows[keep]
-            slot = slot[keep]
             fail = fail[keep]
+        slot, second = _second_smallest(state.clocks)
         state.batch.disk_failures[state.rows] += 1
 
         # Lifetimes entering the exposed service this round, from any branch.
@@ -1072,7 +1074,7 @@ def _spare_pool_compacted(state: _SparePoolState) -> BatchLifetimes:
         has_spare = state.spares > 0
         sp = np.flatnonzero(has_spare)
         if sp.size:
-            _spare_rebuild_step(state, sp, slot[sp], fail[sp], state.clocks[sp], exposed)
+            _spare_rebuild_step(state, sp, slot[sp], fail[sp], second[sp], exposed)
         ns = np.flatnonzero(~has_spare)
         if ns.size:
             exposed.append((ns, slot[ns], fail[ns]))
@@ -1091,14 +1093,16 @@ def _spare_rebuild_step(
     idx: np.ndarray,
     slot: np.ndarray,
     fail: np.ndarray,
-    c: np.ndarray,
+    second: np.ndarray,
     exposed: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> None:
-    """On-line rebuild onto a hot spare, then the hardware replacement visit."""
+    """On-line rebuild onto a hot spare, then the hardware replacement visit.
+
+    ``second`` is each row's second-smallest clock at the episode start.
+    """
     rng = state.rng
     g = state.gids(idx)
     rebuild_done = fail + _sample_rows(state.rebuild_dist, g, rng)
-    _, second = _min_excluding(c, slot, out=state.scratch(c.shape[0]))
     second = np.maximum(second, fail)
 
     # Double disk failure during the rebuild: data loss, backup restore; the
@@ -1139,8 +1143,7 @@ def _replacement_visit_step(
     rng = state.rng
     g = state.gids(idx)
     replace_done = start + _sample_rows(state.replace_dist, g, rng)
-    _, next_fail = _min_and_slot(state.clocks[idx])
-    next_fail = np.maximum(next_fail, start)
+    next_fail = np.maximum(_row_min(state.clocks[idx]), start)
 
     # A further failure preempts the visit: the pool is not restocked and the
     # failure is handled from scratch next round (another spare when one is
@@ -1175,9 +1178,7 @@ def _replacement_visit_step(
         g_he, state.recovery_dist, state.hep, state.crash_rate, rng
     )
     recovery_end = replace_done[he] + duration
-    other, second = _min_excluding(
-        state.clocks[he_idx], wrong, out=state.scratch(he_idx.size)
-    )
+    other, second = _min_excluding(state.clocks[he_idx], wrong)
     second = np.maximum(second, replace_done[he])
     fail_during = (second < recovery_end) & (second < state.horizon)
 
@@ -1242,7 +1243,7 @@ def _exposed_step(
         service_done = start + rng.exponential(1.0, idx.size) / combined_rate[g]
     else:
         service_done = start + rng.exponential(1.0 / combined_rate, idx.size)
-    _, second = _min_excluding(state.clocks[idx], slot, out=state.scratch(idx.size))
+    _, second = _min_excluding(state.clocks[idx], slot)
     second = np.maximum(second, start)
 
     # Double failure with no spare: data loss.

@@ -61,7 +61,6 @@ from repro.markov.validation import (
     check_reachability,
     find_absorbing_states,
     is_irreducible,
-    to_networkx,
     validate_chain,
 )
 
@@ -110,7 +109,6 @@ __all__ = [
     "step_transition_matrix",
     "symbol_table",
     "template_from_chain",
-    "to_networkx",
     "transient_distribution_expm",
     "transient_distribution_uniformization",
     "validate_chain",

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Set, Tuple
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from repro.exceptions import MarkovChainError
 from repro.markov.chain import MarkovChain
@@ -48,18 +49,13 @@ class ValidationReport:
         self.warnings.append(message)
 
 
-def to_networkx(chain: MarkovChain) -> "nx.DiGraph":
-    """Return the chain's directed graph (positive-rate edges only)."""
-    graph = nx.DiGraph()
-    for state in chain.states:
-        graph.add_node(state.name, up=state.up)
-    for transition in chain.transitions:
-        if transition.rate > 0.0:
-            if graph.has_edge(transition.source, transition.target):
-                graph[transition.source][transition.target]["rate"] += transition.rate
-            else:
-                graph.add_edge(transition.source, transition.target, rate=transition.rate)
-    return graph
+def _adjacency(chain: MarkovChain) -> csr_matrix:
+    """Return the chain's directed graph: an edge per positive-rate pair.
+
+    Self loops are not allowed, so the generator's positive entries are
+    exactly the off-diagonal pairs some positive rate connects.
+    """
+    return csr_matrix(chain.generator_matrix() > 0.0)
 
 
 def check_reachability(chain: MarkovChain, from_state: str = "") -> Tuple[Set[str], Set[str]]:
@@ -68,10 +64,11 @@ def check_reachability(chain: MarkovChain, from_state: str = "") -> Tuple[Set[st
     Reachability is computed from ``from_state`` (default: the first declared
     state, which by convention is the fully-operational state).
     """
-    graph = to_networkx(chain)
     start = from_state or chain.state_names[0]
-    chain.index_of(start)
-    reachable = set(nx.descendants(graph, start)) | {start}
+    order = breadth_first_order(
+        _adjacency(chain), chain.index_of(start), return_predecessors=False
+    )
+    reachable = {chain.state_names[i] for i in order}
     unreachable = set(chain.state_names) - reachable
     return reachable, unreachable
 
@@ -87,10 +84,11 @@ def find_absorbing_states(chain: MarkovChain) -> List[str]:
 
 def is_irreducible(chain: MarkovChain) -> bool:
     """Return whether the positive-rate graph is strongly connected."""
-    graph = to_networkx(chain)
-    if graph.number_of_nodes() <= 1:
+    if len(chain.states) <= 1:
         return True
-    return nx.is_strongly_connected(graph)
+    n_components, _ = connected_components(_adjacency(chain), connection="strong")
+    return n_components == 1
+
 
 def generator_row_sums(chain: MarkovChain) -> np.ndarray:
     """Return the row sums of the generator matrix (should all be ~0)."""

@@ -1,13 +1,18 @@
-"""Tests for the compiled kernel backend and the thread/serial shard pools.
+"""Tests for the row-search primitives, the compiled kernel backend and the
+thread/serial shard pools.
 
 The oracle pattern under test: ``kernel=numpy`` and ``pool=serial`` are the
 retained reference paths, and every fast path (compiled row searches, thread
 or process pools at any worker count) must reproduce them *bit-identically*
-— same availabilities, same intervals, same event totals, same replay.
+— same availabilities, same intervals, same event totals, same replay.  The
+numpy row searches are column passes; the per-row ``argmin``/``partition``
+searches they replaced live on below as test-only references, both for the
+primitives and, patched into the kernels, for whole batches.
 
 Compiled-backend assertions are gated on numba being importable
 (``pip install .[compiled]``, exercised by the CI ``compiled-smoke`` job);
-the pool oracle, configuration surface and fallback behaviour run everywhere.
+the primitives, pool oracle, configuration surface and fallback behaviour
+run everywhere.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from repro.core.montecarlo import (
     run_batch_lifetimes,
     run_sharded,
     run_stacked,
+    segment_point_records,
 )
 from repro.core.montecarlo.compiled import (
     compiled_ops,
@@ -38,16 +44,19 @@ from repro.core.montecarlo.compiled import (
     warmup_compiled,
 )
 from repro.core.parameters import paper_parameters
-from repro.core.policies import available_policies
+from repro.core.policies import available_policies, stack_parameter_points
+from repro.core.policies import vectorized
 from repro.core.policies.registry import resolve_policy
 from repro.core.policies.vectorized import (
     _min_and_slot,
     _min_excluding,
+    _row_min,
     _second_smallest,
     active_kernel_ops,
     kernel_ops,
 )
 from repro.exceptions import ConfigurationError
+from repro.simulation.rng import RandomStreams
 from repro.storage.raid import RaidGeometry
 
 needs_numba = pytest.mark.skipif(
@@ -282,59 +291,185 @@ class TestProvenance:
 
 
 # ----------------------------------------------------------------------
-# Compiled-backend suites (skipped without numba)
+# Row-search primitives against the per-row searches they replaced
 # ----------------------------------------------------------------------
+def _ref_min_and_slot(clocks):
+    slot = np.argmin(clocks, axis=1)
+    return slot, clocks[np.arange(clocks.shape[0]), slot]
+
+
+def _ref_min_excluding(clocks, exclude):
+    masked = clocks.copy()
+    rows = np.arange(clocks.shape[0])
+    masked[rows, exclude] = np.inf
+    slot = np.argmin(masked, axis=1)
+    return slot, masked[rows, slot]
+
+
+def _ref_second_smallest(clocks):
+    return np.argmin(clocks, axis=1), np.partition(clocks, 1, axis=1)[:, 1]
+
+
+#: The argmin/partition primitives, keyed by the ``vectorized`` name each
+#: stands in for.
+RETIRED_PRIMITIVES = {
+    "_row_min": lambda clocks: _ref_min_and_slot(clocks)[1],
+    "_min_and_slot": _ref_min_and_slot,
+    "_min_excluding": _ref_min_excluding,
+    "_second_smallest": _ref_second_smallest,
+}
+
 
 def _tricky_matrices():
     inf = np.inf
-    yield np.array([[3.0, 1.0, 2.0], [5.0, 5.0, 5.0]])            # ties
-    yield np.array([[1.0, 1.0], [2.0, 1.0]])                      # tie at column 0
-    yield np.array([[inf, inf, inf], [1.0, inf, 0.5]])            # all-inf row
-    yield np.array([[0.0, -0.0, 1.0]])                            # signed zeros
+    matrices = {
+        "ties": np.array([[3.0, 1.0, 2.0], [5.0, 5.0, 5.0]]),
+        "tie-at-column-0": np.array([[1.0, 1.0], [2.0, 1.0]]),
+        "all-inf-row": np.array([[inf, inf, inf], [1.0, inf, 0.5]]),
+        "duplicate-minima": np.array([[2.0, 1.0, 1.0, 4.0], [inf, 7.0, 7.0, 7.0]]),
+        "signed-zeros": np.array([[0.0, -0.0, 1.0]]),
+        "inf-masked-slots": np.array([[4.0, 3.0, inf, inf], [9.0, 2.0, 5.0, inf]]),
+        "no-rows": np.empty((0, 4)),
+    }
     rng = np.random.default_rng(42)
-    dense = rng.exponential(100.0, size=(64, 7))
-    dense[rng.random(dense.shape) < 0.2] = inf
-    yield dense
+    for n in (2, 3, 4, 8):
+        matrices[f"one-row-n{n}"] = rng.exponential(100.0, size=(1, n))
+        dense = rng.exponential(100.0, size=(64, n))
+        dense[rng.random(dense.shape) < 0.2] = inf
+        dense[:8, -1] = dense[:8, 0]
+        matrices[f"dense-n{n}"] = dense
+    return matrices
 
 
+TRICKY = _tricky_matrices()
+tricky = pytest.mark.parametrize("clocks", list(TRICKY.values()), ids=list(TRICKY))
+
+
+def _excludes(clocks):
+    """Every column excluded in turn, plus a random column per row."""
+    m, n = clocks.shape
+    for column in range(n):
+        yield np.full(m, column)
+    yield np.random.default_rng(m).integers(0, n, size=m)
+
+
+def _assert_pair_equal(got, ref):
+    for got_part, ref_part in zip(got, ref):
+        np.testing.assert_array_equal(got_part, ref_part)
+        assert got_part.dtype.kind == ref_part.dtype.kind
+
+
+class TestRowSearchPrimitives:
+    """The numpy column passes select what argmin/partition select."""
+
+    @tricky
+    def test_min_and_slot_matches_argmin(self, clocks):
+        _assert_pair_equal(_min_and_slot(clocks), _ref_min_and_slot(clocks))
+
+    @tricky
+    def test_row_min_matches_argmin(self, clocks):
+        np.testing.assert_array_equal(_row_min(clocks), _ref_min_and_slot(clocks)[1])
+
+    @tricky
+    def test_min_excluding_matches_masked_argmin(self, clocks):
+        for exclude in _excludes(clocks):
+            _assert_pair_equal(
+                _min_excluding(clocks, exclude), _ref_min_excluding(clocks, exclude)
+            )
+
+    def test_min_excluding_column_zero_with_the_rest_inf(self):
+        clocks = np.array([[1.0, np.inf, np.inf]])
+        slot, best = _min_excluding(clocks, np.array([0]))
+        assert slot.tolist() == [0] and best.tolist() == [np.inf]
+
+    @tricky
+    def test_second_smallest_matches_partition(self, clocks):
+        _assert_pair_equal(_second_smallest(clocks), _ref_second_smallest(clocks))
+
+    def test_primitives_do_not_write_to_the_clocks(self):
+        clocks = TRICKY["dense-n4"]
+        before = clocks.copy()
+        _row_min(clocks), _min_and_slot(clocks), _second_smallest(clocks)
+        _min_excluding(clocks, np.zeros(64, dtype=np.intp))
+        assert clocks.tobytes() == before.tobytes()
+
+
+def _oracle_params(grid, shape):
+    if grid == "point":
+        return paper_parameters(disk_failure_rate=1e-4, hep=0.05, failure_shape=shape), [300]
+    counts = [200, 150, 150]
+    points = [
+        paper_parameters(
+            geometry=geometry, disk_failure_rate=1e-4, hep=0.05, failure_shape=shape
+        )
+        for geometry in (RaidGeometry.raid5(3), RaidGeometry.raid1(), RaidGeometry.raid6(4))
+    ]
+    return stack_parameter_points(points, counts), counts
+
+
+def _kernel_records(policy, params, counts, biasing, compact):
+    rng = RandomStreams(19).stream("montecarlo")
+    kwargs = {"compact": compact} if biasing is None else {"compact": compact, "biasing": biasing}
+    batch = resolve_policy(policy).batch(params, HORIZON, sum(counts), rng, **kwargs)
+    records = segment_point_records(batch, range(len(counts)), counts)
+    return records.tobytes(), rng.bit_generator.state
+
+
+class TestRowSearchKernelOracle:
+    """Whole kernels on the column passes equal them on argmin/partition."""
+
+    @pytest.mark.parametrize("compact", [True, False], ids=["compact", "gathered"])
+    @pytest.mark.parametrize("shape", [1.0, 1.3], ids=["exponential", "weibull"])
+    @pytest.mark.parametrize("biasing", [None, 8.0], ids=["unbiased", "biased"])
+    @pytest.mark.parametrize("grid", ["point", "stacked"])
+    @pytest.mark.parametrize(
+        "policy", ["conventional", "baseline", "automatic_failover", "hot_spare_pool"]
+    )
+    def test_batch_records_byte_identical(
+        self, monkeypatch, policy, grid, biasing, shape, compact
+    ):
+        params, counts = _oracle_params(grid, shape)
+        got = _kernel_records(policy, params, counts, biasing, compact)
+        calls = []
+        for name, reference in RETIRED_PRIMITIVES.items():
+            def counted(*args, _reference=reference):
+                calls.append(1)
+                return _reference(*args)
+
+            monkeypatch.setattr(vectorized, name, counted)
+        ref = _kernel_records(policy, params, counts, biasing, compact)
+        assert calls, "no retired primitive ran"
+        assert got[0] == ref[0]
+        assert got[1] == ref[1]
+
+
+# ----------------------------------------------------------------------
+# Compiled-backend suites (skipped without numba)
+# ----------------------------------------------------------------------
 @needs_numba
 class TestCompiledOpsUnit:
-    """The njit scans against the numpy helpers, element for element."""
+    """The njit scans against the argmin/partition references."""
 
     def test_warmup_compiles_all_primitives(self):
         warmup_compiled()  # must not raise; benches rely on it
 
-    @pytest.mark.parametrize("clocks", list(_tricky_matrices()), ids=repr)
-    def test_min_and_slot_matches_numpy(self, clocks):
-        ref_slot, ref_best = _min_and_slot(clocks)
-        slot, best = compiled_ops().min_and_slot(clocks)
-        np.testing.assert_array_equal(slot, ref_slot)
-        np.testing.assert_array_equal(best, ref_best)
+    @tricky
+    def test_min_and_slot_matches_argmin(self, clocks):
+        _assert_pair_equal(compiled_ops().min_and_slot(clocks), _ref_min_and_slot(clocks))
 
-    @pytest.mark.parametrize("clocks", list(_tricky_matrices()), ids=repr)
-    def test_min_excluding_matches_numpy(self, clocks):
-        rng = np.random.default_rng(clocks.shape[0])
-        exclude = rng.integers(0, clocks.shape[1], size=clocks.shape[0])
-        ref_slot, ref_best = _min_excluding(clocks, exclude)
-        slot, best = compiled_ops().min_excluding(clocks, exclude)
-        np.testing.assert_array_equal(slot, ref_slot)
-        np.testing.assert_array_equal(best, ref_best)
+    @tricky
+    def test_min_excluding_matches_masked_argmin(self, clocks):
+        for exclude in _excludes(clocks):
+            _assert_pair_equal(
+                compiled_ops().min_excluding(clocks, exclude),
+                _ref_min_excluding(clocks, exclude),
+            )
 
-    def test_min_excluding_all_inf_row_matches_mask_argmin(self):
-        clocks = np.array([[1.0, np.inf, np.inf]])
-        ref = _min_excluding(clocks, np.array([0]))
-        got = compiled_ops().min_excluding(clocks, np.array([0]))
-        np.testing.assert_array_equal(got[0], ref[0])
-        np.testing.assert_array_equal(got[1], ref[1])
-
-    @pytest.mark.parametrize("clocks", list(_tricky_matrices()), ids=repr)
+    @tricky
     def test_second_smallest_matches_partition(self, clocks):
-        if clocks.shape[1] < 2:
-            pytest.skip("second order statistic needs two columns")
-        out = np.empty_like(clocks)
-        ref = _second_smallest(clocks, out).copy()
-        got = compiled_ops().second_smallest(clocks)
-        np.testing.assert_array_equal(got, ref)
+        _assert_pair_equal(
+            compiled_ops().second_smallest(clocks), _ref_second_smallest(clocks)
+        )
 
     def test_kernel_ops_routing_is_scoped(self):
         assert active_kernel_ops() is None

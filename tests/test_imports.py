@@ -1,4 +1,4 @@
-"""Import-cost guards: ``import repro`` must not load heavy optional modules."""
+"""Import guards: ``import repro`` must not load heavy or undeclared modules."""
 
 from __future__ import annotations
 
@@ -7,20 +7,30 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_import_repro_does_not_load_scipy_stats():
-    # scipy.stats alone costs about half a second to import; the package
-    # needs only scipy.special quantiles, and gamma percentiles import
-    # scipy.stats on first use.
+@pytest.mark.parametrize(
+    "module",
+    [
+        # scipy.stats alone costs about half a second to import; the package
+        # needs only scipy.special quantiles, and gamma percentiles import
+        # scipy.stats on first use.
+        "scipy.stats",
+        # Not a declared dependency: chain validation uses scipy's csgraph.
+        "networkx",
+    ],
+)
+def test_import_repro_does_not_load(module):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import repro, sys; assert 'scipy.stats' not in sys.modules",
+            f"import repro, sys; assert {module!r} not in sys.modules",
         ],
         capture_output=True,
         text=True,
