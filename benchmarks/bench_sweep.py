@@ -16,21 +16,17 @@ Four acceptance criteria live here:
   own kernel launches, shard scheduling and executor lifecycle.  The
   stacked decomposition is worker-count independent, so the same benchmark
   asserts that ``workers=2`` results are bit-identical to ``workers=1``.
-* **Allocation-lean kernels** (PR 5): on the same 32 x 5k single-process
-  stacked grid, the compacted/arena kernel path must beat the retained
-  uncompacted oracle (``compact=False``) by at least **1.3x** while
-  consuming the random stream identically (batches compared bitwise).
 * **Row searches**: one paper-point batch of 500k lifetimes per policy
-  (conventional, automatic fail-over), run on the numpy column-pass row
+  (conventional, automatic fail-over) and geometry (RAID1(1+1),
+  RAID5(3+1), RAID5(7+1), RAID6(10+2)), run on the numpy column-pass row
   searches and on the per-row ``argmin``/``partition`` searches they
   replaced (the test-only references in ``tests/core/test_compiled.py``).
   Byte-identical batches and generator states are asserted; the speedup is
   recorded with its spread and carries no floor.
 * **Zero-copy transport** (PR 5): a 256-point x 10k-lifetime grid on 4
-  workers, run on the zero-copy execution plane (shared-memory parameter
-  planes + compacted kernels, today's default), measured against the
-  retained legacy plane (per-shard pickle rebuild + uncompacted kernels)
-  with **bit-identical results always asserted**.  The **2x floor** is an
+  workers, run on the shared-memory parameter planes (today's default for
+  process pools) against the per-shard pickle rebuild, with
+  **bit-identical results always asserted**.  The **2x floor** is an
   explicit opt-in (``REPRO_BENCH_TRANSPORT_STRICT=1``, >= 4 cores): it
   describes the *transport-bound* regime — per-point payloads large
   relative to kernel time — whereas at this model's payload (ten scalars
@@ -40,7 +36,7 @@ Four acceptance criteria live here:
   parent-side pass over the grid bytes.  Every run records the measured
   speedup into ``BENCH_sweep.json`` so the trajectory stays honest;
   ``REPRO_BENCH_TRANSPORT_{POINTS,LIFETIMES,WORKERS}`` shrink the grid for
-  CI's ``transport-smoke`` job.
+  CI's ``benchmarks`` job.
 
 * **Erasure checker-cycle grids** (PR 7): a 48-point share-failure-rate
   sweep of a 3-of-10 erasure scheme (monthly checker, repair below 7) at
@@ -52,27 +48,17 @@ Four acceptance criteria live here:
   benchmark, the grid sits in the overhead-dominated regime (paper-like
   rates, few events per lifetime) where stacking is designed to pay;
   event-rich grids are kernel-bound on both paths and converge to parity.
-  ``REPRO_BENCH_ERASURE_{POINTS,LIFETIMES}`` shrink the grid for CI's
-  ``erasure-smoke`` job.
+  ``REPRO_BENCH_ERASURE_{POINTS,LIFETIMES}`` shrink the grid for quick
+  runs.
 
-* **Compiled kernels** (PR 8): the same 32 x 5k single-process stacked
-  grid, run with the numba-compiled row-search scans
-  (``kernel=compiled``) against the numpy oracle (``kernel=numpy``), JIT
-  warm-up excluded, **bit-identical batches and generator state always
-  asserted** — skipped when numba is not installed.  The **5x floor** is
-  an explicit opt-in (``REPRO_BENCH_COMPILED_STRICT=1``): it describes
-  the search-bound regime (wide clock matrices, many rounds) on a
-  multi-core host; every run records the measured speedup so the
-  trajectory stays honest either way.
-
-* **Fused event loops** (PR 9): the same 32 x 5k stacked grid, run
-  through the fused whole-event-loop nopython kernel
-  (``kernel=fused``) against the numpy batch oracle, JIT warm-up
-  excluded — skipped when numba is not installed.  Unlike the sliced
-  compiled scans, the fused loop owns its draws, so the cross-check is
-  statistical (confidence-interval overlap), and the **5x floor is
-  asserted by default**: with the interpreter out of the event loop
-  entirely there is no regime argument left to hedge behind.
+* **Fused event loops**: a 32 x 5k single-process stacked grid,
+  run through the fused whole-event-loop nopython kernel
+  (``kernel=fused``) against the numpy batch kernel, JIT warm-up
+  excluded — skipped when numba is not installed.  The fused loop owns
+  its draws, so the cross-check is statistical (confidence-interval
+  overlap), and the **5x floor is asserted by default**: with the
+  interpreter out of the event loop entirely there is no regime argument
+  left to hedge behind.
 
 * **Thread-pool shards** (PR 8): a 64-point x 5k-lifetime grid on 4
   workers, run end-to-end (pool startup included) on the thread pool —
@@ -96,7 +82,7 @@ Four acceptance criteria live here:
   the size-biased mean event downtime measured on the biased pilot — a
   weight-*ratio*, stable where the raw weighted second moment is not.
   ``REPRO_BENCH_RARE_{LIFETIMES,TARGET,CEILING}`` shrink or tighten the
-  run for CI's ``rare-event-smoke`` job.
+  run for quick runs.
 
 Run with ``pytest benchmarks/bench_sweep.py -s`` to see the measured
 speedups alongside the timing records; machine-readable results land in
@@ -107,7 +93,6 @@ runs and rendered by ``python -m repro bench history``.
 from __future__ import annotations
 
 import contextlib
-import functools
 import os
 import time
 from unittest import mock
@@ -119,15 +104,14 @@ from repro.core.evaluation import clear_template_cache, evaluate
 from repro.core.montecarlo import MonteCarloConfig, run_monte_carlo, run_stacked
 from repro.core.montecarlo.parallel import worker_pool
 from repro.core.montecarlo.transport import shared_memory_available
-from repro.core.montecarlo.simulator import simulate_conventional
 from repro.core.parameters import paper_parameters
 from repro.core.policies import get_policy, vectorized
-from repro.core.policies.base import SimulationPolicy
 from repro.core.policies.stacked import stack_parameter_points
 from repro.core.policies.vectorized import batch_conventional
 from repro.core.sweep import sweep, sweep_per_point_rebuild
 from repro.simulation.confidence import t_critical
 from repro.simulation.rng import RandomStreams
+from repro.storage.raid import RaidGeometry
 
 #: Sweep size of the headline comparison.
 N_POINTS = 1000
@@ -298,12 +282,8 @@ def test_stacked_mc_sweep_5x_faster_than_per_point(bench_record):
 
 
 # ----------------------------------------------------------------------
-# PR 5: allocation-lean kernels and the zero-copy transport plane
+# Kernel row searches and the zero-copy transport plane
 # ----------------------------------------------------------------------
-#: Required advantage of the compacted/arena kernel over the uncompacted
-#: oracle on the single-process 32 x 5k stacked grid.
-REQUIRED_COMPACTION_SPEEDUP = 1.3
-
 #: Required advantage of the zero-copy execution plane over the legacy
 #: plane in the strict (transport-bound regime) configuration.
 REQUIRED_TRANSPORT_SPEEDUP = 2.0
@@ -320,7 +300,8 @@ TRANSPORT_STRICT = os.environ.get("REPRO_BENCH_TRANSPORT_STRICT") == "1"
 _BATCH_FIELDS = ("downtime_hours", "du_events", "dl_events", "disk_failures", "human_errors")
 
 
-def _compaction_grid():
+def _kernel_grid():
+    """The 32 x 5k single-process stacked grid of the kernel benchmarks."""
     heps = np.linspace(0.0, 0.05, MC_POINTS)
     points = [
         paper_parameters(disk_failure_rate=1e-6, hep=float(hep)) for hep in heps
@@ -328,64 +309,27 @@ def _compaction_grid():
     return stack_parameter_points(points, [MC_LIFETIMES] * MC_POINTS)
 
 
-def _run_kernel(grid, compact: bool):
-    rng = RandomStreams(2017).stream("montecarlo")
-    batch = batch_conventional(grid, 87_600.0, len(grid), rng, compact=compact)
-    return batch, rng
-
-
-def test_stacked_kernel_compaction_1_3x(bench_record):
-    """Arena/compaction acceptance: >= 1.3x on the 32 x 5k stacked kernel.
-
-    Single process, identical grid, identical seed: the only variable is
-    the working-set discipline.  Bit-identity of the batches *and* of the
-    final generator state pins that compaction changed where state lives,
-    never which numbers were drawn.
-    """
-    grid = _compaction_grid()
-    _run_kernel(grid, False), _run_kernel(grid, True)  # warm both paths
-    seconds = {False: float("inf"), True: float("inf")}
-    # Interleave the repetitions so ambient load drifts hit both paths
-    # symmetrically instead of biasing whichever ran last.
-    for _ in range(5):
-        for compact in (False, True):
-            start = time.perf_counter()
-            _run_kernel(grid, compact)
-            seconds[compact] = min(seconds[compact], time.perf_counter() - start)
-
-    reference, rng_ref = _run_kernel(grid, False)
-    compacted, rng_new = _run_kernel(grid, True)
-    for field in _BATCH_FIELDS:
-        assert np.array_equal(getattr(reference, field), getattr(compacted, field)), field
-    assert rng_ref.bit_generator.state == rng_new.bit_generator.state
-
-    speedup = seconds[False] / max(seconds[True], 1e-9)
-    print(
-        f"\nstacked kernel compaction: {MC_POINTS} points x {MC_LIFETIMES} lifetimes — "
-        f"compacted {seconds[True]:.3f}s, uncompacted {seconds[False]:.3f}s "
-        f"(speedup {speedup:.2f}x)"
-    )
-    bench_record(
-        "stacked_kernel_compaction",
-        points=MC_POINTS,
-        seconds=seconds[True],
-        speedup=speedup,
-        lifetimes_per_point=MC_LIFETIMES,
-    )
-    assert speedup >= REQUIRED_COMPACTION_SPEEDUP, (
-        f"compacted kernel only {speedup:.2f}x faster than the uncompacted "
-        f"oracle (required {REQUIRED_COMPACTION_SPEEDUP:g}x)"
-    )
-
-
 #: Lifetimes of the row-search comparison: one paper-point batch.
 ROW_SEARCH_LIFETIMES = 500_000
 
+#: Geometries of the row-search comparison; the clock matrix has one column
+#: per disk.  RAID5(3+1) is the paper's array and keeps the unsuffixed op
+#: names.
+ROW_SEARCH_GEOMETRIES = {
+    "RAID1(1+1)": RaidGeometry.raid1(),
+    "RAID5(3+1)": RaidGeometry.raid5(3),
+    "RAID5(7+1)": RaidGeometry.raid5(7),
+    "RAID6(10+2)": RaidGeometry.raid6(10),
+}
 
-def _paper_point_batch(policy: str, retired: bool):
+
+def _paper_point_batch(policy: str, geometry: str, retired: bool):
     """Run one paper-point batch, optionally on the retired row searches."""
     from tests.core.test_compiled import RETIRED_PRIMITIVES
 
+    params = paper_parameters(
+        geometry=ROW_SEARCH_GEOMETRIES[geometry], disk_failure_rate=1e-6, hep=0.01
+    )
     rng = RandomStreams(2017).stream("montecarlo")
     searches = (
         mock.patch.multiple(vectorized, **RETIRED_PRIMITIVES)
@@ -393,12 +337,13 @@ def _paper_point_batch(policy: str, retired: bool):
         else contextlib.nullcontext()
     )
     with searches:
-        batch = get_policy(policy).batch(BASE, 87_600.0, ROW_SEARCH_LIFETIMES, rng)
+        batch = get_policy(policy).batch(params, 87_600.0, ROW_SEARCH_LIFETIMES, rng)
     return batch, rng
 
 
+@pytest.mark.parametrize("geometry", list(ROW_SEARCH_GEOMETRIES))
 @pytest.mark.parametrize("policy", ["conventional", "automatic_failover"])
-def test_kernel_row_search(policy, bench_record):
+def test_kernel_row_search(policy, geometry, bench_record):
     """Column-pass row searches vs the per-row argmin/partition searches.
 
     The retired searches are the test-only references in
@@ -407,16 +352,17 @@ def test_kernel_row_search(policy, bench_record):
     timed warm, alternating, as the median of :data:`TIMING_REPEATS` calls;
     the speedup carries no floor because host speed drifts between calls.
     """
-    _paper_point_batch(policy, False), _paper_point_batch(policy, True)  # warm
+    _paper_point_batch(policy, geometry, False)  # warm both sides
+    _paper_point_batch(policy, geometry, True)
     seconds = {False: [], True: []}
     for _ in range(TIMING_REPEATS):
         for retired in (True, False):
             start = time.perf_counter()
-            _paper_point_batch(policy, retired)
+            _paper_point_batch(policy, geometry, retired)
             seconds[retired].append(time.perf_counter() - start)
 
-    batch, rng = _paper_point_batch(policy, False)
-    reference, rng_ref = _paper_point_batch(policy, True)
+    batch, rng = _paper_point_batch(policy, geometry, False)
+    reference, rng_ref = _paper_point_batch(policy, geometry, True)
     for field in _BATCH_FIELDS:
         assert getattr(batch, field).tobytes() == getattr(reference, field).tobytes(), field
     assert rng.bit_generator.state == rng_ref.bit_generator.state
@@ -424,12 +370,13 @@ def test_kernel_row_search(policy, bench_record):
     new, old = seconds[False], seconds[True]
     speedup = float(np.median(old)) / max(float(np.median(new)), 1e-9)
     print(
-        f"\nkernel row search {policy}: {ROW_SEARCH_LIFETIMES} lifetimes — column "
+        f"\nkernel row search {policy} {geometry}: {ROW_SEARCH_LIFETIMES} lifetimes — column "
         f"passes {np.median(new):.3f}s ({min(new):.3f}-{max(new):.3f}), argmin/partition "
         f"{np.median(old):.3f}s ({min(old):.3f}-{max(old):.3f}), speedup {speedup:.2f}x"
     )
+    suffix = "" if geometry == "RAID5(3+1)" else f":{geometry}"
     bench_record(
-        f"kernel_row_search:{policy}",
+        f"kernel_row_search:{policy}{suffix}",
         points=1,
         seconds=float(np.median(new)),
         speedup=speedup,
@@ -444,24 +391,12 @@ def test_kernel_row_search(policy, bench_record):
     )
 
 
-#: The legacy execution plane: per-shard pickle rebuild feeding the
-#: uncompacted kernels — exactly what ran before this PR, kept callable as
-#: the transport benchmark's baseline and bit-identity oracle.
-LEGACY_PLANE_POLICY = SimulationPolicy(
-    name="conventional",
-    description="conventional policy on the uncompacted oracle kernel",
-    scalar=simulate_conventional,
-    batch=functools.partial(batch_conventional, compact=False),
-    supports_stacked=True,
-)
-
-
-def _transport_configs(policy, transport: str, n_iterations=None):
+def _transport_configs(transport: str, n_iterations=None):
     heps = np.linspace(0.0, 0.05, TRANSPORT_POINTS)
     return [
         MonteCarloConfig(
             params=paper_parameters(disk_failure_rate=1e-6, hep=float(hep)),
-            policy=policy,
+            policy="conventional",
             n_iterations=int(n_iterations or TRANSPORT_LIFETIMES),
             horizon_hours=87_600.0,
             seed=2017,
@@ -474,19 +409,19 @@ def _transport_configs(policy, transport: str, n_iterations=None):
 
 
 def test_stacked_shm_transport(bench_record):
-    """Zero-copy vs legacy execution plane: bit-identity + recorded speedup.
+    """Shared-memory vs pickle transport: bit-identity + recorded speedup.
 
-    The zero-copy side is today's default — parameter planes cross the
-    process boundary once through shared memory, workers attach row-range
-    views, kernels run compacted.  The legacy side re-pickles each shard's
-    points, rebuilds its ``StackedParams`` slice from scratch and runs the
-    uncompacted kernels.  Results must be bit-identical (same shard plan,
-    same streams, value-identical parameter rows) — that assertion runs
-    everywhere.  The >= 2x floor runs only with
+    The shm side is today's process-pool default — parameter planes cross
+    the process boundary once through shared memory and workers attach
+    row-range views.  The pickle side re-pickles each shard's points and
+    rebuilds its ``StackedParams`` slice from scratch.  Both run the stock
+    ``conventional`` policy, so results must be bit-identical (same shard
+    plan, same streams, value-identical parameter rows) — that assertion
+    runs everywhere.  The >= 2x floor runs only with
     ``REPRO_BENCH_TRANSPORT_STRICT=1`` on >= 4 cores: it belongs to the
     transport-bound regime (large per-point payloads), which this model's
     ten-scalar points do not reach — there the honest expectation is
-    parity, with the kernel compaction carrying the plane's advantage.
+    parity.
     """
     if not shared_memory_available():
         pytest.skip("POSIX shared memory is not usable on this host")
@@ -497,15 +432,15 @@ def test_stacked_shm_transport(bench_record):
     with worker_pool(TRANSPORT_WORKERS) as pool:
         # Warm the pool and both code paths at full size outside the timed
         # region (first-touch page faults, allocator growth, imports).
-        run_stacked(_transport_configs(LEGACY_PLANE_POLICY, "pickle"), pool=pool)
-        run_stacked(_transport_configs("conventional", "shm"), pool=pool)
+        run_stacked(_transport_configs("pickle"), pool=pool)
+        run_stacked(_transport_configs("shm"), pool=pool)
 
         start = time.perf_counter()
-        legacy = run_stacked(_transport_configs(LEGACY_PLANE_POLICY, "pickle"), pool=pool)
+        legacy = run_stacked(_transport_configs("pickle"), pool=pool)
         legacy_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        zero_copy = run_stacked(_transport_configs("conventional", "shm"), pool=pool)
+        zero_copy = run_stacked(_transport_configs("shm"), pool=pool)
         shm_seconds = time.perf_counter() - start
 
     for fast, reference in zip(zero_copy, legacy):
@@ -517,7 +452,7 @@ def test_stacked_shm_transport(bench_record):
     print(
         f"\nstacked shm transport: {TRANSPORT_POINTS} points x "
         f"{TRANSPORT_LIFETIMES} lifetimes, {TRANSPORT_WORKERS} workers — "
-        f"zero-copy {shm_seconds:.3f}s, legacy {legacy_seconds:.3f}s "
+        f"shm {shm_seconds:.3f}s, pickle {legacy_seconds:.3f}s "
         f"(speedup {speedup:.2f}x{', strict' if TRANSPORT_STRICT else ''})"
     )
     bench_record(
@@ -531,22 +466,14 @@ def test_stacked_shm_transport(bench_record):
     )
     if TRANSPORT_STRICT:
         assert speedup >= REQUIRED_TRANSPORT_SPEEDUP, (
-            f"zero-copy plane only {speedup:.2f}x faster than the legacy "
-            f"plane (required {REQUIRED_TRANSPORT_SPEEDUP:g}x)"
+            f"shm transport only {speedup:.2f}x faster than the pickle "
+            f"transport (required {REQUIRED_TRANSPORT_SPEEDUP:g}x)"
         )
 
 
 # ----------------------------------------------------------------------
-# PR 8: compiled row-search kernels and the thread-pool shard executor
+# The thread-pool shard executor and the fused event loops
 # ----------------------------------------------------------------------
-#: Required advantage of the compiled scans over the numpy oracle in the
-#: strict (search-bound regime) configuration.
-REQUIRED_COMPILED_SPEEDUP = 5.0
-
-#: Opt-in gate for the compiled floor — meaningful only where the row
-#: searches, not the draws, bound the kernel (see the module docstring).
-COMPILED_STRICT = os.environ.get("REPRO_BENCH_COMPILED_STRICT") == "1"
-
 #: Thread-pool grid shape; the env overrides shrink it for CI smoke runs.
 THREAD_POINTS = int(os.environ.get("REPRO_BENCH_THREAD_POINTS", "64"))
 THREAD_LIFETIMES = int(os.environ.get("REPRO_BENCH_THREAD_LIFETIMES", "5000"))
@@ -556,67 +483,6 @@ THREAD_WORKERS = int(os.environ.get("REPRO_BENCH_THREAD_WORKERS", "4"))
 #: only on startup-dominated grids (see the module docstring).
 REQUIRED_THREAD_SPEEDUP = 1.2
 THREAD_STRICT = os.environ.get("REPRO_BENCH_THREAD_STRICT") == "1"
-
-
-def _run_kernel_backend(grid, kernel: str):
-    from repro.core.montecarlo import kernel_context
-
-    rng = RandomStreams(2017).stream("montecarlo")
-    with kernel_context(kernel):
-        batch = batch_conventional(grid, 87_600.0, len(grid), rng)
-    return batch, rng
-
-
-def test_compiled_kernel(bench_record):
-    """Compiled scans vs numpy oracle: bit-identity + recorded speedup.
-
-    Single process, identical grid, identical seed, JIT compilation
-    triggered outside the timed region (``warmup_compiled``): the only
-    variable is which implementation answers the row searches.  The RNG
-    discipline is untouched — draws stay on the numpy ``Generator`` — so
-    the batches *and* the final generator state must match bitwise.
-    """
-    from repro.core.montecarlo import compiled_available
-    from repro.core.montecarlo.compiled import warmup_compiled
-
-    if not compiled_available():
-        pytest.skip("numba is not installed (pip install .[compiled])")
-    warmup_compiled()
-
-    grid = _compaction_grid()
-    _run_kernel_backend(grid, "numpy"), _run_kernel_backend(grid, "compiled")
-    seconds = {"numpy": float("inf"), "compiled": float("inf")}
-    for _ in range(5):
-        for kernel in ("numpy", "compiled"):
-            start = time.perf_counter()
-            _run_kernel_backend(grid, kernel)
-            seconds[kernel] = min(seconds[kernel], time.perf_counter() - start)
-
-    reference, rng_ref = _run_kernel_backend(grid, "numpy")
-    compiled, rng_new = _run_kernel_backend(grid, "compiled")
-    for field in _BATCH_FIELDS:
-        assert np.array_equal(getattr(reference, field), getattr(compiled, field)), field
-    assert rng_ref.bit_generator.state == rng_new.bit_generator.state
-
-    speedup = seconds["numpy"] / max(seconds["compiled"], 1e-9)
-    print(
-        f"\ncompiled kernel: {MC_POINTS} points x {MC_LIFETIMES} lifetimes — "
-        f"compiled {seconds['compiled']:.3f}s, numpy {seconds['numpy']:.3f}s "
-        f"(speedup {speedup:.2f}x{', strict' if COMPILED_STRICT else ''})"
-    )
-    bench_record(
-        "compiled_kernel",
-        points=MC_POINTS,
-        seconds=seconds["compiled"],
-        speedup=speedup,
-        lifetimes_per_point=MC_LIFETIMES,
-        strict=COMPILED_STRICT,
-    )
-    if COMPILED_STRICT:
-        assert speedup >= REQUIRED_COMPILED_SPEEDUP, (
-            f"compiled kernels only {speedup:.2f}x faster than the numpy "
-            f"oracle (required {REQUIRED_COMPILED_SPEEDUP:g}x)"
-        )
 
 
 #: Required advantage of the fused whole-loop kernel over the numpy
@@ -643,22 +509,19 @@ def test_fused_kernel(bench_record):
     """Fused whole-loop kernel vs numpy batch: CI overlap + >= 5x floor.
 
     Single process, identical 32 x 5k stacked grid, JIT compilation
-    triggered outside the timed region (``warmup_compiled`` warms the
-    fused loops too).  The fused kernel draws inside the compiled loop
-    on its own named stream, so bit-identity to the numpy batch is
-    impossible by design; the estimates must instead agree within the
-    joint 99% confidence width.  The 5x floor is asserted on every run —
-    this is the acceptance criterion the sliced compiled backend could
-    only claim behind an opt-in gate.
+    triggered outside the timed region (``warmup_fused``).  The fused
+    kernel draws inside the compiled loop on its own named stream, so
+    bit-identity to the numpy batch is impossible by design; the estimates
+    must instead agree within the joint 99% confidence width.  The 5x
+    floor is asserted on every run.
     """
-    from repro.core.montecarlo.compiled import warmup_compiled
-    from repro.core.montecarlo.fused import jit_enabled
+    from repro.core.montecarlo.fused import jit_enabled, warmup_fused
 
     if not jit_enabled():
         pytest.skip("numba is not installed (pip install .[compiled])")
-    warmup_compiled()
+    warmup_fused()
 
-    grid = _compaction_grid()
+    grid = _kernel_grid()
     _run_fused_side(grid, "numpy"), _run_fused_side(grid, "fused")
     seconds = {"numpy": float("inf"), "fused": float("inf")}
     for _ in range(5):
@@ -901,7 +764,7 @@ def test_rare_event_budget(bench_record):
 # PR 7: erasure checker-cycle grids on the stacked engine
 # ----------------------------------------------------------------------
 #: Grid shape of the erasure stacked acceptance benchmark; the env
-#: overrides shrink it for CI's erasure-smoke job.
+#: overrides shrink it for quick runs.
 ERASURE_POINTS = int(os.environ.get("REPRO_BENCH_ERASURE_POINTS", "48"))
 ERASURE_LIFETIMES = int(os.environ.get("REPRO_BENCH_ERASURE_LIFETIMES", "2000"))
 

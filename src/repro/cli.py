@@ -60,9 +60,8 @@ from repro.core.montecarlo import (
     POOLS,
     TRANSPORTS,
     MonteCarloConfig,
-    has_compiled_face,
+    has_fused_face,
     reap_stale_segments,
-    resolve_kernel,
     run_monte_carlo,
 )
 from repro.core.parameters import paper_parameters
@@ -283,11 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument(
         "--kernel",
         choices=list(KERNELS),
-        default="auto",
-        help="batch-kernel backend: auto (compiled numba scans when "
-        "installed, numpy otherwise), numpy (the bit-identity oracle), "
-        "compiled (demand numba), or fused (whole-event-loop nopython "
-        "kernels; statistically pinned, fastest)",
+        default="numpy",
+        help="batch-kernel backend: numpy (the default batch kernels) or "
+        "fused (whole-event-loop kernels; needs numba or "
+        "REPRO_FUSED_PUREPY=1; statistically pinned against numpy)",
     )
     mc.add_argument(
         "--pool",
@@ -454,11 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--kernel",
         choices=list(KERNELS),
-        default="auto",
-        help="batch-kernel backend: auto (compiled numba scans when "
-        "installed, numpy otherwise), numpy (the bit-identity oracle), "
-        "compiled (demand numba), or fused (whole-event-loop nopython "
-        "kernels; statistically pinned, fastest)",
+        default="numpy",
+        help="batch-kernel backend: numpy (the default batch kernels) or "
+        "fused (whole-event-loop kernels; needs numba or "
+        "REPRO_FUSED_PUREPY=1; statistically pinned against numpy)",
     )
     sweep_parser.add_argument(
         "--pool",
@@ -505,8 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     crossval.add_argument(
         "--kernel",
         choices=list(KERNELS),
-        default="auto",
-        help="batch-kernel backend of the Monte Carlo face (auto/numpy/compiled/fused)",
+        default="numpy",
+        help="batch-kernel backend of the Monte Carlo face (numpy/fused)",
     )
     crossval.add_argument(
         "--pool",
@@ -671,7 +668,7 @@ def _run_mc(args: argparse.Namespace) -> Tuple[str, int]:
             f" (sharded, {args.workers} worker{'s' if args.workers != 1 else ''}"
             f"{pool_note})"
         )
-    executor_label += f", kernel={resolve_kernel(args.kernel)}"
+    executor_label += f", kernel={args.kernel}"
     scheme_lines = []
     if policy.has_periodic_checks:
         resolved = policy.scheme.resolve(params)
@@ -949,19 +946,17 @@ def _run_policies(args: argparse.Namespace) -> str:
     lines = [
         "registered replacement policies:",
         "",
-        f"  {'name':<22}{'faces':<14}{'kernels':<15}{'stacked':<9}{'compiled':<10}scheme",
+        f"  {'name':<22}{'faces':<14}{'kernels':<15}{'stacked':<9}{'fused':<10}scheme",
     ]
     for name in available_policies():
         policy = get_policy(name)
         faces = "both" if policy.has_analytical_model else "monte_carlo"
         kernels = "batch+scalar" if policy.has_batch_kernel else "scalar"
         stacked = "yes" if policy.supports_stacked else "no"
-        # Whether a compiled backend accelerates the batch kernel: the
-        # kernel=compiled/auto row scans or a kernel=fused whole-event-loop
-        # (how the erasure family, which has no row searches, earns its yes).
-        compiled = "yes" if has_compiled_face(policy) else "no"
+        # Whether kernel=fused has a whole-event-loop for the batch kernel.
+        fused = "yes" if has_fused_face(policy) else "no"
         lines.append(
-            f"  {name:<22}{faces:<14}{kernels:<15}{stacked:<9}{compiled:<10}"
+            f"  {name:<22}{faces:<14}{kernels:<15}{stacked:<9}{fused:<10}"
             f"{_scheme_summary(policy)}"
         )
         lines.append(f"  {'':<22}{policy.description}")

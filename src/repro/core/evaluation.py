@@ -38,7 +38,6 @@ from repro.core.montecarlo.config import (
     MonteCarloConfig,
     PolicyRef,
 )
-from repro.core.montecarlo.compiled import resolve_kernel
 from repro.core.montecarlo.results import MonteCarloResult
 from repro.core.montecarlo.batch import run_stacked
 from repro.core.montecarlo.runner import _use_batch_path, run_monte_carlo
@@ -411,21 +410,18 @@ def _evaluate_analytical(
 def _executor_provenance(config: MonteCarloConfig) -> str:
     """Describe the execution stack actually used, kernel and pool included.
 
-    The recorded kernel is the *resolved* backend (``auto`` shows up as
-    whichever of ``numpy``/``compiled`` actually ran; an explicit ``fused``
-    records ``fused``); the pool is recorded
-    only where one exists — on the sharded path with more than one worker.
+    The pool is recorded only where one exists — on the sharded path with
+    more than one worker.
     """
     if config.uses_sharded_path:
         workers = int(config.workers)
         pool = f", {config.pool} pool" if workers > 1 else ""
-        kernel = resolve_kernel(config.kernel)
         return (
             f"executor=sharded({workers} worker{'s' if workers != 1 else ''}"
-            f"{pool}) kernel={kernel}"
+            f"{pool}) kernel={config.kernel}"
         )
     if _use_batch_path(config):
-        return f"executor=batch kernel={resolve_kernel(config.kernel)}"
+        return f"executor=batch kernel={config.kernel}"
     return "executor=scalar"
 
 
@@ -494,7 +490,7 @@ def evaluate(
     transport: str = "auto",
     biasing: Optional[float] = None,
     allocator: str = "uniform",
-    kernel: str = "auto",
+    kernel: str = "numpy",
     pool_kind: str = "process",
     pool=None,
     shard_timeout: Optional[float] = None,
@@ -598,7 +594,7 @@ def evaluate_stacked(
     transport: str = "auto",
     biasing: Optional[float] = None,
     allocator: str = "uniform",
-    kernel: str = "auto",
+    kernel: str = "numpy",
     pool_kind: str = "process",
     pool=None,
     shard_timeout: Optional[float] = None,
@@ -695,7 +691,7 @@ def evaluate_stacked(
     pool_note = f", {pool_kind} pool" if workers > 1 else ""
     provenance = (
         f"executor=stacked({workers} worker{'s' if workers != 1 else ''}"
-        f"{pool_note}{', crn' if crn else ''}) kernel={resolve_kernel(kernel)}"
+        f"{pool_note}{', crn' if crn else ''}) kernel={kernel}"
     )
     results = run_stacked(configs, crn=crn, pool=pool)
     if biasing is not None:

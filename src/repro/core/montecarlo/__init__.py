@@ -15,16 +15,11 @@ from repro.core.montecarlo.batch import (
     segment_point_summaries,
     summarise_batch,
 )
-from repro.core.montecarlo.compiled import (
-    KERNELS,
-    compiled_available,
-    has_compiled_face,
-    kernel_context,
-    resolve_kernel,
-)
 from repro.core.montecarlo.fused import (
+    KERNELS,
     fused_available,
     has_fused_face,
+    resolve_kernel,
     run_fused_batch,
     warmup_fused,
 )
@@ -125,16 +120,13 @@ __all__ = [
     "ShardSummary",
     "SharedGridPlanes",
     "StackedShard",
-    "compiled_available",
     "effective_shard_size",
     "estimate_availability",
     "fault_plan",
     "fused_available",
     "generate_example_trace",
-    "has_compiled_face",
     "has_fused_face",
     "journal_entropy",
-    "kernel_context",
     "merge_iteration_counters",
     "merge_totals",
     "plan_shards",

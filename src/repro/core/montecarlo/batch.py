@@ -31,9 +31,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.montecarlo.compiled import kernel_context, resolve_kernel
 from repro.core.montecarlo.config import MonteCarloConfig
-from repro.core.montecarlo.fused import run_fused_batch
+from repro.core.montecarlo.fused import resolve_kernel, run_fused_batch
 from repro.core.montecarlo.results import MonteCarloResult
 from repro.core.policies.base import BatchLifetimes
 from repro.core.policies.registry import resolve_policy
@@ -67,14 +66,13 @@ def run_batch_lifetimes(
             biasing=config.biasing,
         )
     rng = streams.stream("montecarlo")
-    with kernel_context(config.kernel):
-        return policy.simulate_batch(
-            config.params,
-            config.horizon_hours,
-            config.n_iterations,
-            rng,
-            biasing=config.biasing,
-        )
+    return policy.simulate_batch(
+        config.params,
+        config.horizon_hours,
+        config.n_iterations,
+        rng,
+        biasing=config.biasing,
+    )
 
 
 def summarise_batch(

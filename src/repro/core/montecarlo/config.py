@@ -28,12 +28,10 @@ EXECUTORS = ("auto", "batch", "scalar")
 #: Re-exported from the transport module, the single source of truth.
 from repro.core.montecarlo.transport import TRANSPORTS  # noqa: E402
 
-#: Accepted kernel backends: ``"auto"`` prefers the compiled (numba) row
-#: scans when importable and otherwise runs numpy without a warning,
-#: ``"numpy"`` pins the pure-numpy kernels (the bit-identity oracle),
-#: ``"compiled"`` demands numba.  Re-exported from the compiled module,
-#: the single source of truth (mirrors the TRANSPORTS re-export above).
-from repro.core.montecarlo.compiled import KERNELS  # noqa: E402
+#: Accepted kernel backends: ``"numpy"`` (the default batch kernels) and
+#: ``"fused"`` (whole-event-loop kernels).  Re-exported from the fused
+#: module, the single source of truth (mirrors the TRANSPORTS re-export).
+from repro.core.montecarlo.fused import KERNELS  # noqa: E402
 
 #: Accepted shard-executor pools: ``"process"`` fans shards out over worker
 #: processes (today's default), ``"thread"`` over in-process threads that
@@ -132,18 +130,13 @@ class MonteCarloConfig:
         budget by its own confidence-interval gap.  Ignored without
         ``target_half_width``; single-point runs have nothing to allocate.
     kernel:
-        Which kernel backend the batch path uses: ``"auto"`` (the compiled
-        numba row scans when importable, numpy otherwise with a one-time
-        warning), ``"numpy"`` (the retained oracle), ``"compiled"`` (demand
-        numba; :class:`ConfigurationError` without it) or ``"fused"`` (the
-        whole-event-loop nopython kernels of
-        :mod:`repro.core.montecarlo.fused`; demands numba or the explicit
-        ``REPRO_FUSED_PUREPY=1`` fallback).  ``numpy`` and ``compiled`` are
-        bit-identical — the compiled primitives are pure selections over
-        the same spawn-indexed Generator draws; ``fused`` owns its draw
-        discipline (statistically pinned cross-backend, still bit-identical
-        across worker counts and pools within itself) and is never chosen
-        by ``"auto"``.
+        Which kernel backend the batch path uses: ``"numpy"`` (the default
+        batch kernels) or ``"fused"`` (the whole-event-loop nopython
+        kernels of :mod:`repro.core.montecarlo.fused`; demands numba or the
+        explicit ``REPRO_FUSED_PUREPY=1`` fallback, checked when the run
+        starts).  ``fused`` owns its draw discipline: it agrees with numpy
+        statistically, and stays bit-identical across worker counts and
+        pools within itself.
     pool:
         Which executor the sharded path fans shards out over when
         ``workers > 1``: ``"process"`` (worker processes, today's
@@ -196,7 +189,7 @@ class MonteCarloConfig:
     transport: str = "auto"
     biasing: Optional[float] = None
     allocator: str = "uniform"
-    kernel: str = "auto"
+    kernel: str = "numpy"
     pool: str = "process"
     shard_timeout: Optional[float] = None
     max_shard_retries: int = 0
@@ -255,7 +248,7 @@ class MonteCarloConfig:
             )
         if self.pool not in POOLS:
             raise ConfigurationError(f"pool must be one of {POOLS}, got {self.pool!r}")
-        if self.kernel in ("compiled", "fused"):
+        if self.kernel == "fused":
             if self.executor == "scalar":
                 raise ConfigurationError(
                     f"kernel={self.kernel!r} accelerates the vectorised batch "

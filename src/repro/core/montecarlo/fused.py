@@ -3,16 +3,11 @@
 The numpy batch kernels in :mod:`repro.core.policies.vectorized` simulate a
 shard breadth-first: every event round sweeps the full clock matrix, and the
 per-round numpy overhead (fancy indexing, boolean compaction, per-branch
-gather/scatter) dominates once the per-row arithmetic is this small.  The
-sliced compiled backend of PR 8 (:mod:`repro.core.montecarlo.compiled`)
-removed the matrix *searches* from that budget but deliberately kept the
-draws on the numpy :class:`~numpy.random.Generator`, preserving bit-identity
-with the numpy kernels — which capped its win at the search share of the
-round.
+gather/scatter) dominates once the per-row arithmetic is this small.
 
-This module is the other side of that trade: **fused** kernels run each
-lifetime's entire event loop — draws included — inside one nopython
-function, depth-first over the shard.  The discipline changes:
+**Fused** kernels run each lifetime's entire event loop — draws included —
+inside one nopython function, depth-first over the shard.  The discipline
+changes:
 
 * **RNG.**  Draws move inside the compiled loop.  Each shard consumes a
   dedicated ``"fused"`` named stream derived from the same spawn-indexed
@@ -45,6 +40,9 @@ the numpy batch kernels, ``fused_available()`` only reports the backend
 usable when numba is present or the ``REPRO_FUSED_PUREPY`` environment
 variable opts into the fallback explicitly (tests set it; production
 configs get a clear error instead of a silent 100x slowdown).
+
+This module also owns the kernel names (:data:`KERNELS`) and
+:func:`resolve_kernel`, the check parents run before dispatching any shard.
 """
 from __future__ import annotations
 
@@ -64,7 +62,7 @@ from repro.core.policies.vectorized import (
 )
 from repro.exceptions import ConfigurationError, HumanErrorModelError, SimulationError
 
-try:  # pragma: no cover - exercised in the compiled-smoke CI job
+try:  # pragma: no cover - exercised in the fused CI job
     import numba as _numba
 except ImportError:  # pragma: no cover - the numba-free default environment
     _numba = None
@@ -89,6 +87,11 @@ def jit_enabled() -> bool:
     return _numba is not None
 
 
+#: Accepted kernel backends: ``"numpy"`` (the default batch kernels) and
+#: ``"fused"`` (the whole-event-loop kernels below).
+KERNELS = ("numpy", "fused")
+
+
 def fused_available() -> bool:
     """Return whether ``kernel="fused"`` may be selected.
 
@@ -96,6 +99,24 @@ def fused_available() -> bool:
     ``REPRO_FUSED_PUREPY`` opts into the pure-Python fallback.
     """
     return _numba is not None or bool(os.environ.get(FUSED_PUREPY_ENV))
+
+
+def resolve_kernel(kernel: str) -> str:
+    """Check that ``kernel`` names a backend this process can run; return it.
+
+    Parents call this before dispatching any shard, so a missing fused
+    backend fails once, up front, instead of once per shard or worker.
+    """
+    if kernel not in KERNELS:
+        raise ConfigurationError(f"kernel must be one of {KERNELS}, got {kernel!r}")
+    if kernel == "fused" and not fused_available():
+        raise ConfigurationError(
+            "kernel='fused' requires numba, which is not importable; "
+            "install the optional extra (pip install '.[compiled]'), "
+            f"set {FUSED_PUREPY_ENV}=1 to accept the pure-Python "
+            "fallback, or use kernel='numpy'"
+        )
+    return kernel
 
 
 # ----------------------------------------------------------------------
@@ -585,9 +606,9 @@ _FUSED_FAMILIES = {
 def fused_face(policy) -> Optional[Tuple[str, dict]]:
     """Return ``(family, bound_kwargs)`` when ``policy`` has a fused loop.
 
-    Unwraps ``functools.partial`` layers (collecting bound keywords such as
-    ``n_spares=`` or ``scheme=``) exactly like
-    :func:`repro.core.montecarlo.compiled.has_compiled_face`.
+    Unwraps ``functools.partial`` layers (the spare-pool and erasure
+    policies register partials), collecting bound keywords such as
+    ``n_spares=`` or ``scheme=``.
     """
     batch = getattr(policy, "batch", None)
     kwargs: dict = {}
@@ -644,13 +665,9 @@ def run_fused_batch(
     if face is None:
         raise ConfigurationError(
             f"policy {getattr(policy, 'name', policy)!r} has no fused event "
-            "loop; run it with kernel='auto', 'numpy' or 'compiled'"
+            "loop; run it with kernel='numpy'"
         )
-    if not fused_available():
-        raise ConfigurationError(
-            "kernel='fused' needs numba (pip install 'repro[compiled]') or "
-            f"the explicit pure-Python opt-in {FUSED_PUREPY_ENV}=1"
-        )
+    resolve_kernel("fused")
     if horizon_hours <= 0.0:
         raise SimulationError(f"horizon must be positive, got {horizon_hours!r}")
     family, bound = face
@@ -806,10 +823,12 @@ def warmup_fused() -> None:
 
 __all__ = [
     "FUSED_PUREPY_ENV",
+    "KERNELS",
     "fused_available",
     "fused_face",
     "has_fused_face",
     "jit_enabled",
+    "resolve_kernel",
     "run_fused_batch",
     "warmup_fused",
 ]

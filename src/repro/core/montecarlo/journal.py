@@ -28,9 +28,7 @@ do **not** change results — worker count, pool kind, transport — are
 excluded, so a journal written by a 4-worker shm run resumes under a
 single serial worker (and vice versa).  The one exception is the scalar
 path with an unpinned ``shard_size``, whose decomposition derives from the
-worker count; there the worker count *is* part of the digest.  ``compiled``
-collapses to ``numpy`` in the digest (the backends are bit-identical);
-``fused`` stays distinct (it owns its draw discipline).
+worker count; there the worker count *is* part of the digest.
 
 Every other line is one completed shard::
 
@@ -99,7 +97,6 @@ def run_digest(
     the worker count into the key (see the module docstring).
     """
     first = configs[0]
-    kernel = "numpy" if kernel == "compiled" else str(kernel)
     key: Dict[str, object] = {
         "version": JOURNAL_VERSION,
         "policy": policy.name,
@@ -110,7 +107,7 @@ def run_digest(
         "master_entropy": int(master_entropy),
         "shard_size": None if shard_size is None else int(shard_size),
         "crn": bool(crn),
-        "kernel": kernel,
+        "kernel": str(kernel),
         "biasing": None if first.biasing is None else float(first.biasing),
         "confidence": float(first.confidence),
         "target_half_width": (

@@ -36,7 +36,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from concurrent.futures import TimeoutError as FuturesTimeout
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,10 +45,9 @@ from repro.core.montecarlo.batch import (
     POINT_SUMMARY_TOTAL_FIELDS,
     segment_point_records,
 )
-from repro.core.montecarlo.compiled import kernel_context, resolve_kernel
 from repro.core.montecarlo.config import MonteCarloConfig
 from repro.core.montecarlo.faults import check_abort, check_fault
-from repro.core.montecarlo.fused import run_fused_batch
+from repro.core.montecarlo.fused import resolve_kernel, run_fused_batch
 from repro.core.montecarlo.journal import (
     SCALAR_RANGE,
     ShardJournal,
@@ -162,20 +161,14 @@ def run_shard(
             biasing=config.biasing,
         )
     else:
-        # The kernel context is entered *inside* the submitted callable
-        # (here), not around the submission: the routing is thread-local, so
-        # this is what makes thread-pool shards see the backend.  Parents
-        # resolve ``kernel`` to a concrete value first, so the auto-fallback
-        # warning never fires inside a worker.
-        with kernel_context(config.kernel):
-            batch = policy.simulate_shard(
-                config.params,
-                config.horizon_hours,
-                shard_size,
-                streams,
-                force_scalar=config.executor == "scalar",
-                biasing=config.biasing,
-            )
+        batch = policy.simulate_shard(
+            config.params,
+            config.horizon_hours,
+            shard_size,
+            streams,
+            force_scalar=config.executor == "scalar",
+            biasing=config.biasing,
+        )
     return ShardSummary(
         shard_index=shard_index,
         moments=StreamingMoments.from_samples(
@@ -616,10 +609,8 @@ def run_sharded(
     raising, with the journal flushed so the run can resume.
     """
     policy = resolve_policy(config.policy)  # fail fast on unknown policies
-    # Resolve the kernel parent-side so workers receive a concrete backend
-    # ("auto" warns/falls back here, exactly once per process, not once per
-    # shard or per worker).
-    config = replace(config, kernel=resolve_kernel(config.kernel))
+    # Check the kernel parent-side, once, before any shard is dispatched.
+    resolve_kernel(config.kernel)
     master_entropy = _resolve_master_entropy(config)
     target = config.target_half_width
     ceiling = config.adaptive_ceiling if target is not None else config.n_iterations
@@ -840,9 +831,7 @@ def _simulate_stacked_shard(
     ``(master_entropy, stream_index)`` alone, so the draws are identical
     in-process, forked or spawned — and identical for any worker count and
     any transport, because every transport feeds the kernel value-identical
-    parameter rows.  ``kernel`` is the parent-resolved backend; the context
-    is entered here, inside the (possibly thread-pooled) callable, because
-    the routing is thread-local.
+    parameter rows.  ``kernel`` is the backend the parent checked.
     """
     check_fault(shard.stream_index)
     streams = RandomStreams(master_entropy).spawn_child(shard.stream_index)
@@ -852,8 +841,7 @@ def _simulate_stacked_shard(
         )
     else:
         rng = streams.stream("montecarlo")
-        with kernel_context(kernel):
-            batch = policy.simulate_stacked(grid_slice, horizon_hours, rng, biasing=biasing)
+        batch = policy.simulate_stacked(grid_slice, horizon_hours, rng, biasing=biasing)
     return segment_point_records(batch, shard.point_indices, shard.counts)
 
 
@@ -1397,7 +1385,8 @@ def replay_stacked_point(
     decomposition and every shard's stream family are deterministic in the
     master seed), so a single point of a large grid can be audited without
     paying for the rest.  The returned result equals the full grid run's
-    entry for that point exactly.
+    entry for that point exactly; like the grid run, a ``resume=`` config
+    with ``seed=None`` replays the journaled run's entropy.
     """
     policy, first = _validate_stacked(configs)
     point = int(point_index)
@@ -1419,7 +1408,7 @@ def replay_stacked_point(
         for shard in plan_stacked_shards(counts, stacked_shard_size(first), crn=crn)
         if point in shard.point_indices
     ]
-    master_entropy = RandomStreams(first.seed).seed_entropy
+    master_entropy = _resolve_master_entropy(first)
     horizon = float(first.horizon_hours)
     # Replay always rebuilds the intersecting shards' rows from scalars
     # (the pickle path): it touches only those rows, instead of

@@ -112,12 +112,10 @@ def run_monte_carlo(config: MonteCarloConfig, pool=None) -> MonteCarloResult:
             f"{resolve_policy(config.policy).name!r} has no batch kernel and "
             "resolved to the scalar path"
         )
-    if config.kernel in ("compiled", "fused"):
-        # Same shape as the biasing guard: explicit kernel="compiled" or
-        # "fused" with a policy that has no batch kernel resolved to the
-        # scalar loop, where neither compiled row searches nor fused event
-        # loops ever run.  kernel="auto" degrades to the scalar path
-        # silently instead.
+    if config.kernel == "fused":
+        # Same shape as the biasing guard: kernel="fused" with a policy that
+        # has no batch kernel resolved to the scalar loop, where no fused
+        # event loop ever runs.
         raise ConfigurationError(
             f"kernel={config.kernel!r} accelerates the vectorised batch "
             f"kernels; policy {resolve_policy(config.policy).name!r} has no "

@@ -48,17 +48,11 @@ def batch_baseline(
     horizon_hours: float,
     n_lifetimes: int,
     rng: np.random.Generator,
-    compact: bool = True,
     biasing: Optional[float] = None,
 ) -> BatchLifetimes:
     """Simulate many lifetimes with human error disabled (batch kernel)."""
     return batch_conventional(
-        params.without_human_error(),
-        horizon_hours,
-        n_lifetimes,
-        rng,
-        compact=compact,
-        biasing=biasing,
+        params.without_human_error(), horizon_hours, n_lifetimes, rng, biasing=biasing
     )
 
 

@@ -36,22 +36,20 @@ The dispatch is duck-typed: row-aware distributions expose ``sample_rows``
 and stacked parameter objects expose ``n_disks_rows``/``n_spares_rows``;
 plain scalars take the exact pre-stacked code paths (identical draws).
 
-**Allocation discipline.**  By default (``compact=True``) both kernels keep
-a *physically compacted* working set: the clock matrix, episode clocks and
+**Allocation discipline.**  The conventional and spare-pool kernels keep a
+*physically compacted* working set: the clock matrix, episode clocks and
 bookkeeping arrays hold only the still-active lifetimes, shrinking whenever
-lifetimes reach the horizon, so late rounds touch only live rows instead of
-gathering ``clocks[active]`` out of the full-width matrix every round.
-The compaction targets come from a reusable :class:`_Arena` sized once to
-the shard.  Compaction only changes *where* state lives, never which rows are
-stepped or in which order they are sampled, so the random draw sequence —
-and therefore every result — is bit-identical to the retained uncompacted
-path (``compact=False``), which is kept as the bit-identity oracle and the
-baseline of the ``stacked_kernel_compaction`` benchmark.
+lifetimes reach the horizon, so late rounds touch only live rows.  The
+compaction targets come from a reusable :class:`_Arena` sized once to the
+shard.  Compaction only changes *where* state lives, never which rows are
+stepped or in which order they are sampled: row-aware draws are keyed by
+global lifetime ids, never by working-set positions.  Golden records of
+fixed-seed runs (``tests/core/test_golden_records.py``) pin the resulting
+draw sequence.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
@@ -84,8 +82,8 @@ def _sample_rows(
     of the lifetime it belongs to; plain distributions fall through to the
     scalar-parameter path, which keeps single-point batches bit-identical
     to the pre-stacked kernels.  ``rows`` are always **global** lifetime
-    ids — on the compacted path the callers translate their local working-
-    set indices before sampling, so compaction never changes a draw.
+    ids — the kernels translate their working-set positions before
+    sampling, so compaction never changes a draw.
 
     ``at`` carries each draw's birth time (the absolute hour the sampled
     clock starts ticking).  Only the failure-biasing importance sampler
@@ -117,38 +115,6 @@ def _clip_downtime(start: np.ndarray, end: np.ndarray, horizon: float) -> np.nda
     return np.maximum(0.0, np.minimum(end, horizon) - np.minimum(start, horizon))
 
 
-#: Per-thread override table for the row-search primitives below.  ``None``
-#: (the default) keeps the numpy implementations; the compiled backend
-#: (``core/montecarlo/compiled.py``) activates an object exposing
-#: ``min_and_slot``/``min_excluding``/``second_smallest`` for the duration of
-#: a kernel invocation.  The store is per thread for the same reason as
-#: ``_SCRATCH_LOCAL``: a thread-pool shard executor runs kernels concurrently
-#: on one process's module state.
-_KERNEL_OPS_LOCAL = threading.local()
-
-
-def active_kernel_ops():
-    """Return this thread's active kernel-ops table (``None`` = numpy)."""
-    return getattr(_KERNEL_OPS_LOCAL, "ops", None)
-
-
-@contextlib.contextmanager
-def kernel_ops(ops):
-    """Route this thread's row-search primitives through ``ops``.
-
-    The primitives are pure selections over the clock matrix — no
-    arithmetic — so any faithful implementation (the compiled scans) is
-    bit-identical to numpy by construction: both return the same elements,
-    not recomputed values.  Nesting restores the previous table on exit.
-    """
-    previous = getattr(_KERNEL_OPS_LOCAL, "ops", None)
-    _KERNEL_OPS_LOCAL.ops = ops
-    try:
-        yield
-    finally:
-        _KERNEL_OPS_LOCAL.ops = previous
-
-
 # The numpy row searches walk the ``n`` columns of the row-major clock
 # matrix instead of calling ``argmin``/``partition`` per row: numpy pays a
 # fixed cost per row on rows this narrow, while a column pass is one
@@ -156,11 +122,7 @@ def kernel_ops(ops):
 # elements (clocks are sampled times or ``+inf``, never NaN or ``-0.0``), so
 # every result is the element ``argmin``/``partition`` would pick.
 def _row_min(clocks: np.ndarray) -> np.ndarray:
-    """Return each row's earliest pending failure time (no slot).
-
-    One ``np.minimum`` per column, so the compiled scans have nothing to
-    add here.
-    """
+    """Return each row's earliest pending failure time (no slot)."""
     best = np.minimum(clocks[:, 0], clocks[:, -1])
     for j in range(1, clocks.shape[1] - 1):
         np.minimum(best, clocks[:, j], out=best)
@@ -193,27 +155,12 @@ def _columns(clocks: np.ndarray):
     return (clocks[:, j] for j in range(clocks.shape[1]))
 
 
-def _min_and_slot(clocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Return per-row ``(slot, time)`` of the earliest pending failure.
-
-    Ties resolve to the lowest slot index on both backends (the numpy
-    column pass and the compiled strict-``<`` scan), as ``argmin`` does.
-    """
-    ops = active_kernel_ops()
-    if ops is not None:
-        return ops.min_and_slot(clocks)
-    return _scan_columns(_columns(clocks), clocks.shape[0])[:2]
-
-
 def _min_excluding(clocks: np.ndarray, exclude: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Return per-row ``(slot, time)`` of the earliest failure outside ``exclude``.
 
     Equals masking column ``exclude[row]`` to ``inf`` and taking ``argmin``,
     including rows left all-``inf`` (slot 0, time ``inf``).
     """
-    ops = active_kernel_ops()
-    if ops is not None:
-        return ops.min_excluding(clocks, exclude)
     masked = (
         np.where(exclude == j, np.inf, column) for j, column in enumerate(_columns(clocks))
     )
@@ -228,9 +175,6 @@ def _second_smallest(clocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     Requires at least two columns, which every kernel guarantees
     (``n_disks >= 2``).
     """
-    ops = active_kernel_ops()
-    if ops is not None:
-        return ops.second_smallest(clocks)
     slot, _, second = _scan_columns(_columns(clocks), clocks.shape[0])
     return slot, second
 
@@ -267,15 +211,14 @@ def _renew_slots(
     at_times: np.ndarray,
     failure_dist,
     rng: np.random.Generator,
-    sample_rows: Optional[np.ndarray] = None,
+    ids: np.ndarray,
 ) -> None:
     """Install fresh disks in ``(rows, slots)`` at the given times.
 
-    ``sample_rows`` supplies the global lifetime ids when ``rows`` are local
-    working-set indices (the compacted path); ``None`` means they coincide.
+    ``rows`` are working-set positions; ``ids`` are the same rows' global
+    lifetime ids, which key the draws.
     """
     if rows.size:
-        ids = rows if sample_rows is None else sample_rows
         clocks[rows, slots] = at_times + _sample_rows(failure_dist, ids, rng, at=at_times)
 
 
@@ -285,16 +228,14 @@ def _renew_failed_before(
     times: np.ndarray,
     failure_dist,
     rng: np.random.Generator,
-    sample_rows: Optional[np.ndarray] = None,
+    ids: np.ndarray,
 ) -> None:
     """Renew, per row, every slot whose failure time is at or before ``times``.
 
-    ``sample_rows`` has the same local-vs-global meaning as in
-    :func:`_renew_slots`.
+    ``rows`` and ``ids`` have the same meaning as in :func:`_renew_slots`.
     """
     if rows.size == 0:
         return
-    ids = rows if sample_rows is None else sample_rows
     sub = clocks[rows]
     mask = sub <= times[:, None]
     count = int(mask.sum())
@@ -639,7 +580,6 @@ def batch_conventional(
     horizon_hours: float,
     n_lifetimes: int,
     rng: np.random.Generator,
-    compact: bool = True,
     biasing: Optional[Union[float, np.ndarray]] = None,
 ) -> BatchLifetimes:
     """Run ``n_lifetimes`` conventional-policy lifetimes as one numpy batch.
@@ -648,12 +588,10 @@ def batch_conventional(
     :class:`~repro.core.policies.stacked.StackedParams` grid (one row per
     lifetime; ``n_lifetimes`` must then equal the grid length).
 
-    ``compact=True`` (the default) runs the allocation-lean path: live rows
-    are kept physically compacted and scratch comes from a per-invocation
-    :class:`_Arena`.  ``compact=False`` retains the original full-width
-    gather discipline; both paths consume the random stream identically and
-    return bit-identical batches (the equivalence is pinned by
-    ``tests/core/test_transport.py``).
+    State lives in a physically compacted working set: ``clocks``/``now``
+    hold only live rows and ``rows`` maps each back to its global lifetime
+    id (used for batch counters and row-aware sampling).  Matrix-sized
+    scratch comes from the :class:`_Arena`.
 
     ``biasing`` (a factor > 0, scalar or per-lifetime array) switches the
     kernel to failure-biased importance sampling: failure rates are
@@ -663,109 +601,8 @@ def batch_conventional(
     """
     if horizon_hours <= 0.0:
         raise SimulationError(f"horizon must be positive, got {horizon_hours!r}")
+    horizon_hours = float(horizon_hours)
     m = _check_lifetimes(params, n_lifetimes)
-    if compact:
-        return _conventional_compacted(params, float(horizon_hours), m, rng, biasing)
-    return _conventional_gathered(params, float(horizon_hours), m, rng, biasing)
-
-
-def _conventional_gathered(
-    params, horizon_hours: float, m: int, rng: np.random.Generator, biasing=None
-) -> BatchLifetimes:
-    """The uncompacted conventional kernel (bit-identity oracle).
-
-    Tracks active lifetimes as indices into full-width state and gathers
-    ``clocks[active]`` every round — the pre-arena behaviour, retained as
-    the baseline the compacted path is benchmarked and verified against.
-    """
-    n = params.n_disks
-    n_disks = _per_row_or(params, "n_disks_rows", n)
-    failure_dist, log_weights = _biased_failure_dist(params, horizon_hours, m, biasing)
-    repair_dist = params.repair_distribution()
-    ddf_dist = params.ddf_recovery_distribution()
-    recovery_dist = params.human_error_recovery_distribution()
-    hep = params.hep
-    has_hep = _has_positive(hep)
-    crash_rate = params.crash_rate
-
-    batch = BatchLifetimes.zeros(m, horizon_hours)
-    batch.log_weights = log_weights
-    clocks = _initial_clocks(params, failure_dist, m, n, rng)
-    now = np.zeros(m, dtype=float)
-    active = np.arange(m)
-
-    while active.size:
-        c = clocks[active]
-        slot, fail = _min_and_slot(c)
-        fail = np.maximum(fail, now[active])
-        alive = fail < horizon_hours
-        active = active[alive]
-        if active.size == 0:
-            break
-        c, slot, fail = c[alive], slot[alive], fail[alive]
-        batch.disk_failures[active] += 1
-
-        repair_done = fail + _sample_rows(repair_dist, active, rng)
-        _, second = _min_excluding(c, slot)
-        second = np.maximum(second, fail)
-
-        # Double disk failure during the repair: data loss, backup restore.
-        dl = second < repair_done
-        dl_idx = active[dl]
-        if dl_idx.size:
-            batch.disk_failures[dl_idx] += 1
-            batch.dl_events[dl_idx] += 1
-            outage_end = second[dl] + _sample_rows(ddf_dist, dl_idx, rng)
-            batch.downtime_hours[dl_idx] += _clip_downtime(second[dl], outage_end, horizon_hours)
-            _renew_failed_before(clocks, dl_idx, outage_end, failure_dist, rng)
-            now[dl_idx] = outage_end
-
-        rest = ~dl
-        if has_hep:
-            he = rest & (rng.random(active.size) < _rows(hep, active))
-        else:
-            he = np.zeros(active.size, dtype=bool)
-
-        # Wrong disk replacement: data unavailable until the error is undone
-        # (or, when the pulled disk crashes, until the backup restore ends).
-        he_idx = active[he]
-        if he_idx.size:
-            batch.human_errors[he_idx] += 1
-            batch.du_events[he_idx] += 1
-            wrong = _pick_other_slots(rng, _rows(n_disks, he_idx), slot[he])
-            duration, crashed = _recovery_race(he_idx, recovery_dist, hep, crash_rate, rng)
-            outage_end = repair_done[he] + duration
-            cr = np.flatnonzero(crashed)
-            if cr.size:
-                batch.dl_events[he_idx[cr]] += 1
-                outage_end[cr] += _sample_rows(ddf_dist, he_idx[cr], rng)
-                _renew_slots(clocks, he_idx[cr], wrong[cr], outage_end[cr], failure_dist, rng)
-            batch.downtime_hours[he_idx] += _clip_downtime(repair_done[he], outage_end, horizon_hours)
-            _renew_slots(clocks, he_idx, slot[he], outage_end, failure_dist, rng)
-            _renew_failed_before(clocks, he_idx, outage_end, failure_dist, rng)
-            now[he_idx] = outage_end
-
-        # Successful replacement and rebuild.
-        ok = rest & ~he
-        ok_idx = active[ok]
-        if ok_idx.size:
-            _renew_slots(clocks, ok_idx, slot[ok], repair_done[ok], failure_dist, rng)
-            now[ok_idx] = repair_done[ok]
-
-    return batch
-
-
-def _conventional_compacted(
-    params, horizon_hours: float, m: int, rng: np.random.Generator, biasing=None
-) -> BatchLifetimes:
-    """The allocation-lean conventional kernel.
-
-    State lives in a physically compacted working set: ``clocks``/``now``
-    hold only live rows and ``rows`` maps each back to its global lifetime
-    id (used for batch counters and row-aware sampling, so the draw
-    sequence matches :func:`_conventional_gathered` exactly).  Matrix-sized
-    scratch comes from the :class:`_Arena`.
-    """
     n = params.n_disks
     n_disks = _per_row_or(params, "n_disks_rows", n)
     failure_dist, log_weights = _biased_failure_dist(params, horizon_hours, m, biasing)
@@ -819,7 +656,7 @@ def _conventional_compacted(
             batch.dl_events[g] += 1
             outage_end = second[dl_pos] + _sample_rows(ddf_dist, g, rng)
             batch.downtime_hours[g] += _clip_downtime(second[dl_pos], outage_end, horizon_hours)
-            _renew_failed_before(clocks, dl_pos, outage_end, failure_dist, rng, sample_rows=g)
+            _renew_failed_before(clocks, dl_pos, outage_end, failure_dist, rng, g)
             now[dl_pos] = outage_end
 
         rest = ~dl
@@ -843,22 +680,20 @@ def _conventional_compacted(
                 batch.dl_events[g[cr]] += 1
                 outage_end[cr] += _sample_rows(ddf_dist, g[cr], rng)
                 _renew_slots(
-                    clocks, he_pos[cr], wrong[cr], outage_end[cr],
-                    failure_dist, rng, sample_rows=g[cr],
+                    clocks, he_pos[cr], wrong[cr], outage_end[cr], failure_dist, rng, g[cr]
                 )
             batch.downtime_hours[g] += _clip_downtime(repair_done[he_pos], outage_end, horizon_hours)
-            _renew_slots(clocks, he_pos, slot[he_pos], outage_end, failure_dist, rng, sample_rows=g)
-            _renew_failed_before(clocks, he_pos, outage_end, failure_dist, rng, sample_rows=g)
+            _renew_slots(clocks, he_pos, slot[he_pos], outage_end, failure_dist, rng, g)
+            _renew_failed_before(clocks, he_pos, outage_end, failure_dist, rng, g)
             now[he_pos] = outage_end
 
         # Successful replacement and rebuild.
         ok = rest & ~he
         ok_pos = np.flatnonzero(ok)
         if ok_pos.size:
-            g = rows[ok_pos]
             _renew_slots(
                 clocks, ok_pos, slot[ok_pos], repair_done[ok_pos],
-                failure_dist, rng, sample_rows=g,
+                failure_dist, rng, rows[ok_pos],
             )
             now[ok_pos] = repair_done[ok_pos]
 
@@ -888,13 +723,11 @@ def _per_row_or(params, attr: str, default):
 class _SparePoolState:
     """Mutable struct-of-arrays state shared by the spare-pool sub-steps.
 
-    On the compacted path ``clocks``/``now``/``spares`` hold only live rows
-    and ``rows`` maps local working-set indices to global lifetime ids; the
-    uncompacted path leaves ``rows``/``arena`` as ``None``, making local and
-    global indices coincide.  Sub-steps therefore index state arrays with
-    the indices they were handed and translate through :meth:`gids` for
-    batch counters, per-row parameters and row-aware sampling — the one
-    discipline that keeps both paths on the same random draw sequence.
+    ``clocks``/``now``/``spares`` hold only live rows, and ``rows`` maps
+    working-set positions to global lifetime ids.  Sub-steps index state
+    arrays with the positions they were handed and translate through
+    :meth:`gids` for batch counters, per-row parameters and row-aware
+    sampling, so compaction never changes a draw.
     """
 
     params: object
@@ -911,16 +744,16 @@ class _SparePoolState:
     ddf_dist: object
     recovery_dist: object
 
+    #: Global lifetime ids of the live rows.
+    rows: np.ndarray
+
+    #: Scratch arena the working set is compacted into.
+    arena: _Arena
+
     #: Whether any row has a positive hep, computed once per invocation —
     #: the parameter arrays are immutable for the kernel's lifetime, so the
     #: per-round steps must not rescan a grid-sized array.
     has_hep: bool = False
-
-    #: Global lifetime ids of the live rows (compacted path only).
-    rows: Optional[np.ndarray] = None
-
-    #: Scratch arena (compacted path only).
-    arena: Optional[_Arena] = None
 
     @property
     def hep(self) -> Union[float, np.ndarray]:
@@ -935,8 +768,8 @@ class _SparePoolState:
         return _per_row_or(self.params, "n_disks_rows", self.params.n_disks)
 
     def gids(self, idx: np.ndarray) -> np.ndarray:
-        """Translate local working-set indices to global lifetime ids."""
-        return idx if self.rows is None else self.rows[idx]
+        """Translate working-set positions to global lifetime ids."""
+        return self.rows[idx]
 
     def restock(self, idx: np.ndarray) -> None:
         """Refill the pools of ``idx`` to their configured sizes."""
@@ -953,7 +786,6 @@ def batch_spare_pool(
     n_lifetimes: int,
     rng: np.random.Generator,
     n_spares: int = 1,
-    compact: bool = True,
     biasing: Optional[Union[float, np.ndarray]] = None,
 ) -> BatchLifetimes:
     """Run ``n_lifetimes`` spare-pool lifetimes as one numpy batch.
@@ -963,10 +795,8 @@ def batch_spare_pool(
     per-row ``StackedParams.n_spares_rows`` (when present) overrides the
     scalar argument, so one invocation can mix pool sizes.
 
-    ``compact`` selects the allocation-lean working set exactly as in
-    :func:`batch_conventional`; both settings are bit-identical.
-    ``biasing`` enables failure-biased importance sampling exactly as in
-    :func:`batch_conventional`.
+    The working set is compacted and ``biasing`` enables failure-biased
+    importance sampling, both exactly as in :func:`batch_conventional`.
     """
     if horizon_hours <= 0.0:
         raise SimulationError(f"horizon must be positive, got {horizon_hours!r}")
@@ -1001,53 +831,11 @@ def batch_spare_pool(
         replace_dist=params.spare_replacement_distribution(),
         ddf_dist=params.ddf_recovery_distribution(),
         recovery_dist=params.human_error_recovery_distribution(),
+        rows=np.arange(m),
+        arena=_Arena(m, n),
         has_hep=_has_positive(params.hep),
     )
     state.batch.log_weights = log_weights
-    if compact:
-        state.rows = np.arange(m)
-        state.arena = _Arena(m, n)
-        return _spare_pool_compacted(state)
-    return _spare_pool_gathered(state, m)
-
-
-def _spare_pool_gathered(state: _SparePoolState, m: int) -> BatchLifetimes:
-    """The uncompacted spare-pool round loop (bit-identity oracle)."""
-    active = np.arange(m)
-    while active.size:
-        c = state.clocks[active]
-        slot, fail = _min_and_slot(c)
-        fail = np.maximum(fail, state.now[active])
-        alive = fail < state.horizon
-        active = active[alive]
-        if active.size == 0:
-            break
-        c, slot, fail = c[alive], slot[alive], fail[alive]
-        state.batch.disk_failures[active] += 1
-
-        # Lifetimes entering the exposed service this round, from any branch.
-        exposed: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-        has_spare = state.spares[active] > 0
-        sp = np.flatnonzero(has_spare)
-        if sp.size:
-            _, second = _min_excluding(c[sp], slot[sp])
-            _spare_rebuild_step(state, active[sp], slot[sp], fail[sp], second, exposed)
-        ns = np.flatnonzero(~has_spare)
-        if ns.size:
-            exposed.append((active[ns], slot[ns], fail[ns]))
-
-        if exposed:
-            idx = np.concatenate([part[0] for part in exposed])
-            ex_slot = np.concatenate([part[1] for part in exposed])
-            ex_start = np.concatenate([part[2] for part in exposed])
-            _exposed_step(state, idx, ex_slot, ex_start)
-
-    return state.batch
-
-
-def _spare_pool_compacted(state: _SparePoolState) -> BatchLifetimes:
-    """The allocation-lean spare-pool round loop (compacted working set)."""
     first_round = True
     while state.rows.size:
         fail = _row_min(state.clocks)
@@ -1116,7 +904,7 @@ def _spare_rebuild_step(
         outage_end = second[dl] + _sample_rows(state.ddf_dist, g_dl, rng)
         state.batch.downtime_hours[g_dl] += _clip_downtime(second[dl], outage_end, state.horizon)
         _renew_failed_before(
-            state.clocks, dl_idx, outage_end, state.failure_dist, rng, sample_rows=g_dl
+            state.clocks, dl_idx, outage_end, state.failure_dist, rng, g_dl
         )
         state.restock(dl_idx)
         state.now[dl_idx] = outage_end
@@ -1127,7 +915,7 @@ def _spare_rebuild_step(
     if ok_idx.size:
         _renew_slots(
             state.clocks, ok_idx, slot[ok], rebuild_done[ok],
-            state.failure_dist, rng, sample_rows=g[ok],
+            state.failure_dist, rng, g[ok],
         )
         state.spares[ok_idx] -= 1
         _replacement_visit_step(state, ok_idx, rebuild_done[ok], exposed)
@@ -1194,7 +982,7 @@ def _replacement_visit_step(
         outage_end = recovery_end[a] + _sample_rows(state.ddf_dist, g_a, rng)
         state.batch.downtime_hours[g_a] += _clip_downtime(second[a], outage_end, state.horizon)
         _renew_failed_before(
-            state.clocks, a_idx, outage_end, state.failure_dist, rng, sample_rows=g_a
+            state.clocks, a_idx, outage_end, state.failure_dist, rng, g_a
         )
         state.restock(a_idx)
         state.now[a_idx] = outage_end
@@ -1257,10 +1045,10 @@ def _exposed_step(
         state.batch.downtime_hours[g_dl] += _clip_downtime(second[dl], outage_end, state.horizon)
         _renew_slots(
             state.clocks, dl_idx, slot[dl], outage_end,
-            state.failure_dist, rng, sample_rows=g_dl,
+            state.failure_dist, rng, g_dl,
         )
         _renew_failed_before(
-            state.clocks, dl_idx, outage_end, state.failure_dist, rng, sample_rows=g_dl
+            state.clocks, dl_idx, outage_end, state.failure_dist, rng, g_dl
         )
         state.empty(dl_idx)
         state.now[dl_idx] = outage_end
@@ -1291,10 +1079,10 @@ def _exposed_step(
         )
         _renew_slots(
             state.clocks, he_idx, slot[he], outage_end,
-            state.failure_dist, rng, sample_rows=g_he,
+            state.failure_dist, rng, g_he,
         )
         _renew_failed_before(
-            state.clocks, he_idx, outage_end, state.failure_dist, rng, sample_rows=g_he
+            state.clocks, he_idx, outage_end, state.failure_dist, rng, g_he
         )
         state.empty(he_idx)
         state.now[he_idx] = outage_end
@@ -1306,7 +1094,7 @@ def _exposed_step(
         g_ok = g[ok]
         _renew_slots(
             state.clocks, ok_idx, slot[ok], service_done[ok],
-            state.failure_dist, rng, sample_rows=g_ok,
+            state.failure_dist, rng, g_ok,
         )
         state.restock(ok_idx)
         state.now[ok_idx] = service_done[ok]
@@ -1383,7 +1171,6 @@ def batch_erasure(
     n_lifetimes: int,
     rng: np.random.Generator,
     scheme: Optional[object] = None,
-    compact: bool = True,
     biasing: Optional[Union[float, np.ndarray]] = None,
 ) -> BatchLifetimes:
     """Run ``n_lifetimes`` erasure-coded k-of-N lifetimes as one numpy batch.
@@ -1407,9 +1194,7 @@ def batch_erasure(
 
     ``scheme`` is a :class:`~repro.core.policies.base.RedundancyScheme`
     (resolved against scalar points) or a ready ``ResolvedScheme``; stacked
-    grids read the per-row scheme planes instead.  ``compact`` is accepted
-    for kernel-signature uniformity and ignored — the working set is a few
-    flat arrays, there is no clock matrix to compact.  Failure biasing is
+    grids read the per-row scheme planes instead.  Failure biasing is
     not supported (the aggregate-clock discipline has no per-share draws to
     tilt); pass ``biasing=None``.
 

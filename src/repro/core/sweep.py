@@ -20,7 +20,7 @@ registered policy on either evaluation backend:
   (:func:`repro.core.montecarlo.batch.run_stacked`), with per-point results
   recovered by one segmented aggregation.  The pre-stacked loop — one full
   independent study per point, sharing a single worker pool — is retained
-  as :func:`sweep_per_point_mc` for regression testing and for the
+  as ``mc_engine="per_point"`` for regression testing and for the
   configurations the stacked engine does not cover (scalar executor, event
   traces, policies without a stacked-capable kernel); ``sweep`` falls back
   to it automatically (with a one-time warning when an adaptive sweep has
@@ -518,7 +518,7 @@ def sweep(
     transport: str = "auto",
     biasing: Optional[float] = None,
     allocator: str = "uniform",
-    kernel: str = "auto",
+    kernel: str = "numpy",
     pool_kind: str = "process",
     pool=None,
     shard_timeout: Optional[float] = None,
@@ -575,8 +575,7 @@ def sweep(
         Adaptive-round budget allocator of stacked adaptive sweeps:
         ``"uniform"`` or ``"ci_width"``.
     kernel:
-        Kernel backend of the batch path (``"auto"``, ``"numpy"``,
-        ``"compiled"`` or ``"fused"``); see
+        Kernel backend of the batch path (``"numpy"`` or ``"fused"``); see
         :class:`~repro.core.montecarlo.config.MonteCarloConfig`.
     pool_kind:
         Shard-executor pool of the sharded path (``"process"``, ``"thread"``
@@ -639,50 +638,6 @@ def sweep(
         retry_backoff=retry_backoff,
         checkpoint=checkpoint,
         resume=resume,
-    )
-
-
-def sweep_per_point_mc(
-    base_params: AvailabilityParameters,
-    axis: str,
-    values: Sequence[float],
-    policy: PolicyRef = "conventional",
-    *,
-    mc_iterations: int = DEFAULT_ITERATIONS,
-    mc_horizon_hours: float = DEFAULT_HORIZON_HOURS,
-    seed: Optional[int] = 0,
-    confidence: float = 0.99,
-    executor: str = "auto",
-    workers: int = 1,
-    shard_size: Optional[int] = None,
-    target_half_width: Optional[float] = None,
-    pool=None,
-) -> List[SweepPoint]:
-    """Reference Monte Carlo sweep running one full study per point.
-
-    This is the pre-stacked algorithm — every value pays its own kernel
-    launches, shard scheduling and aggregation — retained as the ground
-    truth the stacked engine is statistically validated and benchmarked
-    against, and as the execution path for configurations the stacked
-    engine does not cover (scalar executor, policies without a
-    stacked-capable kernel).
-    """
-    return sweep(
-        base_params,
-        axis,
-        values,
-        policy=policy,
-        backend="monte_carlo",
-        mc_iterations=mc_iterations,
-        mc_horizon_hours=mc_horizon_hours,
-        seed=seed,
-        confidence=confidence,
-        executor=executor,
-        workers=workers,
-        shard_size=shard_size,
-        target_half_width=target_half_width,
-        mc_engine="per_point",
-        pool=pool,
     )
 
 
@@ -756,7 +711,7 @@ def sweep_grid(
     transport: str = "auto",
     biasing: Optional[float] = None,
     allocator: str = "uniform",
-    kernel: str = "auto",
+    kernel: str = "numpy",
     pool_kind: str = "process",
     pool=None,
     shard_timeout: Optional[float] = None,

@@ -66,7 +66,7 @@ def run_cross_validation(
     confidence: float = DEFAULTS.mc_confidence,
     seed: Optional[int] = DEFAULTS.seed,
     workers: int = 1,
-    kernel: str = "auto",
+    kernel: str = "numpy",
     pool_kind: str = "process",
     pool=None,
 ) -> List[CrossValidationRow]:

@@ -168,9 +168,7 @@ class TestMonteCarloBackend:
             n_iterations=800, seed=3,
         )
         assert estimate.backend == "monte_carlo"
-        from repro.core.montecarlo import resolve_kernel
-
-        assert estimate.provenance == f"executor=batch kernel={resolve_kernel('auto')}"
+        assert estimate.provenance == "executor=batch kernel=numpy"
         assert estimate.has_interval
         assert estimate.ci_lower <= estimate.availability <= estimate.ci_upper
         assert estimate.contains(estimate.availability)

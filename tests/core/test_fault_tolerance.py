@@ -25,6 +25,7 @@ from repro.core.montecarlo import (
     ShardJournal,
     fault_plan,
     journal_entropy,
+    replay_stacked_point,
     run_digest,
     run_monte_carlo,
     run_stacked,
@@ -316,6 +317,18 @@ class TestInterruptAndResume:
         resumed = run_stacked(_stacked_configs(seed=None, resume=journal))
         assert all(point.seed_entropy == entropy for point in resumed)
         assert sum(point.resumed_shards for point in resumed) >= 1
+
+    def test_replay_of_unseeded_resume_adopts_journal_entropy(self, tmp_path):
+        # Replaying a point of a seed=None resume must use the journaled
+        # entropy, exactly as the resumed grid run does.
+        journal = str(tmp_path / "replay.journal")
+        grid = run_stacked(_stacked_configs(seed=None, checkpoint=journal))
+        configs = _stacked_configs(seed=None, resume=journal)
+        resumed = run_stacked(configs)
+        _assert_bit_identical(resumed, grid)
+        replayed = replay_stacked_point(configs, 0)
+        assert replayed.seed_entropy == journal_entropy(journal)
+        _assert_bit_identical([replayed], grid[:1])
 
 
 class TestJournalIntegrity:

@@ -1,8 +1,8 @@
 """Tests for the fused whole-event-loop kernel backend (``kernel="fused"``).
 
-The fused loops own their draw discipline, so the cross-backend bit-identity
-oracle of ``tests/core/test_compiled.py`` cannot apply.  The contract under
-test here is the statistically-pinned protocol instead:
+The fused loops own their draw discipline, so the numpy kernels' golden
+records (``tests/core/test_golden_records.py``) cannot pin them.  The
+contract under test here is the statistically-pinned protocol instead:
 
 - **within the fused backend** determinism stays exact — the same seed gives
   the same batch across runs, pools and worker counts, and
@@ -16,8 +16,8 @@ Without numba the fused loops run as plain Python on the identical stream
 (numba compiles ``Generator.random()`` over the same PCG64 bit generator,
 so jitted and interpreted loops draw the same doubles); the suite opts into
 that fallback via ``REPRO_FUSED_PUREPY`` so every assertion here runs in
-numba-free environments too — the CI ``compiled-smoke`` job repeats them
-against the actual nopython compiles.
+numba-free environments too — the CI ``fused`` job repeats them against
+the actual nopython compiles.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ import pytest
 from repro.core.montecarlo import (
     MonteCarloConfig,
     fused_available,
-    has_compiled_face,
     has_fused_face,
-    kernel_context,
     replay_stacked_point,
     resolve_kernel,
     run_batch,
@@ -41,7 +39,6 @@ from repro.core.montecarlo import (
     run_sharded,
     run_stacked,
 )
-from repro.core.montecarlo.compiled import compiled_available
 from repro.core.montecarlo.fused import FUSED_PUREPY_ENV, fused_face, jit_enabled
 from repro.core.parameters import paper_parameters
 from repro.core.policies import available_policies
@@ -52,7 +49,7 @@ from repro.simulation.rng import RandomStreams
 from repro.storage.raid import RaidGeometry
 
 needs_no_numba = pytest.mark.skipif(
-    compiled_available(), reason="numba is installed; fallback paths unreachable"
+    jit_enabled(), reason="numba is installed; fallback paths unreachable"
 )
 
 #: Event-rich operating point (as in test_compiled.py): frequent downtime
@@ -113,20 +110,12 @@ class TestFusedResolution:
         assert fused_available()
         assert resolve_kernel("fused") == "fused"
 
-    def test_auto_never_resolves_to_fused(self):
-        assert resolve_kernel("auto") in ("numpy", "compiled")
-
     @needs_no_numba
     def test_fused_without_numba_or_optin_is_an_error(self, monkeypatch):
         monkeypatch.delenv(FUSED_PUREPY_ENV, raising=False)
         assert not fused_available()
         with pytest.raises(ConfigurationError, match=FUSED_PUREPY_ENV):
             resolve_kernel("fused")
-
-    def test_kernel_context_refuses_fused(self):
-        with pytest.raises(ConfigurationError, match="run_fused_batch"):
-            with kernel_context("fused"):
-                pass  # pragma: no cover - the context must not be entered
 
     def test_fused_kernel_rejects_scalar_executor(self):
         with pytest.raises(ConfigurationError, match="scalar"):
@@ -139,13 +128,9 @@ class TestFusedResolution:
 
 class TestFusedFaces:
     def test_every_registered_policy_has_a_fused_face(self):
-        # All five families route through a fused loop — including erasure,
-        # which the sliced compiled backend could never accelerate.
+        # All five families route through a fused loop, erasure included.
         for name in available_policies():
             assert has_fused_face(resolve_policy(name)), name
-
-    def test_erasure_gains_its_compiled_face_through_fused(self):
-        assert has_compiled_face(resolve_policy("erasure")) is True
 
     def test_partial_kwargs_are_collected(self):
         family, bound = fused_face(resolve_policy("hot_spare_pool"))

@@ -1,0 +1,339 @@
+"""Golden records: fixed-seed Monte Carlo outputs pinned to a stored fixture.
+
+Every case below runs a batch kernel or a shard executor at a fixed seed and
+summarises what came out; ``golden_records.json`` next to this file holds
+those summaries as captured.  The records pin the random experiment itself
+— which draws are made, in which order, and what they decide — so a change
+to the kernels, the executors or the journal must leave every case as it
+is.  Kernel cases call ``policy.batch`` directly and summarise with
+``segment_point_records``; executor cases run ``run_sharded`` and
+``run_stacked`` end to end; the digest cases pin the journal's run digest,
+so a journal written by an earlier build still resumes.
+
+How cases are compared: the ``point``/``n`` counts, the final generator
+state and the seed entropy must match exactly (the same draws were made);
+float fields must match to ``rtol=1e-12``.  Raw bytes are not compared:
+numpy may use SIMD ``exp``/``log``/``power`` whose last bit differs between
+CPUs, and the biased kernels use all three for the likelihood-ratio
+weights.  No branch reads those weights, so the last bit never changes the
+event sequence.
+
+Regenerate the fixture only for a change that is meant to alter results::
+
+    PYTHONPATH=src python tests/core/test_golden_records.py
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Callable, Dict, List, Tuple
+
+import numpy as np
+import pytest
+
+from repro.core.montecarlo import (
+    MonteCarloConfig,
+    run_fused_batch,
+    run_sharded,
+    run_stacked,
+    segment_point_records,
+)
+from repro.core.montecarlo.fused import FUSED_PUREPY_ENV
+from repro.core.parameters import paper_parameters
+from repro.core.policies import stack_parameter_points
+from repro.core.policies.erasure import erasure_policy
+from repro.core.policies.hotspare import hot_spare_policy
+from repro.core.policies.registry import resolve_policy
+from repro.simulation.rng import RandomStreams
+from repro.storage.raid import RaidGeometry
+
+FIXTURE = Path(__file__).with_name("golden_records.json")
+
+#: Relative tolerance of every float field.
+RTOL = 1e-12
+
+HORIZON = 50_000.0
+
+#: The stacked kernel grid: one geometry, hep and spare-pool size per point.
+GEOMETRIES = (RaidGeometry.raid5(3), RaidGeometry.raid1(), RaidGeometry.raid6(4))
+STACKED_HEPS = (0.02, 0.05, 0.1)
+STACKED_COUNTS = (200, 150, 150)
+STACKED_SPARES = (1, 2, 3)
+POINT_LIFETIMES = 400
+
+KERNEL_POLICIES = {
+    "conventional": resolve_policy("conventional"),
+    "baseline": resolve_policy("baseline"),
+    "automatic_failover": resolve_policy("automatic_failover"),
+    "hot_spare_pool_k3": hot_spare_policy(3),
+}
+FAILURE_SHAPES = {"exponential": 1.0, "weibull": 1.3}
+BIASING = {"unbiased": None, "biased": 8.0}
+
+#: Erasure 3-of-10 with a repair threshold of 8, at a point where shares
+#: fail several times per check period.
+ERASURE = erasure_policy(3, 10, repair_threshold=8)
+ERASURE_BASE = dict(geometry=RaidGeometry.erasure(3, 10), disk_failure_rate=1e-3)
+
+RECORD_FIELDS = (
+    "mean", "m2", "w_sum", "w2_sum",
+    "downtime_hours", "du_events", "dl_events", "disk_failures", "human_errors",
+)
+
+
+# ----------------------------------------------------------------------
+# Kernel cases: policy.batch at a fixed stream, summarised per point
+# ----------------------------------------------------------------------
+def _kernel_params(grid: str, shape: float):
+    """Return ``(params, counts)`` of the scalar point or the stacked grid."""
+    if grid == "point":
+        params = paper_parameters(disk_failure_rate=1e-4, hep=0.05, failure_shape=shape)
+        return params, [POINT_LIFETIMES]
+    points = [
+        paper_parameters(
+            geometry=geometry, disk_failure_rate=1e-4, hep=hep, failure_shape=shape
+        )
+        for geometry, hep in zip(GEOMETRIES, STACKED_HEPS)
+    ]
+    grid_params = stack_parameter_points(points, STACKED_COUNTS, n_spares=STACKED_SPARES)
+    return grid_params, list(STACKED_COUNTS)
+
+
+def _erasure_params(grid: str):
+    if grid == "point":
+        return paper_parameters(hep=0.1, **ERASURE_BASE), [POINT_LIFETIMES]
+    counts = [300, 200]
+    points = [paper_parameters(hep=hep, **ERASURE_BASE) for hep in (0.05, 0.2)]
+    return stack_parameter_points(points, counts, schemes=[ERASURE.scheme] * 2), counts
+
+
+def _run_kernel(policy, params, counts, biasing=None, seed=19):
+    rng = RandomStreams(seed).stream("montecarlo")
+    kwargs = {} if biasing is None else {"biasing": biasing}
+    batch = policy.batch(params, HORIZON, sum(counts), rng, **kwargs)
+    records = segment_point_records(batch, range(len(counts)), counts)
+    return records, rng.bit_generator.state
+
+
+def _run_fused(seed=19):
+    streams = RandomStreams(seed)
+    params, counts = _kernel_params("point", 1.0)
+    batch = run_fused_batch(
+        KERNEL_POLICIES["conventional"], params, HORIZON, sum(counts), streams
+    )
+    records = segment_point_records(batch, range(len(counts)), counts)
+    return records, streams.stream("fused").bit_generator.state
+
+
+def _kernel_cases() -> Dict[str, Callable[[], Tuple[np.ndarray, dict]]]:
+    cases: Dict[str, Callable[[], Tuple[np.ndarray, dict]]] = {}
+    for name, policy in KERNEL_POLICIES.items():
+        for grid in ("point", "stacked"):
+            for law, shape in FAILURE_SHAPES.items():
+                for label, biasing in BIASING.items():
+                    cases[f"{name}-{grid}-{law}-{label}"] = (
+                        lambda p=policy, g=grid, s=shape, b=biasing: _run_kernel(
+                            p, *_kernel_params(g, s), biasing=b
+                        )
+                    )
+    for grid in ("point", "stacked"):
+        cases[f"erasure_3of10-{grid}"] = lambda g=grid: _run_kernel(
+            ERASURE, *_erasure_params(g)
+        )
+    cases["fused-conventional-point"] = _run_fused
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+# ----------------------------------------------------------------------
+# Executor cases: run_sharded / run_stacked end to end
+# ----------------------------------------------------------------------
+STRESS = paper_parameters(disk_failure_rate=1e-4, hep=0.05)
+
+
+def _config(**overrides) -> MonteCarloConfig:
+    defaults = dict(
+        params=STRESS, policy="conventional", n_iterations=600,
+        horizon_hours=HORIZON, seed=7,
+    )
+    defaults.update(overrides)
+    return MonteCarloConfig(**defaults)
+
+
+def _grid(heps=STACKED_HEPS, n=400, seed=11, **overrides) -> List[MonteCarloConfig]:
+    overrides.setdefault("shard_size", 256)
+    return [
+        _config(
+            params=paper_parameters(disk_failure_rate=1e-4, hep=hep),
+            n_iterations=n, seed=seed, **overrides,
+        )
+        for hep in heps
+    ]
+
+
+def _adaptive_grid():
+    # The allocator gives the two points different budgets: one runs to
+    # the ceiling, the other stops at the target after a few rounds.
+    return run_stacked(
+        _grid(
+            heps=(0.05, 0.1), n=300, workers=2, biasing=3.0,
+            target_half_width=5e-9, max_iterations=2400, allocator="ci_width",
+        )
+    )
+
+
+def _executor_cases() -> Dict[str, Callable[[], list]]:
+    cases: Dict[str, Callable[[], list]] = {}
+    for workers in (1, 2):
+        cases[f"run_sharded-w{workers}"] = lambda w=workers: [
+            run_sharded(_config(shard_size=200, workers=w))
+        ]
+        for pool in ("process", "thread"):
+            for crn in (False, True):
+                key = f"run_stacked-w{workers}-{pool}-{'crn' if crn else 'plain'}"
+                cases[key] = lambda w=workers, p=pool, c=crn: run_stacked(
+                    _grid(workers=w, pool=p), crn=c
+                )
+    cases["run_stacked-adaptive-biased-ci_width"] = _adaptive_grid
+    return cases
+
+
+EXECUTOR_CASES = _executor_cases()
+
+
+# ----------------------------------------------------------------------
+# Journal run digests, as written by earlier builds
+# ----------------------------------------------------------------------
+SCALAR_DIGEST = "b02c3f7ff5594450331c2e4c3b3e06716035decbac77e1381e1dbc9c48f3797d"
+STACKED_DIGEST = "a8334daed4ce86634ff6811116dd137cde9ed869d8ff7514e4f3da3f269835ab"
+
+
+def _journal_digest(path: Path) -> str:
+    with path.open("r", encoding="utf-8") as handle:
+        return json.loads(handle.readline())["digest"]
+
+
+def _scalar_digest(directory: Path) -> str:
+    path = directory / "scalar.jsonl"
+    run_sharded(_config(shard_size=200, checkpoint=str(path)))
+    return _journal_digest(path)
+
+
+def _stacked_digest(directory: Path) -> str:
+    path = directory / "stacked.jsonl"
+    run_stacked(_grid(checkpoint=str(path)))
+    return _journal_digest(path)
+
+
+# ----------------------------------------------------------------------
+# Fixture encoding
+# ----------------------------------------------------------------------
+def _encode_records(records: np.ndarray) -> List[dict]:
+    return [
+        {
+            "point": int(record["point"]),
+            "n": int(record["n"]),
+            **{name: float(record[name]) for name in RECORD_FIELDS},
+        }
+        for record in records
+    ]
+
+
+def _encode_result(result) -> dict:
+    return {
+        "availability": result.availability,
+        "lower": result.interval.lower,
+        "upper": result.interval.upper,
+        "std_error": result.interval.std_error,
+        "n_iterations": result.n_iterations,
+        "seed_entropy": result.seed_entropy,
+        "ess": result.ess,
+        "totals": dict(sorted(result.totals.items())),
+    }
+
+
+def capture() -> dict:
+    """Run every case and return the fixture contents."""
+    kernel = {}
+    for name, case in KERNEL_CASES.items():
+        records, state = case()
+        kernel[name] = {"records": _encode_records(records), "state": state}
+    executor = {
+        name: [_encode_result(result) for result in case()]
+        for name, case in EXECUTOR_CASES.items()
+    }
+    return {"kernel": kernel, "executor": executor}
+
+
+# ----------------------------------------------------------------------
+# Tests
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(FIXTURE.read_text(encoding="utf-8"))
+
+
+def _assert_close(got, want, what: str) -> None:
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0, err_msg=what)
+
+
+@pytest.fixture(autouse=True)
+def _purepy_fused(monkeypatch):
+    """Let the fused case run its loops as plain Python without numba."""
+    monkeypatch.setenv(FUSED_PUREPY_ENV, "1")
+
+
+def test_fixture_covers_every_case(golden):
+    assert set(golden["kernel"]) == set(KERNEL_CASES)
+    assert set(golden["executor"]) == set(EXECUTOR_CASES)
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_records_match_golden(golden, case):
+    want = golden["kernel"][case]
+    records, state = KERNEL_CASES[case]()
+    assert records["point"].tolist() == [r["point"] for r in want["records"]]
+    assert records["n"].tolist() == [r["n"] for r in want["records"]]
+    assert state == want["state"], "the kernel consumed a different draw sequence"
+    for name in RECORD_FIELDS:
+        _assert_close(records[name], [r[name] for r in want["records"]], name)
+
+
+@pytest.mark.parametrize("case", sorted(EXECUTOR_CASES))
+def test_executor_results_match_golden(golden, case):
+    want = golden["executor"][case]
+    results = EXECUTOR_CASES[case]()
+    assert len(results) == len(want)
+    for result, expected in zip(results, want):
+        got = _encode_result(result)
+        assert got["n_iterations"] == expected["n_iterations"]
+        assert got["seed_entropy"] == expected["seed_entropy"]
+        assert (got["ess"] is None) == (expected["ess"] is None)
+        for name in ("availability", "lower", "upper", "std_error", "ess"):
+            if expected[name] is not None:
+                _assert_close(got[name], expected[name], name)
+        assert sorted(got["totals"]) == sorted(expected["totals"])
+        for name, value in expected["totals"].items():
+            _assert_close(got["totals"][name], value, name)
+
+
+def test_scalar_run_digest_is_stable(tmp_path):
+    assert _scalar_digest(tmp_path) == SCALAR_DIGEST
+
+
+def test_stacked_run_digest_is_stable(tmp_path):
+    assert _stacked_digest(tmp_path) == STACKED_DIGEST
+
+
+if __name__ == "__main__":  # pragma: no cover - fixture regeneration
+    import os
+    import tempfile
+
+    os.environ[FUSED_PUREPY_ENV] = "1"
+    FIXTURE.write_text(json.dumps(capture(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    with tempfile.TemporaryDirectory() as scratch:
+        print("scalar digest: ", _scalar_digest(Path(scratch)))
+        print("stacked digest:", _stacked_digest(Path(scratch)))

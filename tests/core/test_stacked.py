@@ -29,7 +29,7 @@ from repro.core.policies import (
     stack_parameter_points,
 )
 from repro.core.policies.base import SimulationPolicy
-from repro.core.sweep import sweep, sweep_per_point_mc
+from repro.core.sweep import sweep
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.confidence import StreamingMoments, segmented_moments
 from repro.storage.raid import RaidGeometry
@@ -340,8 +340,8 @@ class TestStatisticalEquivalence:
             base, "hep", [0.0, 0.05], backend="monte_carlo",
             mc_iterations=1500, mc_horizon_hours=HORIZON, seed=29,
         )
-        per_point = sweep_per_point_mc(
-            base, "hep", [0.0, 0.05],
+        per_point = sweep(
+            base, "hep", [0.0, 0.05], backend="monte_carlo", mc_engine="per_point",
             mc_iterations=1500, mc_horizon_hours=HORIZON, seed=29,
         )
         for a, b in zip(stacked, per_point):

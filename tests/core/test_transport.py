@@ -1,10 +1,11 @@
 """Transport bit-identity, kernel-compaction equivalence and lifecycle tests.
 
 The zero-copy execution plane must be invisible in the results: shared-
-memory and pickle transports, any worker count, compacted and uncompacted
-kernels all have to produce byte-identical ``MonteCarloResult``s, because
-they feed the very same kernels the very same parameter rows and random
-streams.  This suite pins those guarantees, plus the operational ones —
+memory and pickle transports and any worker count all have to produce
+byte-identical ``MonteCarloResult``s, because they feed the very same
+kernels the very same parameter rows and random streams; the compacted
+kernels must reproduce the records of the uncompacted loops they replaced.
+This suite pins those guarantees, plus the operational ones —
 no leaked ``/dev/shm`` segments after failing sweeps, and the worker
 initializer (BLAS pinning) actually running in every pool worker.
 """
@@ -36,13 +37,12 @@ from repro.core.policies.vectorized import batch_conventional, batch_spare_pool
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.rng import RandomStreams
 from repro.storage.raid import RaidGeometry
+from tests.core.gathered import assert_matches_gathered
 
 HORIZON = 87_600.0
 
 #: Elevated rates so short runs still see failures, repairs and wrong pulls.
 STRESS = dict(disk_failure_rate=1e-4, hep=0.02)
-
-BATCH_FIELDS = ("downtime_hours", "du_events", "dl_events", "disk_failures", "human_errors")
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(), reason="POSIX shared memory is not usable here"
@@ -223,60 +223,58 @@ class TestWorkerInitializer:
 
 
 class TestCompactionEquivalence:
-    """compact=True and compact=False are the same random experiment."""
+    """The compacted kernels run the experiment the gathered loops ran."""
 
-    def _assert_equivalent(self, kernel, params, n, **kwargs):
-        rng_ref = RandomStreams(2017).stream("montecarlo")
-        reference = kernel(params, HORIZON, n, rng_ref, compact=False, **kwargs)
-        rng_new = RandomStreams(2017).stream("montecarlo")
-        compacted = kernel(params, HORIZON, n, rng_new, compact=True, **kwargs)
-        for field in BATCH_FIELDS:
-            assert np.array_equal(
-                getattr(reference, field), getattr(compacted, field)
-            ), field
-        # Stronger than equal outputs: the generators must end in the same
-        # state, i.e. both paths drew the same numbers in the same order.
-        assert rng_ref.bit_generator.state == rng_new.bit_generator.state
+    def _assert_equivalent(self, case, kernel, params, counts, **kwargs):
+        rng = RandomStreams(2017).stream("montecarlo")
+        batch = kernel(params, HORIZON, sum(counts), rng, **kwargs)
+        assert_matches_gathered(case, batch, counts, rng)
 
     @pytest.mark.parametrize(
-        "kernel,kwargs",
+        "case,kernel,kwargs",
         [
-            (batch_conventional, {}),
-            (batch_spare_pool, {"n_spares": 1}),
-            (batch_spare_pool, {"n_spares": 3}),
+            ("scalar-conventional", batch_conventional, {}),
+            ("scalar-failover", batch_spare_pool, {"n_spares": 1}),
+            ("scalar-pool3", batch_spare_pool, {"n_spares": 3}),
         ],
         ids=["conventional", "failover", "pool3"],
     )
-    def test_scalar_params(self, kernel, kwargs):
+    def test_scalar_params(self, case, kernel, kwargs):
         params = paper_parameters(**STRESS)
-        self._assert_equivalent(kernel, params, 1500, **kwargs)
+        self._assert_equivalent(case, kernel, params, [1500], **kwargs)
 
     @pytest.mark.parametrize(
-        "kernel,kwargs",
-        [(batch_conventional, {}), (batch_spare_pool, {"n_spares": 2})],
+        "case,kernel,kwargs",
+        [
+            ("stacked-conventional", batch_conventional, {}),
+            ("stacked-pool", batch_spare_pool, {"n_spares": 2}),
+        ],
         ids=["conventional", "pool"],
     )
-    def test_stacked_grid(self, kernel, kwargs):
+    def test_stacked_grid(self, case, kernel, kwargs):
         points = [
             paper_parameters(disk_failure_rate=rate, hep=hep)
             for rate, hep in ((1e-4, 0.0), (5e-5, 0.02), (1e-5, 0.05))
         ]
-        grid = stack_parameter_points(points, [500, 600, 400])
-        self._assert_equivalent(kernel, grid, len(grid), **kwargs)
+        counts = [500, 600, 400]
+        grid = stack_parameter_points(points, counts)
+        self._assert_equivalent(case, kernel, grid, counts, **kwargs)
 
     def test_mixed_geometry_grid_with_per_row_pools(self):
         points = [
             paper_parameters(geometry=RaidGeometry.from_label("RAID5(3+1)"), **STRESS),
             paper_parameters(geometry=RaidGeometry.from_label("RAID5(7+1)"), **STRESS),
         ]
-        grid = stack_parameter_points(points, [700, 500], n_spares=[1, 3])
-        self._assert_equivalent(batch_spare_pool, grid, len(grid))
-        self._assert_equivalent(batch_conventional, grid, len(grid))
+        counts = [700, 500]
+        grid = stack_parameter_points(points, counts, n_spares=[1, 3])
+        self._assert_equivalent("mixed_geometry-spare_pool", batch_spare_pool, grid, counts)
+        self._assert_equivalent("mixed_geometry-conventional", batch_conventional, grid, counts)
 
     def test_weibull_failure_clocks(self):
         points = [
             paper_parameters(disk_failure_rate=1e-4, hep=0.01, failure_shape=1.3),
             paper_parameters(disk_failure_rate=5e-5, hep=0.02, failure_shape=1.3),
         ]
-        grid = stack_parameter_points(points, [400, 300])
-        self._assert_equivalent(batch_conventional, grid, len(grid))
+        counts = [400, 300]
+        grid = stack_parameter_points(points, counts)
+        self._assert_equivalent("weibull-conventional", batch_conventional, grid, counts)
