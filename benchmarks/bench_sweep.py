@@ -1,6 +1,6 @@
 """Engine benchmarks: the sweep engines against their per-point ancestors.
 
-Four acceptance criteria live here:
+The benchmarks, one per bullet:
 
 * **Analytical**: at 1000 sweep points the columnar template sweep
   (build the chain once, evaluate each rate once over the swept symbol
@@ -24,8 +24,8 @@ Four acceptance criteria live here:
   Byte-identical batches and generator states are asserted; the speedup is
   recorded with its spread and carries no floor.
 * **Zero-copy transport** (PR 5): a 256-point x 10k-lifetime grid on 4
-  workers, run on the shared-memory parameter planes (today's default for
-  process pools) against the per-shard pickle rebuild, with
+  workers, run on the shared-memory parameter planes (``transport="shm"``)
+  against the per-shard pickle rebuild (the process-pool default), with
   **bit-identical results always asserted**.  The **2x floor** is an
   explicit opt-in (``REPRO_BENCH_TRANSPORT_STRICT=1``, >= 4 cores): it
   describes the *transport-bound* regime — per-point payloads large
@@ -63,13 +63,13 @@ Four acceptance criteria live here:
 * **Thread-pool shards** (PR 8): a 64-point x 5k-lifetime grid on 4
   workers, run end-to-end (pool startup included) on the thread pool —
   workers share the materialized grid planes outright, no fork, no
-  per-shard pickle — against the default process pool with its
-  shared-memory transport.  Bit-identity is always asserted (the pool
-  oracle); the strict floor (``REPRO_BENCH_THREAD_STRICT=1``) belongs to
-  startup-dominated grids — once kernels dominate, the GIL caps the
-  thread pool at numpy's released-GIL parallelism and the honest
-  expectation is parity.  ``REPRO_BENCH_THREAD_{POINTS,LIFETIMES}``
-  shrink the grid for CI.
+  per-shard pickle — against the default process pool, whose workers
+  rebuild each shard from pickled points.  Bit-identity is always
+  asserted (the pool oracle); the strict floor
+  (``REPRO_BENCH_THREAD_STRICT=1``) belongs to startup-dominated grids —
+  once kernels dominate, the GIL caps the thread pool at numpy's
+  released-GIL parallelism and the honest expectation is parity.
+  ``REPRO_BENCH_THREAD_{POINTS,LIFETIMES}`` shrink the grid for CI.
 
 * **Rare-event budget** (PR 6): a two-point failure-rate grid whose
   analytical unavailabilities sit at 1e-11 and 4e-11 — five orders of
@@ -83,6 +83,15 @@ Four acceptance criteria live here:
   weight-*ratio*, stable where the raw weighted second moment is not.
   ``REPRO_BENCH_RARE_{LIFETIMES,TARGET,CEILING}`` shrink or tighten the
   run for quick runs.
+
+* **Likelihood-ratio arithmetic**: the same two rare points at 200k
+  lifetimes each (the repository benchmark's ``rare_event`` first round),
+  stacked into one in-process batch at ``biasing=50``, run on the
+  closed-form exponential likelihood ratios and on the general-form
+  sampler methods they replaced (the test-only references in
+  ``tests/core/test_likelihood_ratio.py``).  Byte-identical batches,
+  ``log_weights`` included, and generator states are asserted; the
+  speedup is recorded with its spread and carries no floor.
 
 Run with ``pytest benchmarks/bench_sweep.py -s`` to see the measured
 speedups alongside the timing records; machine-readable results land in
@@ -411,13 +420,13 @@ def _transport_configs(transport: str, n_iterations=None):
 def test_stacked_shm_transport(bench_record):
     """Shared-memory vs pickle transport: bit-identity + recorded speedup.
 
-    The shm side is today's process-pool default — parameter planes cross
+    The shm side (``transport="shm"``) moves the parameter planes across
     the process boundary once through shared memory and workers attach
-    row-range views.  The pickle side re-pickles each shard's points and
-    rebuilds its ``StackedParams`` slice from scratch.  Both run the stock
-    ``conventional`` policy, so results must be bit-identical (same shard
-    plan, same streams, value-identical parameter rows) — that assertion
-    runs everywhere.  The >= 2x floor runs only with
+    row-range views.  The pickle side — the process-pool default —
+    pickles each shard's points and rebuilds its ``StackedParams`` slice
+    in the worker.  Both run the stock ``conventional`` policy, so
+    results must be bit-identical (same shard plan, same streams,
+    value-identical parameter rows) — that assertion runs everywhere.  The >= 2x floor runs only with
     ``REPRO_BENCH_TRANSPORT_STRICT=1`` on >= 4 cores: it belongs to the
     transport-bound regime (large per-point payloads), which this model's
     ten-scalar points do not reach — there the honest expectation is
@@ -757,6 +766,80 @@ def test_rare_event_budget(bench_record):
         f"importance-sampled budget is {100 / efficiency:.1f}% of the naive "
         f"budget (required <= 1 %, i.e. >= {REQUIRED_RARE_EFFICIENCY:g}x "
         "variance efficiency)"
+    )
+
+
+#: Lifetimes per point of the likelihood-ratio comparison: the size of the
+#: repository benchmark's ``rare_event`` first round.
+LR_LIFETIMES = 200_000
+
+
+def _rare_first_round(retired: bool):
+    """Run the rare grid's first round as one batch, optionally on the oracle."""
+    from tests.core.test_likelihood_ratio import RETIRED_LR
+
+    points = [paper_parameters(disk_failure_rate=rate, hep=0.0) for rate in RARE_RATES]
+    grid = stack_parameter_points(points, [LR_LIFETIMES] * len(points))
+    rng = RandomStreams(2017).stream("montecarlo")
+    sampler = (
+        mock.patch.multiple(vectorized._BiasedSampler, **RETIRED_LR)
+        if retired
+        else contextlib.nullcontext()
+    )
+    with sampler:
+        batch = get_policy("conventional").simulate_stacked(
+            grid, 87_600.0, rng, biasing=RARE_BIASING
+        )
+    return batch, rng
+
+
+def test_biased_lr_arithmetic(bench_record):
+    """Closed-form exponential likelihood ratios vs the general form.
+
+    The general-form ``_accumulate``/``sample_matrix`` are the test-only
+    references in ``tests/core/test_likelihood_ratio.py``, patched into the
+    sampler.  Batches (``log_weights`` included) and the final generator
+    state must match byte for byte.  Both sides are timed warm, alternating,
+    as the median of :data:`TIMING_REPEATS` calls; the speedup carries no
+    floor because host speed drifts between calls.
+    """
+    _rare_first_round(False)  # warm both sides
+    _rare_first_round(True)
+    seconds = {False: [], True: []}
+    for _ in range(TIMING_REPEATS):
+        for retired in (True, False):
+            start = time.perf_counter()
+            _rare_first_round(retired)
+            seconds[retired].append(time.perf_counter() - start)
+
+    batch, rng = _rare_first_round(False)
+    reference, rng_ref = _rare_first_round(True)
+    for field in _BATCH_FIELDS + ("log_weights",):
+        assert getattr(batch, field).tobytes() == getattr(reference, field).tobytes(), field
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    new, old = seconds[False], seconds[True]
+    speedup = float(np.median(old)) / max(float(np.median(new)), 1e-9)
+    print(
+        f"\nbiased LR arithmetic: {len(RARE_RATES)} points x {LR_LIFETIMES} lifetimes, "
+        f"biasing {RARE_BIASING:g} — closed form {np.median(new):.3f}s "
+        f"({min(new):.3f}-{max(new):.3f}), general form {np.median(old):.3f}s "
+        f"({min(old):.3f}-{max(old):.3f}), speedup {speedup:.2f}x"
+    )
+    bench_record(
+        "biased_lr_arithmetic",
+        points=len(RARE_RATES),
+        seconds=float(np.median(new)),
+        speedup=speedup,
+        lifetimes_per_point=LR_LIFETIMES,
+        biasing=RARE_BIASING,
+        seconds_min=round(min(new), 6),
+        seconds_max=round(max(new), 6),
+        reference_seconds=round(float(np.median(old)), 6),
+        reference_seconds_min=round(min(old), 6),
+        reference_seconds_max=round(max(old), 6),
+        speedup_min=round(min(old) / max(max(new), 1e-9), 3),
+        speedup_max=round(max(old) / max(min(new), 1e-9), 3),
     )
 
 

@@ -275,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--transport",
         choices=list(TRANSPORTS),
         default="auto",
-        help="stacked-grid parameter transport: auto (zero-copy shared "
-        "memory when usable), shm, or pickle (per-shard rebuild; the "
-        "bit-identity oracle)",
+        help="stacked-grid parameter transport: auto (per-shard rebuild "
+        "on process pools, grid views otherwise), shm (shared-memory "
+        "planes), or pickle (per-shard rebuild everywhere)",
     )
     mc.add_argument(
         "--kernel",
@@ -445,9 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--transport",
         choices=list(TRANSPORTS),
         default="auto",
-        help="stacked-grid parameter transport: auto (zero-copy shared "
-        "memory when usable), shm, or pickle (per-shard rebuild; the "
-        "bit-identity oracle)",
+        help="stacked-grid parameter transport: auto (per-shard rebuild "
+        "on process pools, grid views otherwise), shm (shared-memory "
+        "planes), or pickle (per-shard rebuild everywhere)",
     )
     sweep_parser.add_argument(
         "--kernel",

@@ -86,10 +86,10 @@ def summarise_batch(
     # SimulationError from deep inside the interval computation.
     if len(batch) < 2:
         raise ConfigurationError("at least two iterations are required to summarise")
-    availabilities = batch.weighted_availabilities()
+    weights = batch.weights()
+    availabilities = batch.weighted_availabilities(weights)
     interval = confidence_interval(availabilities, confidence=config.confidence)
     ess = None
-    weights = batch.weights()
     if weights is not None:
         moments = StreamingMoments.from_samples(availabilities, weights=weights)
         ess = moments.ess()
@@ -164,7 +164,9 @@ def segment_point_records(
     if len(point_indices) != len(counts):
         raise ConfigurationError("one point index is required per segment")
     weights = batch.weights()
-    moments = segmented_moments(batch.weighted_availabilities(), counts, weights=weights)
+    moments = segmented_moments(
+        batch.weighted_availabilities(weights), counts, weights=weights
+    )
     sizes = np.asarray(list(counts), dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     records = np.zeros(len(moments), dtype=POINT_SUMMARY_DTYPE)
@@ -217,7 +219,9 @@ def segment_point_summaries(
     if len(point_indices) != len(counts):
         raise ConfigurationError("one point index is required per segment")
     weights = batch.weights()
-    moments = segmented_moments(batch.weighted_availabilities(), counts, weights=weights)
+    moments = segmented_moments(
+        batch.weighted_availabilities(weights), counts, weights=weights
+    )
     sizes = np.asarray(list(counts), dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
 

@@ -21,10 +21,10 @@ DEFAULT_ITERATIONS = 20_000
 #: whenever the policy has a kernel and no trace was requested.
 EXECUTORS = ("auto", "batch", "scalar")
 
-#: Accepted stacked-grid parameter transports: ``"auto"`` prefers the
-#: zero-copy shared-memory planes and falls back to pickling, ``"shm"``
-#: demands shared memory, ``"pickle"`` pins the per-shard rebuild path
-#: (the bit-identity oracle; also the spawn-only-platform fallback).
+#: Accepted stacked-grid parameter transports: ``"auto"`` pickles each
+#: shard's points to process pools and hands thread and in-process shards
+#: views of the grid, ``"shm"`` demands shared-memory planes, ``"pickle"``
+#: pins the per-shard rebuild path.
 #: Re-exported from the transport module, the single source of truth.
 from repro.core.montecarlo.transport import TRANSPORTS  # noqa: E402
 
@@ -109,12 +109,12 @@ class MonteCarloConfig:
         ``DEFAULT_ADAPTIVE_CEILING``.  Ignored without ``target_half_width``.
     transport:
         How a stacked sweep's parameter planes reach the shard workers:
-        ``"auto"`` (zero-copy shared-memory planes whenever usable,
-        pickling otherwise), ``"shm"`` (demand shared memory; error when
-        unavailable) or ``"pickle"`` (per-shard scalar rebuild — the
-        retained fallback and bit-identity oracle).  Both transports are
-        byte-identical in results; single-point (non-stacked) runs ignore
-        the setting because only scalars ever cross the boundary there.
+        ``"auto"`` (per-shard scalar rebuild on process pools, zero-copy
+        grid views for thread and in-process shards), ``"shm"`` (shared-
+        memory planes; error when unavailable) or ``"pickle"`` (per-shard
+        scalar rebuild everywhere).  Every transport is byte-identical in
+        results; single-point (non-stacked) runs ignore the setting
+        because only scalars ever cross the boundary there.
     biasing:
         Failure-biasing factor of the importance-sampled kernels: failure
         rates are inflated by this factor (> 0) and every lifetime carries a

@@ -169,10 +169,11 @@ def run_shard(
             force_scalar=config.executor == "scalar",
             biasing=config.biasing,
         )
+    weights = batch.weights()
     return ShardSummary(
         shard_index=shard_index,
         moments=StreamingMoments.from_samples(
-            batch.weighted_availabilities(), weights=batch.weights()
+            batch.weighted_availabilities(weights), weights=weights
         ),
         totals=batch.totals(),
     )
@@ -860,10 +861,9 @@ def run_stacked_shard(
     ``shard.point_indices``; the worker expands them into its own
     :class:`StackedParams` slice (``shard.counts`` rows each), so only a
     handful of scalars — never grid-sized arrays — cross the process
-    boundary.  This is the fallback for hosts without usable shared memory
-    and the bit-identity oracle of the zero-copy transport; the summary
-    comes back as one :data:`~repro.core.montecarlo.batch.POINT_SUMMARY_DTYPE`
-    record array either way.
+    boundary.  This is the process-pool default; the summary comes back as
+    one :data:`~repro.core.montecarlo.batch.POINT_SUMMARY_DTYPE` record
+    array on every transport.
 
     Periodic-scheme policies (the erasure family) re-resolve their scheme
     against each point worker-side, so the rebuilt slice carries the same
@@ -1132,14 +1132,14 @@ def run_stacked_sharded(
     contract.  ``pool`` lets a caller share one executor across several
     grids; its lifecycle then belongs to the caller.
 
-    The sweep's parameter planes cross the process boundary once, not once
-    per shard: on the default ``transport="auto"`` the grid's broadcast
-    arrays are materialised into a context-managed shared-memory segment
-    (unlinked on every exit path) and workers attach read-only row-range
-    views; shard summaries come back as fixed-width record arrays merged
-    with array ops in plan order.  ``transport="pickle"`` retains the
-    per-shard scalar rebuild — the spawn-platform fallback and the
-    bit-identity oracle the shm path is verified against.
+    On the default ``transport="auto"``, process-pool shards carry their
+    points' scalars and each worker rebuilds its own row slice, while
+    thread and in-process shards take row-range views of one grid built
+    here.  ``transport="shm"`` instead materialises the grid's broadcast
+    arrays once into a context-managed shared-memory segment (unlinked on
+    every exit path) and workers attach read-only row-range views.  Shard
+    summaries come back as fixed-width record arrays merged with array ops
+    in plan order, byte-identical on every transport.
     """
     policy, first = _validate_stacked(configs)
     if first.target_half_width is not None and crn:
@@ -1212,7 +1212,7 @@ def run_stacked_sharded(
         # Transport resolution keys on whether shards actually leave the
         # process: a thread pool (own or caller-shared) keeps them here, so
         # it gets the zero-copy "view" planes — the whole point of the
-        # thread executor — instead of a shared-memory segment.
+        # thread executor — instead of a per-shard rebuild.
         mode = resolve_stacked_transport(
             first.transport, pooled=_crosses_process_boundary(supervisor.pool)
         )

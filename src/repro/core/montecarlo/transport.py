@@ -22,9 +22,9 @@ The segment layout is deliberately trivial — every plane is a contiguous
 that spec is the only thing pickled per shard.
 
 Transport selection lives in :func:`resolve_stacked_transport`: ``"auto"``
-prefers shared memory whenever it is actually usable (probed once, not
-assumed from the platform) and falls back to the retained pickle path,
-which doubles as the bit-identity oracle — both transports feed the kernels
+resolves to the pickle path on process pools, and shared memory runs only
+when ``transport="shm"`` asks for it (and is usable here: probed once, not
+assumed from the platform).  Both transports feed the kernels
 value-identical parameter rows, so results are byte-identical.
 """
 
@@ -180,31 +180,32 @@ def shared_memory_available() -> bool:
 def resolve_stacked_transport(transport: str, pooled: bool) -> str:
     """Resolve a config's transport to the concrete execution mode.
 
-    Returns one of ``"shm"`` (planes in a shared segment, workers attach),
-    ``"view"`` (single process: shards slice the materialised grid
-    directly — the degenerate zero-copy case with no segment at all), or
-    ``"pickle"`` (per-shard scalar rebuild, the retained fallback/oracle).
+    Returns one of ``"pickle"`` (per-shard scalar rebuild in the worker),
+    ``"view"`` (single process or thread pool: shards slice the
+    materialised grid directly, with no segment at all), or ``"shm"``
+    (planes in a shared segment, workers attach).
 
-    ``pooled`` says whether shards will cross a process boundary.  An
-    explicit ``"shm"`` request on a host without usable shared memory is an
-    error rather than a silent fallback; ``"auto"`` degrades to pickle.
+    ``pooled`` says whether shards will cross a process boundary.
+    ``"auto"`` resolves to ``"pickle"`` there: shared memory never beat it
+    on this model's ten-scalar points, and it maps a grid-sized segment
+    besides.  Shared memory runs only on an explicit ``"shm"`` request,
+    which is an error rather than a silent fallback on a host without
+    usable shared memory.
     """
     if transport not in TRANSPORTS:
         raise ConfigurationError(
             f"transport must be one of {TRANSPORTS}, got {transport!r}"
         )
-    if transport == "pickle":
+    if transport == "pickle" or (transport == "auto" and pooled):
         return "pickle"
     if not pooled:
         return "view"
-    if shared_memory_available():
-        return "shm"
-    if transport == "shm":
+    if not shared_memory_available():
         raise ConfigurationError(
             "transport='shm' was requested but POSIX shared memory is not "
             "usable on this host; use transport='auto' or 'pickle'"
         )
-    return "pickle"
+    return "shm"
 
 
 def _plane_layout(

@@ -209,7 +209,7 @@ class BatchLifetimes:
             return None
         return np.exp(self.log_weights)
 
-    def weighted_availabilities(self) -> np.ndarray:
+    def weighted_availabilities(self, weights: Optional[np.ndarray] = None) -> np.ndarray:
         """Return the per-lifetime *unbiased estimator* of availability.
 
         For an unbiased batch this is exactly :meth:`availabilities`.  For an
@@ -217,10 +217,12 @@ class BatchLifetimes:
         unavailability is reweighted by the likelihood ratio ``w = dP/dQ``
         while lifetimes with zero downtime contribute exactly ``1.0``
         regardless of their weight, so the estimator's expectation under the
-        biased measure equals the nominal availability.
+        biased measure equals the nominal availability.  Callers already
+        holding :meth:`weights` pass them in to skip a second ``exp``.
         """
         availabilities = self.availabilities()
-        weights = self.weights()
+        if weights is None:
+            weights = self.weights()
         if weights is None:
             return availabilities
         return 1.0 - weights * (1.0 - availabilities)

@@ -384,6 +384,13 @@ class _BiasedSampler:
     unit expectation under the biased measure, and the clipped-at-horizon
     downtime is measurable with respect to the censored observations, so
     the weighted availability estimator is exactly unbiased.
+
+    **Exponential closed form.**  When the failure law's shape is the scalar
+    1 and the factor is a scalar, the contributions reduce to
+    ``(b - 1) * t'/s - log(b)`` and ``(b - 1) * (H - tau)/s``, with ``log(b)``
+    evaluated once.  That is the general arithmetic with ``b^1 = b``,
+    ``x^1 = x`` and ``1 * y = y`` applied, each exact in floating point, so
+    the weights are bit-identical to the general path.
     """
 
     def __init__(self, base, factor, horizon_hours: float, log_weights: np.ndarray) -> None:
@@ -405,6 +412,19 @@ class _BiasedSampler:
                 f"{log_weights.size} lifetimes"
             )
         self.shape, self.scale = _failure_shape_scale(base)
+        #: ``log(b)`` when the exponential closed form applies, else ``None``.
+        self.log_factor: Optional[float] = None
+        exponential = isinstance(self.shape, float) and self.shape == 1.0
+        if exponential and isinstance(self.factor, float):
+            self.log_factor = float(np.log(np.array([self.factor]))[0])
+
+    def _exponential_contrib(self, fired, draws, remaining, s) -> np.ndarray:
+        """Closed-form contributions: density ratio where ``fired``, else survival."""
+        contrib = np.where(fired, draws, remaining)
+        contrib /= s
+        contrib *= self.factor - 1.0
+        np.subtract(contrib, self.log_factor, out=contrib, where=fired)
+        return contrib
 
     def sample_rows(
         self, rows: np.ndarray, rng: np.random.Generator, at: Optional[np.ndarray] = None
@@ -442,17 +462,22 @@ class _BiasedSampler:
             draws = self.base.sample_rows(rows, rng).reshape(m, n_cols)
         else:
             draws = _sample(self.base, m * n_cols, rng).reshape(m, n_cols)
-        b = np.broadcast_to(np.asarray(self.factor, dtype=float), (m,))[:, None]
-        k = np.broadcast_to(np.asarray(self.shape, dtype=float), (m,))[:, None]
-        s = np.broadcast_to(np.asarray(self.scale, dtype=float), (m,))[:, None]
-        draws = draws / b
-        bk = np.power(b, k)
-        fired = draws < self.horizon
-        contrib = np.where(
-            fired,
-            (bk - 1.0) * np.power(draws / s, k) - k * np.log(b),
-            (bk - 1.0) * np.power(self.horizon / s, k),
-        )
+        if self.log_factor is not None:
+            draws = draws / self.factor
+            s = self.scale[:, None] if isinstance(self.scale, np.ndarray) else self.scale
+            contrib = self._exponential_contrib(draws < self.horizon, draws, self.horizon, s)
+        else:
+            b = np.broadcast_to(np.asarray(self.factor, dtype=float), (m,))[:, None]
+            k = np.broadcast_to(np.asarray(self.shape, dtype=float), (m,))[:, None]
+            s = np.broadcast_to(np.asarray(self.scale, dtype=float), (m,))[:, None]
+            draws = draws / b
+            bk = np.power(b, k)
+            fired = draws < self.horizon
+            contrib = np.where(
+                fired,
+                (bk - 1.0) * np.power(draws / s, k) - k * np.log(b),
+                (bk - 1.0) * np.power(self.horizon / s, k),
+            )
         if n_disks_rows is not None and np.any(n_disks_rows < n_cols):
             contrib[np.arange(n_cols)[None, :] >= n_disks_rows[:, None]] = 0.0
         self.log_weights += contrib.sum(axis=1)
@@ -470,6 +495,13 @@ class _BiasedSampler:
         """Add each draw's censored log-likelihood-ratio to its lifetime."""
         size = draws.size
         if size == 0:
+            return
+        if self.log_factor is not None:
+            remaining = self.horizon - births
+            live = remaining > 0.0
+            contrib = self._exponential_contrib(live & (draws < remaining), draws, remaining, s)
+            contrib[~live] = 0.0
+            np.add.at(self.log_weights, rows, contrib)
             return
         b = np.broadcast_to(np.asarray(b, dtype=float), (size,))
         k = np.broadcast_to(np.asarray(k, dtype=float), (size,))

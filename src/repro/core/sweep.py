@@ -564,9 +564,10 @@ def sweep(
         between neighbouring points.
     transport:
         How a stacked sweep's parameter planes reach the shard workers:
-        ``"auto"`` (zero-copy shared-memory planes whenever usable),
-        ``"shm"`` or ``"pickle"`` (per-shard rebuild, the retained
-        fallback/oracle).  Results are byte-identical across transports.
+        ``"auto"`` (per-shard scalar rebuild on process pools, zero-copy
+        grid views for thread and in-process shards), ``"shm"``
+        (shared-memory planes) or ``"pickle"`` (per-shard rebuild
+        everywhere).  Results are byte-identical across transports.
     biasing:
         Failure-biasing factor of the importance-sampled kernels (``None``
         keeps the unbiased kernels); see

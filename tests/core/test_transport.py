@@ -5,12 +5,18 @@ memory and pickle transports and any worker count all have to produce
 byte-identical ``MonteCarloResult``s, because they feed the very same
 kernels the very same parameter rows and random streams; the compacted
 kernels must reproduce the records of the uncompacted loops they replaced.
-This suite pins those guarantees, plus the operational ones —
-no leaked ``/dev/shm`` segments after failing sweeps, and the worker
+This suite pins those guarantees, plus the operational ones — how
+``"auto"`` resolves, no leaked ``/dev/shm`` segments after failing sweeps,
+no resource-tracker warnings from default pooled sweeps, and the worker
 initializer (BLAS pinning) actually running in every pool worker.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +25,11 @@ from repro.core.montecarlo import (
     MonteCarloConfig,
     replay_stacked_point,
     run_stacked,
+    transport,
 )
 from repro.core.montecarlo.parallel import worker_pool, worker_probe
 from repro.core.montecarlo.transport import (
+    SHM_SEGMENT_PREFIX,
     SharedGridPlanes,
     active_segments,
     attach_grid_slice,
@@ -44,7 +52,7 @@ HORIZON = 87_600.0
 #: Elevated rates so short runs still see failures, repairs and wrong pulls.
 STRESS = dict(disk_failure_rate=1e-4, hep=0.02)
 
-pytestmark = pytest.mark.skipif(
+requires_shm = pytest.mark.skipif(
     not shared_memory_available(), reason="POSIX shared memory is not usable here"
 )
 
@@ -79,6 +87,7 @@ def _result_key(results):
     ]
 
 
+@requires_shm
 class TestTransportBitIdentity:
     """shm and pickle transports must be byte-identical, any worker count."""
 
@@ -118,6 +127,70 @@ class TestTransportBitIdentity:
             run_stacked(mixed)
 
 
+class TestTransportResolution:
+    """``"auto"`` pickles to process pools; shared memory only on request."""
+
+    def test_auto_resolves_to_pickle_when_pooled_and_view_otherwise(self):
+        assert resolve_stacked_transport("auto", pooled=True) == "pickle"
+        assert resolve_stacked_transport("auto", pooled=False) == "view"
+
+    def test_pickle_resolves_to_pickle(self):
+        for pooled in (True, False):
+            assert resolve_stacked_transport("pickle", pooled=pooled) == "pickle"
+
+    @requires_shm
+    def test_explicit_shm_resolves_to_shm(self):
+        assert resolve_stacked_transport("shm", pooled=True) == "shm"
+        assert resolve_stacked_transport("shm", pooled=False) == "view"
+
+    def test_explicit_shm_raises_when_shared_memory_is_unusable(self, monkeypatch):
+        monkeypatch.setattr(transport, "_SHM_USABLE", False)
+        with pytest.raises(ConfigurationError, match="shared memory is not usable"):
+            resolve_stacked_transport("shm", pooled=True)
+        assert resolve_stacked_transport("auto", pooled=True) == "pickle"
+
+
+#: A caller-owned, pre-started 2-worker pool running two default Monte
+#: Carlo grid sweeps; prints its pid in hex, as segment names embed it.
+_POOLED_SWEEPS = """
+import importlib, os
+from repro.core.montecarlo.parallel import worker_pool, worker_probe
+from repro.core.parameters import paper_parameters
+sweep = importlib.import_module("repro.core.sweep")
+with worker_pool(2) as pool:
+    for probe in [pool.submit(worker_probe) for _ in range(2)]:
+        probe.result()
+    for seed in (1, 2):
+        sweep.sweep_grid(
+            paper_parameters(), "hep", [1e-3, 1e-2], "failure_rate", [1e-5, 1e-4],
+            policy="conventional", backend="monte_carlo", mc_iterations=2000,
+            seed=seed, workers=2, pool=pool,
+        )
+print(f"{os.getpid():x}")
+"""
+
+
+class TestDefaultPooledSweeps:
+    """Default sweeps on a caller-owned pool leave no warnings or segments."""
+
+    def test_no_tracker_warnings_and_no_surviving_segments(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _POOLED_SWEEPS],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
+        prefix = f"{SHM_SEGMENT_PREFIX}{proc.stdout.strip()}-"
+        assert not [name for name in active_segments() if name.startswith(prefix)]
+
+
+@requires_shm
 class TestSharedPlanes:
     """The segment layout and attach protocol round-trip exactly."""
 
@@ -168,6 +241,7 @@ EXPLODING_POLICY = SimulationPolicy(
 )
 
 
+@requires_shm
 class TestShmLifecycle:
     """Segments are unlinked on every exit path, including worker failures."""
 
