@@ -84,6 +84,15 @@ The benchmarks, one per bullet:
   ``REPRO_BENCH_RARE_{LIFETIMES,TARGET,CEILING}`` shrink or tighten the
   run for quick runs.
 
+* **Analytical op**: the repository benchmark's ``analytical`` op in one
+  process — two 100 x 100 hep x failure-rate template grids and a 200-hep
+  3-of-10 erasure checker-cycle sweep — on the bulk point constructor and
+  the batched cycle fixed-point solve, against the per-point builder, the
+  per-point checker loop and the one-matrix solve they replaced (the
+  test-only references in ``tests/core/test_sweep_engine.py`` and
+  ``tests/markov/test_checker.py``).  Byte-identical points are asserted;
+  the speedup is recorded with its spread and carries no floor.
+
 * **Likelihood-ratio arithmetic**: the same two rare points at 200k
   lifetimes each (the repository benchmark's ``rare_event`` first round),
   stacked into one in-process batch at ``biasing=50``, run on the
@@ -102,6 +111,7 @@ runs and rendered by ``python -m repro bench history``.
 from __future__ import annotations
 
 import contextlib
+import gc
 import os
 import time
 from unittest import mock
@@ -115,12 +125,14 @@ from repro.core.montecarlo.parallel import worker_pool
 from repro.core.montecarlo.transport import shared_memory_available
 from repro.core.parameters import paper_parameters
 from repro.core.policies import get_policy, vectorized
+from repro.core.policies.erasure import erasure_policy
 from repro.core.policies.stacked import stack_parameter_points
 from repro.core.policies.vectorized import batch_conventional
-from repro.core.sweep import sweep, sweep_per_point_rebuild
+from repro.core.sweep import sweep, sweep_grid
 from repro.simulation.confidence import t_critical
 from repro.simulation.rng import RandomStreams
 from repro.storage.raid import RaidGeometry
+from tests.core.rebuild_oracle import sweep_per_point_rebuild
 
 #: Sweep size of the headline comparison.
 N_POINTS = 1000
@@ -833,6 +845,86 @@ def test_biased_lr_arithmetic(bench_record):
         speedup=speedup,
         lifetimes_per_point=LR_LIFETIMES,
         biasing=RARE_BIASING,
+        seconds_min=round(min(new), 6),
+        seconds_max=round(max(new), 6),
+        reference_seconds=round(float(np.median(old)), 6),
+        reference_seconds_min=round(min(old), 6),
+        reference_seconds_max=round(max(old), 6),
+        speedup_min=round(min(old) / max(max(new), 1e-9), 3),
+        speedup_max=round(max(old) / max(min(new), 1e-9), 3),
+    )
+
+
+# ----------------------------------------------------------------------
+# The analytical op: bulk-built points and batched checker-cycle solves
+# ----------------------------------------------------------------------
+#: Axes of the repository benchmark's ``analytical`` op (its inputs without
+#: the per-seed jitter): two 100 x 100 template grids and a 200-hep
+#: erasure sweep, 20,200 points in all.
+ANALYTICAL_HEPS = [float(h) for h in np.logspace(-4.0, -1.0, 100)]
+ANALYTICAL_RATES = [float(r) for r in np.logspace(-7.0, -4.0, 100)]
+ANALYTICAL_ERASURE_HEPS = [float(h) for h in np.logspace(-4.0, -1.0, 200)]
+
+
+def _analytical_op(retired: bool):
+    """Run the analytical op, optionally on the retired per-point paths."""
+    from tests.core.test_sweep_engine import retired_sweep_paths
+
+    with retired_sweep_paths() if retired else contextlib.nullcontext():
+        grids = [
+            sweep_grid(
+                paper_parameters(), "hep", ANALYTICAL_HEPS, "failure_rate",
+                ANALYTICAL_RATES, policy, backend="analytical",
+            )
+            for policy in ("conventional", "automatic_failover")
+        ]
+        erasure = sweep(
+            paper_parameters(geometry=RaidGeometry.erasure(3, 10), disk_failure_rate=1e-6),
+            "hep", ANALYTICAL_ERASURE_HEPS, erasure_policy(3, 10, repair_threshold=8),
+            backend="analytical",
+        )
+    return [point for grid in grids for row in grid.points for point in row] + erasure
+
+
+def test_analytical_result_path(bench_record):
+    """Bulk-built points and batched fixed points vs the per-point paths.
+
+    The retired point builder, per-point checker loop and one-matrix
+    fixed-point solve are the test-only references, patched into the
+    engine.  Every field of every point must match byte for byte.  Both
+    sides are timed warm, alternating, as the median of
+    :data:`TIMING_REPEATS` calls; the speedup carries no floor because host
+    speed drifts between calls.  Each timed call starts from a collected
+    heap: an op leaves 20k points behind, and a full collection owed by
+    earlier calls would otherwise land on whichever side runs next.
+    """
+    from tests.core.test_sweep_engine import hex_dump
+
+    _analytical_op(False)  # warm both sides: template cache, imports
+    _analytical_op(True)
+    seconds = {False: [], True: []}
+    for _ in range(TIMING_REPEATS):
+        for retired in (True, False):
+            gc.collect()
+            start = time.perf_counter()
+            _analytical_op(retired)
+            seconds[retired].append(time.perf_counter() - start)
+
+    points = _analytical_op(False)
+    assert hex_dump(points) == hex_dump(_analytical_op(True))
+
+    new, old = seconds[False], seconds[True]
+    speedup = float(np.median(old)) / max(float(np.median(new)), 1e-9)
+    print(
+        f"\nanalytical op: {len(points)} points — bulk/batched {np.median(new):.3f}s "
+        f"({min(new):.3f}-{max(new):.3f}), per-point {np.median(old):.3f}s "
+        f"({min(old):.3f}-{max(old):.3f}), speedup {speedup:.2f}x"
+    )
+    bench_record(
+        "analytical_result_path",
+        points=len(points),
+        seconds=float(np.median(new)),
+        speedup=speedup,
         seconds_min=round(min(new), 6),
         seconds_max=round(max(new), 6),
         reference_seconds=round(float(np.median(old)), 6),

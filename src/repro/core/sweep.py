@@ -11,9 +11,9 @@ registered policy on either evaluation backend:
   see :mod:`repro.core.evaluation`) evaluates each transition rate once over
   those columns and solves the whole generator stack in one batched
   factorization.  No parameter object, builder, chain or solver is
-  constructed per point — see ``benchmarks/bench_sweep.py`` for the speedup
-  over the per-point rebuild loop (kept as :func:`sweep_per_point_rebuild`
-  for reference and regression testing).
+  constructed per point, and the points themselves are built in bulk —
+  see ``benchmarks/bench_sweep.py`` for the speedup over the per-point
+  rebuild loop the test suite keeps as its reference.
 * **monte_carlo** sweeps run on the **stacked-grid engine** by default:
   per-study scalars become per-lifetime broadcast arrays and one kernel
   invocation per shard simulates the whole ``points x lifetimes`` grid
@@ -39,7 +39,7 @@ Periodic-scheme policies (the erasure k-of-N family) have no ergodic steady
 state; analytical sweeps route their points through the checker-cycle solver
 in :mod:`repro.markov.checker` instead of the template engine, building the
 decay chain and its cycle operator once per group of points that differ
-only in ``hep``.
+only in ``hep`` and solving the group's cycle fixed points in one call.
 
 The legacy helpers (:func:`sweep_hep`, :func:`sweep_failure_rate`, ...) keep
 their signatures; any registered policy name or :class:`SimulationPolicy`
@@ -50,14 +50,15 @@ from __future__ import annotations
 
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, fields, replace
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.availability.metrics import availability_to_nines
 from repro.core.evaluation import (
-    analytical_result,
+    analytical_result,  # looked up here by the tests' rebuild reference and perfbench
     chain_template,
     evaluate,
     evaluate_stacked,
@@ -73,7 +74,6 @@ from repro.core.policies.base import SimulationPolicy
 from repro.core.policies.registry import resolve_policy
 from repro.exceptions import ConfigurationError
 from repro.markov import checker
-from repro.markov.metrics import steady_state_availability
 from repro.markov.rates import PARAMETER_SYMBOLS, symbol_table
 
 #: Sweepable parameter axes: public alias -> AvailabilityParameters field.
@@ -169,6 +169,34 @@ class SweepPoint:
         return payload
 
 
+#: The fields after ``nines`` at their defaults, in declaration order.
+_EXTRA_DEFAULTS = {field.name: field.default for field in fields(SweepPoint)[4:]}
+
+
+def _new_points(rows: Iterable[tuple]) -> List[SweepPoint]:
+    """Build sweep points in bulk from field rows.
+
+    A row is ``(x, availability, unavailability, nines, extra)``, with
+    ``extra`` mapping the later fields in declaration order.  Each point's
+    instance ``__dict__`` is filled directly, in that order, instead of
+    through the generated ``__init__`` and its nine ``object.__setattr__``
+    calls; the points equal ``SweepPoint(...)`` in ``vars()``, ``==``,
+    ``hash``, ``repr`` and pickle.
+    """
+    new = object.__new__
+    points = []
+    for x, a, u, n, extra in rows:
+        point = new(SweepPoint)
+        state = point.__dict__
+        state["x"] = x
+        state["availability"] = a
+        state["unavailability"] = u
+        state["nines"] = n
+        state.update(extra)
+        points.append(point)
+    return points
+
+
 def _axis_field(axis: str) -> str:
     try:
         return SWEEP_AXES[axis]
@@ -215,17 +243,13 @@ def _points_from_availability(
 ) -> List[SweepPoint]:
     # Column-wise twin of availability_from_up_mass: the caller summed the
     # up-state mass left to right from 0, as the scalar path does; clip and
-    # convert the same way, point by point.
-    clipped = np.minimum(np.maximum(availability, 0.0), 1.0).tolist()
-    return [
-        SweepPoint(
-            x=x,
-            availability=value,
-            unavailability=1.0 - value,
-            nines=availability_to_nines(value),
-        )
-        for x, value in zip(xs, clipped)
-    ]
+    # subtract the same way, and validate each point's nines conversion.
+    clipped = np.minimum(np.maximum(availability, 0.0), 1.0)
+    values = clipped.tolist()
+    nines = map(availability_to_nines, values)
+    return _new_points(
+        zip(xs, values, (1.0 - clipped).tolist(), nines, repeat(_EXTRA_DEFAULTS))
+    )
 
 
 def _analytical_points(
@@ -285,9 +309,10 @@ def _periodic_availability(
     The between-checks decay chain and its cycle operator ``(M, OCC)``
     depend on every parameter except ``hep``, which only enters the
     check-instant repair matrix.  Rows are therefore grouped by their
-    non-hep values; each group builds its chain and operator once, and
-    each point solves only its own repair matrix and cycle fixed point —
-    the same arithmetic as :func:`repro.core.evaluation.analytical_result`.
+    non-hep values; each group builds its chain and operator once, builds
+    one repair matrix per point, and solves the stack of its points' cycle
+    fixed points in one batched call — member for member the arithmetic of
+    :func:`repro.core.evaluation.analytical_result`.
     """
     others = [field for field in swept if field != "hep"]
     keys = list(zip(*(swept[field].tolist() for field in others))) or [()] * k
@@ -303,13 +328,14 @@ def _periodic_availability(
         chain = policy.build_chain(params)
         period = float(scheme.check_period_hours)
         m, occ = checker.chain_cycle_operator(chain, period, checker_method)
-        occupancy = []
-        for row in rows:
-            repair = checker.check_repair_matrix(
+        repairs = np.array([
+            checker.check_repair_matrix(
                 chain, scheme.n_shares, scheme.k, scheme.repair_threshold, heps[row]
             )
-            occupancy.append(checker.cycle_start_distribution(m @ repair) @ occ)
-        fractions = np.array(occupancy) / period
+            for row in rows
+        ])
+        phis = checker.cycle_start_distribution(m @ repairs)
+        fractions = np.array([phi @ occ for phi in phis]) / period
         availability[rows] = sum(fractions[:, chain.index_of(s)] for s in chain.up_states())
     return availability
 
@@ -347,17 +373,13 @@ def _check_mc_options_for_backend(
         )
 
 
-def _point_from_estimate(estimate, x: float) -> SweepPoint:
-    return SweepPoint(
-        x=float(x),
-        availability=estimate.availability,
-        unavailability=estimate.unavailability,
-        nines=estimate.nines,
-        ci_lower=estimate.ci_lower,
-        ci_upper=estimate.ci_upper,
-        retried_shards=estimate.retried_shards,
-        resumed_shards=estimate.resumed_shards,
-        interrupted=estimate.interrupted,
+def _points_from_estimates(estimates, xs: Sequence[float]) -> List[SweepPoint]:
+    return _new_points(
+        (
+            float(x), e.availability, e.unavailability, e.nines,
+            {name: getattr(e, name) for name in _EXTRA_DEFAULTS},
+        )
+        for e, x in zip(estimates, xs)
     )
 
 
@@ -456,14 +478,12 @@ def _monte_carlo_points(
             checkpoint=checkpoint,
             resume=resume,
         )
-        return [
-            _point_from_estimate(estimate, x) for estimate, x in zip(estimates, xs)
-        ]
+        return _points_from_estimates(estimates, xs)
     # Per-point loop: one study per point, one shared pool for the sweep.
     context = nullcontext(pool) if pool is not None else worker_pool(workers, pool_kind)
-    points: List[SweepPoint] = []
+    estimates = []
     with context as sweep_pool:
-        for params, x in zip(point_params, xs):
+        for params in point_params:
             estimate = evaluate(
                 params,
                 policy=policy,
@@ -487,13 +507,13 @@ def _monte_carlo_points(
                 max_shard_retries=max_shard_retries,
                 retry_backoff=retry_backoff,
             )
-            points.append(_point_from_estimate(estimate, x))
+            estimates.append(estimate)
             if estimate.interrupted:
                 # The sharded executor absorbed a KeyboardInterrupt/SIGTERM
                 # into a partial estimate; honour it — don't start the
                 # remaining points after the user asked to stop.
                 break
-    return points
+    return _points_from_estimates(estimates, xs)
 
 
 def sweep(
@@ -796,45 +816,6 @@ def sweep_grid(
         values2=tuple(column2.tolist()),
         points=rows,
     )
-
-
-def sweep_per_point_rebuild(
-    base_params: AvailabilityParameters,
-    axis: str,
-    values: Sequence[float],
-    policy: PolicyRef = "conventional",
-    method: str = "dense",
-) -> List[SweepPoint]:
-    """Reference analytical sweep that rebuilds and re-solves per point.
-
-    This is the pre-template algorithm (one builder + chain + validation +
-    solver per point), retained as the ground truth the engine is benchmarked
-    and regression-tested against — `sweep(...)` must reproduce it exactly.
-    Periodic-scheme policies have no ergodic steady state; their reference
-    is the per-point checker-cycle solve of
-    :func:`~repro.core.evaluation.analytical_result`, which rebuilds the
-    decay chain and cycle operator at every point.
-    """
-    if not values:
-        raise ConfigurationError(f"sweep over {axis!r} requires at least one value")
-    field = _axis_field(axis)
-    resolved = resolve_policy(policy)
-    points = []
-    for value in values:
-        params = _with_axis(base_params, field, value)
-        if resolved.has_periodic_checks:
-            result = analytical_result(params, resolved, method=method)
-        else:
-            result = steady_state_availability(resolved.build_chain(params), method=method)
-        points.append(
-            SweepPoint(
-                x=float(value),
-                availability=result.availability,
-                unavailability=result.unavailability,
-                nines=result.nines,
-            )
-        )
-    return points
 
 
 # ----------------------------------------------------------------------

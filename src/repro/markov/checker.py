@@ -153,27 +153,32 @@ def cycle_operator(q: np.ndarray, period_hours: float):
 def cycle_start_distribution(cycle_matrix: np.ndarray) -> np.ndarray:
     """Solve the fixed point ``phi = phi @ cycle_matrix``, ``phi . 1 = 1``.
 
-    ``cycle_matrix`` is the full-cycle stochastic matrix ``M @ D``.  The
-    dense solve replaces one equation of the rank-deficient system with the
-    normalisation row; the result is clipped to ``[0, 1]``, renormalised,
+    ``cycle_matrix`` is the full-cycle stochastic matrix ``M @ D``, or an
+    ``(r, n, n)`` stack of them whose ``(r, n)`` fixed points come out of one
+    batched solve; a 2-D matrix is the one-member stack.  The dense solve
+    replaces one equation of the rank-deficient system with the
+    normalisation row; each result is clipped to ``[0, 1]``, renormalised,
     and checked against the fixed-point residual.
     """
     matrix = np.asarray(cycle_matrix, dtype=float)
-    n = matrix.shape[0]
-    a = matrix.T - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
+    stack = matrix.reshape((-1,) + matrix.shape[-2:])
+    r, n = stack.shape[:2]
+    a = np.swapaxes(stack, 1, 2) - np.eye(n)
+    a[:, -1, :] = 1.0
+    # An explicit (r, n, 1) right-hand side: a (r, n) one means a stack of
+    # vectors to numpy 1.x but an (r, n) matrix to numpy 2.x.
+    b = np.zeros((r, n, 1))
+    b[:, -1] = 1.0
     try:
-        phi = np.linalg.solve(a, b)
+        phi = np.linalg.solve(a, b)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"cycle-stationary solve failed: {exc}") from None
     phi = np.clip(phi, 0.0, 1.0)
-    total = phi.sum()
-    if total <= 0.0:
+    total = phi.sum(axis=1, keepdims=True)
+    if np.any(total <= 0.0):
         raise SolverError("cycle-stationary solve produced a zero distribution")
-    phi = phi / total
-    residual = float(np.max(np.abs(phi @ matrix - phi)))
+    phi = (phi / total).reshape(matrix.shape[:-1])
+    residual = float(np.max(np.abs(phi[..., None, :] @ matrix - phi[..., None, :])))
     if residual > _RESIDUAL_TOLERANCE:
         raise SolverError(
             f"cycle-stationary fixed point residual {residual:.3e} exceeds "

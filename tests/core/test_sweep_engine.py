@@ -1,37 +1,163 @@
-"""Tests for the generic sweep engine against the per-point rebuild path."""
+"""Tests for the generic sweep engine against the per-point rebuild path.
+
+:data:`RETIRED_SWEEP` keeps the per-point point builder and the per-point
+checker-cycle loop that the bulk constructor and the batched fixed-point
+solve replaced, verbatim, as oracles; :func:`retired_sweep_paths` patches
+them (and the one-matrix checker solve) back into the engine.
+"""
 
 from __future__ import annotations
+
+import contextlib
+import importlib
+import itertools
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
+from typing import Dict, List, Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from dataclasses import replace
-
+from repro.availability.metrics import availability_to_nines
 from repro.core.evaluation import (
     analytical_policies,
     analytical_result,
     clear_template_cache,
     evaluate,
 )
-from repro.core.parameters import paper_parameters
+from repro.core.parameters import AvailabilityParameters, paper_parameters
+from repro.core.policies.base import SimulationPolicy
 from repro.core.policies.erasure import erasure_policy
 from repro.core.sweep import (
     SWEEP_AXES,
+    SweepPoint,
     sweep,
     sweep_grid,
     sweep_hep,
-    sweep_per_point_rebuild,
     sweep_policies,
 )
 from repro.exceptions import ConfigurationError
 from repro.markov import checker
 from repro.storage.raid import RaidGeometry
+from tests.core.rebuild_oracle import sweep_per_point_rebuild
+from tests.markov.test_checker import (
+    ORACLE_HEPS,
+    ORACLE_PERIODS,
+    ORACLE_RATES,
+    ORACLE_SCHEMES,
+    RETIRED_CHECKER,
+)
+
+# ``repro.core`` re-exports the ``sweep`` function under the module's name.
+sweep_module = importlib.import_module("repro.core.sweep")
+_params_at = sweep_module._params_at
+
+
+def _retired_points_from_availability(
+    availability: np.ndarray, xs: Sequence[float]
+) -> List[SweepPoint]:
+    # Column-wise twin of availability_from_up_mass: the caller summed the
+    # up-state mass left to right from 0, as the scalar path does; clip and
+    # convert the same way, point by point.
+    clipped = np.minimum(np.maximum(availability, 0.0), 1.0).tolist()
+    return [
+        SweepPoint(
+            x=x,
+            availability=value,
+            unavailability=1.0 - value,
+            nines=availability_to_nines(value),
+        )
+        for x, value in zip(xs, clipped)
+    ]
+
+
+def _retired_periodic_availability(
+    base: AvailabilityParameters,
+    swept: Dict[str, np.ndarray],
+    k: int,
+    policy: SimulationPolicy,
+    method: str,
+) -> np.ndarray:
+    """Return the checker-cycle availability column of a periodic sweep.
+
+    The between-checks decay chain and its cycle operator ``(M, OCC)``
+    depend on every parameter except ``hep``, which only enters the
+    check-instant repair matrix.  Rows are therefore grouped by their
+    non-hep values; each group builds its chain and operator once, and
+    each point solves only its own repair matrix and cycle fixed point —
+    the same arithmetic as :func:`repro.core.evaluation.analytical_result`.
+    """
+    others = [field for field in swept if field != "hep"]
+    keys = list(zip(*(swept[field].tolist() for field in others))) or [()] * k
+    heps = swept["hep"].tolist() if "hep" in swept else [base.hep] * k
+    groups: Dict[tuple, List[int]] = {}
+    for row, key in enumerate(keys):
+        groups.setdefault(key, []).append(row)
+    checker_method = "uniformization" if method == "uniformization" else "expm"
+    availability = np.empty(k)
+    for rows in groups.values():
+        params = _params_at(base, swept, rows[0])
+        scheme = policy.scheme.resolve(params)
+        chain = policy.build_chain(params)
+        period = float(scheme.check_period_hours)
+        m, occ = checker.chain_cycle_operator(chain, period, checker_method)
+        occupancy = []
+        for row in rows:
+            repair = checker.check_repair_matrix(
+                chain, scheme.n_shares, scheme.k, scheme.repair_threshold, heps[row]
+            )
+            occupancy.append(checker.cycle_start_distribution(m @ repair) @ occ)
+        fractions = np.array(occupancy) / period
+        availability[rows] = sum(fractions[:, chain.index_of(s)] for s in chain.up_states())
+    return availability
+
+
+#: The per-point sweep paths the bulk constructor and the batched
+#: checker-cycle solve replaced, by their names in ``repro.core.sweep``.
+RETIRED_SWEEP = {
+    "_points_from_availability": _retired_points_from_availability,
+    "_periodic_availability": _retired_periodic_availability,
+}
+
+
+@contextlib.contextmanager
+def retired_sweep_paths():
+    """Run the engine on the retired per-point paths; yield their call counts."""
+    calls = dict.fromkeys(list(RETIRED_SWEEP) + list(RETIRED_CHECKER), 0)
+
+    def counted(name, oracle):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return oracle(*args, **kwargs)
+
+        return call
+
+    with mock.patch.multiple(
+        sweep_module, **{name: counted(name, f) for name, f in RETIRED_SWEEP.items()}
+    ), mock.patch.multiple(
+        checker, **{name: counted(name, f) for name, f in RETIRED_CHECKER.items()}
+    ):
+        yield calls
+
+
+def hex_dump(points) -> List[tuple]:
+    """Every field of every point, floats as ``float.hex``."""
+    return [
+        tuple(
+            (name, value.hex() if isinstance(value, float) else value)
+            for name, value in vars(point).items()
+        )
+        for point in points
+    ]
 
 #: Fig. 4's failure-rate grid (positive part) and Fig. 5's hep grid.
 FIG4_RATES = [float(r) for r in np.linspace(5e-7, 5.5e-6, 11)]
 FIG5_HEPS = [0.0, 0.001, 0.01]
 
 FAST_PARAMS = paper_parameters(disk_failure_rate=1e-4, hep=0.05)
+
+MONTH_HOURS = 730.0
 
 
 def assert_series_match(engine_points, rebuild_points, tol=1e-12):
@@ -327,3 +453,115 @@ class TestErasureSweepOperatorReuse:
         fast = sweep(self.BASE, "hep", heps, self.POLICY, backend="analytical")
         slow = sweep_per_point_rebuild(self.BASE, "hep", heps, self.POLICY)
         assert fast == slow
+
+
+def assert_same_as_constructed(point: SweepPoint) -> None:
+    """An engine-built point is indistinguishable from ``SweepPoint(...)``."""
+    twin = SweepPoint(**{f.name: getattr(point, f.name) for f in fields(SweepPoint)})
+    assert list(vars(point).items()) == list(vars(twin).items())
+    assert point == twin and hash(point) == hash(twin) and repr(point) == repr(twin)
+    assert pickle.dumps(point) == pickle.dumps(twin)
+    clone = pickle.loads(pickle.dumps(point))
+    assert clone == point and list(vars(clone).items()) == list(vars(point).items())
+    with pytest.raises(FrozenInstanceError):
+        point.availability = 0.5
+
+
+class TestBulkPointsAndBatchedCycles:
+    """Bulk-built points and batched fixed points equal the per-point oracles."""
+
+    @staticmethod
+    def _erasure(scheme, rate=1e-4, period=MONTH_HOURS, hep=0.1):
+        k, n, threshold = scheme
+        policy = erasure_policy(k, n, repair_threshold=threshold, check_period_hours=period)
+        base = paper_parameters(
+            geometry=RaidGeometry.erasure(k, n), disk_failure_rate=rate, hep=hep
+        )
+        return policy, base
+
+    @staticmethod
+    def _assert_matches_oracle(run):
+        with retired_sweep_paths() as calls:
+            expected = run()
+        got = run()
+        assert hex_dump(got) == hex_dump(expected)
+        return calls
+
+    @pytest.mark.parametrize(
+        ("scheme", "rate", "period", "method"),
+        # Every oracle case on the exact operator; the uniformization
+        # reference at the monthly period.
+        list(itertools.product(ORACLE_SCHEMES, ORACLE_RATES, ORACLE_PERIODS, ["auto"]))
+        + list(itertools.product(ORACLE_SCHEMES, ORACLE_RATES, [MONTH_HOURS], ["uniformization"])),
+    )
+    def test_erasure_hep_sweep(self, scheme, rate, period, method):
+        policy, base = self._erasure(scheme, rate, period)
+        calls = self._assert_matches_oracle(
+            lambda: sweep(base, "hep", ORACLE_HEPS, policy, backend="analytical", method=method)
+        )
+        assert calls["_periodic_availability"] == 1
+        assert calls["cycle_start_distribution"] == len(ORACLE_HEPS)
+
+    @pytest.mark.parametrize("method", ["auto", "uniformization"])
+    @pytest.mark.parametrize("scheme", ORACLE_SCHEMES)
+    def test_erasure_failure_rate_sweep(self, scheme, method):
+        policy, base = self._erasure(scheme, hep=0.3)
+        rates = [1e-6, 1e-4, 1e-3, 1e-4, 2e-5]
+        calls = self._assert_matches_oracle(
+            lambda: sweep(base, "failure_rate", rates, policy, backend="analytical", method=method)
+        )
+        assert calls["cycle_start_distribution"] == len(rates)
+
+    @pytest.mark.parametrize("method", ["auto", "uniformization"])
+    def test_erasure_grouped_grid(self, method):
+        # Both axis orders: rate-major and hep-major rows group alike.
+        policy, base = self._erasure((3, 10, 8))
+        rates = [1e-6, 1e-3, 1e-4]
+        calls = self._assert_matches_oracle(
+            lambda: [
+                point
+                for axes in (
+                    ("failure_rate", rates, "hep", ORACLE_HEPS),
+                    ("hep", ORACLE_HEPS, "failure_rate", rates),
+                )
+                for row in sweep_grid(
+                    base, *axes, policy, backend="analytical", method=method
+                ).points
+                for point in row
+            ]
+        )
+        assert calls["_periodic_availability"] == 2
+        assert calls["cycle_start_distribution"] == 2 * len(rates) * len(ORACLE_HEPS)
+
+    @pytest.mark.parametrize("policy", analytical_policies())
+    def test_template_grid_points(self, policy):
+        # hep = 0 and crash_rate = 0 rungs select the reduced structures.
+        base = paper_parameters(disk_failure_rate=2e-6, hep=0.01)
+        heps, crashes = [0.0, 1e-4, 0.01, 0.3], [0.0, 0.005, 0.2]
+        calls = self._assert_matches_oracle(
+            lambda: [
+                point
+                for row in sweep_grid(
+                    base, "hep", heps, "crash_rate", crashes, policy, backend="analytical"
+                ).points
+                for point in row
+            ]
+        )
+        assert calls["_points_from_availability"] == 1
+
+    def test_engine_points_equal_constructed_points(self):
+        policy, base = self._erasure((3, 10, 8))
+        points = sweep(base, "hep", ORACLE_HEPS, policy, backend="analytical")
+        points += sweep(paper_parameters(), "hep", [0.0, 0.01], "conventional")
+        for point in points:
+            assert_same_as_constructed(point)
+
+    @pytest.mark.parametrize("mc_engine", ["stacked", "per_point"])
+    def test_monte_carlo_points_equal_constructed_points(self, mc_engine):
+        points = sweep(
+            FAST_PARAMS, "hep", [0.01, 0.05], "conventional",
+            backend="monte_carlo", mc_iterations=400, seed=3, mc_engine=mc_engine,
+        )
+        assert len(points) == 2 and all(point.has_interval for point in points)
+        for point in points:
+            assert_same_as_constructed(point)

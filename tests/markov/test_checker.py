@@ -1,7 +1,14 @@
-"""Unit tests for the periodic check/repair cycle solver."""
+"""Unit tests for the periodic check/repair cycle solver.
+
+:data:`RETIRED_CHECKER` keeps the one-matrix ``cycle_start_distribution``
+that the stack-aware solver replaced, verbatim, as the oracle the batched
+solve must reproduce byte for byte (``tests/core/test_sweep_engine.py``
+and ``benchmarks/bench_sweep.py`` patch it back in).
+"""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +18,9 @@ from repro.core.parameters import paper_parameters
 from repro.core.policies.erasure import build_erasure_decay_chain, erasure_policy
 from repro.exceptions import ConfigurationError, SolverError
 from repro.markov.checker import (
+    _RESIDUAL_TOLERANCE,
     DOWN_STATE,
+    chain_cycle_operator,
     check_repair_matrix,
     cycle_operator,
     cycle_start_distribution,
@@ -22,6 +31,49 @@ from repro.markov.checker import (
 from repro.storage.raid import RaidGeometry
 
 MONTH = 730.0
+
+
+def _retired_cycle_start_distribution(cycle_matrix: np.ndarray) -> np.ndarray:
+    """Solve the fixed point ``phi = phi @ cycle_matrix``, ``phi . 1 = 1``.
+
+    ``cycle_matrix`` is the full-cycle stochastic matrix ``M @ D``.  The
+    dense solve replaces one equation of the rank-deficient system with the
+    normalisation row; the result is clipped to ``[0, 1]``, renormalised,
+    and checked against the fixed-point residual.
+    """
+    matrix = np.asarray(cycle_matrix, dtype=float)
+    n = matrix.shape[0]
+    a = matrix.T - np.eye(n)
+    a[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    try:
+        phi = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"cycle-stationary solve failed: {exc}") from None
+    phi = np.clip(phi, 0.0, 1.0)
+    total = phi.sum()
+    if total <= 0.0:
+        raise SolverError("cycle-stationary solve produced a zero distribution")
+    phi = phi / total
+    residual = float(np.max(np.abs(phi @ matrix - phi)))
+    if residual > _RESIDUAL_TOLERANCE:
+        raise SolverError(
+            f"cycle-stationary fixed point residual {residual:.3e} exceeds "
+            f"{_RESIDUAL_TOLERANCE:.0e}"
+        )
+    return phi
+
+
+#: The one-matrix checker functions the batched solve replaced, by name.
+RETIRED_CHECKER = {"cycle_start_distribution": _retired_cycle_start_distribution}
+
+#: ``(k, N, repair_threshold)`` of the oracle cases: both thresholds of the
+#: 3-of-10 store, narrow and wide schemes, and k == N.
+ORACLE_SCHEMES = [(3, 10, 7), (3, 10, 8), (2, 4, 4), (6, 9, 9), (4, 4, 4)]
+ORACLE_RATES = [1e-6, 1e-4, 1e-3]
+ORACLE_PERIODS = [24.0, MONTH, 8760.0]
+ORACLE_HEPS = [i / 10 for i in range(11)]
 
 
 def erasure_params(k, n, rate=1e-4, hep=0.0):
@@ -156,6 +208,64 @@ class TestCycleStartDistribution:
         phi = cycle_start_distribution(m @ d)
         assert phi.sum() == pytest.approx(1.0)
         np.testing.assert_allclose(phi @ (m @ d), phi, atol=1e-10)
+
+
+class TestStackedCycleStartDistribution:
+    """The stack-aware solve returns the retired one-matrix solve's bytes."""
+
+    @staticmethod
+    def _cycles(scheme, rate, period):
+        k, n, threshold = scheme
+        chain, _ = decay_chain(k, n, rate=rate)
+        m, _ = chain_cycle_operator(chain, period)
+        return [
+            m @ check_repair_matrix(chain, n, k, threshold, hep) for hep in ORACLE_HEPS
+        ]
+
+    @pytest.mark.parametrize(
+        ("scheme", "rate", "period"),
+        list(itertools.product(ORACLE_SCHEMES, ORACLE_RATES, ORACLE_PERIODS)),
+    )
+    def test_matrix_and_stack_members_match_the_oracle(self, scheme, rate, period):
+        cycles = self._cycles(scheme, rate, period)
+        expected = [_retired_cycle_start_distribution(c) for c in cycles]
+        stacked = cycle_start_distribution(np.stack(cycles))
+        assert stacked.shape == (len(cycles), cycles[0].shape[0])
+        for cycle, want, member in zip(cycles, expected, stacked):
+            single = cycle_start_distribution(cycle)
+            assert single.shape == want.shape
+            assert single.tobytes() == want.tobytes()
+            assert member.tobytes() == want.tobytes()
+
+    def test_clipping_is_exercised(self):
+        # Several oracle cases solve to tiny negative masses, so the clip
+        # before the renormalisation shapes the bytes compared above.
+        cycles = self._cycles((3, 10, 8), 1e-6, 24.0)
+        raw = []
+        for cycle in cycles:
+            a = cycle.T - np.eye(cycle.shape[0])
+            a[-1, :] = 1.0
+            raw.append(np.linalg.solve(a, np.eye(cycle.shape[0])[-1]))
+        assert np.min(raw) < 0.0
+
+    def test_singular_member_raises(self):
+        cycles = self._cycles((3, 10, 7), 1e-4, MONTH)[:3]
+        # The identity cycle leaves every distribution fixed: no unique phi.
+        stack = np.stack(cycles[:1] + [np.eye(cycles[0].shape[0])] + cycles[1:])
+        with pytest.raises(SolverError, match="solve failed"):
+            cycle_start_distribution(stack)
+        with pytest.raises(SolverError, match="solve failed"):
+            cycle_start_distribution(stack[1])
+
+    def test_member_failing_the_residual_check_raises(self):
+        cycles = self._cycles((2, 4, 4), 1e-4, MONTH)[:2]
+        # A leaky (sub-stochastic) cycle solves, but phi is not a fixed point.
+        leaky = 0.9 * np.eye(cycles[0].shape[0])
+        stack = np.stack([cycles[0], leaky, cycles[1]])
+        with pytest.raises(SolverError, match="residual"):
+            cycle_start_distribution(stack)
+        with pytest.raises(SolverError, match="residual"):
+            cycle_start_distribution(leaky)
 
 
 class TestCycleStationaryAvailability:
