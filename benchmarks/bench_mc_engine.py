@@ -5,12 +5,13 @@ them: how fast the Monte Carlo studies run (which bounds how close to the
 paper's 1e6-iteration setting a given time budget allows) and how fast the
 Markov chains solve (which bounds the analytical sweeps).
 
-Since the policy-registry refactor the Monte Carlo runner has two execution
-paths — the scalar per-lifetime event loop (the seed implementation, kept as
-the traced/debug path) and the vectorised struct-of-arrays batch executor.
-The ``*_scalar`` / ``*_batch`` pairs below time both at identical iteration
-counts; the 10k-lifetime comparison is the acceptance benchmark for the
-batch kernel.
+Since the policy-registry refactor the Monte Carlo runner has two
+single-process paths — the scalar per-lifetime event loop (the seed
+implementation, kept as the reference and the traced path, and reached here
+through ``run_monte_carlo_with_trace``) and the vectorised struct-of-arrays
+batch executor.  The ``*_scalar`` / ``*_batch`` pairs below time both at
+identical iteration counts; the 10k-lifetime comparison is the acceptance
+benchmark for the batch kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ import time
 import pytest
 
 from repro.core.evaluation import analytical_result
-from repro.core.montecarlo import MonteCarloConfig, run_monte_carlo
+from repro.core.montecarlo import (
+    MonteCarloConfig,
+    run_monte_carlo,
+    run_monte_carlo_with_trace,
+)
 from repro.core.montecarlo.trace import generate_example_trace, summarise_trace
 from repro.core.parameters import paper_parameters
 from repro.human.policy import PolicyKind
@@ -37,6 +42,11 @@ def _bench_config(policy, n_iterations: int, seed: int) -> MonteCarloConfig:
     )
 
 
+def _run_scalar(config: MonteCarloConfig):
+    """Run ``config`` on the scalar per-lifetime reference loop."""
+    return run_monte_carlo_with_trace(config)[0]
+
+
 def test_monte_carlo_conventional_throughput(benchmark, bench_seed):
     """Time a 2000-lifetime conventional-policy study (auto = batch path)."""
     config = _bench_config(PolicyKind.CONVENTIONAL, 2000, bench_seed)
@@ -48,8 +58,8 @@ def test_monte_carlo_conventional_throughput(benchmark, bench_seed):
 
 def test_monte_carlo_conventional_scalar_throughput(benchmark, bench_seed):
     """Time the same 2000-lifetime study on the scalar (seed) path."""
-    config = _bench_config(PolicyKind.CONVENTIONAL, 2000, bench_seed).with_executor("scalar")
-    result = benchmark.pedantic(run_monte_carlo, args=(config,), iterations=1, rounds=3)
+    config = _bench_config(PolicyKind.CONVENTIONAL, 2000, bench_seed)
+    result = benchmark.pedantic(_run_scalar, args=(config,), iterations=1, rounds=3)
     print()
     print(f"conventional MC (scalar): availability={result.availability:.10f}")
     assert 0.0 < result.availability <= 1.0
@@ -66,8 +76,8 @@ def test_monte_carlo_failover_throughput(benchmark, bench_seed):
 
 def test_monte_carlo_failover_scalar_throughput(benchmark, bench_seed):
     """Time the same 2000-lifetime fail-over study on the scalar path."""
-    config = _bench_config(PolicyKind.AUTOMATIC_FAILOVER, 2000, bench_seed).with_executor("scalar")
-    result = benchmark.pedantic(run_monte_carlo, args=(config,), iterations=1, rounds=3)
+    config = _bench_config(PolicyKind.AUTOMATIC_FAILOVER, 2000, bench_seed)
+    result = benchmark.pedantic(_run_scalar, args=(config,), iterations=1, rounds=3)
     print()
     print(f"fail-over MC (scalar): availability={result.availability:.10f}")
     assert 0.0 < result.availability <= 1.0
@@ -87,12 +97,10 @@ def test_batch_beats_scalar_at_10k_iterations(benchmark, bench_seed):
     config = _bench_config(PolicyKind.CONVENTIONAL, 10_000, bench_seed)
 
     start = time.perf_counter()
-    scalar = run_monte_carlo(config.with_executor("scalar"))
+    scalar = _run_scalar(config)
     scalar_seconds = time.perf_counter() - start
 
-    batch = benchmark.pedantic(
-        run_monte_carlo, args=(config.with_executor("batch"),), iterations=1, rounds=3
-    )
+    batch = benchmark.pedantic(run_monte_carlo, args=(config,), iterations=1, rounds=3)
     # Best-of-3 from the benchmark's own measurements; no extra run needed.
     batch_seconds = benchmark.stats.stats.min
 
@@ -118,7 +126,7 @@ def test_monte_carlo_sharded_2worker_throughput(benchmark, bench_seed):
     """
     config = _bench_config(PolicyKind.CONVENTIONAL, 20_000, bench_seed).with_workers(2)
     result = benchmark.pedantic(run_monte_carlo, args=(config,), iterations=1, rounds=3)
-    batch = run_monte_carlo(config.with_workers(1).with_executor("batch"))
+    batch = run_monte_carlo(config.with_workers(1))
     print()
     print(f"sharded 2w MC: availability={result.availability:.10f} n={result.n_iterations}")
     assert batch.interval.contains(result.availability) or result.interval.contains(
@@ -168,7 +176,7 @@ def test_parallel_beats_single_process_batch(benchmark, bench_seed):
     single_timings = []
     for _ in range(3):
         start = time.perf_counter()
-        single = run_monte_carlo(config.with_executor("batch"))
+        single = run_monte_carlo(config)
         single_timings.append(time.perf_counter() - start)
     single_seconds = min(single_timings)
 

@@ -51,15 +51,6 @@ The benchmarks, one per bullet:
   ``REPRO_BENCH_ERASURE_{POINTS,LIFETIMES}`` shrink the grid for quick
   runs.
 
-* **Fused event loops**: a 32 x 5k single-process stacked grid,
-  run through the fused whole-event-loop nopython kernel
-  (``kernel=fused``) against the numpy batch kernel, JIT warm-up
-  excluded — skipped when numba is not installed.  The fused loop owns
-  its draws, so the cross-check is statistical (confidence-interval
-  overlap), and the **5x floor is asserted by default**: with the
-  interpreter out of the event loop entirely there is no regime argument
-  left to hedge behind.
-
 * **Thread-pool shards** (PR 8): a 64-point x 5k-lifetime grid on 4
   workers, run end-to-end (pool startup included) on the thread pool —
   workers share the materialized grid planes outright, no fork, no
@@ -127,7 +118,6 @@ from repro.core.parameters import paper_parameters
 from repro.core.policies import get_policy, vectorized
 from repro.core.policies.erasure import erasure_policy
 from repro.core.policies.stacked import stack_parameter_points
-from repro.core.policies.vectorized import batch_conventional
 from repro.core.sweep import sweep, sweep_grid
 from repro.simulation.confidence import t_critical
 from repro.simulation.rng import RandomStreams
@@ -321,15 +311,6 @@ TRANSPORT_STRICT = os.environ.get("REPRO_BENCH_TRANSPORT_STRICT") == "1"
 _BATCH_FIELDS = ("downtime_hours", "du_events", "dl_events", "disk_failures", "human_errors")
 
 
-def _kernel_grid():
-    """The 32 x 5k single-process stacked grid of the kernel benchmarks."""
-    heps = np.linspace(0.0, 0.05, MC_POINTS)
-    points = [
-        paper_parameters(disk_failure_rate=1e-6, hep=float(hep)) for hep in heps
-    ]
-    return stack_parameter_points(points, [MC_LIFETIMES] * MC_POINTS)
-
-
 #: Lifetimes of the row-search comparison: one paper-point batch.
 ROW_SEARCH_LIFETIMES = 500_000
 
@@ -493,7 +474,7 @@ def test_stacked_shm_transport(bench_record):
 
 
 # ----------------------------------------------------------------------
-# The thread-pool shard executor and the fused event loops
+# The thread-pool shard executor
 # ----------------------------------------------------------------------
 #: Thread-pool grid shape; the env overrides shrink it for CI smoke runs.
 THREAD_POINTS = int(os.environ.get("REPRO_BENCH_THREAD_POINTS", "64"))
@@ -504,79 +485,6 @@ THREAD_WORKERS = int(os.environ.get("REPRO_BENCH_THREAD_WORKERS", "4"))
 #: only on startup-dominated grids (see the module docstring).
 REQUIRED_THREAD_SPEEDUP = 1.2
 THREAD_STRICT = os.environ.get("REPRO_BENCH_THREAD_STRICT") == "1"
-
-
-#: Required advantage of the fused whole-loop kernel over the numpy
-#: batch — asserted unconditionally: the fused loop removes the
-#: interpreter from the event loop outright, so there is no regime in
-#: which parity is the honest expectation.
-REQUIRED_FUSED_SPEEDUP = 5.0
-
-
-def _run_fused_side(grid, kernel: str):
-    from repro.core.montecarlo import run_fused_batch
-    from repro.core.policies.registry import resolve_policy
-
-    if kernel == "fused":
-        return run_fused_batch(
-            resolve_policy("conventional"), grid, 87_600.0, len(grid),
-            RandomStreams(2017),
-        )
-    rng = RandomStreams(2017).stream("montecarlo")
-    return batch_conventional(grid, 87_600.0, len(grid), rng)
-
-
-def test_fused_kernel(bench_record):
-    """Fused whole-loop kernel vs numpy batch: CI overlap + >= 5x floor.
-
-    Single process, identical 32 x 5k stacked grid, JIT compilation
-    triggered outside the timed region (``warmup_fused``).  The fused
-    kernel draws inside the compiled loop on its own named stream, so
-    bit-identity to the numpy batch is impossible by design; the estimates
-    must instead agree within the joint 99% confidence width.  The 5x
-    floor is asserted on every run.
-    """
-    from repro.core.montecarlo.fused import jit_enabled, warmup_fused
-
-    if not jit_enabled():
-        pytest.skip("numba is not installed (pip install .[compiled])")
-    warmup_fused()
-
-    grid = _kernel_grid()
-    _run_fused_side(grid, "numpy"), _run_fused_side(grid, "fused")
-    seconds = {"numpy": float("inf"), "fused": float("inf")}
-    for _ in range(5):
-        for kernel in ("numpy", "fused"):
-            start = time.perf_counter()
-            _run_fused_side(grid, kernel)
-            seconds[kernel] = min(seconds[kernel], time.perf_counter() - start)
-
-    reference = _run_fused_side(grid, "numpy")
-    fused = _run_fused_side(grid, "fused")
-    a = 1.0 - np.asarray(fused.downtime_hours) / 87_600.0
-    b = 1.0 - np.asarray(reference.downtime_hours) / 87_600.0
-    joint = 2.58 * (
-        a.std(ddof=1) / np.sqrt(a.size) + b.std(ddof=1) / np.sqrt(b.size)
-    )
-    assert abs(a.mean() - b.mean()) <= max(joint, 1e-12)
-
-    speedup = seconds["numpy"] / max(seconds["fused"], 1e-9)
-    print(
-        f"\nfused kernel: {MC_POINTS} points x {MC_LIFETIMES} lifetimes — "
-        f"fused {seconds['fused']:.3f}s, numpy {seconds['numpy']:.3f}s "
-        f"(speedup {speedup:.2f}x)"
-    )
-    bench_record(
-        "fused_kernel",
-        points=MC_POINTS,
-        seconds=seconds["fused"],
-        speedup=speedup,
-        lifetimes_per_point=MC_LIFETIMES,
-    )
-    assert speedup >= REQUIRED_FUSED_SPEEDUP, (
-        f"fused event loop only {speedup:.2f}x faster than the numpy "
-        f"batch (required {REQUIRED_FUSED_SPEEDUP:g}x)"
-    )
 
 
 def _thread_configs(pool: str):

@@ -55,15 +55,13 @@ from repro.core.comparison import compare_equal_capacity, ranking
 from repro.core.evaluation import analytical_policies, evaluate
 from repro.core.montecarlo import (
     ALLOCATORS,
-    EXECUTORS,
-    KERNELS,
     POOLS,
     TRANSPORTS,
     MonteCarloConfig,
-    has_fused_face,
     reap_stale_segments,
     run_monte_carlo,
 )
+from repro.core.montecarlo.runner import _executor_provenance
 from repro.core.parameters import paper_parameters
 from repro.core.policies import (
     MONTHLY_CHECK_HOURS,
@@ -217,12 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         "resolved entropy is printed so any run can be replayed)",
     )
     mc.add_argument(
-        "--executor",
-        choices=list(EXECUTORS),
-        default="auto",
-        help="batch (vectorised), scalar (traced/debug path), or auto",
-    )
-    mc.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -278,14 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stacked-grid parameter transport: auto (per-shard rebuild "
         "on process pools, grid views otherwise), shm (shared-memory "
         "planes), or pickle (per-shard rebuild everywhere)",
-    )
-    mc.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default="numpy",
-        help="batch-kernel backend: numpy (the default batch kernels) or "
-        "fused (whole-event-loop kernels; needs numba or "
-        "REPRO_FUSED_PUREPY=1; statistically pinned against numpy)",
     )
     mc.add_argument(
         "--pool",
@@ -450,14 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         "planes), or pickle (per-shard rebuild everywhere)",
     )
     sweep_parser.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default="numpy",
-        help="batch-kernel backend: numpy (the default batch kernels) or "
-        "fused (whole-event-loop kernels; needs numba or "
-        "REPRO_FUSED_PUREPY=1; statistically pinned against numpy)",
-    )
-    sweep_parser.add_argument(
         "--pool",
         choices=list(POOLS),
         default="process",
@@ -499,12 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(1 - confidence) of runs per policy — CI pins the seed",
     )
     crossval.add_argument("--workers", type=int, default=1, help="worker processes")
-    crossval.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default="numpy",
-        help="batch-kernel backend of the Monte Carlo face (numpy/fused)",
-    )
     crossval.add_argument(
         "--pool",
         choices=list(POOLS),
@@ -643,7 +613,6 @@ def _run_mc(args: argparse.Namespace) -> Tuple[str, int]:
         n_iterations=args.iterations,
         confidence=args.confidence,
         seed=args.seed,
-        executor=args.executor,
         workers=args.workers,
         shard_size=args.shard_size,
         target_half_width=args.target_half_width,
@@ -651,7 +620,6 @@ def _run_mc(args: argparse.Namespace) -> Tuple[str, int]:
         transport=args.transport,
         biasing=args.biasing,
         allocator=args.allocator,
-        kernel=args.kernel,
         pool=args.pool,
         shard_timeout=args.shard_timeout,
         max_shard_retries=args.max_shard_retries,
@@ -661,14 +629,6 @@ def _run_mc(args: argparse.Namespace) -> Tuple[str, int]:
     )
     result = run_monte_carlo(config)
     totals = result.totals
-    executor_label = args.executor
-    if config.uses_sharded_path:
-        pool_note = f", {args.pool} pool" if args.workers > 1 else ""
-        executor_label += (
-            f" (sharded, {args.workers} worker{'s' if args.workers != 1 else ''}"
-            f"{pool_note})"
-        )
-    executor_label += f", kernel={args.kernel}"
     scheme_lines = []
     if policy.has_periodic_checks:
         resolved = policy.scheme.resolve(params)
@@ -684,7 +644,7 @@ def _run_mc(args: argparse.Namespace) -> Tuple[str, int]:
         f"disk failure rate:  {params.disk_failure_rate:g} /h",
         f"hep:                {params.hep:g}",
         f"iterations:         {result.n_iterations} x {args.horizon_years:g} years",
-        f"executor:           {executor_label}",
+        f"executor:           {_executor_provenance(config)}",
         f"seed entropy:       {result.seed_entropy}",
         f"availability:       {result.availability:.12f}",
         f"nines:              {result.nines:.3f}",
@@ -835,7 +795,6 @@ def _run_sweep(args: argparse.Namespace) -> Tuple[str, int]:
         transport=args.transport,
         biasing=args.biasing,
         allocator=args.allocator,
-        kernel=args.kernel,
         pool_kind=args.pool,
         shard_timeout=args.shard_timeout,
         max_shard_retries=args.max_shard_retries,
@@ -917,7 +876,6 @@ def _run_crossval(args: argparse.Namespace) -> "tuple[str, bool]":
         mc_iterations=args.iterations,
         seed=args.seed,
         workers=args.workers,
-        kernel=args.kernel,
         pool_kind=args.pool,
     )
     table = cross_validation_table(rows)
@@ -946,17 +904,15 @@ def _run_policies(args: argparse.Namespace) -> str:
     lines = [
         "registered replacement policies:",
         "",
-        f"  {'name':<22}{'faces':<14}{'kernels':<15}{'stacked':<9}{'fused':<10}scheme",
+        f"  {'name':<22}{'faces':<14}{'kernels':<15}{'stacked':<9}scheme",
     ]
     for name in available_policies():
         policy = get_policy(name)
         faces = "both" if policy.has_analytical_model else "monte_carlo"
         kernels = "batch+scalar" if policy.has_batch_kernel else "scalar"
         stacked = "yes" if policy.supports_stacked else "no"
-        # Whether kernel=fused has a whole-event-loop for the batch kernel.
-        fused = "yes" if has_fused_face(policy) else "no"
         lines.append(
-            f"  {name:<22}{faces:<14}{kernels:<15}{stacked:<9}{fused:<10}"
+            f"  {name:<22}{faces:<14}{kernels:<15}{stacked:<9}"
             f"{_scheme_summary(policy)}"
         )
         lines.append(f"  {'':<22}{policy.description}")

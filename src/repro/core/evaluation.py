@@ -40,7 +40,7 @@ from repro.core.montecarlo.config import (
 )
 from repro.core.montecarlo.results import MonteCarloResult
 from repro.core.montecarlo.batch import run_stacked
-from repro.core.montecarlo.runner import _use_batch_path, run_monte_carlo
+from repro.core.montecarlo.runner import _executor_provenance, run_monte_carlo
 from repro.core.parameters import AvailabilityParameters
 from repro.core.policies.base import SimulationPolicy
 from repro.core.policies.registry import resolve_policy
@@ -407,24 +407,6 @@ def _evaluate_analytical(
     )
 
 
-def _executor_provenance(config: MonteCarloConfig) -> str:
-    """Describe the execution stack actually used, kernel and pool included.
-
-    The pool is recorded only where one exists — on the sharded path with
-    more than one worker.
-    """
-    if config.uses_sharded_path:
-        workers = int(config.workers)
-        pool = f", {config.pool} pool" if workers > 1 else ""
-        return (
-            f"executor=sharded({workers} worker{'s' if workers != 1 else ''}"
-            f"{pool}) kernel={config.kernel}"
-        )
-    if _use_batch_path(config):
-        return f"executor=batch kernel={config.kernel}"
-    return "executor=scalar"
-
-
 def _estimate_from_mc(
     result: MonteCarloResult, policy_name: str, provenance: str
 ) -> AvailabilityEstimate:
@@ -482,7 +464,6 @@ def evaluate(
     horizon_hours: float = DEFAULT_HORIZON_HOURS,
     seed: Optional[int] = 0,
     confidence: float = 0.99,
-    executor: str = "auto",
     workers: int = 1,
     shard_size: Optional[int] = None,
     target_half_width: Optional[float] = None,
@@ -490,7 +471,6 @@ def evaluate(
     transport: str = "auto",
     biasing: Optional[float] = None,
     allocator: str = "uniform",
-    kernel: str = "numpy",
     pool_kind: str = "process",
     pool=None,
     shard_timeout: Optional[float] = None,
@@ -514,9 +494,8 @@ def evaluate(
     method:
         Steady-state solver for the analytical backend (``"auto"`` selects
         dense/sparse by state count).
-    n_iterations, horizon_hours, seed, confidence, executor, workers,
-    shard_size, target_half_width, max_iterations, biasing, allocator,
-    kernel:
+    n_iterations, horizon_hours, seed, confidence, workers, shard_size,
+    target_half_width, max_iterations, biasing, allocator:
         Monte Carlo configuration, matching
         :class:`~repro.core.montecarlo.config.MonteCarloConfig`.  A set
         ``biasing`` runs the importance-sampled kernels and, for dual-face
@@ -556,7 +535,6 @@ def evaluate(
         n_iterations=n_iterations,
         confidence=confidence,
         seed=seed,
-        executor=executor,
         workers=workers,
         shard_size=shard_size,
         target_half_width=target_half_width,
@@ -564,7 +542,6 @@ def evaluate(
         transport=transport,
         biasing=biasing,
         allocator=allocator,
-        kernel=kernel,
         pool=pool_kind,
         shard_timeout=shard_timeout,
         max_shard_retries=max_shard_retries,
@@ -575,7 +552,9 @@ def evaluate(
     result = run_monte_carlo(config, pool=pool)
     if biasing is not None:
         _attach_analytical_reference(result, resolved, params)
-    return _estimate_from_mc(result, resolved.name, _executor_provenance(config))
+    return _estimate_from_mc(
+        result, resolved.name, f"executor={_executor_provenance(config)}"
+    )
 
 
 def evaluate_stacked(
@@ -594,7 +573,6 @@ def evaluate_stacked(
     transport: str = "auto",
     biasing: Optional[float] = None,
     allocator: str = "uniform",
-    kernel: str = "numpy",
     pool_kind: str = "process",
     pool=None,
     shard_timeout: Optional[float] = None,
@@ -653,7 +631,6 @@ def evaluate_stacked(
                 transport=transport,
                 biasing=biasing,
                 allocator=allocator,
-                kernel=kernel,
                 pool_kind=pool_kind,
                 pool=pool,
                 shard_timeout=shard_timeout,
@@ -677,7 +654,6 @@ def evaluate_stacked(
             transport=transport,
             biasing=biasing,
             allocator=allocator,
-            kernel=kernel,
             pool=pool_kind,
             shard_timeout=shard_timeout,
             max_shard_retries=max_shard_retries,
@@ -691,7 +667,7 @@ def evaluate_stacked(
     pool_note = f", {pool_kind} pool" if workers > 1 else ""
     provenance = (
         f"executor=stacked({workers} worker{'s' if workers != 1 else ''}"
-        f"{pool_note}{', crn' if crn else ''}) kernel={kernel}"
+        f"{pool_note}{', crn' if crn else ''})"
     )
     results = run_stacked(configs, crn=crn, pool=pool)
     if biasing is not None:

@@ -15,20 +15,11 @@ from repro.core.montecarlo.batch import (
     segment_point_summaries,
     summarise_batch,
 )
-from repro.core.montecarlo.fused import (
-    KERNELS,
-    fused_available,
-    has_fused_face,
-    resolve_kernel,
-    run_fused_batch,
-    warmup_fused,
-)
 from repro.core.montecarlo.config import (
     ALLOCATORS,
     DEFAULT_ADAPTIVE_CEILING,
     DEFAULT_HORIZON_HOURS,
     DEFAULT_ITERATIONS,
-    EXECUTORS,
     POOLS,
     TRANSPORTS,
     MonteCarloConfig,
@@ -100,10 +91,8 @@ __all__ = [
     "DEFAULT_SHARD_CAP",
     "DEFAULT_STACKED_SHARD_SIZE",
     "DEFAULT_ITERATIONS",
-    "EXECUTORS",
     "FAULT_KINDS",
     "FAULT_PLAN_ENV",
-    "KERNELS",
     "POOLS",
     "TRANSPORTS",
     "EpisodeTrace",
@@ -123,9 +112,7 @@ __all__ = [
     "effective_shard_size",
     "estimate_availability",
     "fault_plan",
-    "fused_available",
     "generate_example_trace",
-    "has_fused_face",
     "journal_entropy",
     "merge_iteration_counters",
     "merge_totals",
@@ -136,11 +123,9 @@ __all__ = [
     "run_digest",
     "replay_stacked_point",
     "replay_trace_on_engine",
-    "resolve_kernel",
     "resolve_stacked_transport",
     "run_batch",
     "run_batch_lifetimes",
-    "run_fused_batch",
     "run_iterations",
     "run_monte_carlo",
     "run_monte_carlo_with_trace",
@@ -151,7 +136,6 @@ __all__ = [
     "run_stacked_shard_shm",
     "run_traced_on_engine",
     "segment_point_records",
-    "warmup_fused",
     "segment_point_summaries",
     "shared_memory_available",
     "simulate_conventional",

@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.montecarlo.config import MonteCarloConfig
-from repro.core.montecarlo.fused import resolve_kernel, run_fused_batch
 from repro.core.montecarlo.results import MonteCarloResult
 from repro.core.policies.base import BatchLifetimes
 from repro.core.policies.registry import resolve_policy
@@ -56,15 +55,6 @@ def run_batch_lifetimes(
     policy = resolve_policy(config.policy)
     if streams is None:
         streams = RandomStreams(config.seed)
-    if resolve_kernel(config.kernel) == "fused":
-        return run_fused_batch(
-            policy,
-            config.params,
-            config.horizon_hours,
-            config.n_iterations,
-            streams,
-            biasing=config.biasing,
-        )
     rng = streams.stream("montecarlo")
     return policy.simulate_batch(
         config.params,
@@ -255,7 +245,8 @@ def run_stacked(
 ) -> List[MonteCarloResult]:
     """Run one Monte Carlo study per config as a single stacked grid.
 
-    All configs must share policy, horizon, confidence, seed and executor;
+    All configs must share policy, horizon, confidence, seed and the
+    sharded-executor settings;
     their parameter points and iteration counts form the grid.  The
     flattened ``point x lifetime`` axis is cut into fixed-size shards whose
     stream families are spawned at the shard index (worker-count

@@ -17,21 +17,12 @@ DEFAULT_HORIZON_HOURS = 10 * 8760.0
 #: here is sized for interactive use and can be raised per experiment.
 DEFAULT_ITERATIONS = 20_000
 
-#: Accepted execution styles: ``"auto"`` picks the vectorised batch path
-#: whenever the policy has a kernel and no trace was requested.
-EXECUTORS = ("auto", "batch", "scalar")
-
 #: Accepted stacked-grid parameter transports: ``"auto"`` pickles each
 #: shard's points to process pools and hands thread and in-process shards
 #: views of the grid, ``"shm"`` demands shared-memory planes, ``"pickle"``
 #: pins the per-shard rebuild path.
 #: Re-exported from the transport module, the single source of truth.
 from repro.core.montecarlo.transport import TRANSPORTS  # noqa: E402
-
-#: Accepted kernel backends: ``"numpy"`` (the default batch kernels) and
-#: ``"fused"`` (whole-event-loop kernels).  Re-exported from the fused
-#: module, the single source of truth (mirrors the TRANSPORTS re-export).
-from repro.core.montecarlo.fused import KERNELS  # noqa: E402
 
 #: Accepted shard-executor pools: ``"process"`` fans shards out over worker
 #: processes (today's default), ``"thread"`` over in-process threads that
@@ -82,10 +73,8 @@ class MonteCarloConfig:
         Master seed for reproducibility; ``None`` draws a fresh seed.
     collect_trace:
         When ``True`` the first iteration records a Fig. 1 style event trace
-        (this forces the scalar execution path).
-    executor:
-        ``"auto"`` (batch whenever the policy has a vectorised kernel and no
-        trace is collected), ``"batch"`` or ``"scalar"``.
+        (this runs the per-lifetime scalar loop; every other single-process
+        run uses the policy's batch kernel when it has one).
     workers:
         Number of worker processes for the sharded executor.  ``1`` (the
         default) runs all shards in-process; ``> 1`` fans shards out over a
@@ -121,22 +110,14 @@ class MonteCarloConfig:
         log-likelihood-ratio weight, so estimates stay unbiased while
         rare-event scenarios resolve with orders of magnitude fewer
         lifetimes.  ``None`` (the default) runs the unbiased kernels on the
-        exact historical call path.  Requires a batch kernel (no scalar
-        executor, no event traces).
+        exact historical call path.  Requires a batch kernel (no event
+        traces).
     allocator:
         How adaptive (``target_half_width``) stacked runs split each next
         shard round across grid points: ``"uniform"`` gives every unmet
         point the same budget, ``"ci_width"`` sizes each unmet point's
         budget by its own confidence-interval gap.  Ignored without
         ``target_half_width``; single-point runs have nothing to allocate.
-    kernel:
-        Which kernel backend the batch path uses: ``"numpy"`` (the default
-        batch kernels) or ``"fused"`` (the whole-event-loop nopython
-        kernels of :mod:`repro.core.montecarlo.fused`; demands numba or the
-        explicit ``REPRO_FUSED_PUREPY=1`` fallback, checked when the run
-        starts).  ``fused`` owns its draw discipline: it agrees with numpy
-        statistically, and stays bit-identical across worker counts and
-        pools within itself.
     pool:
         Which executor the sharded path fans shards out over when
         ``workers > 1``: ``"process"`` (worker processes, today's
@@ -181,7 +162,6 @@ class MonteCarloConfig:
     confidence: float = 0.99
     seed: Optional[int] = None
     collect_trace: bool = False
-    executor: str = "auto"
     workers: int = 1
     shard_size: Optional[int] = None
     target_half_width: Optional[float] = None
@@ -189,7 +169,6 @@ class MonteCarloConfig:
     transport: str = "auto"
     biasing: Optional[float] = None
     allocator: str = "uniform"
-    kernel: str = "numpy"
     pool: str = "process"
     shard_timeout: Optional[float] = None
     max_shard_retries: int = 0
@@ -207,10 +186,6 @@ class MonteCarloConfig:
         if not 0.0 < self.confidence < 1.0:
             raise ConfigurationError(
                 f"confidence must lie in (0, 1), got {self.confidence!r}"
-            )
-        if self.executor not in EXECUTORS:
-            raise ConfigurationError(
-                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
             )
         if self.transport not in TRANSPORTS:
             raise ConfigurationError(
@@ -242,23 +217,8 @@ class MonteCarloConfig:
             raise ConfigurationError(
                 f"allocator must be one of {ALLOCATORS}, got {self.allocator!r}"
             )
-        if self.kernel not in KERNELS:
-            raise ConfigurationError(
-                f"kernel must be one of {KERNELS}, got {self.kernel!r}"
-            )
         if self.pool not in POOLS:
             raise ConfigurationError(f"pool must be one of {POOLS}, got {self.pool!r}")
-        if self.kernel == "fused":
-            if self.executor == "scalar":
-                raise ConfigurationError(
-                    f"kernel={self.kernel!r} accelerates the vectorised batch "
-                    "kernels; it cannot be combined with executor='scalar'"
-                )
-            if self.collect_trace:
-                raise ConfigurationError(
-                    f"kernel={self.kernel!r} runs on the batch path and "
-                    "cannot collect an event trace"
-                )
         if self.pool in ("thread", "serial") and self.transport == "shm":
             raise ConfigurationError(
                 "transport='shm' crosses a process boundary; thread and "
@@ -269,11 +229,6 @@ class MonteCarloConfig:
             if not float(self.biasing) > 0.0:
                 raise ConfigurationError(
                     f"biasing factor must be positive, got {self.biasing!r}"
-                )
-            if self.executor == "scalar":
-                raise ConfigurationError(
-                    "failure biasing requires the vectorised batch kernels; "
-                    "it cannot be combined with executor='scalar'"
                 )
             if self.collect_trace:
                 raise ConfigurationError(
@@ -343,10 +298,6 @@ class MonteCarloConfig:
         """Return a copy with a different replacement policy."""
         return replace(self, policy=policy)
 
-    def with_executor(self, executor: str) -> "MonteCarloConfig":
-        """Return a copy with a different execution style."""
-        return replace(self, executor=str(executor))
-
     def with_workers(self, workers: int, shard_size=_UNSET) -> "MonteCarloConfig":
         """Return a copy configured for the sharded executor.
 
@@ -389,10 +340,6 @@ class MonteCarloConfig:
     def with_transport(self, transport: str) -> "MonteCarloConfig":
         """Return a copy with a different stacked-grid parameter transport."""
         return replace(self, transport=str(transport))
-
-    def with_kernel(self, kernel: str) -> "MonteCarloConfig":
-        """Return a copy with a different kernel backend."""
-        return replace(self, kernel=str(kernel))
 
     def with_pool(self, pool: str) -> "MonteCarloConfig":
         """Return a copy with a different shard-executor pool."""

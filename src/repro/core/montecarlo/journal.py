@@ -22,13 +22,15 @@ The first line is a header::
 ``digest`` is the SHA-256 of the canonical (sorted-key) JSON of everything
 that determines the run's numbers: policy name and redundancy scheme,
 parameter reprs, horizon, per-point lifetime counts, master entropy, shard
-size, CRN mode, resolved kernel, biasing, and the adaptive controls
-(target, ceilings, allocator, confidence).  Execution knobs that provably
-do **not** change results — worker count, pool kind, transport — are
-excluded, so a journal written by a 4-worker shm run resumes under a
-single serial worker (and vice versa).  The one exception is the scalar
-path with an unpinned ``shard_size``, whose decomposition derives from the
-worker count; there the worker count *is* part of the digest.
+size, CRN mode, biasing, and the adaptive controls (target, ceilings,
+allocator, confidence).  The key also carries ``"kernel": "numpy"``, a
+constant kept so that digests, and the journals they guard, stay valid
+across releases.  Execution knobs that provably do **not** change results
+— worker count, pool kind, transport, retry settings — are excluded, so a
+journal written by a 4-worker shm run resumes under a single serial worker
+(and vice versa).  The one exception is the single-point path with an
+unpinned ``shard_size``, whose decomposition derives from the worker
+count; there the worker count *is* part of the digest.
 
 Every other line is one completed shard::
 
@@ -86,15 +88,14 @@ def run_digest(
     master_entropy: int,
     shard_size: Optional[int],
     crn: bool = False,
-    kernel: str = "numpy",
     scalar: bool = False,
 ) -> Tuple[str, Dict[str, object]]:
     """Return ``(digest, key)`` identifying a run's numerical content.
 
     ``configs`` is the stacked grid (or the one-element list of a scalar
-    run), ``policy`` the resolved policy object, ``kernel`` the
-    parent-resolved backend.  ``shard_size=None`` on the scalar path pulls
-    the worker count into the key (see the module docstring).
+    run) and ``policy`` the resolved policy object.  ``shard_size=None`` on
+    the scalar path pulls the worker count into the key (see the module
+    docstring).
     """
     first = configs[0]
     key: Dict[str, object] = {
@@ -107,7 +108,9 @@ def run_digest(
         "master_entropy": int(master_entropy),
         "shard_size": None if shard_size is None else int(shard_size),
         "crn": bool(crn),
-        "kernel": str(kernel),
+        # Constant, kept in the key so that journals written by earlier
+        # builds still match their digests.
+        "kernel": "numpy",
         "biasing": None if first.biasing is None else float(first.biasing),
         "confidence": float(first.confidence),
         "target_half_width": (

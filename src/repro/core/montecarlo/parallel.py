@@ -47,7 +47,6 @@ from repro.core.montecarlo.batch import (
 )
 from repro.core.montecarlo.config import MonteCarloConfig
 from repro.core.montecarlo.faults import check_abort, check_fault
-from repro.core.montecarlo.fused import resolve_kernel, run_fused_batch
 from repro.core.montecarlo.journal import (
     SCALAR_RANGE,
     ShardJournal,
@@ -148,27 +147,13 @@ def run_shard(
     check_fault(shard_index)
     policy = resolve_policy(config.policy)
     streams = RandomStreams(master_entropy).spawn_child(shard_index)
-    if config.kernel == "fused":
-        # The fused loop replaces the whole batch kernel; it draws from the
-        # shard's own spawn-indexed "fused" stream, so the decomposition
-        # stays worker-count-independent exactly like the numpy path.
-        batch = run_fused_batch(
-            policy,
-            config.params,
-            config.horizon_hours,
-            shard_size,
-            streams,
-            biasing=config.biasing,
-        )
-    else:
-        batch = policy.simulate_shard(
-            config.params,
-            config.horizon_hours,
-            shard_size,
-            streams,
-            force_scalar=config.executor == "scalar",
-            biasing=config.biasing,
-        )
+    batch = policy.simulate_shard(
+        config.params,
+        config.horizon_hours,
+        shard_size,
+        streams,
+        biasing=config.biasing,
+    )
     weights = batch.weights()
     return ShardSummary(
         shard_index=shard_index,
@@ -553,7 +538,6 @@ def _open_journal(
     *,
     shard_size: Optional[int],
     crn: bool = False,
-    kernel: str = "numpy",
     scalar: bool = False,
 ) -> Optional[ShardJournal]:
     """Open the run's checkpoint journal when one is configured."""
@@ -567,7 +551,6 @@ def _open_journal(
         master_entropy=master_entropy,
         shard_size=shard_size,
         crn=crn,
-        kernel=kernel,
         scalar=scalar,
     )
     return ShardJournal.open(
@@ -610,8 +593,6 @@ def run_sharded(
     raising, with the journal flushed so the run can resume.
     """
     policy = resolve_policy(config.policy)  # fail fast on unknown policies
-    # Check the kernel parent-side, once, before any shard is dispatched.
-    resolve_kernel(config.kernel)
     master_entropy = _resolve_master_entropy(config)
     target = config.target_half_width
     ceiling = config.adaptive_ceiling if target is not None else config.n_iterations
@@ -628,7 +609,6 @@ def run_sharded(
         policy,
         master_entropy,
         shard_size=config.shard_size,
-        kernel=config.kernel,
         scalar=True,
     )
     try:
@@ -824,7 +804,6 @@ def _simulate_stacked_shard(
     master_entropy: int,
     shard: StackedShard,
     biasing: Optional[float] = None,
-    kernel: str = "numpy",
 ) -> np.ndarray:
     """Simulate one shard's rows and summarise them as point records.
 
@@ -832,17 +811,12 @@ def _simulate_stacked_shard(
     ``(master_entropy, stream_index)`` alone, so the draws are identical
     in-process, forked or spawned — and identical for any worker count and
     any transport, because every transport feeds the kernel value-identical
-    parameter rows.  ``kernel`` is the backend the parent checked.
+    parameter rows.
     """
     check_fault(shard.stream_index)
     streams = RandomStreams(master_entropy).spawn_child(shard.stream_index)
-    if kernel == "fused":
-        batch = run_fused_batch(
-            policy, grid_slice, horizon_hours, len(grid_slice), streams, biasing=biasing
-        )
-    else:
-        rng = streams.stream("montecarlo")
-        batch = policy.simulate_stacked(grid_slice, horizon_hours, rng, biasing=biasing)
+    rng = streams.stream("montecarlo")
+    batch = policy.simulate_stacked(grid_slice, horizon_hours, rng, biasing=biasing)
     return segment_point_records(batch, shard.point_indices, shard.counts)
 
 
@@ -853,7 +827,6 @@ def run_stacked_shard(
     master_entropy: int,
     shard: StackedShard,
     biasing: Optional[float] = None,
-    kernel: str = "numpy",
 ) -> np.ndarray:
     """Pickle-transport worker entry: rebuild the slice from scalars.
 
@@ -875,7 +848,7 @@ def run_stacked_shard(
     grid_slice = stack_parameter_points(point_params, shard.counts, schemes=schemes)
     return _simulate_stacked_shard(
         policy, grid_slice, horizon_hours, master_entropy, shard,
-        biasing=biasing, kernel=kernel,
+        biasing=biasing,
     )
 
 
@@ -886,7 +859,6 @@ def run_stacked_shard_shm(
     master_entropy: int,
     shard: StackedShard,
     biasing: Optional[float] = None,
-    kernel: str = "numpy",
 ) -> np.ndarray:
     """Shared-memory worker entry: attach the planes, view the row range.
 
@@ -901,7 +873,7 @@ def run_stacked_shard_shm(
     try:
         return _simulate_stacked_shard(
             policy, grid_slice, horizon_hours, master_entropy, shard,
-            biasing=biasing, kernel=kernel,
+            biasing=biasing,
         )
     finally:
         # Drop the buffer views promptly; the cached attachment itself is
@@ -923,20 +895,15 @@ def _validate_stacked(
             f"policy {policy.name!r} has no stacked-capable batch kernel; "
             "run the sweep point by point instead"
         )
-    if first.executor == "scalar":
-        raise ConfigurationError(
-            "the stacked engine is inherently vectorised; use the per-point "
-            "path for executor='scalar'"
-        )
     for config in configs:
         if resolve_policy(config.policy) != policy:
             raise ConfigurationError("stacked configs must share one policy")
         if config.collect_trace:
             raise ConfigurationError("event traces require the per-point scalar path")
         for attr in (
-            "horizon_hours", "confidence", "seed", "executor", "workers",
+            "horizon_hours", "confidence", "seed", "workers",
             "shard_size", "transport", "target_half_width", "biasing",
-            "allocator", "kernel", "pool", "shard_timeout",
+            "allocator", "pool", "shard_timeout",
             "max_shard_retries", "retry_backoff", "checkpoint", "resume",
         ):
             if getattr(config, attr) != getattr(first, attr):
@@ -966,7 +933,6 @@ def _run_stacked_shards(
     grid: Optional[StackedParams] = None,
     spec: Optional[GridPlanesSpec] = None,
     biasing: Optional[float] = None,
-    kernel: str = "numpy",
 ) -> Iterator[np.ndarray]:
     """Run the planned shards, yielding summary records in plan order.
 
@@ -993,11 +959,10 @@ def _run_stacked_shards(
             return _simulate_stacked_shard(
                 policy, grid.slice(shard.start, shard.stop),
                 horizon_hours, master_entropy, shard, biasing=biasing,
-                kernel=kernel,
             )
         return run_stacked_shard(
             policy, _params(shard), horizon_hours, master_entropy, shard,
-            biasing=biasing, kernel=kernel,
+            biasing=biasing,
         )
 
     def _submit(pool: Executor, shard: StackedShard):
@@ -1010,16 +975,16 @@ def _run_stacked_shards(
             return pool.submit(
                 _simulate_stacked_shard, policy,
                 grid.slice(shard.start, shard.stop),
-                horizon_hours, master_entropy, shard, biasing, kernel,
+                horizon_hours, master_entropy, shard, biasing,
             )
         if mode == "shm":
             return pool.submit(
                 run_stacked_shard_shm, policy, spec,
-                horizon_hours, master_entropy, shard, biasing, kernel,
+                horizon_hours, master_entropy, shard, biasing,
             )
         return pool.submit(
             run_stacked_shard, policy, _params(shard),
-            horizon_hours, master_entropy, shard, biasing, kernel,
+            horizon_hours, master_entropy, shard, biasing,
         )
 
     first = configs[0]
@@ -1152,7 +1117,6 @@ def run_stacked_sharded(
     shards = plan_stacked_shards(counts, stacked_shard_size(first), crn=crn)
     master_entropy = _resolve_master_entropy(first)
     horizon = float(first.horizon_hours)
-    kernel = resolve_kernel(first.kernel)
 
     stats = _ShardStats()
     supervisor = _PoolSupervisor(int(first.workers), first.pool, pool)
@@ -1162,7 +1126,6 @@ def run_stacked_sharded(
         master_entropy,
         shard_size=stacked_shard_size(first),
         crn=crn,
-        kernel=kernel,
     )
 
     def _run_plan(
@@ -1188,7 +1151,6 @@ def run_stacked_sharded(
             policy, configs, horizon, master_entropy,
             [shard for _, shard in to_run], supervisor, stats,
             mode=mode, grid=grid, spec=spec, biasing=first.biasing,
-            kernel=kernel,
         )
         try:
             for (position, shard), records in zip(to_run, gathered):
@@ -1420,7 +1382,6 @@ def replay_stacked_point(
             policy, configs, horizon, master_entropy, shards,
             _PoolSupervisor(1, "serial", None), _ShardStats(),
             mode="pickle", biasing=first.biasing,
-            kernel=resolve_kernel(first.kernel),
         )
     )
     moments, totals = _merge_point_records(record_parts, len(configs))

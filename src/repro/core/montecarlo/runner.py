@@ -1,4 +1,4 @@
-"""Monte Carlo runner: policy-registry dispatch over two execution paths.
+"""Monte Carlo runner: policy-registry dispatch over three execution paths.
 
 Runs many independent simulated lifetimes (as configured by
 :class:`~repro.core.montecarlo.config.MonteCarloConfig`), averages their
@@ -7,19 +7,20 @@ described in the paper's Section III, where the interval width shrinks with
 the square root of the iteration count.
 
 The replacement policy is resolved by name through
-:mod:`repro.core.policies.registry`; execution happens on one of two paths:
+:mod:`repro.core.policies.registry`; the configuration alone decides the
+execution path:
 
 * the **sharded** path (whenever ``workers > 1``, ``shard_size`` or
   ``target_half_width`` is configured) splits the budget into per-worker
   shards and merges streaming summaries via
   :mod:`repro.core.montecarlo.parallel`,
-* the **batch** path (default whenever the policy ships a vectorised kernel
-  and no event trace was requested) runs all lifetimes as struct-of-arrays
-  numpy batches via :mod:`repro.core.montecarlo.batch`, and
-* the **scalar** path walks one Python event loop per lifetime — slower,
-  but able to record the paper's Fig. 1 style episode traces, which can be
-  replayed on the discrete-event engine through
-  :mod:`repro.core.montecarlo.engine_bridge`.
+* the **batch** path (every other run of a policy that ships a vectorised
+  kernel, unless an event trace was requested) runs all lifetimes as
+  struct-of-arrays numpy batches via :mod:`repro.core.montecarlo.batch`, and
+* the **scalar** path walks one Python event loop per lifetime — the
+  per-lifetime reference, and the only path that can record the paper's
+  Fig. 1 style episode traces, which can be replayed on the
+  discrete-event engine through :mod:`repro.core.montecarlo.engine_bridge`.
 """
 
 from __future__ import annotations
@@ -47,15 +48,28 @@ from repro.simulation.rng import RandomStreams
 
 
 def _use_batch_path(config: MonteCarloConfig) -> bool:
-    """Decide the execution path for ``config`` (see ``config.executor``)."""
-    if config.executor == "scalar":
-        return False
-    if config.executor == "batch":
-        return True
-    # "auto": vectorise when possible; traces only exist on the scalar path.
+    """Return whether a single-process run uses the policy's batch kernel.
+
+    Traces only exist on the scalar loop, and a policy without a batch
+    kernel has nothing else to run.
+    """
     if config.collect_trace:
         return False
     return resolve_policy(config.policy).has_batch_kernel
+
+
+def _executor_provenance(config: MonteCarloConfig) -> str:
+    """Name the execution path ``config`` runs on, and its pool if it has one.
+
+    ``"batch"``, ``"scalar"`` or ``"sharded(N workers[, <kind> pool])"``:
+    the pool is recorded only where one exists, on the sharded path with
+    more than one worker.
+    """
+    if config.uses_sharded_path:
+        workers = int(config.workers)
+        pool = f", {config.pool} pool" if workers > 1 else ""
+        return f"sharded({workers} worker{'s' if workers != 1 else ''}{pool})"
+    return "batch" if _use_batch_path(config) else "scalar"
 
 
 def run_iterations(
@@ -87,8 +101,8 @@ def run_monte_carlo(config: MonteCarloConfig, pool=None) -> MonteCarloResult:
 
     Dispatches to the sharded parallel executor (``workers``,
     ``shard_size`` or ``target_half_width`` configured), the vectorised
-    batch executor, or the scalar loop according to the config
-    (``"auto"`` prefers the batch path).  ``pool`` optionally shares an
+    batch executor, or — for event traces and policies without a batch
+    kernel — the scalar loop.  ``pool`` optionally shares an
     externally owned executor across sharded studies (see
     :func:`repro.core.montecarlo.parallel.worker_pool`); it is ignored on
     the single-process paths.
@@ -104,22 +118,12 @@ def run_monte_carlo(config: MonteCarloConfig, pool=None) -> MonteCarloResult:
     if _use_batch_path(config):
         return run_batch(config)
     if config.biasing is not None:
-        # The config validator already rejects executor="scalar"; this
-        # catches the quieter case of executor="auto" resolving to the
-        # scalar loop because the policy has no batch kernel.
+        # The config validator already rejects biased traces; this catches
+        # a policy without a batch kernel resolving to the scalar loop.
         raise ConfigurationError(
             "failure biasing requires the vectorised batch kernels; policy "
             f"{resolve_policy(config.policy).name!r} has no batch kernel and "
             "resolved to the scalar path"
-        )
-    if config.kernel == "fused":
-        # Same shape as the biasing guard: kernel="fused" with a policy that
-        # has no batch kernel resolved to the scalar loop, where no fused
-        # event loop ever runs.
-        raise ConfigurationError(
-            f"kernel={config.kernel!r} accelerates the vectorised batch "
-            f"kernels; policy {resolve_policy(config.policy).name!r} has no "
-            "batch kernel and resolved to the scalar path"
         )
     streams = RandomStreams(config.seed)
     iterations, _ = run_iterations(config, streams=streams)
@@ -168,7 +172,6 @@ def estimate_availability(
     horizon_hours: float = 10 * 8760.0,
     seed: Optional[int] = 0,
     confidence: float = 0.99,
-    executor: str = "auto",
     workers: int = 1,
     target_half_width: Optional[float] = None,
 ) -> MonteCarloResult:
@@ -180,7 +183,6 @@ def estimate_availability(
         n_iterations=n_iterations,
         confidence=confidence,
         seed=seed,
-        executor=executor,
         workers=workers,
         target_half_width=target_half_width,
     )

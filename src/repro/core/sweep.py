@@ -20,11 +20,10 @@ registered policy on either evaluation backend:
   (:func:`repro.core.montecarlo.batch.run_stacked`), with per-point results
   recovered by one segmented aggregation.  The pre-stacked loop — one full
   independent study per point, sharing a single worker pool — is retained
-  as ``mc_engine="per_point"`` for regression testing and for the
-  configurations the stacked engine does not cover (scalar executor, event
-  traces, policies without a stacked-capable kernel); ``sweep`` falls back
-  to it automatically (with a one-time warning when an adaptive sweep has
-  to leave the stacked allocator).  Adaptive (``target_half_width``)
+  as ``mc_engine="per_point"`` for regression testing and for policies
+  without a stacked-capable kernel; ``sweep`` falls back to it
+  automatically (with a one-time warning when an adaptive sweep has to
+  leave the stacked allocator).  Adaptive (``target_half_width``)
   sweeps run stacked too: the CI-width allocator dispatches each next
   shard round to the points with the widest intervals (see
   :mod:`repro.core.montecarlo.parallel`), optionally on the
@@ -105,10 +104,10 @@ def _warn_adaptive_fallback(reason: str) -> None:
     """Warn (once per process) that an adaptive sweep left the stacked path.
 
     Adaptive sweeps normally run on the stacked engine's CI-width
-    allocator; configurations the allocator cannot serve (scalar executor,
-    policies without a stacked-capable kernel) silently used to raise —
-    now they fall back to the independent per-point adaptive loop, which
-    is correct but pays one full study per point.
+    allocator; policies the allocator cannot serve (no stacked-capable
+    kernel) silently used to raise — now they fall back to the independent
+    per-point adaptive loop, which is correct but pays one full study per
+    point.
     """
     global _ADAPTIVE_FALLBACK_WARNED
     if _ADAPTIVE_FALLBACK_WARNED:
@@ -392,7 +391,6 @@ def _monte_carlo_points(
     mc_horizon_hours: float,
     seed: Optional[int],
     confidence: float,
-    executor: str,
     workers: int,
     shard_size: Optional[int],
     target_half_width: Optional[float],
@@ -402,7 +400,6 @@ def _monte_carlo_points(
     transport: str,
     biasing: Optional[float],
     allocator: str,
-    kernel: str,
     pool_kind: str,
     pool,
     shard_timeout: Optional[float] = None,
@@ -416,42 +413,35 @@ def _monte_carlo_points(
         raise ConfigurationError(
             f"mc_engine must be one of {MC_ENGINES}, got {mc_engine!r}"
         )
-    stackable = policy.can_stack and executor != "scalar"
-    if mc_engine == "stacked" and not stackable:
+    if mc_engine == "stacked" and not policy.can_stack:
         raise ConfigurationError(
-            "the stacked engine requires a stacked-capable policy kernel and "
-            "a vectorised executor; use mc_engine='per_point' for this "
-            "configuration"
+            "the stacked engine requires a stacked-capable policy kernel; "
+            "use mc_engine='per_point' for this configuration"
         )
-    use_stacked = mc_engine == "stacked" or (mc_engine == "auto" and stackable)
+    use_stacked = mc_engine == "stacked" or (mc_engine == "auto" and policy.can_stack)
     if crn and not use_stacked:
         # Never drop an explicit CRN request silently: a caller computing
         # contrasts would get uncoupled streams and unreduced variance.
         raise ConfigurationError(
             "common random numbers are a stacked-engine mode, but this "
-            "configuration resolved to the per-point path (scalar executor, "
-            "mc_engine='per_point', or a policy without a stacked-capable "
-            "kernel)"
+            "configuration resolved to the per-point path (mc_engine="
+            "'per_point', or a policy without a stacked-capable kernel)"
         )
     if target_half_width is not None and mc_engine == "auto" and not use_stacked:
         # Adaptive sweeps prefer the stacked allocator; fall back (loudly,
         # once) rather than refusing configurations it cannot serve.  An
         # explicit mc_engine="per_point" is honoured silently.
-        reason = (
-            "scalar executor requested"
-            if executor == "scalar"
-            else f"policy {policy.name!r} has no stacked-capable kernel"
+        _warn_adaptive_fallback(
+            f"policy {policy.name!r} has no stacked-capable kernel"
         )
-        _warn_adaptive_fallback(reason)
     if not use_stacked and (checkpoint is not None or resume is not None):
         # A shard journal describes one stacked grid; the per-point loop
         # runs many independent studies whose digests would collide in a
         # single journal file.  Refuse rather than silently not checkpoint.
         raise ConfigurationError(
             "checkpoint/resume journals cover stacked sweeps only, but this "
-            "configuration resolved to the per-point path (scalar executor, "
-            "mc_engine='per_point', or a policy without a stacked-capable "
-            "kernel)"
+            "configuration resolved to the per-point path (mc_engine="
+            "'per_point', or a policy without a stacked-capable kernel)"
         )
     if use_stacked:
         estimates = evaluate_stacked(
@@ -469,7 +459,6 @@ def _monte_carlo_points(
             transport=transport,
             biasing=biasing,
             allocator=allocator,
-            kernel=kernel,
             pool_kind=pool_kind,
             pool=pool,
             shard_timeout=shard_timeout,
@@ -492,7 +481,6 @@ def _monte_carlo_points(
                 horizon_hours=mc_horizon_hours,
                 seed=seed,
                 confidence=confidence,
-                executor=executor,
                 workers=workers,
                 shard_size=shard_size,
                 target_half_width=target_half_width,
@@ -500,7 +488,6 @@ def _monte_carlo_points(
                 transport=transport,
                 biasing=biasing,
                 allocator=allocator,
-                kernel=kernel,
                 pool_kind=pool_kind,
                 pool=sweep_pool,
                 shard_timeout=shard_timeout,
@@ -528,7 +515,6 @@ def sweep(
     mc_horizon_hours: float = DEFAULT_HORIZON_HOURS,
     seed: Optional[int] = 0,
     confidence: float = 0.99,
-    executor: str = "auto",
     workers: int = 1,
     shard_size: Optional[int] = None,
     target_half_width: Optional[float] = None,
@@ -538,7 +524,6 @@ def sweep(
     transport: str = "auto",
     biasing: Optional[float] = None,
     allocator: str = "uniform",
-    kernel: str = "numpy",
     pool_kind: str = "process",
     pool=None,
     shard_timeout: Optional[float] = None,
@@ -565,8 +550,8 @@ def sweep(
     method:
         Steady-state solver for analytical sweeps (``"auto"`` = dense/sparse
         by state count).
-    mc_iterations, mc_horizon_hours, seed, confidence, executor, workers,
-    shard_size, target_half_width:
+    mc_iterations, mc_horizon_hours, seed, confidence, workers, shard_size,
+    target_half_width:
         Monte Carlo configuration for simulation-backed sweeps; every point
         uses the same master seed so neighbouring points share their random
         stream layout.
@@ -574,7 +559,7 @@ def sweep(
         ``"stacked"`` (one kernel invocation per shard covers the whole
         grid), ``"per_point"`` (the retained pre-stacked loop, one full
         study per value) or ``"auto"``: stacked whenever the policy kernel
-        and executor allow it.  Adaptive (``target_half_width``) sweeps run
+        allows it.  Adaptive (``target_half_width``) sweeps run
         on the stacked engine's CI-width allocator; configurations the
         allocator cannot serve fall back to the per-point adaptive loop
         with a one-time warning.
@@ -595,9 +580,6 @@ def sweep(
     allocator:
         Adaptive-round budget allocator of stacked adaptive sweeps:
         ``"uniform"`` or ``"ci_width"``.
-    kernel:
-        Kernel backend of the batch path (``"numpy"`` or ``"fused"``); see
-        :class:`~repro.core.montecarlo.config.MonteCarloConfig`.
     pool_kind:
         Shard-executor pool of the sharded path (``"process"``, ``"thread"``
         or ``"serial"``); named ``pool_kind`` because ``pool`` below is the
@@ -641,7 +623,6 @@ def sweep(
         mc_horizon_hours=mc_horizon_hours,
         seed=seed,
         confidence=confidence,
-        executor=executor,
         workers=workers,
         shard_size=shard_size,
         target_half_width=target_half_width,
@@ -651,7 +632,6 @@ def sweep(
         transport=transport,
         biasing=biasing,
         allocator=allocator,
-        kernel=kernel,
         pool_kind=pool_kind,
         pool=pool,
         shard_timeout=shard_timeout,
@@ -722,7 +702,6 @@ def sweep_grid(
     mc_horizon_hours: float = DEFAULT_HORIZON_HOURS,
     seed: Optional[int] = 0,
     confidence: float = 0.99,
-    executor: str = "auto",
     workers: int = 1,
     shard_size: Optional[int] = None,
     target_half_width: Optional[float] = None,
@@ -732,7 +711,6 @@ def sweep_grid(
     transport: str = "auto",
     biasing: Optional[float] = None,
     allocator: str = "uniform",
-    kernel: str = "numpy",
     pool_kind: str = "process",
     pool=None,
     shard_timeout: Optional[float] = None,
@@ -789,7 +767,6 @@ def sweep_grid(
             mc_horizon_hours=mc_horizon_hours,
             seed=seed,
             confidence=confidence,
-            executor=executor,
             workers=workers,
             shard_size=shard_size,
             target_half_width=target_half_width,
@@ -799,7 +776,6 @@ def sweep_grid(
             transport=transport,
             biasing=biasing,
             allocator=allocator,
-            kernel=kernel,
             pool_kind=pool_kind,
             pool=pool,
             shard_timeout=shard_timeout,

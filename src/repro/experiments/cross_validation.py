@@ -66,7 +66,6 @@ def run_cross_validation(
     confidence: float = DEFAULTS.mc_confidence,
     seed: Optional[int] = DEFAULTS.seed,
     workers: int = 1,
-    kernel: str = "numpy",
     pool_kind: str = "process",
     pool=None,
 ) -> List[CrossValidationRow]:
@@ -87,10 +86,10 @@ def run_cross_validation(
         draws fresh entropy per policy).
     workers / pool:
         Sharded-executor fan-out; a single pool is shared across policies.
-    kernel / pool_kind:
-        Kernel backend and shard-executor pool of the Monte Carlo face
-        (``MonteCarloConfig.kernel`` / ``.pool``); ``pool_kind`` is so
-        named because ``pool`` is the shared-executor argument above.
+    pool_kind:
+        Shard-executor pool of the Monte Carlo face
+        (``MonteCarloConfig.pool``); so named because ``pool`` is the
+        shared-executor argument above.
     """
     if params is None:
         params = paper_parameters(
@@ -128,7 +127,6 @@ def run_cross_validation(
                 # across --workers values, so the smoke job is reproducible
                 # on any machine.
                 shard_size=max(1, mc_iterations // 4),
-                kernel=kernel,
                 pool_kind=pool_kind,
                 pool=shared_pool,
             )

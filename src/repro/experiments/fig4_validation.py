@@ -60,14 +60,12 @@ def run_fig4_validation(
     mc_iterations: int = DEFAULTS.mc_iterations,
     mc_horizon_hours: float = DEFAULTS.mc_horizon_hours,
     seed: int = DEFAULTS.seed,
-    executor: str = "auto",
     workers: int = 1,
     pool=None,
 ) -> List[ValidationPoint]:
     """Run the validation grid and return one point per (rate, hep) pair.
 
-    ``executor`` selects the Monte Carlo execution path; the default lets
-    the runner vectorise through the policy's batch kernel.  ``workers > 1``
+    Monte Carlo runs through the policy's batch kernel.  ``workers > 1``
     fans each grid point's iteration budget out over the sharded
     multi-process executor; ``pool`` optionally shares a caller-owned
     executor (e.g. across several experiments).
@@ -82,7 +80,7 @@ def run_fig4_validation(
                 points.append(
                     _validate_point(
                         rate, hep, mc_iterations, mc_horizon_hours, seed,
-                        executor, workers, grid_pool,
+                        workers, grid_pool,
                     )
                 )
     return points
@@ -94,7 +92,6 @@ def _validate_point(
     mc_iterations: int,
     mc_horizon_hours: float,
     seed: int,
-    executor: str,
     workers: int,
     pool,
 ) -> ValidationPoint:
@@ -111,7 +108,6 @@ def _validate_point(
         n_iterations=mc_iterations,
         confidence=DEFAULTS.mc_confidence,
         seed=seed,
-        executor=executor,
         workers=workers,
         pool=pool,
     )

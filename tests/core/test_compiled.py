@@ -1,5 +1,4 @@
-"""Tests for the row-search primitives, the kernel names, the compiled
-faces and the thread/serial shard pools.
+"""Tests for the row-search primitives and the thread/serial shard pools.
 
 The oracle pattern under test: ``pool=serial`` is the retained reference
 path, and every other pool at any worker count must reproduce it
@@ -12,25 +11,24 @@ whole batches.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.evaluation import evaluate
-from repro.cli import main
 from repro.core.montecarlo import (
-    KERNELS,
     POOLS,
     MonteCarloConfig,
-    has_fused_face,
     replay_stacked_point,
-    resolve_kernel,
     run_sharded,
     run_stacked,
     segment_point_records,
 )
 from repro.core.parameters import paper_parameters
-from repro.core.policies import available_policies, stack_parameter_points
+from repro.core.policies import stack_parameter_points
 from repro.core.policies import vectorized
+from repro.core.policies.base import SimulationPolicy
 from repro.core.policies.registry import resolve_policy
 from repro.core.policies.vectorized import (
     _columns,
@@ -77,25 +75,7 @@ def _assert_results_identical(a, b):
     assert a.totals == b.totals
 
 
-class TestKernelResolution:
-    def test_invalid_kernel_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_kernel("fortran")
-
-    def test_numpy_resolves_to_numpy(self):
-        assert resolve_kernel("numpy") == "numpy"
-
-
 class TestConfigSurface:
-    def test_kernel_membership_validated(self):
-        with pytest.raises(ConfigurationError, match="kernel"):
-            _config(kernel="fortran")
-
-    @pytest.mark.parametrize("kernel", ["auto", "compiled"])
-    def test_retired_kernel_names_rejected(self, kernel):
-        with pytest.raises(ConfigurationError, match=r"\('numpy', 'fused'\)"):
-            _config(kernel=kernel)
-
     def test_pool_membership_validated(self):
         with pytest.raises(ConfigurationError, match="pool"):
             _config(pool="greenlet")
@@ -105,45 +85,24 @@ class TestConfigSurface:
         with pytest.raises(ConfigurationError, match="shm"):
             _config(pool=pool, transport="shm", shard_size=200, workers=2)
 
-    def test_with_kernel_and_with_pool_helpers(self):
+    def test_with_pool_helper(self):
         config = _config()
-        assert config.kernel == "numpy" and config.pool == "process"
-        assert config.with_kernel("fused").kernel == "fused"
+        assert config.pool == "process"
         assert config.with_pool("thread").pool == "thread"
-        # helpers still validate
+        # the helper still validates
         with pytest.raises(ConfigurationError):
-            _config().with_kernel("fortran")
+            _config().with_pool("greenlet")
 
     def test_constants_exported(self):
-        assert KERNELS == ("numpy", "fused")
         assert POOLS == ("process", "thread", "serial")
 
-
-class TestCompiledFaces:
-    """A policy's compiled face is its fused event loop (``kernel="fused"``).
-
-    ``repro policies`` reports the verdict in its ``fused`` column.
-    """
-
-    EXPECTED = {
-        "automatic_failover": True,
-        "baseline": True,
-        "conventional": True,
-        "erasure": True,
-        "hot_spare_pool": True,
-    }
-
-    def test_every_registered_policy_is_classified(self):
-        assert set(available_policies()) == set(self.EXPECTED)
-
-    @pytest.mark.parametrize("name", sorted(EXPECTED))
-    def test_face_verdict(self, name, capsys):
-        assert has_fused_face(resolve_policy(name)) is self.EXPECTED[name]
-        assert main(["policies"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        column = next(line for line in lines if "scheme" in line).index("fused")
-        row = next(line for line in lines if line.startswith(f"  {name} "))
-        assert row[column:].split()[0] == ("yes" if self.EXPECTED[name] else "no")
+    @pytest.mark.parametrize("name", ["kernel", "executor"])
+    def test_execution_path_is_not_a_config_option(self, name):
+        # The input alone picks the simulator; no field or helper selects it.
+        assert name not in {field.name for field in dataclasses.fields(MonteCarloConfig)}
+        assert not hasattr(MonteCarloConfig, f"with_{name}")
+        with pytest.raises(TypeError, match=name):
+            MonteCarloConfig(**{name: "numpy"})
 
 
 class TestPoolOracle:
@@ -207,21 +166,32 @@ class TestPoolOracle:
 
 
 class TestProvenance:
-    def test_sharded_provenance_names_pool_and_kernel(self):
+    def test_sharded_provenance_names_pool(self):
         estimate = evaluate(
             STRESS, "conventional", backend="monte_carlo",
             n_iterations=400, seed=3, shard_size=200, workers=2,
             pool_kind="thread",
         )
-        assert "thread pool" in estimate.provenance
-        assert "kernel=numpy" in estimate.provenance
+        assert estimate.provenance == "executor=sharded(2 workers, thread pool)"
 
-    def test_batch_provenance_names_resolved_kernel(self):
+    def test_batch_provenance_names_path(self):
         estimate = evaluate(
             STRESS, "conventional", backend="monte_carlo",
-            n_iterations=400, seed=3, kernel="numpy",
+            n_iterations=400, seed=3,
         )
-        assert estimate.provenance == "executor=batch kernel=numpy"
+        assert estimate.provenance == "executor=batch"
+
+    def test_scalar_only_policy_provenance_names_path(self):
+        scalar_only = SimulationPolicy(
+            name="scalar_only",
+            description="no batch kernel",
+            scalar=resolve_policy("conventional").scalar,
+        )
+        estimate = evaluate(
+            STRESS, scalar_only, backend="monte_carlo",
+            n_iterations=50, seed=3,
+        )
+        assert estimate.provenance == "executor=scalar"
 
 
 # ----------------------------------------------------------------------

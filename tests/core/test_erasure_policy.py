@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 from repro.core.evaluation import analytical_result, evaluate
-from repro.core.montecarlo import MonteCarloConfig, run_monte_carlo
+from repro.core.montecarlo import (
+    MonteCarloConfig,
+    run_monte_carlo,
+    run_monte_carlo_with_trace,
+)
 from repro.core.montecarlo.batch import run_stacked
 from repro.core.montecarlo.parallel import replay_stacked_point
 from repro.core.parameters import paper_parameters
@@ -190,16 +194,14 @@ class TestErasureBothFaces:
     def test_scalar_and_batch_kernels_statistically_agree(self):
         params = erasure_params(3, 10, rate=1e-3, hep=0.1)
         policy = erasure_policy(3, 10, repair_threshold=7)
-        scalar = evaluate(
-            params, policy, backend="monte_carlo",
-            n_iterations=800, seed=11, executor="scalar",
-        )
+        scalar = run_monte_carlo_with_trace(
+            MonteCarloConfig(params=params, policy=policy, n_iterations=800, seed=11)
+        )[0]
         batch = evaluate(
-            params, policy, backend="monte_carlo",
-            n_iterations=800, seed=12, executor="batch",
+            params, policy, backend="monte_carlo", n_iterations=800, seed=12,
         )
         assert abs(scalar.availability - batch.availability) <= (
-            scalar.half_width + batch.half_width
+            scalar.interval.half_width + batch.half_width
         )
 
     def test_crossval_passes_for_erasure_at_event_rich_point(self):

@@ -10,6 +10,7 @@ itself, and the shared-memory orphan reaper.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -32,7 +33,7 @@ from repro.core.montecarlo import (
 )
 from repro.core.montecarlo.transport import active_segments, reap_stale_segments
 from repro.core.parameters import paper_parameters
-from repro.core.policies import get_policy
+from repro.core.policies import get_policy, resolve_policy
 from repro.exceptions import ConfigurationError
 from repro.simulation.rng import RandomStreams
 
@@ -75,6 +76,63 @@ def _stacked_configs(n_points: int = 3, **overrides):
         )
         for hep in heps
     ]
+
+
+#: Config fields that do not feed the journal's run digest, because they
+#: cannot change a run's numbers.  ``collect_trace`` is here because the
+#: sharded path, the only one that journals, rejects it.
+RESULT_NEUTRAL_FIELDS = (
+    "workers",
+    "pool",
+    "transport",
+    "shard_timeout",
+    "max_shard_retries",
+    "retry_backoff",
+    "checkpoint",
+    "resume",
+    "collect_trace",
+)
+
+#: The result-neutral fields that only steer how a sharded run executes,
+#: each with a changed value under which a journal must still resume.
+#: ``checkpoint`` and ``resume`` (the journal's own path) and
+#: ``collect_trace`` have tests of their own.
+EXECUTION_FIELD_VARIANTS = {
+    "workers": 2,
+    "pool": "thread",
+    "transport": "pickle",
+    "shard_timeout": 60.0,
+    "max_shard_retries": 0,
+    "retry_backoff": 0.5,
+}
+
+#: Every other config field, each with a changed value that must move the
+#: digest of :func:`_config_digest`'s adaptive base run.
+DIGEST_FIELD_VARIANTS = {
+    "params": paper_parameters(disk_failure_rate=2e-4, hep=0.05),
+    "policy": "automatic_failover",
+    "horizon_hours": 40_000.0,
+    "n_iterations": 3000,
+    "confidence": 0.95,
+    "seed": 14,
+    "shard_size": 250,
+    "target_half_width": 2e-3,
+    "max_iterations": 9000,
+    "biasing": 2.0,
+    "allocator": "ci_width",
+}
+
+
+def _config_digest(config: MonteCarloConfig) -> str:
+    """Return the digest a single-point sharded run of ``config`` journals."""
+    digest, _ = run_digest(
+        [config],
+        resolve_policy(config.policy),
+        master_entropy=RandomStreams(config.seed).seed_entropy,
+        shard_size=config.shard_size,
+        scalar=True,
+    )
+    return digest
 
 
 def _assert_bit_identical(results, reference):
@@ -385,6 +443,57 @@ class TestJournalIntegrity:
             configs, policy, master_entropy=entropy + 1, shard_size=500
         )
         assert other != base
+
+    def test_every_config_field_feeds_the_digest_or_is_result_neutral(self):
+        # A field that changes the draws but stays out of the digest lets a
+        # journal resume into a different run; a new field must be sorted
+        # into one of the two groups before it ships.
+        names = {field.name for field in dataclasses.fields(MonteCarloConfig)}
+        unclassified = names - set(DIGEST_FIELD_VARIANTS) - set(RESULT_NEUTRAL_FIELDS)
+        assert not unclassified, (
+            f"config fields {sorted(unclassified)} neither feed the run digest "
+            "nor are listed as result-neutral"
+        )
+        assert not set(DIGEST_FIELD_VARIANTS) & set(RESULT_NEUTRAL_FIELDS)
+        assert set(RESULT_NEUTRAL_FIELDS) == set(EXECUTION_FIELD_VARIANTS) | {
+            "checkpoint", "resume", "collect_trace",
+        }
+
+    @pytest.mark.parametrize("name", sorted(DIGEST_FIELD_VARIANTS))
+    def test_digest_field_moves_the_digest(self, name):
+        base = _config(target_half_width=1e-3, max_iterations=8000)
+        varied = dataclasses.replace(base, **{name: DIGEST_FIELD_VARIANTS[name]})
+        assert _config_digest(varied) != _config_digest(base), name
+
+    @pytest.mark.parametrize("name", sorted(EXECUTION_FIELD_VARIANTS))
+    def test_execution_field_change_still_resumes(self, tmp_path, name):
+        # A journal written under the base settings resumes every shard
+        # when only how the run executes changes.
+        journal = str(tmp_path / "neutral.journal")
+        written = run_monte_carlo(_config(checkpoint=journal))
+        resumed = run_monte_carlo(
+            _config(resume=journal, **{name: EXECUTION_FIELD_VARIANTS[name]})
+        )
+        assert resumed.resumed_shards == 4  # 2000 / 500
+        _assert_bit_identical([resumed], [written])
+
+    @pytest.mark.parametrize("field", ["checkpoint", "resume"])
+    def test_moved_journal_still_resumes(self, tmp_path, field):
+        # The journal's path stays out of the digest: a copied journal
+        # resumes under either field.
+        written_path = tmp_path / "written.journal"
+        written = run_monte_carlo(_config(checkpoint=str(written_path)))
+        moved_path = tmp_path / "moved.journal"
+        moved_path.write_bytes(written_path.read_bytes())
+        resumed = run_monte_carlo(_config(**{field: str(moved_path)}))
+        assert resumed.resumed_shards == 4
+        _assert_bit_identical([resumed], [written])
+
+    def test_trace_collection_never_reaches_the_journal(self, tmp_path):
+        # collect_trace is result-neutral for the journal because the
+        # sharded path, the only one that journals, refuses it.
+        with pytest.raises(ConfigurationError, match="collect_trace"):
+            _config(checkpoint=str(tmp_path / "trace.journal"), collect_trace=True)
 
     def test_journal_append_idempotent(self, tmp_path):
         from repro.core.montecarlo.journal import record_from_summary

@@ -34,12 +34,10 @@ import pytest
 
 from repro.core.montecarlo import (
     MonteCarloConfig,
-    run_fused_batch,
     run_sharded,
     run_stacked,
     segment_point_records,
 )
-from repro.core.montecarlo.fused import FUSED_PUREPY_ENV
 from repro.core.parameters import paper_parameters
 from repro.core.policies import stack_parameter_points
 from repro.core.policies.erasure import erasure_policy
@@ -116,16 +114,6 @@ def _run_kernel(policy, params, counts, biasing=None, seed=19):
     return records, rng.bit_generator.state
 
 
-def _run_fused(seed=19):
-    streams = RandomStreams(seed)
-    params, counts = _kernel_params("point", 1.0)
-    batch = run_fused_batch(
-        KERNEL_POLICIES["conventional"], params, HORIZON, sum(counts), streams
-    )
-    records = segment_point_records(batch, range(len(counts)), counts)
-    return records, streams.stream("fused").bit_generator.state
-
-
 def _kernel_cases() -> Dict[str, Callable[[], Tuple[np.ndarray, dict]]]:
     cases: Dict[str, Callable[[], Tuple[np.ndarray, dict]]] = {}
     for name, policy in KERNEL_POLICIES.items():
@@ -141,7 +129,6 @@ def _kernel_cases() -> Dict[str, Callable[[], Tuple[np.ndarray, dict]]]:
         cases[f"erasure_3of10-{grid}"] = lambda g=grid: _run_kernel(
             ERASURE, *_erasure_params(g)
         )
-    cases["fused-conventional-point"] = _run_fused
     return cases
 
 
@@ -278,12 +265,6 @@ def golden() -> dict:
 
 def _assert_close(got, want, what: str) -> None:
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0, err_msg=what)
-
-
-@pytest.fixture(autouse=True)
-def _purepy_fused(monkeypatch):
-    """Let the fused case run its loops as plain Python without numba."""
-    monkeypatch.setenv(FUSED_PUREPY_ENV, "1")
 
 
 def test_fixture_covers_every_case(golden):

@@ -17,13 +17,14 @@ from repro.core.montecarlo import (
     plan_shards,
     run_batch_lifetimes,
     run_monte_carlo,
+    run_monte_carlo_with_trace,
     run_shard,
     run_sharded,
     summarise_batch,
 )
 from repro.core.parameters import paper_parameters
 from repro.core.policies import get_policy
-from repro.core.policies.base import BatchLifetimes
+from repro.core.policies.base import BatchLifetimes, SimulationPolicy
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.confidence import StreamingMoments
 from repro.simulation.rng import RandomStreams
@@ -44,6 +45,15 @@ def _config(**overrides) -> MonteCarloConfig:
     )
     defaults.update(overrides)
     return MonteCarloConfig(**defaults)
+
+
+def _scalar_only_policy() -> SimulationPolicy:
+    """The conventional model with its batch kernel left out."""
+    return SimulationPolicy(
+        name="scalar_only",
+        description="no batch kernel",
+        scalar=get_policy("conventional").scalar,
+    )
 
 
 class TestShardPlanning:
@@ -196,8 +206,8 @@ class TestStatisticalConsistency:
         # the same scenario must have overlapping 99 % intervals.
         base = _config(policy=policy, n_iterations=1500, confidence=0.99)
         results = {
-            "scalar": run_monte_carlo(base.with_executor("scalar")),
-            "batch": run_monte_carlo(base.with_executor("batch")),
+            "scalar": run_monte_carlo_with_trace(base)[0],
+            "batch": run_monte_carlo(base),
             "sharded-1w": run_monte_carlo(base.with_workers(1, shard_size=500)),
             "sharded-2w": run_monte_carlo(base.with_workers(2, shard_size=500)),
         }
@@ -208,13 +218,13 @@ class TestStatisticalConsistency:
                 high = min(results[a].interval.upper, results[b].interval.upper)
                 assert low <= high, f"{a} and {b} intervals do not overlap"
 
-    def test_sharded_scalar_executor_supported(self):
-        # executor="scalar" on the sharded path forces the per-lifetime
-        # loop inside each shard; the estimate must agree with the batch
-        # kernels at the 99 % level.
+    def test_sharded_scalar_only_policy_supported(self):
+        # A policy without a batch kernel runs the per-lifetime loop inside
+        # each shard; the estimate must agree with the conventional batch
+        # kernel at the 99 % level.
         base = _config(n_iterations=800)
         scalar_sharded = run_monte_carlo(
-            base.with_executor("scalar").with_workers(2, shard_size=400)
+            base.with_policy(_scalar_only_policy()).with_workers(2, shard_size=400)
         )
         batch_sharded = run_monte_carlo(base.with_workers(2, shard_size=400))
         low = max(scalar_sharded.interval.lower, batch_sharded.interval.lower)
@@ -296,8 +306,8 @@ class TestAdaptiveStopping:
 class TestSeedEntropyReplay:
     def test_seed_entropy_recorded_on_all_paths(self):
         base = _config(n_iterations=200)
-        assert run_monte_carlo(base.with_executor("batch")).seed_entropy == 13
-        assert run_monte_carlo(base.with_executor("scalar")).seed_entropy == 13
+        assert run_monte_carlo(base).seed_entropy == 13
+        assert run_monte_carlo_with_trace(base)[0].seed_entropy == 13
         assert run_monte_carlo(base.with_workers(2)).seed_entropy == 13
 
     def test_unseeded_run_replayable_from_recorded_entropy(self):
@@ -332,12 +342,10 @@ class TestShardKernelEntry:
         direct = run_batch_lifetimes(config, streams=RandomStreams(13).spawn_child(0))
         assert np.array_equal(shard.availabilities(), direct.availabilities())
 
-    def test_force_scalar_falls_back_to_loop(self):
+    def test_scalar_only_policy_falls_back_to_loop(self):
         config = _config(n_iterations=50)
-        policy = get_policy("conventional")
+        policy = _scalar_only_policy()
         family = RandomStreams(13).spawn_child(0)
-        batch = policy.simulate_shard(
-            config.params, config.horizon_hours, 50, family, force_scalar=True
-        )
+        batch = policy.simulate_shard(config.params, config.horizon_hours, 50, family)
         assert len(batch) == 50
         assert np.all(batch.availabilities() <= 1.0)

@@ -80,23 +80,16 @@ class TestRegistry:
 
 
 class TestConfigExecutor:
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MonteCarloConfig(executor="warp")
-
     def test_policy_name_property(self):
         assert MonteCarloConfig(policy=PolicyKind.CONVENTIONAL).policy_name == "conventional"
         assert MonteCarloConfig(policy="hot_spare_pool").policy_name == "hot_spare_pool"
         assert MonteCarloConfig(policy=hot_spare_policy(3)).policy_name == "hot_spare_pool_k3"
 
-    def test_with_executor(self):
-        config = MonteCarloConfig().with_executor("scalar")
-        assert config.executor == "scalar"
-
 
 class TestScalarBatchAgreement:
-    """The two executors are different samplers of the same model: at a
-    fixed parameter set their 99% confidence intervals must overlap."""
+    """The scalar reference loop and the batch kernel are different samplers
+    of the same model: at a fixed parameter set their 99% confidence
+    intervals must overlap."""
 
     @pytest.mark.parametrize(
         "policy", [PolicyKind.CONVENTIONAL, PolicyKind.AUTOMATIC_FAILOVER, "hot_spare_pool"]
@@ -109,8 +102,8 @@ class TestScalarBatchAgreement:
             horizon_hours=87_600.0,
             seed=42,
         )
-        scalar = run_monte_carlo(config.with_executor("scalar"))
-        batch = run_monte_carlo(config.with_executor("batch"))
+        scalar = run_monte_carlo_with_trace(config)[0]
+        batch = run_monte_carlo(config)
         assert scalar.unavailability > 0.0
         assert batch.unavailability > 0.0
         assert _intervals_overlap(scalar, batch)
@@ -122,20 +115,11 @@ class TestScalarBatchAgreement:
     def test_batch_reproducible_with_seed(self):
         config = MonteCarloConfig(
             params=FAST_PARAMS, n_iterations=500, horizon_hours=50_000.0, seed=7,
-            executor="batch",
         )
         first = run_monte_carlo(config)
         second = run_monte_carlo(config)
         assert first.availability == second.availability
         assert first.totals == second.totals
-
-    def test_auto_executor_matches_batch(self):
-        config = MonteCarloConfig(
-            params=FAST_PARAMS, n_iterations=500, horizon_hours=50_000.0, seed=7,
-        )
-        assert run_monte_carlo(config).availability == pytest.approx(
-            run_monte_carlo(config.with_executor("batch")).availability, rel=0.0
-        )
 
 
 class TestBatchLifetimes:
@@ -157,7 +141,7 @@ class TestBatchLifetimes:
         )
         config = MonteCarloConfig(
             params=FAST_PARAMS, policy=no_kernel, n_iterations=50,
-            horizon_hours=20_000.0, seed=3, executor="batch",
+            horizon_hours=20_000.0, seed=3,
         )
         result = run_batch(config)
         assert result.n_iterations == 50

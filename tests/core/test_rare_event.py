@@ -73,10 +73,6 @@ class TestBiasingConfig:
             with pytest.raises(ConfigurationError):
                 MonteCarloConfig(biasing=bad)
 
-    def test_biasing_rejects_scalar_executor(self):
-        with pytest.raises(ConfigurationError, match="scalar"):
-            MonteCarloConfig(biasing=2.0, executor="scalar")
-
     def test_biasing_rejects_event_traces(self):
         with pytest.raises(ConfigurationError, match="trace"):
             MonteCarloConfig(biasing=2.0, collect_trace=True)
@@ -104,8 +100,8 @@ class TestBiasingConfig:
         assert config.with_biasing(None).biasing is None
 
     def test_biasing_requires_a_batch_kernel(self):
-        # A scalar-only policy resolving executor="auto" to the scalar loop
-        # must refuse biasing rather than silently ignore it.
+        # A scalar-only policy resolves to the scalar loop, which must
+        # refuse biasing rather than silently ignore it.
         scalar_only = SimulationPolicy(
             name="scalar_only",
             description="test stub without a batch kernel",
@@ -391,18 +387,25 @@ class TestAdaptiveSweepFallback:
         yield
         sweep_module._ADAPTIVE_FALLBACK_WARNED = False
 
-    def test_scalar_adaptive_sweep_warns_once_and_still_runs(self):
+    def test_unstackable_adaptive_sweep_warns_once_and_still_runs(self):
+        conventional = get_policy("conventional")
+        unstacked = SimulationPolicy(
+            name="unstacked_test_policy",
+            description="batch kernel without stacked support",
+            scalar=conventional.scalar,
+            batch=conventional.batch,
+        )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             points = sweep_module.sweep(
                 paper_parameters(**STRESS),
                 "hep",
                 [0.02, 0.05],
+                unstacked,
                 backend="monte_carlo",
                 mc_iterations=500,
                 mc_horizon_hours=HORIZON,
                 seed=3,
-                executor="scalar",
                 target_half_width=5e-3,
             )
         fallback = [

@@ -53,6 +53,17 @@ def _configs(heps, policy="conventional", n=1200, seed=13, **overrides):
     ]
 
 
+def _unstacked_policy() -> SimulationPolicy:
+    """The conventional model whose batch kernel has no stacked support."""
+    conventional = get_policy("conventional")
+    return SimulationPolicy(
+        name="unstacked_test_policy",
+        description="batch kernel without stacked support",
+        scalar=conventional.scalar,
+        batch=conventional.batch,
+    )
+
+
 def _intervals_overlap(a, b) -> bool:
     return max(a.interval.lower, b.interval.lower) <= min(
         a.interval.upper, b.interval.upper
@@ -198,18 +209,8 @@ class TestStackedValidation:
                 crn=True,
             )
 
-    def test_scalar_executor_rejected(self):
-        with pytest.raises(ConfigurationError, match="vectorised"):
-            run_stacked(_configs([0.01], executor="scalar"))
-
     def test_policy_without_stacked_kernel_rejected(self):
-        conventional = get_policy("conventional")
-        unstacked = SimulationPolicy(
-            name="unstacked_test_policy",
-            description="batch kernel without stacked support",
-            scalar=conventional.scalar,
-            batch=conventional.batch,
-        )
+        unstacked = _unstacked_policy()
         assert not unstacked.can_stack
         with pytest.raises(ConfigurationError, match="stacked-capable"):
             run_stacked(_configs([0.01], policy=unstacked))
@@ -218,8 +219,8 @@ class TestStackedValidation:
         with pytest.raises(ConfigurationError, match="stacked engine"):
             sweep(
                 paper_parameters(**STRESS), "hep", [0.01, 0.02],
-                backend="monte_carlo", mc_engine="stacked",
-                executor="scalar", mc_iterations=400,
+                _unstacked_policy(), backend="monte_carlo",
+                mc_engine="stacked", mc_iterations=400,
             )
 
     def test_sweep_per_point_engine_rejects_crn(self):

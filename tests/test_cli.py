@@ -5,6 +5,34 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.policies import (
+    SimulationPolicy,
+    available_policies,
+    get_policy,
+    register_policy,
+    unregister_policy,
+)
+
+#: The columns of ``repro policies``, in order.
+POLICY_COLUMNS = ["name", "faces", "kernels", "stacked", "scheme"]
+
+
+def _policy_rows(out: str) -> dict:
+    """Parse ``repro policies`` output into ``{name: {column: cell}}``."""
+    lines = out.splitlines()
+    header = next(line for line in lines if line.lstrip().startswith("name "))
+    assert header.split() == POLICY_COLUMNS
+    starts = [header.index(column) for column in POLICY_COLUMNS]
+    rows = {}
+    for line in lines:
+        if not line.startswith("  ") or line == header or not line[2:3].strip():
+            continue
+        cells = [
+            line[start:end].strip()
+            for start, end in zip(starts, starts[1:] + [len(line)])
+        ]
+        rows[cells[0]] = dict(zip(POLICY_COLUMNS, cells))
+    return rows
 
 
 class TestSolveCommand:
@@ -52,6 +80,7 @@ class TestMcCommand:
         ]) == 0
         out = capsys.readouterr().out
         assert "policy:             conventional" in out
+        assert "executor:           batch\n" in out
         assert "availability:" in out and "interval:" in out
 
     def test_mc_hot_spare_pool_end_to_end(self, capsys):
@@ -69,13 +98,6 @@ class TestMcCommand:
         ]) == 0
         out = capsys.readouterr().out
         assert "hot_spare_pool_k3" in out
-
-    def test_mc_scalar_executor(self, capsys):
-        assert main([
-            "mc", "--executor", "scalar", "--failure-rate", "1e-4",
-            "--hep", "0.05", "--iterations", "200", "--seed", "1",
-        ]) == 0
-        assert "executor:           scalar" in capsys.readouterr().out
 
     def test_mc_seed_entropy_printed(self, capsys):
         assert main([
@@ -99,7 +121,7 @@ class TestMcCommand:
             "--iterations", "600", "--seed", "1", "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
-        assert "(sharded, 2 workers, process pool)" in out
+        assert "executor:           sharded(2 workers, process pool)\n" in out
         assert "iterations:         600" in out
 
     def test_mc_adaptive_target_half_width(self, capsys):
@@ -109,7 +131,7 @@ class TestMcCommand:
             "--target-half-width", "2e-4", "--max-iterations", "5000",
         ]) == 0
         out = capsys.readouterr().out
-        assert "(sharded, 1 worker)" in out
+        assert "executor:           sharded(1 worker)\n" in out
 
     def test_mc_pinned_shard_size_worker_invariant(self, capsys):
         args = [
@@ -271,6 +293,35 @@ class TestPoliciesCommand:
         assert "check every 730 h" in out
         assert "continuous repair" in out
 
+    def test_every_registered_policy_has_a_row(self, capsys):
+        assert main(["policies"]) == 0
+        assert set(_policy_rows(capsys.readouterr().out)) == set(available_policies())
+
+    @pytest.mark.parametrize("name", sorted(available_policies()))
+    def test_row_reports_the_policy_faces(self, name, capsys):
+        policy = get_policy(name)
+        assert main(["policies"]) == 0
+        row = _policy_rows(capsys.readouterr().out)[name]
+        assert row["faces"] == ("both" if policy.has_analytical_model else "monte_carlo")
+        assert row["kernels"] == ("batch+scalar" if policy.has_batch_kernel else "scalar")
+        assert row["stacked"] == ("yes" if policy.supports_stacked else "no")
+
+    def test_scalar_only_policy_row(self, capsys):
+        custom = SimulationPolicy(
+            name="scalar_only_cli_policy",
+            description="registered by the test suite",
+            scalar=get_policy("conventional").scalar,
+        )
+        register_policy(custom)
+        try:
+            assert main(["policies"]) == 0
+        finally:
+            unregister_policy(custom.name)
+        row = _policy_rows(capsys.readouterr().out)[custom.name]
+        assert row["faces"] == "monte_carlo"
+        assert row["kernels"] == "scalar"
+        assert row["stacked"] == "no"
+
 
 class TestReproduceCommand:
     def test_reproduce_without_monte_carlo(self, capsys):
@@ -288,3 +339,16 @@ class TestParser:
     def test_rejects_unknown_model(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve", "--model", "bogus"])
+
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--kernel", "numpy"],
+        ["mc", "--executor", "scalar"],
+        ["sweep", "--axis", "hep", "--values", "0.01", "--kernel", "numpy"],
+        ["crossval", "--kernel", "numpy"],
+    ], ids=["mc-kernel", "mc-executor", "sweep-kernel", "crossval-kernel"])
+    def test_no_flag_selects_the_simulator(self, argv, capsys):
+        # The input alone picks the simulator, so these flags do not exist.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
