@@ -47,6 +47,24 @@ def _run_scalar(config: MonteCarloConfig):
     return run_monte_carlo_with_trace(config)[0]
 
 
+def _benchmark_best_of_3(benchmark, config: MonteCarloConfig):
+    """Benchmark ``run_monte_carlo(config)``; return its result and best time.
+
+    Each round is timed here rather than read from ``benchmark.stats``,
+    which is ``None`` under ``--benchmark-disable`` (one round then runs).
+    """
+    timings = []
+
+    def timed_run():
+        start = time.perf_counter()
+        result = run_monte_carlo(config)
+        timings.append(time.perf_counter() - start)
+        return result
+
+    result = benchmark.pedantic(timed_run, iterations=1, rounds=3)
+    return result, min(timings)
+
+
 def test_monte_carlo_conventional_throughput(benchmark, bench_seed):
     """Time a 2000-lifetime conventional-policy study (auto = batch path)."""
     config = _bench_config(PolicyKind.CONVENTIONAL, 2000, bench_seed)
@@ -100,9 +118,7 @@ def test_batch_beats_scalar_at_10k_iterations(benchmark, bench_seed):
     scalar = _run_scalar(config)
     scalar_seconds = time.perf_counter() - start
 
-    batch = benchmark.pedantic(run_monte_carlo, args=(config,), iterations=1, rounds=3)
-    # Best-of-3 from the benchmark's own measurements; no extra run needed.
-    batch_seconds = benchmark.stats.stats.min
+    batch, batch_seconds = _benchmark_best_of_3(benchmark, config)
 
     print()
     print(
@@ -181,10 +197,7 @@ def test_parallel_beats_single_process_batch(benchmark, bench_seed):
     single_seconds = min(single_timings)
 
     parallel_config = config.with_workers(4, shard_size=25_000)
-    parallel = benchmark.pedantic(
-        run_monte_carlo, args=(parallel_config,), iterations=1, rounds=3
-    )
-    parallel_seconds = benchmark.stats.stats.min
+    parallel, parallel_seconds = _benchmark_best_of_3(benchmark, parallel_config)
 
     print()
     print(

@@ -11,11 +11,11 @@ DATE 2017).  The package provides:
   (builder, steady-state and transient solvers, validation).
 * :mod:`repro.simulation` — a discrete-event simulation kernel with RNG
   stream management and confidence intervals.
-* :mod:`repro.storage` — disks, RAID geometries, arrays, rebuild/backup
-  models and latent sector errors.
-* :mod:`repro.human` — human error probability data, operator models and
-  replacement policies.
-* :mod:`repro.availability` — nines/downtime arithmetic, MTTDL, ERF.
+* :mod:`repro.storage` — RAID geometries, equal-capacity subsystems and
+  latent sector errors.
+* :mod:`repro.human` — replacement policy identifiers, expected human
+  errors and the error recovery model.
+* :mod:`repro.availability` — nines/downtime arithmetic, ERF, reports.
 * :mod:`repro.experiments` — regeneration of every figure and headline
   number of the paper's evaluation section.
 

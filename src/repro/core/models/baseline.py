@@ -27,8 +27,8 @@ def build_baseline_chain(params: AvailabilityParameters) -> MarkovChain:
 
     Supports fault tolerance 1 (RAID1 mirrors, RAID5) and 2 (RAID6).  RAID0
     is rejected: with no redundancy the first failure is already a data-loss
-    event and the model degenerates to two states, which the dedicated
-    MTTDL helpers in :mod:`repro.availability.mttdl` cover better.
+    event and the model degenerates to two states, whose availability is
+    :func:`repro.availability.metrics.availability_from_mttf_mttr`.
     """
     geometry = params.geometry
     n = geometry.n_disks

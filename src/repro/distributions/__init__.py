@@ -1,28 +1,16 @@
 """Time-to-event distributions used by the availability models.
 
 The Markov models require exponential sojourn times; the Monte Carlo
-simulator additionally supports Weibull (field-accurate disk failure times),
-lognormal and gamma repair times, deterministic delays and empirical traces.
+simulator additionally supports Weibull (field-accurate disk failure times).
 """
 
 from repro.distributions.base import Distribution, ensure_rng
-from repro.distributions.deterministic import Deterministic
-from repro.distributions.empirical import Empirical
 from repro.distributions.exponential import Exponential
-from repro.distributions.factory import describe_distribution, make_distribution
-from repro.distributions.gamma import Gamma
-from repro.distributions.lognormal import LogNormal
 from repro.distributions.weibull import Weibull
 
 __all__ = [
     "Distribution",
-    "Deterministic",
-    "Empirical",
     "Exponential",
-    "Gamma",
-    "LogNormal",
     "Weibull",
     "ensure_rng",
-    "make_distribution",
-    "describe_distribution",
 ]

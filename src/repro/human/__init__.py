@@ -1,51 +1,12 @@
-"""Human-error substrate: hep data, error taxonomy, operators, policies."""
+"""Human-error substrate: policy identifiers, expected errors, error recovery."""
 
-from repro.human.errors import (
-    MAKES_DEGRADED_ARRAY_UNAVAILABLE,
-    HumanErrorEvent,
-    HumanErrorLog,
-    HumanErrorType,
-)
-from repro.human.hep import (
-    HEP_REFERENCE_BANDS,
-    PAPER_HEP_VALUES,
-    HumanErrorProbability,
-    adjust_with_performance_shaping_factors,
-    expected_errors_per_year,
-    hep_from_observations,
-    paper_hep_probabilities,
-)
-from repro.human.operator import Operator, ReplacementOutcome
-from repro.human.policy import (
-    AutomaticFailoverPolicy,
-    ConventionalReplacementPolicy,
-    PolicyDecision,
-    PolicyKind,
-    ReplacementPolicy,
-    make_policy,
-)
+from repro.human.hep import expected_errors_per_year
+from repro.human.policy import PolicyKind
 from repro.human.recovery import HumanErrorRecoveryModel, RecoveryAttemptResult
 
 __all__ = [
-    "AutomaticFailoverPolicy",
-    "ConventionalReplacementPolicy",
-    "HEP_REFERENCE_BANDS",
-    "HumanErrorEvent",
-    "HumanErrorLog",
-    "HumanErrorProbability",
     "HumanErrorRecoveryModel",
-    "HumanErrorType",
-    "MAKES_DEGRADED_ARRAY_UNAVAILABLE",
-    "Operator",
-    "PAPER_HEP_VALUES",
-    "PolicyDecision",
     "PolicyKind",
     "RecoveryAttemptResult",
-    "ReplacementOutcome",
-    "ReplacementPolicy",
-    "adjust_with_performance_shaping_factors",
     "expected_errors_per_year",
-    "hep_from_observations",
-    "make_policy",
-    "paper_hep_probabilities",
 ]

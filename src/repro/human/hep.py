@@ -1,132 +1,18 @@
-"""Human Error Probability (hep) data and Human Reliability Assessment helpers.
+"""Expected human errors per year from a human error probability (hep).
 
 Section II of the paper surveys HRA sources (NASA HRA, EUROCONTROL, NUREG /
 THERP) and concludes that the probability of an error in a routine manual
 task falls between 0.001 and 0.1, narrowing to 0.001-0.01 for enterprise and
-safety-critical operations with checklists and trained staff.  This module
-encodes those reference bands, the performance-shaping-factor adjustment
-used by THERP-style assessments, and the specific hep values the paper
-sweeps (0, 0.001, 0.01).
+safety-critical operations with checklists and trained staff.  At data-centre
+scale even such a small hep turns into frequent errors; this module does
+that arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
 
 from repro.exceptions import HumanErrorModelError
-
-#: hep values swept by the paper's experiments.
-PAPER_HEP_VALUES: Tuple[float, ...] = (0.0, 0.001, 0.01)
-
-#: Reference bands collected from HRA literature, as (low, high) hep ranges.
-HEP_REFERENCE_BANDS: Dict[str, Tuple[float, float]] = {
-    # General manual task probability range quoted in the paper.
-    "general_manual_task": (0.001, 0.1),
-    # Enterprise / safety-critical operations with procedures and training.
-    "enterprise_with_procedures": (0.001, 0.01),
-    # Routine, well-rehearsed action with strong feedback (best case in THERP).
-    "skill_based_routine": (0.0001, 0.001),
-    # Complex diagnosis under time pressure (worst case bands).
-    "knowledge_based_under_stress": (0.01, 0.3),
-}
-
-
-@dataclass(frozen=True)
-class HumanErrorProbability:
-    """A validated human error probability with provenance.
-
-    Attributes
-    ----------
-    value:
-        Probability that a single execution of the task is erroneous.
-    source:
-        Free-form provenance string ("paper sweep", "NUREG-1278 table 20-7").
-    task:
-        Short description of the assessed task.
-    """
-
-    value: float
-    source: str = "unspecified"
-    task: str = "disk replacement"
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value) or not 0.0 <= self.value <= 1.0:
-            raise HumanErrorModelError(
-                f"human error probability must lie in [0, 1], got {self.value!r}"
-            )
-
-    def complement(self) -> float:
-        """Return the success probability ``1 - hep``."""
-        return 1.0 - self.value
-
-    def is_within_band(self, band: str) -> bool:
-        """Return whether the value falls inside a named reference band."""
-        try:
-            low, high = HEP_REFERENCE_BANDS[band]
-        except KeyError:
-            raise HumanErrorModelError(
-                f"unknown hep reference band {band!r}; known: {sorted(HEP_REFERENCE_BANDS)}"
-            ) from None
-        return low <= self.value <= high
-
-
-def paper_hep_probabilities() -> List[HumanErrorProbability]:
-    """Return the three hep values used throughout the paper's evaluation."""
-    return [
-        HumanErrorProbability(value=v, source="paper sweep", task="wrong disk replacement")
-        for v in PAPER_HEP_VALUES
-    ]
-
-
-def adjust_with_performance_shaping_factors(
-    base_hep: float, factors: Dict[str, float], cap: float = 1.0
-) -> float:
-    """Return a THERP-style adjusted hep: base value times shaping factors.
-
-    Performance shaping factors (PSFs) multiply the nominal hep: stress,
-    unfamiliarity and poor ergonomics increase it, good procedures and
-    independent verification decrease it.  The result is capped at ``cap``.
-
-    Parameters
-    ----------
-    base_hep:
-        Nominal human error probability.
-    factors:
-        Mapping of factor name to multiplier (must be positive).
-    cap:
-        Upper bound on the adjusted probability (1.0 by default).
-    """
-    if not 0.0 <= base_hep <= 1.0:
-        raise HumanErrorModelError(f"base hep must lie in [0, 1], got {base_hep!r}")
-    if not 0.0 < cap <= 1.0:
-        raise HumanErrorModelError(f"cap must lie in (0, 1], got {cap!r}")
-    adjusted = base_hep
-    for name, multiplier in factors.items():
-        if multiplier <= 0.0 or not math.isfinite(multiplier):
-            raise HumanErrorModelError(
-                f"performance shaping factor {name!r} must be positive, got {multiplier!r}"
-            )
-        adjusted *= multiplier
-    return min(adjusted, cap)
-
-
-def hep_from_observations(error_count: int, opportunity_count: int) -> HumanErrorProbability:
-    """Return the empirical hep ``errors / opportunities`` (the HRA definition)."""
-    if opportunity_count <= 0:
-        raise HumanErrorModelError(
-            f"opportunity count must be positive, got {opportunity_count!r}"
-        )
-    if error_count < 0 or error_count > opportunity_count:
-        raise HumanErrorModelError(
-            f"error count {error_count!r} must lie in [0, {opportunity_count}]"
-        )
-    return HumanErrorProbability(
-        value=error_count / opportunity_count,
-        source="field observation",
-        task="observed task",
-    )
 
 
 def expected_errors_per_year(
@@ -140,8 +26,9 @@ def expected_errors_per_year(
     """
     if not 0.0 <= hep <= 1.0:
         raise HumanErrorModelError(f"hep must lie in [0, 1], got {hep!r}")
-    if interventions_per_year < 0.0:
+    if not 0.0 <= interventions_per_year < math.inf:
         raise HumanErrorModelError(
-            f"interventions per year must be non-negative, got {interventions_per_year!r}"
+            "interventions per year must be finite and non-negative, "
+            f"got {interventions_per_year!r}"
         )
     return hep * interventions_per_year

@@ -1,4 +1,4 @@
-"""Disk replacement policies.
+"""Disk replacement policy identifiers.
 
 The paper contrasts two service policies for a RAID group:
 
@@ -12,18 +12,15 @@ The paper contrasts two service policies for a RAID group:
   (to restore the spare).  The operator now touches the array while it is
   *fully redundant*, so a wrong-disk error only degrades it.
 
-These policy objects are consumed by the Monte Carlo simulator
-(:mod:`repro.core.montecarlo`) and mirrored analytically by the two Markov
-models in :mod:`repro.core.models`.
+:class:`PolicyKind` names the two; the policy registry
+(:mod:`repro.core.policies`) resolves each member to the registered
+simulation policy of that name, whose Monte Carlo kernels and Markov chain
+implement it.
 """
 
 from __future__ import annotations
 
-import abc
 import enum
-from dataclasses import dataclass
-
-from repro.exceptions import HumanErrorModelError
 
 
 class PolicyKind(enum.Enum):
@@ -31,110 +28,3 @@ class PolicyKind(enum.Enum):
 
     CONVENTIONAL = "conventional"
     AUTOMATIC_FAILOVER = "automatic_failover"
-
-
-@dataclass(frozen=True)
-class PolicyDecision:
-    """What the policy wants to happen next for a degraded array.
-
-    Attributes
-    ----------
-    start_human_replacement:
-        ``True`` when a technician should be dispatched now.
-    start_spare_rebuild:
-        ``True`` when an automatic rebuild onto a hot spare should start now.
-    rationale:
-        Human-readable explanation used in traces.
-    """
-
-    start_human_replacement: bool
-    start_spare_rebuild: bool
-    rationale: str
-
-
-class ReplacementPolicy(abc.ABC):
-    """Strategy deciding how a failed disk is handled."""
-
-    kind: PolicyKind
-
-    @abc.abstractmethod
-    def on_disk_failure(self, spares_available: int, rebuild_in_progress: bool) -> PolicyDecision:
-        """Return the action to take when a disk has just failed."""
-
-    @abc.abstractmethod
-    def allows_replacement_during_rebuild(self) -> bool:
-        """Return whether a human may touch the array while a rebuild runs."""
-
-    @property
-    def label(self) -> str:
-        """Return a display label for reports."""
-        return self.kind.value.replace("_", " ")
-
-
-class ConventionalReplacementPolicy(ReplacementPolicy):
-    """Replace the failed disk immediately via a human technician."""
-
-    kind = PolicyKind.CONVENTIONAL
-
-    def on_disk_failure(self, spares_available: int, rebuild_in_progress: bool) -> PolicyDecision:
-        return PolicyDecision(
-            start_human_replacement=True,
-            start_spare_rebuild=False,
-            rationale="conventional policy: dispatch technician immediately",
-        )
-
-    def allows_replacement_during_rebuild(self) -> bool:
-        return True
-
-
-class AutomaticFailoverPolicy(ReplacementPolicy):
-    """Rebuild onto a hot spare first; replace hardware only afterwards.
-
-    Parameters
-    ----------
-    require_spare:
-        When ``True`` (default) the policy falls back to conventional
-        replacement if no spare is available, mirroring the paper's model
-        where the no-spare states (``OPns``, ``EXPns*``) involve the
-        technician again.
-    """
-
-    kind = PolicyKind.AUTOMATIC_FAILOVER
-
-    def __init__(self, require_spare: bool = True) -> None:
-        self._require_spare = bool(require_spare)
-
-    def on_disk_failure(self, spares_available: int, rebuild_in_progress: bool) -> PolicyDecision:
-        if spares_available < 0:
-            raise HumanErrorModelError(
-                f"spares_available must be non-negative, got {spares_available!r}"
-            )
-        if spares_available > 0:
-            return PolicyDecision(
-                start_human_replacement=False,
-                start_spare_rebuild=True,
-                rationale="automatic fail-over: rebuild onto hot spare, defer replacement",
-            )
-        if self._require_spare:
-            return PolicyDecision(
-                start_human_replacement=True,
-                start_spare_rebuild=False,
-                rationale="no spare available: fall back to technician replacement",
-            )
-        return PolicyDecision(
-            start_human_replacement=False,
-            start_spare_rebuild=False,
-            rationale="no spare available: wait (strict delayed replacement)",
-        )
-
-    def allows_replacement_during_rebuild(self) -> bool:
-        return False
-
-
-def make_policy(kind: PolicyKind) -> ReplacementPolicy:
-    """Instantiate the policy matching ``kind``."""
-    if kind is PolicyKind.CONVENTIONAL:
-        return ConventionalReplacementPolicy()
-    if kind is PolicyKind.AUTOMATIC_FAILOVER:
-        return AutomaticFailoverPolicy()
-    raise HumanErrorModelError(f"unknown policy kind {kind!r}")

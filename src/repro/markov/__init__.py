@@ -1,20 +1,12 @@
 """Continuous-time Markov chain engine.
 
 Provides the chain representation, a fluent builder, steady-state and
-transient solvers, discrete-time helpers, structural validation and
-availability metrics used by the storage availability models.
+transient solvers, structural validation and availability metrics used by
+the storage availability models.
 """
 
 from repro.markov.builder import ChainBuilder, chain_from_rate_dict
 from repro.markov.chain import MarkovChain, State, Transition
-from repro.markov.dtmc import (
-    dtmc_stationary_distribution,
-    embedded_jump_matrix,
-    n_step_distribution,
-    occupancy_fraction,
-    steady_state_via_discretisation,
-    step_transition_matrix,
-)
 from repro.markov.metrics import (
     AvailabilityResult,
     availability_from_up_mass,
@@ -84,16 +76,12 @@ __all__ = [
     "check_reachability",
     "compare_availability",
     "compile_rate_expression",
-    "dtmc_stationary_distribution",
-    "embedded_jump_matrix",
     "expected_visits_per_year",
     "find_absorbing_states",
     "interval_availability",
     "is_irreducible",
     "mean_time_to_absorption",
     "mean_time_to_failure",
-    "n_step_distribution",
-    "occupancy_fraction",
     "point_availability",
     "resolve_method",
     "solve_steady_state",
@@ -105,8 +93,6 @@ __all__ = [
     "stationary_from_q",
     "stationary_vector",
     "steady_state_availability",
-    "steady_state_via_discretisation",
-    "step_transition_matrix",
     "symbol_table",
     "template_from_chain",
     "transient_distribution_expm",

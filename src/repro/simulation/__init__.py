@@ -1,4 +1,4 @@
-"""Discrete-event simulation kernel: engine, RNG streams, monitors, CIs."""
+"""Discrete-event simulation kernel: engine, RNG streams, CIs."""
 
 from repro.simulation.confidence import (
     ConfidenceInterval,
@@ -10,25 +10,15 @@ from repro.simulation.confidence import (
 )
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import ScheduledEvent, TraceRecord, make_event
-from repro.simulation.monitor import (
-    CounterSet,
-    OutageRecord,
-    TimeWeightedValue,
-    UpDownMonitor,
-)
 from repro.simulation.rng import RandomStreams
 
 __all__ = [
     "ConfidenceInterval",
-    "CounterSet",
-    "OutageRecord",
     "RandomStreams",
     "ScheduledEvent",
     "SimulationEngine",
     "StreamingMoments",
-    "TimeWeightedValue",
     "TraceRecord",
-    "UpDownMonitor",
     "batch_means",
     "confidence_interval",
     "make_event",

@@ -1,40 +1,15 @@
-"""Storage substrate: disks, RAID geometries, arrays, rebuilds, backup, LSEs."""
+"""Storage substrate: RAID geometries, multi-array subsystems, LSEs."""
 
-from repro.storage.array import ArrayStatus, DiskArray
-from repro.storage.backup import BackupSystem
-from repro.storage.disk import (
-    UNAVAILABLE_STATES,
-    Disk,
-    DiskParameters,
-    DiskState,
-)
 from repro.storage.lse import LatentSectorErrorModel, LseParameters
 from repro.storage.raid import RaidGeometry, RaidLevel, paper_configurations
-from repro.storage.rebuild import (
-    BandwidthRebuildModel,
-    FixedRebuildModel,
-    RateRebuildModel,
-    RebuildModel,
-)
 from repro.storage.subsystem import DiskSubsystem, SubsystemAvailability
 
 __all__ = [
-    "ArrayStatus",
-    "BackupSystem",
-    "BandwidthRebuildModel",
-    "Disk",
-    "DiskArray",
-    "DiskParameters",
-    "DiskState",
     "DiskSubsystem",
-    "FixedRebuildModel",
     "LatentSectorErrorModel",
     "LseParameters",
     "RaidGeometry",
     "RaidLevel",
-    "RateRebuildModel",
-    "RebuildModel",
     "SubsystemAvailability",
-    "UNAVAILABLE_STATES",
     "paper_configurations",
 ]

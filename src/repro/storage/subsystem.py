@@ -11,8 +11,9 @@ the paper's equal-usable-capacity comparison (Fig. 6).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.availability.metrics import (
     availability_to_nines,
@@ -20,9 +21,17 @@ from repro.availability.metrics import (
     series_availability,
 )
 from repro.exceptions import StorageModelError
-from repro.storage.array import DiskArray
-from repro.storage.disk import DiskParameters
 from repro.storage.raid import RaidGeometry
+
+
+def _whole_number(value: int, what: str) -> int:
+    """Return ``value`` as an ``int``, rejecting fractions and non-numbers."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise StorageModelError(f"{what} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,18 +53,14 @@ class DiskSubsystem:
         self,
         geometry: RaidGeometry,
         n_arrays: int,
-        disk_parameters: Optional[DiskParameters] = None,
-        hot_spares_per_array: int = 0,
         subsystem_id: str = "subsystem",
     ) -> None:
+        n_arrays = _whole_number(n_arrays, "number of arrays")
         if n_arrays < 1:
             raise StorageModelError(f"subsystem needs at least one array, got {n_arrays!r}")
         self._id = str(subsystem_id)
         self._geometry = geometry
-        self._n_arrays = int(n_arrays)
-        self._parameters = disk_parameters or DiskParameters()
-        self._hot_spares = int(hot_spares_per_array)
-        self._arrays: Optional[List[DiskArray]] = None
+        self._n_arrays = n_arrays
 
     # ------------------------------------------------------------------
     # Constructors
@@ -65,8 +70,6 @@ class DiskSubsystem:
         cls,
         geometry: RaidGeometry,
         usable_disks: int,
-        disk_parameters: Optional[DiskParameters] = None,
-        hot_spares_per_array: int = 0,
         subsystem_id: str = "subsystem",
     ) -> "DiskSubsystem":
         """Size a subsystem that provides ``usable_disks`` of logical capacity.
@@ -74,7 +77,7 @@ class DiskSubsystem:
         ``usable_disks`` must be an exact multiple of the geometry's data
         disks so that equal-capacity comparisons are exact.
         """
-        usable_disks = int(usable_disks)
+        usable_disks = _whole_number(usable_disks, "usable capacity")
         if usable_disks < 1:
             raise StorageModelError(f"usable capacity must be positive, got {usable_disks!r}")
         if usable_disks % geometry.data_disks != 0:
@@ -85,8 +88,6 @@ class DiskSubsystem:
         return cls(
             geometry=geometry,
             n_arrays=usable_disks // geometry.data_disks,
-            disk_parameters=disk_parameters,
-            hot_spares_per_array=hot_spares_per_array,
             subsystem_id=subsystem_id,
         )
 
@@ -110,13 +111,8 @@ class DiskSubsystem:
 
     @property
     def total_disks(self) -> int:
-        """Return the total number of physical disks (excluding spares)."""
+        """Return the total number of physical disks."""
         return self._n_arrays * self._geometry.n_disks
-
-    @property
-    def total_spares(self) -> int:
-        """Return the total number of hot spares."""
-        return self._n_arrays * self._hot_spares
 
     @property
     def usable_disks(self) -> int:
@@ -128,28 +124,15 @@ class DiskSubsystem:
         """Return the subsystem ERF (physical / usable disks)."""
         return self.total_disks / self.usable_disks
 
-    def arrays(self) -> List[DiskArray]:
-        """Return (lazily materialising) the concrete array objects."""
-        if self._arrays is None:
-            self._arrays = [
-                DiskArray(
-                    f"{self._id}-a{i}",
-                    self._geometry,
-                    disk_parameters=self._parameters,
-                    hot_spares=self._hot_spares,
-                )
-                for i in range(self._n_arrays)
-            ]
-        return list(self._arrays)
-
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
     def expected_disk_failures_per_year(self, disk_failure_rate_per_hour: float) -> float:
         """Return the expected number of disk failures per year across the fleet."""
-        if disk_failure_rate_per_hour < 0.0:
+        if not 0.0 <= disk_failure_rate_per_hour < math.inf:
             raise StorageModelError(
-                f"failure rate must be non-negative, got {disk_failure_rate_per_hour!r}"
+                "failure rate must be finite and non-negative, "
+                f"got {disk_failure_rate_per_hour!r}"
             )
         return self.total_disks * disk_failure_rate_per_hour * 8760.0
 
@@ -193,7 +176,6 @@ class DiskSubsystem:
             "n_arrays": self._n_arrays,
             "total_disks": self.total_disks,
             "usable_disks": self.usable_disks,
-            "hot_spares_per_array": self._hot_spares,
             "erf": self.effective_replication_factor,
         }
 

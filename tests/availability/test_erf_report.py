@@ -1,4 +1,4 @@
-"""Unit tests for MTTDL estimators, ERF sizing and report tables."""
+"""Unit tests for ERF sizing and report tables."""
 
 from __future__ import annotations
 
@@ -13,55 +13,11 @@ from repro.availability import (
     erf_table,
     format_availability,
     format_nines,
-    mttdl_raid0,
-    mttdl_raid1,
-    mttdl_raid5,
-    mttdl_raid6,
-    mttdl_summary,
     plan_equal_usable_capacity,
     smallest_common_usable_capacity,
     table_from_series,
 )
-from repro.exceptions import ConfigurationError, RaidConfigurationError
-
-
-class TestMttdl:
-    def test_raid0(self):
-        assert mttdl_raid0(4, 1e-5) == pytest.approx(1 / (4 * 1e-5))
-
-    def test_raid5_exact_form(self):
-        n, lam, mu = 4, 1e-5, 0.1
-        expected = ((2 * n - 1) * lam + mu) / (n * (n - 1) * lam ** 2)
-        assert mttdl_raid5(n, lam, mu) == pytest.approx(expected)
-
-    def test_raid1_two_way_matches_raid5_n2(self):
-        assert mttdl_raid1(1e-5, 0.1) == pytest.approx(mttdl_raid5(2, 1e-5, 0.1))
-
-    def test_raid1_three_way_larger(self):
-        assert mttdl_raid1(1e-5, 0.1, mirrors=3) > mttdl_raid1(1e-5, 0.1, mirrors=2)
-
-    def test_raid6_beats_raid5(self):
-        assert mttdl_raid6(8, 1e-5, 0.1) > mttdl_raid5(8, 1e-5, 0.1)
-
-    def test_faster_repair_improves_mttdl(self):
-        assert mttdl_raid5(4, 1e-5, 1.0) > mttdl_raid5(4, 1e-5, 0.01)
-
-    def test_summary_keys(self):
-        summary = mttdl_summary(4, 1e-5, 0.1)
-        assert set(summary) == {"raid0", "raid1", "raid5", "raid6"}
-        assert summary["raid0"] < summary["raid5"] < summary["raid6"]
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            mttdl_raid5(1, 1e-5, 0.1)
-        with pytest.raises(ConfigurationError):
-            mttdl_raid5(4, 0.0, 0.1)
-        with pytest.raises(ConfigurationError):
-            mttdl_raid0(0, 1e-5)
-        with pytest.raises(ConfigurationError):
-            mttdl_raid1(1e-5, 0.1, mirrors=1)
-        with pytest.raises(ConfigurationError):
-            mttdl_raid6(2, 1e-5, 0.1)
+from repro.exceptions import RaidConfigurationError
 
 
 class TestErf:

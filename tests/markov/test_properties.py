@@ -10,7 +10,6 @@ from repro.markov import (
     MarkovChain,
     State,
     Transition,
-    embedded_jump_matrix,
     solve_steady_state_dense,
     steady_state_availability,
 )
@@ -52,15 +51,6 @@ def test_stationary_distribution_satisfies_balance(rates):
 def test_generator_rows_sum_to_zero(rates):
     chain = _ring_chain(rates)
     np.testing.assert_allclose(chain.generator_matrix().sum(axis=1), 0.0, atol=1e-12)
-
-
-@given(rates=st.lists(RATE, min_size=2, max_size=6))
-@settings(max_examples=60)
-def test_embedded_jump_matrix_is_stochastic(rates):
-    chain = _ring_chain(rates)
-    p = embedded_jump_matrix(chain)
-    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(p >= 0.0)
 
 
 @given(rates=st.lists(RATE, min_size=2, max_size=6))

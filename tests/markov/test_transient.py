@@ -1,4 +1,4 @@
-"""Unit tests for transient analysis and DTMC helpers."""
+"""Unit tests for transient analysis."""
 
 from __future__ import annotations
 
@@ -12,15 +12,9 @@ from repro.markov import (
     MarkovChain,
     State,
     Transition,
-    dtmc_stationary_distribution,
-    embedded_jump_matrix,
     interval_availability,
-    n_step_distribution,
-    occupancy_fraction,
     point_availability,
     solve_steady_state_dense,
-    steady_state_via_discretisation,
-    step_transition_matrix,
     transient_distribution_expm,
     transient_distribution_uniformization,
 )
@@ -150,55 +144,3 @@ class TestTransientGridReuse:
         assert np.isfinite(result.probabilities).all()
         expm = transient_distribution_expm(chain, [1150.2])
         assert np.max(np.abs(result.probabilities - expm.probabilities)) < 1e-9
-
-
-class TestDtmcHelpers:
-    def test_embedded_jump_matrix_rows_sum_to_one(self):
-        chain = two_state()
-        p = embedded_jump_matrix(chain)
-        assert np.allclose(p.sum(axis=1), 1.0)
-        assert p[0, 1] == pytest.approx(1.0)
-
-    def test_embedded_jump_matrix_absorbing_self_loop(self):
-        chain = MarkovChain(
-            [State("A"), State("B", up=False)], [Transition("A", "B", 1.0)]
-        )
-        p = embedded_jump_matrix(chain)
-        assert p[1, 1] == pytest.approx(1.0)
-
-    def test_step_matrix_matches_paper_self_loops(self):
-        # The paper's Fig. 2 annotates R1 = 1 - n*lambda for a 1-hour step.
-        chain = two_state(failure=0.2, repair=0.5)
-        p = step_transition_matrix(chain, step_hours=1.0)
-        assert p[0, 0] == pytest.approx(0.8)
-        assert p[1, 1] == pytest.approx(0.5)
-
-    def test_step_matrix_too_coarse_rejected(self):
-        chain = two_state(failure=2.0, repair=1.0)
-        with pytest.raises(SolverError):
-            step_transition_matrix(chain, step_hours=1.0)
-
-    def test_discretised_steady_state_matches_ctmc(self):
-        chain = two_state(failure=0.01, repair=0.2)
-        ctmc = solve_steady_state_dense(chain)
-        dtmc = steady_state_via_discretisation(chain, step_hours=1.0)
-        for name in chain.state_names:
-            assert dtmc[name] == pytest.approx(ctmc[name], rel=1e-8)
-
-    def test_dtmc_stationary_validates_input(self):
-        with pytest.raises(SolverError):
-            dtmc_stationary_distribution(np.array([[0.5, 0.6], [0.5, 0.5]]))
-        with pytest.raises(SolverError):
-            dtmc_stationary_distribution(np.ones((2, 3)))
-
-    def test_n_step_distribution(self):
-        p = np.array([[0.9, 0.1], [0.5, 0.5]])
-        out = n_step_distribution(p, np.array([1.0, 0.0]), 3)
-        assert out.sum() == pytest.approx(1.0)
-        with pytest.raises(SolverError):
-            n_step_distribution(p, np.array([0.7, 0.7]), 1)
-
-    def test_occupancy_fraction_sums_to_one(self):
-        chain = two_state()
-        occ = occupancy_fraction(chain, step_hours=0.5, horizon_hours=100.0)
-        assert sum(occ.values()) == pytest.approx(1.0)

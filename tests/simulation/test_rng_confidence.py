@@ -1,4 +1,4 @@
-"""Unit tests for RNG streams, monitors and confidence intervals."""
+"""Unit tests for RNG streams and confidence intervals."""
 
 from __future__ import annotations
 
@@ -9,11 +9,8 @@ from itertools import combinations
 
 from repro.exceptions import SimulationError
 from repro.simulation import (
-    CounterSet,
     RandomStreams,
     StreamingMoments,
-    TimeWeightedValue,
-    UpDownMonitor,
     batch_means,
     confidence_interval,
     required_samples,
@@ -126,60 +123,6 @@ class TestRandomStreams:
         streams.stream("b")
         streams.stream("a")
         assert streams.known_streams() == ["a", "b"]
-
-
-class TestTimeWeightedValue:
-    def test_piecewise_constant_mean(self):
-        monitor = TimeWeightedValue(initial_value=1.0)
-        monitor.update(10.0, 0.0)
-        monitor.update(15.0, 1.0)
-        # 10 hours at 1, 5 hours at 0, then 5 hours at 1 up to t=20.
-        assert monitor.mean(20.0) == pytest.approx(15.0 / 20.0)
-
-    def test_backwards_update_rejected(self):
-        monitor = TimeWeightedValue()
-        monitor.update(5.0, 1.0)
-        with pytest.raises(SimulationError):
-            monitor.update(4.0, 0.0)
-
-
-class TestUpDownMonitor:
-    def test_availability_accounting(self):
-        monitor = UpDownMonitor()
-        monitor.mark_down(10.0, cause="human_error")
-        monitor.mark_up(12.0)
-        monitor.mark_down(50.0, cause="ddf")
-        monitor.mark_up(55.0)
-        assert monitor.availability(100.0) == pytest.approx(93.0 / 100.0)
-        assert monitor.downtime_hours(100.0) == pytest.approx(7.0)
-        assert monitor.outage_count() == 2
-        assert monitor.outage_durations() == pytest.approx([2.0, 5.0])
-        assert monitor.outage_causes() == {"human_error": 1, "ddf": 1}
-
-    def test_idempotent_marks(self):
-        monitor = UpDownMonitor()
-        monitor.mark_up(5.0)
-        monitor.mark_down(10.0)
-        monitor.mark_down(11.0)
-        monitor.mark_up(12.0)
-        assert monitor.outage_count() == 1
-
-    def test_finalize_closes_open_outage(self):
-        monitor = UpDownMonitor()
-        monitor.mark_down(90.0)
-        monitor.finalize(100.0)
-        assert monitor.outage_count() == 1
-        assert monitor.outage_durations()[0] == pytest.approx(10.0)
-
-    def test_counter_set(self):
-        counters = CounterSet()
-        counters.increment("disk_failure")
-        counters.increment("disk_failure", 2)
-        other = CounterSet({"human_error": 1})
-        merged = counters.merge(other)
-        assert merged.get("disk_failure") == 3
-        assert merged.get("human_error") == 1
-        assert merged.get("missing") == 0
 
 
 class TestConfidence:

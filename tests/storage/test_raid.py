@@ -1,83 +1,12 @@
-"""Unit tests for the disk model and RAID geometries."""
+"""Unit tests for RAID geometries."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.distributions import Exponential, Weibull
-from repro.exceptions import RaidConfigurationError, StorageModelError
-from repro.storage import Disk, DiskParameters, DiskState, RaidGeometry, RaidLevel
+from repro.exceptions import RaidConfigurationError
+from repro.storage import RaidGeometry, RaidLevel
 from repro.storage.raid import paper_configurations
-
-
-class TestDiskLifecycle:
-    def test_initial_state(self):
-        disk = Disk("d0")
-        assert disk.state is DiskState.OPERATIONAL
-        assert disk.is_available
-        assert disk.failure_count == 0
-
-    def test_fail_and_replace(self):
-        disk = Disk("d0")
-        disk.fail(10.0)
-        assert disk.state is DiskState.FAILED and not disk.is_available
-        disk.replace(20.0)
-        assert disk.state is DiskState.OPERATIONAL
-        assert disk.failure_count == 1
-
-    def test_rebuild_path(self):
-        disk = Disk("d0")
-        disk.fail(5.0)
-        disk.start_rebuild(6.0)
-        assert disk.state is DiskState.REBUILDING and not disk.is_available
-        disk.complete_rebuild(16.0)
-        assert disk.is_available
-
-    def test_wrong_removal_and_reinsert(self):
-        disk = Disk("d0")
-        disk.wrongly_remove(3.0)
-        assert disk.state is DiskState.WRONGLY_REMOVED
-        assert disk.wrong_removal_count == 1
-        disk.reinsert(4.0)
-        assert disk.is_available
-
-    def test_invalid_transitions_rejected(self):
-        disk = Disk("d0")
-        with pytest.raises(StorageModelError):
-            disk.reinsert(1.0)
-        disk.fail(1.0)
-        with pytest.raises(StorageModelError):
-            disk.wrongly_remove(2.0)
-        with pytest.raises(StorageModelError):
-            disk.complete_rebuild(2.0)
-
-    def test_time_cannot_go_backwards(self):
-        disk = Disk("d0")
-        disk.fail(10.0)
-        with pytest.raises(StorageModelError):
-            disk.replace(5.0)
-
-    def test_empty_id_rejected(self):
-        with pytest.raises(StorageModelError):
-            Disk("")
-
-    def test_sample_time_to_failure_uses_distribution(self, rng):
-        params = DiskParameters(failure_distribution=Exponential(1.0))
-        disk = Disk("d0", params)
-        samples = [disk.sample_time_to_failure(rng) for _ in range(2000)]
-        assert np.mean(samples) == pytest.approx(1.0, rel=0.1)
-
-    def test_disk_parameters_validation(self):
-        with pytest.raises(StorageModelError):
-            DiskParameters(capacity_gb=0.0)
-        with pytest.raises(StorageModelError):
-            DiskParameters(lse_rate_per_hour=-1.0)
-
-    def test_weibull_failure_distribution_accepted(self, rng):
-        params = DiskParameters(failure_distribution=Weibull(shape=1.2, scale=1e5))
-        disk = Disk("d0", params)
-        assert disk.sample_time_to_failure(rng) > 0.0
 
 
 class TestRaidGeometry:
