@@ -18,9 +18,8 @@ Eight subcommands cover the common workflows without writing any code:
     (``--backend analytical|monte_carlo|auto``).  Analytical sweeps reuse a
     parameterized chain template instead of rebuilding per point; Monte
     Carlo sweeps run as one stacked grid (per-lifetime parameter arrays,
-    one kernel invocation per shard) unless ``--mc-engine per_point``
-    requests the retained study-per-point loop.  ``--crn`` couples all
-    points to common random numbers for variance-reduced contrasts.
+    one kernel invocation per shard).  ``--crn`` couples all points to
+    common random numbers for variance-reduced contrasts.
 ``crossval``
     Cross-backend validation: assert the analytical availability of every
     dual-face policy falls inside its Monte Carlo confidence interval
@@ -71,7 +70,7 @@ from repro.core.policies import (
     hot_spare_policy,
     parse_scheme,
 )
-from repro.core.sweep import MC_ENGINES, SWEEP_AXES, SWEEP_BACKENDS, sweep, sweep_grid
+from repro.core.sweep import SWEEP_AXES, SWEEP_BACKENDS, sweep, sweep_grid
 from repro.exceptions import ConfigurationError, ReproError
 from repro.experiments.cross_validation import (
     all_within_ci,
@@ -384,18 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes shared across all Monte Carlo points",
     )
     sweep_parser.add_argument(
-        "--mc-engine",
-        choices=list(MC_ENGINES),
-        default="auto",
-        help="monte_carlo backend execution: stacked (one kernel invocation "
-        "per shard covers the whole grid), per_point (retained "
-        "study-per-value loop), or auto",
-    )
-    sweep_parser.add_argument(
         "--crn",
         action="store_true",
         help="common random numbers: couple every grid point to identical "
-        "base streams (stacked engine; variance-reduced contrasts)",
+        "base streams (variance-reduced contrasts)",
     )
     sweep_parser.add_argument(
         "--target-half-width",
@@ -790,7 +781,6 @@ def _run_sweep(args: argparse.Namespace) -> Tuple[str, int]:
         workers=args.workers,
         target_half_width=args.target_half_width,
         mc_max_iterations=args.budget,
-        mc_engine=args.mc_engine,
         crn=args.crn,
         transport=args.transport,
         biasing=args.biasing,

@@ -583,13 +583,13 @@ def evaluate_stacked(
 ) -> List[AvailabilityEstimate]:
     """Monte Carlo evaluate many parameter points as one stacked grid.
 
-    The whole ``points x n_iterations`` grid runs through the policy's
-    stacked batch kernel (one kernel invocation per shard of the flattened
-    axis) instead of one full study per point — the Monte Carlo counterpart
-    of the analytical backend's batched ``solve_many``.  Policies without a
-    stacked-capable kernel fall back to one
-    :func:`evaluate` call per point (sharing ``pool``), so the function
-    works for every registered policy.
+    The whole ``points x n_iterations`` grid runs through the stacked
+    executor (one kernel invocation per shard of the flattened axis)
+    instead of one full study per point — the Monte Carlo counterpart of
+    the analytical backend's batched ``solve_many``.  A policy whose kernel
+    cannot take a stacked grid (``not policy.can_stack``) runs in the same
+    shards, one kernel call per point segment, so every policy gets the
+    same shard plan, pool, journal and allocator.
 
     ``crn=True`` makes every point consume identical base streams (common
     random numbers) for variance-reduced contrasts between neighbouring
@@ -602,43 +602,6 @@ def evaluate_stacked(
     the analytical availability attached to every estimate.
     """
     resolved = resolve_policy(policy)
-    if not resolved.can_stack:
-        if crn:
-            raise ConfigurationError(
-                f"policy {resolved.name!r} has no stacked-capable kernel; "
-                "common random numbers cannot be honoured on the per-point "
-                "fallback"
-            )
-        if checkpoint is not None or resume is not None:
-            raise ConfigurationError(
-                f"policy {resolved.name!r} has no stacked-capable kernel; "
-                "a shard journal spans one stacked grid and cannot cover "
-                "the per-point fallback"
-            )
-        return [
-            evaluate(
-                params,
-                policy=resolved,
-                backend="monte_carlo",
-                n_iterations=n_iterations,
-                horizon_hours=horizon_hours,
-                seed=seed,
-                confidence=confidence,
-                workers=workers,
-                shard_size=shard_size,
-                target_half_width=target_half_width,
-                max_iterations=max_iterations,
-                transport=transport,
-                biasing=biasing,
-                allocator=allocator,
-                pool_kind=pool_kind,
-                pool=pool,
-                shard_timeout=shard_timeout,
-                max_shard_retries=max_shard_retries,
-                retry_backoff=retry_backoff,
-            )
-            for params in points
-        ]
     configs = [
         MonteCarloConfig(
             params=params,

@@ -7,12 +7,10 @@ traced path (:mod:`.runner` / :mod:`.engine_bridge`).
 
 from repro.core.montecarlo.batch import (
     POINT_SUMMARY_DTYPE,
-    PointSummary,
     run_batch,
     run_batch_lifetimes,
     run_stacked,
     segment_point_records,
-    segment_point_summaries,
     summarise_batch,
 )
 from repro.core.montecarlo.config import (
@@ -77,7 +75,7 @@ from repro.core.montecarlo.runner import (
     run_monte_carlo_with_trace,
     summarise_iterations,
 )
-from repro.core.montecarlo.simulator import simulate_conventional, simulate_failover
+from repro.core.montecarlo.simulator import simulate_conventional
 from repro.core.montecarlo.trace import (
     generate_example_trace,
     render_timeline,
@@ -103,7 +101,6 @@ __all__ = [
     "MonteCarloConfig",
     "MonteCarloResult",
     "POINT_SUMMARY_DTYPE",
-    "PointSummary",
     "ShardFault",
     "ShardJournal",
     "ShardSummary",
@@ -136,10 +133,8 @@ __all__ = [
     "run_stacked_shard_shm",
     "run_traced_on_engine",
     "segment_point_records",
-    "segment_point_summaries",
     "shared_memory_available",
     "simulate_conventional",
-    "simulate_failover",
     "summarise_batch",
     "summarise_iterations",
     "summarise_trace",

@@ -19,15 +19,15 @@ batch kernel: per-study scalars become per-lifetime broadcast arrays (see
 handful of kernel invocations instead of one full study per point.
 Per-point results come back from one segmented aggregation
 (``np.add.reduceat``-style moments per point,
-:func:`segment_point_summaries`); the flattened axis is sharded by
+:func:`segment_point_records`); the flattened axis is sharded by
 :mod:`repro.core.montecarlo.parallel` with the same spawn-indexed stream
-discipline as single-point runs.
+discipline as single-point runs.  A policy whose kernel cannot take a
+stacked grid runs in the same shards, one kernel call per point segment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -145,11 +145,11 @@ def segment_point_records(
     """Aggregate a point-major batch into a :data:`POINT_SUMMARY_DTYPE` array.
 
     ``counts[i]`` consecutive lifetimes of ``batch`` belong to sweep point
-    ``point_indices[i]``.  The per-segment moments use the same two-pass
-    arithmetic as :func:`segment_point_summaries` (numerically identical
-    triples), and the totals are the same ``np.add.reduceat`` sums — only
-    the container changes, from per-point dicts to one record array the
-    parent merges with array ops.
+    ``point_indices[i]``.  One segmented pass computes every point's
+    moments (the two-pass arithmetic of
+    :func:`~repro.simulation.confidence.segmented_moments`) and its event
+    totals (``np.add.reduceat``), with no per-point Python loop over
+    samples, into one record array the parent merges with array ops.
     """
     if len(point_indices) != len(counts):
         raise ConfigurationError("one point index is required per segment")
@@ -172,69 +172,6 @@ def segment_point_records(
             values = weights * values
         records[key] = np.add.reduceat(values, offsets)
     return records
-
-
-@dataclass(frozen=True)
-class PointSummary:
-    """Constant-size outcome of one sweep point's rows within a shard.
-
-    Attributes
-    ----------
-    point_index:
-        Index of the sweep point in the stacked config list.
-    moments:
-        Mergeable mean/variance of the rows' availabilities.
-    totals:
-        Summed event counters of the rows (``MonteCarloResult.totals``
-        layout).
-    """
-
-    point_index: int
-    moments: StreamingMoments
-    totals: Dict[str, float]
-
-
-def segment_point_summaries(
-    batch: BatchLifetimes,
-    point_indices: Sequence[int],
-    counts: Sequence[int],
-) -> List[PointSummary]:
-    """Aggregate a point-major batch into per-point summaries.
-
-    ``counts[i]`` consecutive lifetimes of ``batch`` belong to sweep point
-    ``point_indices[i]``.  One segmented pass (``np.add.reduceat``) computes
-    every point's moments and event totals — no per-point Python loop over
-    samples.
-    """
-    if len(point_indices) != len(counts):
-        raise ConfigurationError("one point index is required per segment")
-    weights = batch.weights()
-    moments = segmented_moments(
-        batch.weighted_availabilities(weights), counts, weights=weights
-    )
-    sizes = np.asarray(list(counts), dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-
-    def _column(values: np.ndarray) -> np.ndarray:
-        if weights is not None:
-            values = weights * values
-        return np.add.reduceat(values, offsets)
-
-    columns = {
-        "downtime_hours": _column(batch.downtime_hours),
-        "du_events": _column(batch.du_events),
-        "dl_events": _column(batch.dl_events),
-        "disk_failures": _column(batch.disk_failures),
-        "human_errors": _column(batch.human_errors),
-    }
-    return [
-        PointSummary(
-            point_index=int(point),
-            moments=moment,
-            totals={key: float(values[row]) for key, values in columns.items()},
-        )
-        for row, (point, moment) in enumerate(zip(point_indices, moments))
-    ]
 
 
 def run_stacked(

@@ -797,6 +797,13 @@ def plan_stacked_shards(
     return shards
 
 
+def _shard_rng(master_entropy: int, shard: StackedShard) -> np.random.Generator:
+    """Return the shard's ``"montecarlo"`` stream, after any injected fault."""
+    check_fault(shard.stream_index)
+    streams = RandomStreams(master_entropy).spawn_child(shard.stream_index)
+    return streams.stream("montecarlo")
+
+
 def _simulate_stacked_shard(
     policy: SimulationPolicy,
     grid_slice: StackedParams,
@@ -813,10 +820,9 @@ def _simulate_stacked_shard(
     any transport, because every transport feeds the kernel value-identical
     parameter rows.
     """
-    check_fault(shard.stream_index)
-    streams = RandomStreams(master_entropy).spawn_child(shard.stream_index)
-    rng = streams.stream("montecarlo")
-    batch = policy.simulate_stacked(grid_slice, horizon_hours, rng, biasing=biasing)
+    batch = policy.simulate_stacked(
+        grid_slice, horizon_hours, _shard_rng(master_entropy, shard), biasing=biasing
+    )
     return segment_point_records(batch, shard.point_indices, shard.counts)
 
 
@@ -841,7 +847,22 @@ def run_stacked_shard(
     Periodic-scheme policies (the erasure family) re-resolve their scheme
     against each point worker-side, so the rebuilt slice carries the same
     per-row scheme planes the view/shm transports materialise parent-side.
+
+    A policy whose kernel cannot take a stacked slice (``not
+    policy.can_stack``) runs one :meth:`SimulationPolicy.simulate_batch`
+    call per point segment instead, in plan order, from the shard's one
+    stream.
     """
+    if not policy.can_stack:
+        rng = _shard_rng(master_entropy, shard)
+        return np.concatenate([
+            segment_point_records(
+                policy.simulate_batch(params, horizon_hours, count, rng, biasing=biasing),
+                (point,),
+                (count,),
+            )
+            for params, point, count in zip(point_params, shard.point_indices, shard.counts)
+        ])
     schemes = (
         [policy.scheme] * len(point_params) if policy.has_periodic_checks else None
     )
@@ -890,11 +911,6 @@ def _validate_stacked(
         raise ConfigurationError("a stacked run requires at least one config")
     first = configs[0]
     policy = resolve_policy(first.policy)
-    if not policy.can_stack:
-        raise ConfigurationError(
-            f"policy {policy.name!r} has no stacked-capable batch kernel; "
-            "run the sweep point by point instead"
-        )
     for config in configs:
         if resolve_policy(config.policy) != policy:
             raise ConfigurationError("stacked configs must share one policy")
@@ -1174,9 +1190,12 @@ def run_stacked_sharded(
         # Transport resolution keys on whether shards actually leave the
         # process: a thread pool (own or caller-shared) keeps them here, so
         # it gets the zero-copy "view" planes — the whole point of the
-        # thread executor — instead of a per-shard rebuild.
+        # thread executor — instead of a per-shard rebuild.  A kernel
+        # without stacked grids takes scalar points only, so its shards
+        # always carry them.
         mode = resolve_stacked_transport(
-            first.transport, pooled=_crosses_process_boundary(supervisor.pool)
+            first.transport if policy.can_stack else "pickle",
+            pooled=_crosses_process_boundary(supervisor.pool),
         )
         grid = spec = None
         schemes = (

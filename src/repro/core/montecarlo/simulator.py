@@ -12,17 +12,18 @@ simulator walks the events in time order and accumulates downtime from
   while out of the array) destroys the array contents, which are then
   restored from the backup.
 
-Two policies are provided here.  ``simulate_conventional`` follows the
-paper's Fig. 2 semantics exactly.  ``simulate_failover`` mirrors the Fig. 3
-automatic fail-over policy; its rare-corner handling (multiple concurrent
+``simulate_conventional`` follows the paper's Fig. 2 semantics exactly.  The
+spare-pool policies (the paper's Fig. 3 automatic fail-over is a pool of
+one) run :func:`repro.core.policies.hotspare.simulate_hot_spare`, which
+shares this module's clocks and the no-spare service
+``_exposed_without_spare``; its rare-corner handling (multiple concurrent
 human errors) is slightly simplified relative to the full Markov model, as
 documented in DESIGN.md — the dominant availability paths are identical.
 
 These scalar simulators are the readable reference semantics and the
-traced/debug path.  They are registered (together with further policies
-such as the hot-spare pool) in :mod:`repro.core.policies`, whose vectorised
-kernels in :mod:`repro.core.policies.vectorized` mirror them
-struct-of-arrays style for the fast batch execution path.
+traced/debug path.  They are registered in :mod:`repro.core.policies`,
+whose vectorised kernels in :mod:`repro.core.policies.vectorized` mirror
+them struct-of-arrays style for the fast batch execution path.
 """
 
 from __future__ import annotations
@@ -174,180 +175,6 @@ def simulate_conventional(
         now = repair_done
 
     return result
-
-
-def simulate_failover(
-    params: AvailabilityParameters,
-    horizon_hours: float,
-    rng: np.random.Generator,
-    trace: Optional[EpisodeTrace] = None,
-) -> IterationResult:
-    """Simulate one lifetime under the automatic fail-over policy.
-
-    The array keeps one hot spare.  A failed disk is first rebuilt onto the
-    spare without human involvement; the dead hardware is replaced afterwards
-    (restoring the spare), and only that replacement can suffer a human
-    error.  A wrong pull therefore leaves the array degraded-but-up unless a
-    further failure, crash or second error hits before it is undone.
-    """
-    if horizon_hours <= 0.0:
-        raise SimulationError(f"horizon must be positive, got {horizon_hours!r}")
-    n = params.n_disks
-    failure_dist = params.failure_distribution()
-    rebuild_dist = params.repair_distribution()
-    replace_dist = params.spare_replacement_distribution()
-    ddf_dist = params.ddf_recovery_distribution()
-    recovery = HumanErrorRecoveryModel(
-        hep=params.hep,
-        recovery_time=params.human_error_recovery_distribution(),
-        crash_rate_per_hour=params.crash_rate,
-    )
-    clocks = _ArrayClocks(n, failure_dist, rng)
-    result = IterationResult(horizon_hours=float(horizon_hours))
-    now = 0.0
-    spare_available = True
-
-    while True:
-        slot, fail_time = clocks.next_failure()
-        fail_time = max(fail_time, now)
-        if fail_time >= horizon_hours:
-            break
-        result.disk_failures += 1
-        if trace is not None:
-            trace.add(fail_time, "disk_failure", slot=slot, spare_available=spare_available)
-
-        if spare_available:
-            # On-line rebuild onto the hot spare; no human touches the array.
-            rebuild_done = fail_time + _sample(rebuild_dist, rng)
-            other_slot, second_fail = clocks.next_failure(exclude=slot)
-            second_fail = max(second_fail, fail_time)
-            if second_fail < rebuild_done:
-                result.disk_failures += 1
-                result.dl_events += 1
-                restore = _sample(ddf_dist, rng)
-                outage_end = second_fail + restore
-                result.downtime_hours += _clip_downtime(second_fail, outage_end, horizon_hours)
-                if trace is not None:
-                    trace.add(second_fail, "data_loss", cause="double_disk_failure")
-                    trace.add(outage_end, "backup_restore_complete", duration=restore)
-                clocks.renew_failed_before(outage_end)
-                spare_available = True
-                now = outage_end
-                continue
-            # Rebuild finished: the spare now carries the data of the failed
-            # slot; the dead hardware must be replaced to restore the spare.
-            clocks.renew(slot, rebuild_done)
-            if trace is not None:
-                trace.add(rebuild_done, "spare_rebuild_complete", slot=slot)
-            spare_available = False
-            now, spare_available = _hardware_replacement_phase(
-                params, clocks, result, recovery, replace_dist, ddf_dist,
-                rebuild_done, horizon_hours, rng, trace,
-            )
-            continue
-
-        # No spare: handle the failure like a conventional (human) replacement
-        # but remember that the spare stays consumed afterwards.
-        now, spare_available = _exposed_without_spare(
-            params, clocks, result, recovery, ddf_dist,
-            slot, fail_time, horizon_hours, rng, trace,
-        )
-
-    return result
-
-
-# ----------------------------------------------------------------------
-# Fail-over policy helpers
-# ----------------------------------------------------------------------
-def _hardware_replacement_phase(
-    params: AvailabilityParameters,
-    clocks: _ArrayClocks,
-    result: IterationResult,
-    recovery: HumanErrorRecoveryModel,
-    replace_dist,
-    ddf_dist,
-    start: float,
-    horizon: float,
-    rng: np.random.Generator,
-    trace: Optional[EpisodeTrace],
-) -> tuple:
-    """Replace the dead hardware after a spare rebuild (the ``OPns`` phase).
-
-    Returns ``(time, spare_available)`` when the phase resolves.
-    """
-    n = params.n_disks
-    replace_done = start + _sample(replace_dist, rng)
-    slot, next_fail = clocks.next_failure()
-    next_fail = max(next_fail, start)
-
-    if next_fail < replace_done and next_fail < horizon:
-        # A further disk failure arrives while there is no spare.
-        result.disk_failures += 1
-        if trace is not None:
-            trace.add(next_fail, "disk_failure", slot=slot, spare_available=False)
-        return _exposed_without_spare(
-            params, clocks, result, recovery, ddf_dist,
-            slot, next_fail, horizon, rng, trace,
-        )
-
-    if params.hep > 0.0 and rng.random() < params.hep:
-        # Wrong pull during the hardware replacement: the array degrades but
-        # stays up because it was fully redundant.
-        result.human_errors += 1
-        wrong_slot = int(rng.integers(n))
-        if trace is not None:
-            trace.add(replace_done, "human_error", error="wrong_disk_replacement",
-                      wrong_slot=wrong_slot, array_state="fully_redundant")
-        attempt = recovery.sample_until_recovered(rng)
-        recovery_end = replace_done + attempt.duration_hours
-        other_slot, second_fail = clocks.next_failure(exclude=wrong_slot)
-        second_fail = max(second_fail, replace_done)
-
-        if second_fail < recovery_end and second_fail < horizon:
-            # A real failure lands while the wrong pull is outstanding: two
-            # disks are missing, the data is unavailable until the error is
-            # undone (or, if the pulled disk crashed, until a restore).
-            result.disk_failures += 1
-            result.du_events += 1
-            if attempt.disk_crashed:
-                result.dl_events += 1
-                restore = _sample(ddf_dist, rng)
-                outage_end = recovery_end + restore
-                result.downtime_hours += _clip_downtime(second_fail, outage_end, horizon)
-                clocks.renew_failed_before(outage_end)
-                if trace is not None:
-                    trace.add(second_fail, "data_unavailable", cause="failure_during_wrong_pull")
-                    trace.add(outage_end, "backup_restore_complete", duration=restore)
-                return outage_end, True
-            result.downtime_hours += _clip_downtime(second_fail, recovery_end, horizon)
-            if trace is not None:
-                trace.add(second_fail, "data_unavailable", cause="failure_during_wrong_pull")
-                trace.add(recovery_end, "human_error_recovered")
-            # The error is undone; the real failure is still outstanding.
-            return _exposed_without_spare(
-                params, clocks, result, recovery, ddf_dist,
-                other_slot, recovery_end, horizon, rng, trace,
-                already_counted=True,
-            )
-
-        if attempt.disk_crashed:
-            # The wrongly pulled disk died: it is now a genuine failed disk
-            # (array still degraded-but-up, no spare).
-            result.dl_events += 0  # no loss yet; redundancy absorbed it
-            if trace is not None:
-                trace.add(recovery_end, "wrong_pull_crashed", slot=wrong_slot)
-            return _exposed_without_spare(
-                params, clocks, result, recovery, ddf_dist,
-                wrong_slot, recovery_end, horizon, rng, trace,
-                already_counted=True, crashed_slot=True,
-            )
-        if trace is not None:
-            trace.add(recovery_end, "human_error_recovered")
-        return recovery_end, True
-
-    if trace is not None:
-        trace.add(replace_done, "spare_restored")
-    return replace_done, True
 
 
 def _exposed_without_spare(

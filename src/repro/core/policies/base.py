@@ -289,9 +289,11 @@ class SimulationPolicy:
     supports_stacked:
         Whether the batch kernel accepts a
         :class:`~repro.core.policies.stacked.StackedParams` grid (per-
-        lifetime parameter arrays), enabling the stacked-grid sweep engine
-        in :mod:`repro.core.montecarlo.batch`.  The built-in kernels do;
-        custom kernels must opt in explicitly.
+        lifetime parameter arrays), so one kernel call covers a whole shard
+        of a stacked grid (:mod:`repro.core.montecarlo.batch`).  The
+        built-in kernels do; custom kernels opt in explicitly.  Without it
+        a grid still runs on the stacked executor, but each shard calls
+        :meth:`simulate_batch` once per point segment.
     scheme:
         The policy's :class:`RedundancyScheme`.  Continuous-repair schemes
         (``check_period_hours=None``) are descriptive metadata — the legacy

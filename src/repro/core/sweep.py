@@ -14,18 +14,15 @@ registered policy on either evaluation backend:
   constructed per point, and the points themselves are built in bulk —
   see ``benchmarks/bench_sweep.py`` for the speedup over the per-point
   rebuild loop the test suite keeps as its reference.
-* **monte_carlo** sweeps run on the **stacked-grid engine** by default:
-  per-study scalars become per-lifetime broadcast arrays and one kernel
-  invocation per shard simulates the whole ``points x lifetimes`` grid
-  (:func:`repro.core.montecarlo.batch.run_stacked`), with per-point results
-  recovered by one segmented aggregation.  The pre-stacked loop — one full
-  independent study per point, sharing a single worker pool — is retained
-  as ``mc_engine="per_point"`` for regression testing and for policies
-  without a stacked-capable kernel; ``sweep`` falls back to it
-  automatically (with a one-time warning when an adaptive sweep has to
-  leave the stacked allocator).  Adaptive (``target_half_width``)
-  sweeps run stacked too: the CI-width allocator dispatches each next
-  shard round to the points with the widest intervals (see
+* **monte_carlo** sweeps run on the **stacked-grid engine**, the one
+  Monte Carlo grid path: per-study scalars become per-lifetime broadcast
+  arrays and one kernel invocation per shard simulates the whole
+  ``points x lifetimes`` grid (:func:`repro.core.montecarlo.batch.run_stacked`),
+  with per-point results recovered by one segmented aggregation.  A policy
+  whose kernel cannot take a stacked grid runs inside the same shards, one
+  kernel call per point segment.  Adaptive (``target_half_width``) sweeps
+  run stacked too: the CI-width allocator dispatches each next shard round
+  to the points with the widest intervals (see
   :mod:`repro.core.montecarlo.parallel`), optionally on the
   importance-sampled kernels (``biasing``) for rare-event scenarios.
 
@@ -47,8 +44,6 @@ works anywhere a policy is expected.
 
 from __future__ import annotations
 
-import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -59,7 +54,7 @@ from repro.availability.metrics import availability_to_nines
 from repro.core.evaluation import (
     analytical_result,  # looked up here by the tests' rebuild reference and perfbench
     chain_template,
-    evaluate,
+    evaluate,  # looked up here by perfbench's span wrappers
     evaluate_stacked,
 )
 from repro.core.montecarlo.config import (
@@ -67,7 +62,6 @@ from repro.core.montecarlo.config import (
     DEFAULT_ITERATIONS,
     PolicyRef,
 )
-from repro.core.montecarlo.parallel import worker_pool
 from repro.core.parameters import AvailabilityParameters
 from repro.core.policies.base import SimulationPolicy
 from repro.core.policies.registry import resolve_policy
@@ -90,36 +84,6 @@ SWEEP_AXES: Dict[str, str] = {
 
 #: Sweep backends: the evaluation backends of :mod:`repro.core.evaluation`.
 SWEEP_BACKENDS = ("analytical", "monte_carlo", "auto")
-
-#: Monte Carlo sweep engines: ``"auto"`` uses the stacked grid whenever the
-#: policy and configuration allow it and falls back to the per-point loop.
-MC_ENGINES = ("auto", "stacked", "per_point")
-
-#: Set when the adaptive per-point fallback warning has fired, so a sweep
-#: over many points (or many sweeps in one process) warns exactly once.
-_ADAPTIVE_FALLBACK_WARNED = False
-
-
-def _warn_adaptive_fallback(reason: str) -> None:
-    """Warn (once per process) that an adaptive sweep left the stacked path.
-
-    Adaptive sweeps normally run on the stacked engine's CI-width
-    allocator; policies the allocator cannot serve (no stacked-capable
-    kernel) silently used to raise — now they fall back to the independent
-    per-point adaptive loop, which is correct but pays one full study per
-    point.
-    """
-    global _ADAPTIVE_FALLBACK_WARNED
-    if _ADAPTIVE_FALLBACK_WARNED:
-        return
-    _ADAPTIVE_FALLBACK_WARNED = True
-    warnings.warn(
-        "adaptive sweep cannot use the stacked allocator "
-        f"({reason}); falling back to the per-point adaptive loop",
-        RuntimeWarning,
-        stacklevel=4,
-    )
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -340,15 +304,14 @@ def _periodic_availability(
 
 
 def _check_mc_options_for_backend(
-    backend: str, mc_engine: str, crn: bool, biasing: Optional[float] = None
+    backend: str, crn: bool, biasing: Optional[float] = None
 ) -> None:
     """Reject Monte Carlo-only options once a sweep resolved analytically.
 
     ``backend="auto"`` picks the analytical face whenever the policy has
-    one; an explicit ``crn``, ``mc_engine`` or ``biasing`` request must not
-    be dropped silently on that path (a caller asking for coupled streams
-    or importance sampling would get plain point estimates without
-    noticing).
+    one; an explicit ``crn`` or ``biasing`` request must not be dropped
+    silently on that path (a caller asking for coupled streams or
+    importance sampling would get plain point estimates without noticing).
     """
     if backend == "monte_carlo":
         return
@@ -356,12 +319,6 @@ def _check_mc_options_for_backend(
         raise ConfigurationError(
             "common random numbers apply to the monte_carlo backend, but "
             "this sweep resolved to the analytical backend; pass "
-            "backend='monte_carlo'"
-        )
-    if mc_engine != "auto":
-        raise ConfigurationError(
-            f"mc_engine={mc_engine!r} applies to the monte_carlo backend, "
-            "but this sweep resolved to the analytical backend; pass "
             "backend='monte_carlo'"
         )
     if biasing is not None:
@@ -382,127 +339,6 @@ def _points_from_estimates(estimates, xs: Sequence[float]) -> List[SweepPoint]:
     )
 
 
-def _monte_carlo_points(
-    point_params: Sequence[AvailabilityParameters],
-    xs: Sequence[float],
-    policy: SimulationPolicy,
-    *,
-    mc_iterations: int,
-    mc_horizon_hours: float,
-    seed: Optional[int],
-    confidence: float,
-    workers: int,
-    shard_size: Optional[int],
-    target_half_width: Optional[float],
-    mc_max_iterations: Optional[int],
-    mc_engine: str,
-    crn: bool,
-    transport: str,
-    biasing: Optional[float],
-    allocator: str,
-    pool_kind: str,
-    pool,
-    shard_timeout: Optional[float] = None,
-    max_shard_retries: int = 0,
-    retry_backoff: float = 0.1,
-    checkpoint: Optional[str] = None,
-    resume: Optional[str] = None,
-) -> List[SweepPoint]:
-    """Evaluate arbitrary parameter points on the Monte Carlo backend."""
-    if mc_engine not in MC_ENGINES:
-        raise ConfigurationError(
-            f"mc_engine must be one of {MC_ENGINES}, got {mc_engine!r}"
-        )
-    if mc_engine == "stacked" and not policy.can_stack:
-        raise ConfigurationError(
-            "the stacked engine requires a stacked-capable policy kernel; "
-            "use mc_engine='per_point' for this configuration"
-        )
-    use_stacked = mc_engine == "stacked" or (mc_engine == "auto" and policy.can_stack)
-    if crn and not use_stacked:
-        # Never drop an explicit CRN request silently: a caller computing
-        # contrasts would get uncoupled streams and unreduced variance.
-        raise ConfigurationError(
-            "common random numbers are a stacked-engine mode, but this "
-            "configuration resolved to the per-point path (mc_engine="
-            "'per_point', or a policy without a stacked-capable kernel)"
-        )
-    if target_half_width is not None and mc_engine == "auto" and not use_stacked:
-        # Adaptive sweeps prefer the stacked allocator; fall back (loudly,
-        # once) rather than refusing configurations it cannot serve.  An
-        # explicit mc_engine="per_point" is honoured silently.
-        _warn_adaptive_fallback(
-            f"policy {policy.name!r} has no stacked-capable kernel"
-        )
-    if not use_stacked and (checkpoint is not None or resume is not None):
-        # A shard journal describes one stacked grid; the per-point loop
-        # runs many independent studies whose digests would collide in a
-        # single journal file.  Refuse rather than silently not checkpoint.
-        raise ConfigurationError(
-            "checkpoint/resume journals cover stacked sweeps only, but this "
-            "configuration resolved to the per-point path (mc_engine="
-            "'per_point', or a policy without a stacked-capable kernel)"
-        )
-    if use_stacked:
-        estimates = evaluate_stacked(
-            point_params,
-            policy,
-            n_iterations=mc_iterations,
-            horizon_hours=mc_horizon_hours,
-            seed=seed,
-            confidence=confidence,
-            workers=workers,
-            shard_size=shard_size,
-            target_half_width=target_half_width,
-            max_iterations=mc_max_iterations,
-            crn=crn,
-            transport=transport,
-            biasing=biasing,
-            allocator=allocator,
-            pool_kind=pool_kind,
-            pool=pool,
-            shard_timeout=shard_timeout,
-            max_shard_retries=max_shard_retries,
-            retry_backoff=retry_backoff,
-            checkpoint=checkpoint,
-            resume=resume,
-        )
-        return _points_from_estimates(estimates, xs)
-    # Per-point loop: one study per point, one shared pool for the sweep.
-    context = nullcontext(pool) if pool is not None else worker_pool(workers, pool_kind)
-    estimates = []
-    with context as sweep_pool:
-        for params in point_params:
-            estimate = evaluate(
-                params,
-                policy=policy,
-                backend="monte_carlo",
-                n_iterations=mc_iterations,
-                horizon_hours=mc_horizon_hours,
-                seed=seed,
-                confidence=confidence,
-                workers=workers,
-                shard_size=shard_size,
-                target_half_width=target_half_width,
-                max_iterations=mc_max_iterations,
-                transport=transport,
-                biasing=biasing,
-                allocator=allocator,
-                pool_kind=pool_kind,
-                pool=sweep_pool,
-                shard_timeout=shard_timeout,
-                max_shard_retries=max_shard_retries,
-                retry_backoff=retry_backoff,
-            )
-            estimates.append(estimate)
-            if estimate.interrupted:
-                # The sharded executor absorbed a KeyboardInterrupt/SIGTERM
-                # into a partial estimate; honour it — don't start the
-                # remaining points after the user asked to stop.
-                break
-    return _points_from_estimates(estimates, xs)
-
-
 def sweep(
     base_params: AvailabilityParameters,
     axis: str,
@@ -519,7 +355,6 @@ def sweep(
     shard_size: Optional[int] = None,
     target_half_width: Optional[float] = None,
     mc_max_iterations: Optional[int] = None,
-    mc_engine: str = "auto",
     crn: bool = False,
     transport: str = "auto",
     biasing: Optional[float] = None,
@@ -551,22 +386,16 @@ def sweep(
         Steady-state solver for analytical sweeps (``"auto"`` = dense/sparse
         by state count).
     mc_iterations, mc_horizon_hours, seed, confidence, workers, shard_size,
-    target_half_width:
-        Monte Carlo configuration for simulation-backed sweeps; every point
-        uses the same master seed so neighbouring points share their random
-        stream layout.
-    mc_engine:
-        ``"stacked"`` (one kernel invocation per shard covers the whole
-        grid), ``"per_point"`` (the retained pre-stacked loop, one full
-        study per value) or ``"auto"``: stacked whenever the policy kernel
-        allows it.  Adaptive (``target_half_width``) sweeps run
-        on the stacked engine's CI-width allocator; configurations the
-        allocator cannot serve fall back to the per-point adaptive loop
-        with a one-time warning.
+    target_half_width, mc_max_iterations:
+        Monte Carlo configuration for simulation-backed sweeps.  The points
+        run as one stacked grid (:func:`repro.core.evaluation.evaluate_stacked`)
+        whose shards are planned from the master seed alone, so the draws
+        never depend on ``workers``.  Adaptive (``target_half_width``)
+        sweeps run on the stacked engine's CI-width allocator.
     crn:
-        Stacked engine only — couple every point to identical base random
-        streams (common random numbers) for variance-reduced contrasts
-        between neighbouring points.
+        Couple every point to identical base random streams (common random
+        numbers) for variance-reduced contrasts between neighbouring
+        points.
     transport:
         How a stacked sweep's parameter planes reach the shard workers:
         ``"auto"`` (per-shard scalar rebuild on process pools, zero-copy
@@ -593,13 +422,13 @@ def sweep(
         bit-identical summaries.  See
         :class:`~repro.core.montecarlo.config.MonteCarloConfig`.
     checkpoint, resume:
-        Durable shard journal of stacked sweeps: ``checkpoint`` appends
+        Durable shard journal of Monte Carlo sweeps: ``checkpoint`` appends
         every completed shard summary to the given path, ``resume`` splices
         a previous journal back in (and keeps appending), skipping already
         completed shards; a resumed sweep is bit-identical to an
         uninterrupted one.
     """
-    if not values:
+    if len(values) == 0:
         raise ConfigurationError(f"sweep over {axis!r} requires at least one value")
     if backend not in SWEEP_BACKENDS:
         raise ConfigurationError(
@@ -609,25 +438,23 @@ def sweep(
     resolved = resolve_policy(policy)
     if backend == "auto":
         backend = "analytical" if resolved.has_analytical_model else "monte_carlo"
-    _check_mc_options_for_backend(backend, mc_engine, crn, biasing)
+    _check_mc_options_for_backend(backend, crn, biasing)
     column = _axis_column(base_params, field, values)
     xs = column.tolist()
 
     if backend == "analytical":
         return _analytical_points(base_params, {field: column}, xs, resolved, method)
-    return _monte_carlo_points(
+    estimates = evaluate_stacked(
         [_with_axis(base_params, field, x) for x in xs],
-        xs,
         resolved,
-        mc_iterations=mc_iterations,
-        mc_horizon_hours=mc_horizon_hours,
+        n_iterations=mc_iterations,
+        horizon_hours=mc_horizon_hours,
         seed=seed,
         confidence=confidence,
         workers=workers,
         shard_size=shard_size,
         target_half_width=target_half_width,
-        mc_max_iterations=mc_max_iterations,
-        mc_engine=mc_engine,
+        max_iterations=mc_max_iterations,
         crn=crn,
         transport=transport,
         biasing=biasing,
@@ -640,6 +467,7 @@ def sweep(
         checkpoint=checkpoint,
         resume=resume,
     )
+    return _points_from_estimates(estimates, xs)
 
 
 # ----------------------------------------------------------------------
@@ -706,7 +534,6 @@ def sweep_grid(
     shard_size: Optional[int] = None,
     target_half_width: Optional[float] = None,
     mc_max_iterations: Optional[int] = None,
-    mc_engine: str = "auto",
     crn: bool = False,
     transport: str = "auto",
     biasing: Optional[float] = None,
@@ -736,7 +563,7 @@ def sweep_grid(
             f"grid axes must sweep different parameters, got {axis1!r} and "
             f"{axis2!r} (both sweep {field1!r})"
         )
-    if not values1 or not values2:
+    if len(values1) == 0 or len(values2) == 0:
         raise ConfigurationError("both grid axes require at least one value")
     if backend not in SWEEP_BACKENDS:
         raise ConfigurationError(
@@ -745,7 +572,7 @@ def sweep_grid(
     resolved = resolve_policy(policy)
     if backend == "auto":
         backend = "analytical" if resolved.has_analytical_model else "monte_carlo"
-    _check_mc_options_for_backend(backend, mc_engine, crn, biasing)
+    _check_mc_options_for_backend(backend, crn, biasing)
     column1 = _axis_column(base_params, field1, values1)
     column2 = _axis_column(base_params, field2, values2)
     n1, n2 = len(column1), len(column2)
@@ -755,23 +582,21 @@ def sweep_grid(
         swept = {field1: np.repeat(column1, n2), field2: np.tile(column2, n1)}
         flat = _analytical_points(base_params, swept, xs, resolved, method)
     else:
-        flat = _monte_carlo_points(
+        estimates = evaluate_stacked(
             [
                 _with_axis(_with_axis(base_params, field1, v1), field2, v2)
                 for v1 in column1.tolist()
                 for v2 in column2.tolist()
             ],
-            xs,
             resolved,
-            mc_iterations=mc_iterations,
-            mc_horizon_hours=mc_horizon_hours,
+            n_iterations=mc_iterations,
+            horizon_hours=mc_horizon_hours,
             seed=seed,
             confidence=confidence,
             workers=workers,
             shard_size=shard_size,
             target_half_width=target_half_width,
-            mc_max_iterations=mc_max_iterations,
-            mc_engine=mc_engine,
+            max_iterations=mc_max_iterations,
             crn=crn,
             transport=transport,
             biasing=biasing,
@@ -784,6 +609,7 @@ def sweep_grid(
             checkpoint=checkpoint,
             resume=resume,
         )
+        flat = _points_from_estimates(estimates, xs)
     rows = [flat[i * n2 : (i + 1) * n2] for i in range(n1)]
     return SweepGrid(
         axis1=axis1,
@@ -805,7 +631,7 @@ def sweep_failure_rate(
     **options,
 ) -> List[SweepPoint]:
     """Evaluate a policy across a range of disk failure rates (Fig. 4 axis)."""
-    if not failure_rates:
+    if len(failure_rates) == 0:
         raise ConfigurationError("failure_rates must be non-empty")
     return sweep(
         base_params, "disk_failure_rate", failure_rates,
@@ -821,7 +647,7 @@ def sweep_hep(
     **options,
 ) -> List[SweepPoint]:
     """Evaluate a policy across a range of human error probabilities."""
-    if not hep_values:
+    if len(hep_values) == 0:
         raise ConfigurationError("hep_values must be non-empty")
     return sweep(
         base_params, "hep", hep_values, policy=model, backend=backend, **options
@@ -843,9 +669,9 @@ def sweep_hep_for_failure_rates(
     stacked grid on Monte Carlo — and re-keyed by failure rate for the
     legacy mapping shape.
     """
-    if not failure_rates:
+    if len(failure_rates) == 0:
         raise ConfigurationError("failure_rates must be non-empty")
-    if not hep_values:
+    if len(hep_values) == 0:
         raise ConfigurationError("hep_values must be non-empty")
     grid = sweep_grid(
         base_params,

@@ -14,11 +14,11 @@ from repro.core.montecarlo import (
     run_monte_carlo,
     run_monte_carlo_with_trace,
     simulate_conventional,
-    simulate_failover,
     summarise_trace,
 )
 from repro.core.montecarlo.results import IterationResult, merge_iteration_counters
 from repro.core.parameters import paper_parameters
+from repro.core.policies import get_policy
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.human.policy import PolicyKind
 
@@ -98,12 +98,12 @@ class TestConventionalSimulator:
 class TestFailoverSimulator:
     def test_no_downtime_without_failures(self, rng):
         params = paper_parameters(disk_failure_rate=1e-12)
-        result = simulate_failover(params, 1000.0, rng)
+        result = get_policy("automatic_failover").simulate(params, 1000.0, rng)
         assert result.downtime_hours == 0.0
 
     def test_runs_with_high_rates(self, rng):
         params = paper_parameters(disk_failure_rate=1e-3, hep=0.05)
-        result = simulate_failover(params, 50_000.0, rng)
+        result = get_policy("automatic_failover").simulate(params, 50_000.0, rng)
         assert result.disk_failures > 0
 
     def test_failover_downtime_below_conventional(self):

@@ -378,16 +378,12 @@ class TestBiasedReplay:
 
 
 # ----------------------------------------------------------------------
-# Adaptive sweep fallback
+# Adaptive sweeps
 # ----------------------------------------------------------------------
 class TestAdaptiveSweepFallback:
-    @pytest.fixture(autouse=True)
-    def _reset_warn_flag(self):
-        sweep_module._ADAPTIVE_FALLBACK_WARNED = False
-        yield
-        sweep_module._ADAPTIVE_FALLBACK_WARNED = False
-
-    def test_unstackable_adaptive_sweep_warns_once_and_still_runs(self):
+    def test_unstackable_adaptive_sweep_runs_on_allocator_without_warning(self):
+        # A policy without a stacked kernel runs its point segments inside
+        # the allocator's shards, so the sweep needs no fallback or warning.
         conventional = get_policy("conventional")
         unstacked = SimulationPolicy(
             name="unstacked_test_policy",
@@ -407,28 +403,12 @@ class TestAdaptiveSweepFallback:
                 mc_horizon_hours=HORIZON,
                 seed=3,
                 target_half_width=5e-3,
+                allocator="ci_width",
             )
-        fallback = [
-            w for w in caught if "stacked allocator" in str(w.message)
-        ]
-        assert len(fallback) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert len(points) == 2 and all(p.has_interval for p in points)
-
-    def test_explicit_per_point_engine_stays_silent(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sweep_module.sweep(
-                paper_parameters(**STRESS),
-                "hep",
-                [0.02],
-                backend="monte_carlo",
-                mc_iterations=500,
-                mc_horizon_hours=HORIZON,
-                seed=3,
-                mc_engine="per_point",
-                target_half_width=5e-3,
-            )
-        assert not [w for w in caught if "stacked allocator" in str(w.message)]
+        for point in points:
+            assert 0.5 * (point.ci_upper - point.ci_lower) <= 5e-3
 
     def test_adaptive_stacked_sweep_uses_allocator(self):
         # A stackable adaptive sweep must run without warnings and meet the

@@ -2,16 +2,20 @@
 
 Covers the per-lifetime parameter grids (``StackedParams``), the flattened
 ``point x lifetime`` shard planning, statistical equivalence between the
-stacked engine and the retained per-point path for every registered policy,
-bit-identical worker-count independence, per-point replay, and the
-variance-reduction guarantee of the common-random-numbers mode.
+stacked engine and one independent study per point for every registered
+policy, bit-identical worker-count independence, per-point replay, the
+variance-reduction guarantee of the common-random-numbers mode, and
+policies whose kernels cannot take a stacked grid.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.core.evaluation import evaluate, evaluate_stacked
 from repro.core.montecarlo import (
     DEFAULT_STACKED_SHARD_SIZE,
     MonteCarloConfig,
@@ -61,6 +65,15 @@ def _unstacked_policy() -> SimulationPolicy:
         description="batch kernel without stacked support",
         scalar=conventional.scalar,
         batch=conventional.batch,
+    )
+
+
+def _scalar_only_policy() -> SimulationPolicy:
+    """The conventional model with its scalar face only (no batch kernel)."""
+    return SimulationPolicy(
+        name="scalar_only_test_policy",
+        description="scalar simulator only",
+        scalar=get_policy("conventional").scalar,
     )
 
 
@@ -209,63 +222,46 @@ class TestStackedValidation:
                 crn=True,
             )
 
-    def test_policy_without_stacked_kernel_rejected(self):
+    def test_policy_without_stacked_kernel_runs_stacked(self):
+        # The kernel takes scalar points only, so each shard calls it once
+        # per point segment; the shard plan still ignores the worker count.
         unstacked = _unstacked_policy()
         assert not unstacked.can_stack
-        with pytest.raises(ConfigurationError, match="stacked-capable"):
-            run_stacked(_configs([0.01], policy=unstacked))
+        configs = _configs([0.01, 0.05], policy=unstacked, n=600, shard_size=500)
+        serial = run_stacked(configs)
+        pooled = run_stacked([config.with_workers(2) for config in configs])
+        for a, b in zip(serial, pooled):
+            assert a.n_iterations == 600
+            assert a.availability == b.availability
+            assert a.interval == b.interval
+            assert a.totals == b.totals
 
-    def test_sweep_stacked_engine_rejects_unstackable_config(self):
-        with pytest.raises(ConfigurationError, match="stacked engine"):
-            sweep(
-                paper_parameters(**STRESS), "hep", [0.01, 0.02],
-                _unstacked_policy(), backend="monte_carlo",
-                mc_engine="stacked", mc_iterations=400,
-            )
-
-    def test_sweep_per_point_engine_rejects_crn(self):
-        with pytest.raises(ConfigurationError, match="common random numbers"):
-            sweep(
-                paper_parameters(**STRESS), "hep", [0.01, 0.02],
-                backend="monte_carlo", mc_engine="per_point", crn=True,
-                mc_iterations=400,
-            )
-
-    def test_crn_never_dropped_silently_on_auto_fallback(self):
+    def test_crn_never_dropped_silently(self):
         # An explicit CRN request must never be quietly dropped: adaptive
-        # auto-engine sweeps now run stacked, where CRN conflicts with the
-        # re-planned allocator rounds (hyphenated message from the stacked
-        # validator); per-point fallbacks keep the sweep-level refusal.
+        # sweeps run on the allocator, where CRN conflicts with the
+        # re-planned rounds (hyphenated message from the stacked validator).
         with pytest.raises(ConfigurationError, match="common.random.numbers"):
             sweep(
                 paper_parameters(**STRESS), "hep", [0.01, 0.02],
                 backend="monte_carlo", crn=True, target_half_width=1e-3,
                 mc_iterations=400,
             )
-        from repro.core.evaluation import evaluate_stacked
-
-        conventional = get_policy("conventional")
-        unstacked = SimulationPolicy(
-            name="unstacked_crn_policy",
-            description="no stacked kernel",
-            scalar=conventional.scalar,
-            batch=conventional.batch,
+        # A policy without a stacked kernel honours CRN like any other.
+        params = paper_parameters(**STRESS)
+        first, second = evaluate_stacked(
+            [params, params], _unstacked_policy(),
+            n_iterations=400, horizon_hours=HORIZON, crn=True,
         )
-        with pytest.raises(ConfigurationError, match="common random numbers"):
-            evaluate_stacked(
-                [paper_parameters(**STRESS)], unstacked,
-                n_iterations=400, horizon_hours=HORIZON, crn=True,
-            )
+        assert first.availability == second.availability
+        assert first.provenance.endswith(", crn)")
 
     def test_mc_options_rejected_on_analytical_resolution(self):
         # backend="auto" resolves analytically for dual-face policies; an
-        # explicit CRN or engine request must error instead of being
-        # dropped (the user would get uncoupled point estimates silently).
+        # explicit CRN request must error instead of being dropped (the
+        # user would get uncoupled point estimates silently).
         base = paper_parameters(**STRESS)
         with pytest.raises(ConfigurationError, match="analytical backend"):
             sweep(base, "hep", [0.001, 0.01], crn=True)
-        with pytest.raises(ConfigurationError, match="analytical backend"):
-            sweep(base, "hep", [0.001, 0.01], mc_engine="stacked")
         from repro.core.sweep import sweep_grid
 
         with pytest.raises(ConfigurationError, match="analytical backend"):
@@ -285,6 +281,90 @@ class TestStackedValidation:
                 "failure_rate", [1e-6, 1e-5],
                 "disk_failure_rate", [1e-4],
                 backend="analytical",
+            )
+
+
+@pytest.fixture(
+    params=[_unstacked_policy, _scalar_only_policy],
+    ids=["batch_kernel", "scalar_only"],
+)
+def unstackable(request) -> SimulationPolicy:
+    """A policy without a stacked kernel: batch-only or scalar-only."""
+    policy = request.param()
+    assert not policy.can_stack
+    return policy
+
+
+class TestPolicyWithoutStackedKernel:
+    """Grids of policies whose kernels take scalar points only.
+
+    They run on the stacked executor like every other policy: each shard
+    calls the kernel once per point segment, from the shard's own stream.
+    """
+
+    POINTS = [paper_parameters(**STRESS), paper_parameters(**dict(STRESS, hep=0.2))]
+    OPTIONS = dict(n_iterations=600, horizon_hours=HORIZON, seed=5)
+
+    def test_workers_do_not_change_results(self, unstackable):
+        serial = evaluate_stacked(self.POINTS, unstackable, shard_size=250, **self.OPTIONS)
+        pooled = evaluate_stacked(
+            self.POINTS, unstackable, shard_size=250, workers=2, **self.OPTIONS
+        )
+        for a, b in zip(serial, pooled):
+            assert a.provenance.startswith("executor=stacked(")
+            assert (a.availability, a.ci_lower, a.ci_upper) == (
+                b.availability, b.ci_lower, b.ci_upper
+            )
+
+    def test_intervals_overlap_per_point_evaluate(self, unstackable):
+        stacked = evaluate_stacked(self.POINTS, unstackable, **self.OPTIONS)
+        for params, point in zip(self.POINTS, stacked):
+            reference = evaluate(
+                params, unstackable, backend="monte_carlo", **self.OPTIONS
+            )
+            assert point.provenance.startswith("executor=stacked(")
+            assert max(point.ci_lower, reference.ci_lower) <= min(
+                point.ci_upper, reference.ci_upper
+            )
+
+    def test_crn_couples_identical_points(self, unstackable):
+        first, second = evaluate_stacked(
+            [self.POINTS[0]] * 2, unstackable, crn=True, shard_size=250, **self.OPTIONS
+        )
+        assert (first.availability, first.ci_lower) == (
+            second.availability, second.ci_lower
+        )
+
+    def test_resume_reproduces_the_grid(self, unstackable, tmp_path):
+        journal = str(tmp_path / "grid.journal")
+        options = dict(self.OPTIONS, shard_size=250)
+        clean = evaluate_stacked(self.POINTS, unstackable, **options)
+        evaluate_stacked(self.POINTS, unstackable, checkpoint=journal, **options)
+        resumed = evaluate_stacked(self.POINTS, unstackable, resume=journal, **options)
+        assert resumed[0].resumed_shards > 0
+        for a, b in zip(clean, resumed):
+            assert (a.availability, a.ci_lower, a.ci_upper) == (
+                b.availability, b.ci_lower, b.ci_upper
+            )
+
+    def test_adaptive_ci_width_sweep_runs_without_warning(self, unstackable):
+        adaptive = dict(target_half_width=5e-3, max_iterations=4000, allocator="ci_width")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            points = sweep(
+                paper_parameters(**STRESS), "hep", [0.02, 0.2], unstackable,
+                backend="monte_carlo", mc_iterations=400, mc_horizon_hours=HORIZON,
+                seed=3, target_half_width=5e-3, mc_max_iterations=4000,
+                allocator="ci_width",
+            )
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        # The points are the stacked allocator's, not a per-point loop's.
+        allocated = run_stacked(
+            _configs([0.02, 0.2], policy=unstackable, n=400, seed=3, **adaptive)
+        )
+        for point, result in zip(points, allocated):
+            assert (point.availability, point.ci_lower) == (
+                result.availability, result.interval.lower
             )
 
 
@@ -334,17 +414,20 @@ class TestStatisticalEquivalence:
             assert got == pytest.approx(want, abs=4e-4)
 
     def test_sweep_routes_monte_carlo_through_stacked_engine(self):
-        # Identical sweeps through the public API: the stacked default and
-        # the retained per-point path agree within merged CIs per point.
+        # A stacked sweep through the public API agrees with one
+        # independent study per point within merged CIs.
         base = paper_parameters(**STRESS)
         stacked = sweep(
             base, "hep", [0.0, 0.05], backend="monte_carlo",
             mc_iterations=1500, mc_horizon_hours=HORIZON, seed=29,
         )
-        per_point = sweep(
-            base, "hep", [0.0, 0.05], backend="monte_carlo", mc_engine="per_point",
-            mc_iterations=1500, mc_horizon_hours=HORIZON, seed=29,
-        )
+        per_point = [
+            evaluate(
+                base.with_hep(hep), backend="monte_carlo",
+                n_iterations=1500, horizon_hours=HORIZON, seed=29,
+            )
+            for hep in (0.0, 0.05)
+        ]
         for a, b in zip(stacked, per_point):
             assert a.has_interval and b.has_interval
             assert max(a.ci_lower, b.ci_lower) <= min(a.ci_upper, b.ci_upper)

@@ -33,8 +33,10 @@ from repro.core.sweep import (
     SWEEP_AXES,
     SweepPoint,
     sweep,
+    sweep_failure_rate,
     sweep_grid,
     sweep_hep,
+    sweep_hep_for_failure_rates,
     sweep_policies,
 )
 from repro.exceptions import ConfigurationError
@@ -229,6 +231,28 @@ class TestSweepBehaviour:
     def test_empty_values_rejected(self):
         with pytest.raises(ConfigurationError):
             sweep(paper_parameters(), "hep", [], "conventional")
+        with pytest.raises(ConfigurationError):
+            sweep(paper_parameters(), "hep", np.array([]), "conventional")
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda heps, rates: sweep(paper_parameters(), "hep", heps),
+            lambda heps, rates: sweep_grid(
+                paper_parameters(), "hep", heps, "failure_rate", rates
+            ).points,
+            lambda heps, rates: sweep_hep(paper_parameters(), heps),
+            lambda heps, rates: sweep_failure_rate(paper_parameters(), rates),
+            lambda heps, rates: sweep_hep_for_failure_rates(
+                paper_parameters(), heps, rates
+            ),
+        ],
+        ids=["sweep", "sweep_grid", "sweep_hep", "sweep_failure_rate",
+             "sweep_hep_for_failure_rates"],
+    )
+    def test_numpy_axis_values_equal_list_values(self, run):
+        heps, rates = np.logspace(-4, -2, 3), np.array([1e-6, 1e-5])
+        assert run(heps, rates) == run(heps.tolist(), rates.tolist())
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -272,23 +296,6 @@ class TestSweepBehaviour:
             models=[get_policy("conventional"), "automatic_failover"],
         )
         assert set(series) == {"conventional", "automatic_failover"}
-
-    def test_per_point_mc_sweep_matches_single_study(self):
-        # The retained per-point engine keeps the pre-stacked guarantee: a
-        # one-point sweep is bitwise the same run as a single study.
-        from repro.core.evaluation import evaluate
-
-        points = sweep(
-            FAST_PARAMS, "hep", [0.05], "conventional",
-            backend="monte_carlo", mc_iterations=600, seed=9,
-            mc_engine="per_point",
-        )
-        single = evaluate(
-            FAST_PARAMS.with_hep(0.05), "conventional", backend="monte_carlo",
-            n_iterations=600, seed=9,
-        )
-        assert points[0].availability == single.availability
-        assert points[0].ci_lower == single.ci_lower
 
     def test_stacked_mc_sweep_agrees_with_single_study(self):
         # The stacked default lays its streams out per shard (spawn index
@@ -556,11 +563,10 @@ class TestBulkPointsAndBatchedCycles:
         for point in points:
             assert_same_as_constructed(point)
 
-    @pytest.mark.parametrize("mc_engine", ["stacked", "per_point"])
-    def test_monte_carlo_points_equal_constructed_points(self, mc_engine):
+    def test_monte_carlo_points_equal_constructed_points(self):
         points = sweep(
             FAST_PARAMS, "hep", [0.01, 0.05], "conventional",
-            backend="monte_carlo", mc_iterations=400, seed=3, mc_engine=mc_engine,
+            backend="monte_carlo", mc_iterations=400, seed=3,
         )
         assert len(points) == 2 and all(point.has_interval for point in points)
         for point in points:

@@ -241,14 +241,6 @@ class TestSweepCommand:
         ]) == 0
         assert "ci_low" in capsys.readouterr().out
 
-    def test_per_point_engine_still_available(self, capsys):
-        assert main([
-            "sweep", "--axis", "hep", "--values", "0.05",
-            "--backend", "monte_carlo", "--failure-rate", "1e-4",
-            "--iterations", "400", "--seed", "1", "--mc-engine", "per_point",
-        ]) == 0
-        assert "ci_low" in capsys.readouterr().out
-
     def test_axis2_without_values2_is_clean_error(self, capsys):
         assert main([
             "sweep", "--axis", "hep", "--values", "0.01",

@@ -1,10 +1,13 @@
 """Import guards: ``import repro`` must not load heavy or undeclared modules,
-and every src module must have a caller."""
+every src module must have a caller, and every name the benchmark's traced
+run wraps must still exist."""
 
 from __future__ import annotations
 
 import ast
 import functools
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -199,4 +202,41 @@ def test_kept_module_still_lacks_a_caller(module):
     assert module in MODULES, f"{module} no longer exists; drop it from the list"
     assert module not in _reached(), (
         f"{module} has gained a caller; drop it from KEPT_WITHOUT_CALLER"
+    )
+
+
+# ----------------------------------------------------------------------
+# Every name perfbench wraps still exists
+# ----------------------------------------------------------------------
+def _perfbench_spans():
+    """Load ``perfbench/spans.py`` by path; ``perfbench`` is no package."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", REPO / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def _owner_name(owner) -> str:
+    if inspect.ismodule(owner):
+        return owner.__name__
+    return f"{owner.__module__}.{owner.__qualname__}"
+
+
+#: ``(owner, attribute)`` of every function the traced run wraps.
+WRAPPED = [(owner, attribute) for owner, attribute, _, _ in _perfbench_spans().SPANS]
+
+
+@pytest.mark.parametrize(
+    "owner, attribute",
+    WRAPPED,
+    ids=[f"{_owner_name(owner)}.{attribute}" for owner, attribute in WRAPPED],
+)
+def test_perfbench_wrapped_name_exists(owner, attribute):
+    # The tracer wraps ``owner.__dict__[attribute]`` where callers look it
+    # up; a name that moved or was deleted breaks every traced run.
+    assert attribute in owner.__dict__, (
+        f"perfbench/spans.py wraps {_owner_name(owner)}.{attribute}, which no "
+        "longer exists there; keep the name or retarget the benchmark"
     )
