@@ -93,6 +93,15 @@ The benchmarks, one per bullet:
   ``log_weights`` included, and generator states are asserted; the
   speedup is recorded with its spread and carries no floor.
 
+* **Point decomposition**: one 2M-lifetime study at the paper's point
+  (λ=1e-6, hep=1e-3) per policy (conventional, automatic fail-over), run
+  as one whole-budget batch (``run_batch``) and as the default
+  ``run_monte_carlo`` — 50k-lifetime shards in-process.  Wall time and
+  ``tracemalloc`` peak are taken in separate calls, alternating, each as
+  the median of :data:`TIMING_REPEATS` with its spread.  Only the memory
+  ordering is asserted (the shards' peak below the batch's); time carries
+  no floor.
+
 Run with ``pytest benchmarks/bench_sweep.py -s`` to see the measured
 speedups alongside the timing records; machine-readable results land in
 ``BENCH_sweep.json`` (see ``benchmarks/conftest.py``), accumulated across
@@ -105,13 +114,20 @@ import contextlib
 import gc
 import os
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.core.evaluation import clear_template_cache, evaluate
-from repro.core.montecarlo import MonteCarloConfig, run_monte_carlo, run_stacked
+from repro.core.montecarlo import (
+    DEFAULT_SHARD_CAP,
+    MonteCarloConfig,
+    run_batch,
+    run_monte_carlo,
+    run_stacked,
+)
 from repro.core.montecarlo.parallel import worker_pool
 from repro.core.montecarlo.transport import shared_memory_available
 from repro.core.parameters import paper_parameters
@@ -390,6 +406,81 @@ def test_kernel_row_search(policy, geometry, bench_record):
         reference_seconds_max=round(max(old), 6),
         speedup_min=round(min(old) / max(max(new), 1e-9), 3),
         speedup_max=round(max(old) / max(min(new), 1e-9), 3),
+    )
+
+
+#: Lifetimes of the point-decomposition comparison: the repository
+#: benchmark's ``mc_point`` op.
+POINT_LIFETIMES = 2_000_000
+
+
+def _peak_mb(call) -> float:
+    """Return the ``tracemalloc`` peak of one call, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("policy", ["conventional", "automatic_failover"])
+def test_point_decomposition(policy, bench_record):
+    """Default 50k-lifetime shards vs one whole-budget batch at one point.
+
+    Both sides run in-process.  Time and memory peak come from separate
+    calls, because tracing allocations slows the run.  Only the memory
+    ordering is asserted; the time ratio carries no floor.
+    """
+    config = MonteCarloConfig(
+        params=paper_parameters(disk_failure_rate=1e-6, hep=1e-3),
+        policy=policy,
+        n_iterations=POINT_LIFETIMES,
+        seed=2017,
+    )
+    sides = {"batch": lambda: run_batch(config), "shards": lambda: run_monte_carlo(config)}
+    for call in sides.values():  # warm both sides
+        call()
+    seconds = {name: [] for name in sides}
+    peaks = {name: [] for name in sides}
+    for _ in range(TIMING_REPEATS):
+        for name, call in sides.items():
+            start = time.perf_counter()
+            call()
+            seconds[name].append(time.perf_counter() - start)
+    for _ in range(TIMING_REPEATS):
+        for name, call in sides.items():
+            peaks[name].append(_peak_mb(call))
+
+    new, old = seconds["shards"], seconds["batch"]
+    peak, peak_ref = float(np.median(peaks["shards"])), float(np.median(peaks["batch"]))
+    assert peak < peak_ref
+    speedup = float(np.median(old)) / max(float(np.median(new)), 1e-9)
+    print(
+        f"\npoint decomposition {policy}: {POINT_LIFETIMES} lifetimes — "
+        f"{DEFAULT_SHARD_CAP}-lifetime shards {np.median(new):.3f}s "
+        f"({min(new):.3f}-{max(new):.3f}), peak {peak:.1f} MB; one batch "
+        f"{np.median(old):.3f}s ({min(old):.3f}-{max(old):.3f}), peak "
+        f"{peak_ref:.1f} MB; speedup {speedup:.2f}x"
+    )
+    bench_record(
+        f"point_decomposition:{policy}",
+        points=1,
+        seconds=float(np.median(new)),
+        speedup=speedup,
+        lifetimes_per_point=POINT_LIFETIMES,
+        shard_size=DEFAULT_SHARD_CAP,
+        seconds_min=round(min(new), 6),
+        seconds_max=round(max(new), 6),
+        reference_seconds=round(float(np.median(old)), 6),
+        reference_seconds_min=round(min(old), 6),
+        reference_seconds_max=round(max(old), 6),
+        peak_mb=round(peak, 3),
+        peak_mb_min=round(min(peaks["shards"]), 3),
+        peak_mb_max=round(max(peaks["shards"]), 3),
+        reference_peak_mb=round(peak_ref, 3),
+        reference_peak_mb_min=round(min(peaks["batch"]), 3),
+        reference_peak_mb_max=round(max(peaks["batch"]), 3),
     )
 
 

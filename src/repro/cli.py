@@ -9,7 +9,8 @@ Eight subcommands cover the common workflows without writing any code:
     Equal-usable-capacity comparison of the paper's three RAID layouts.
 ``mc``
     Run a Monte Carlo availability study for any registered replacement
-    policy (vectorised batch executor by default).  ``--scheme k:N[:R]``
+    policy (vectorised batch kernels in 50k-lifetime shards by default;
+    the same numbers at any ``--workers``).  ``--scheme k:N[:R]``
     simulates a pinned k-of-N erasure scheme with periodic checker/repair
     cycles (``--check-period`` hours) instead of a named policy.
 ``sweep``
@@ -223,9 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-size",
         type=int,
         default=None,
-        help="lifetimes per shard; pinning it makes results bit-identical "
-        "across --workers values (default: one shard per worker, capped "
-        "at 50000 lifetimes per shard)",
+        help="lifetimes per shard (default: 50000, whatever --workers is, "
+        "so results are bit-identical across --workers values either way)",
     )
     mc.add_argument(
         "--target-half-width",

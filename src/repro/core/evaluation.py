@@ -517,7 +517,8 @@ def evaluate(
     checkpoint, resume:
         Durable shard-journal path: completed shards are recorded as they
         finish and skipped on restart (``resume`` requires the journal to
-        exist).  Sharded Monte Carlo runs only.
+        exist).  Every Monte Carlo run but one on the scalar loop (a policy
+        without a batch kernel at one worker, unpinned and non-adaptive).
     """
     if backend not in BACKENDS:
         raise ConfigurationError(

@@ -1,8 +1,9 @@
 """Monte Carlo (simulation-based) availability model of the paper.
 
-Policies are resolved by name through :mod:`repro.core.policies`; execution
-happens either on the vectorised batch path (:mod:`.batch`) or the scalar
-traced path (:mod:`.runner` / :mod:`.engine_bridge`).
+Policies are resolved by name through :mod:`repro.core.policies`; a study
+runs either on the sharded executor over the vectorised batch kernels
+(:mod:`.parallel`, :mod:`.batch`) or on the scalar traced path
+(:mod:`.runner` / :mod:`.engine_bridge`).
 """
 
 from repro.core.montecarlo.batch import (
@@ -18,6 +19,7 @@ from repro.core.montecarlo.config import (
     DEFAULT_ADAPTIVE_CEILING,
     DEFAULT_HORIZON_HOURS,
     DEFAULT_ITERATIONS,
+    DEFAULT_SHARD_CAP,
     POOLS,
     TRANSPORTS,
     MonteCarloConfig,
@@ -40,7 +42,6 @@ from repro.core.montecarlo.journal import (
     run_digest,
 )
 from repro.core.montecarlo.parallel import (
-    DEFAULT_SHARD_CAP,
     DEFAULT_STACKED_SHARD_SIZE,
     ShardSummary,
     StackedShard,

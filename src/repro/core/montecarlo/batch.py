@@ -1,16 +1,20 @@
 """Vectorised batch execution of a Monte Carlo availability study.
 
-Where :mod:`repro.core.montecarlo.runner` walks one Python event loop per
-lifetime, this executor hands the whole iteration budget to the policy's
+:func:`run_batch` hands the whole iteration budget to the policy's
 struct-of-arrays numpy kernel (see :mod:`repro.core.policies.vectorized`)
-and summarises the per-lifetime availabilities with the same Student-t
-interval as the scalar path.  Policies without a vectorised kernel fall
-back to a scalar loop inside :meth:`SimulationPolicy.simulate_batch`, so
-``run_batch`` works for every registered policy.
+in one call and summarises the per-lifetime availabilities with the same
+Student-t interval as the scalar path.
+:func:`~repro.core.montecarlo.runner.run_monte_carlo` never calls it: it
+is the one-batch reference that tests and benchmarks compare the sharded
+executor against.  A default run of at most 50k lifetimes is one
+shard on the same root stream family, and equals ``run_batch`` bit for
+bit.  Policies without a vectorised kernel fall back to a scalar loop
+inside :meth:`SimulationPolicy.simulate_batch`, so ``run_batch`` works for
+every registered policy.
 
-Multi-process execution lives one layer up in
-:mod:`repro.core.montecarlo.parallel`, which splits the budget into shards
-and runs each shard through the same kernels used here.
+Every study runs one layer up in :mod:`repro.core.montecarlo.parallel`,
+which splits the budget into fixed-size shards and runs each shard
+through the same kernels used here.
 
 **Stacked grids.**  :func:`run_stacked` takes one config per sweep point and
 runs the whole ``points x lifetimes`` grid through the policy's stacked
@@ -96,7 +100,7 @@ def summarise_batch(
 
 
 def run_batch(config: MonteCarloConfig) -> MonteCarloResult:
-    """Run the configured study on the vectorised path and summarise it."""
+    """Run the configured study as one whole-budget batch and summarise it."""
     streams = RandomStreams(config.seed)
     batch = run_batch_lifetimes(config, streams=streams)
     return summarise_batch(batch, config, seed_entropy=streams.seed_entropy)

@@ -37,6 +37,12 @@ POOLS = ("process", "thread", "serial")
 #: explicit ``max_iterations`` is configured — the paper's 1e6 setting.
 DEFAULT_ADAPTIVE_CEILING = 1_000_000
 
+#: Lifetimes per shard of a single-point run with no pinned ``shard_size``,
+#: whatever the worker count.  Each shard materialises per-lifetime arrays
+#: inside the batch kernel, so a fixed size bounds the working set at any
+#: budget.
+DEFAULT_SHARD_CAP = 50_000
+
 #: Accepted adaptive-round budget allocators for stacked grids:
 #: ``"uniform"`` gives every unmet point the same next-round budget,
 #: ``"ci_width"`` sizes each unmet point's round by its own interval gap.
@@ -73,21 +79,21 @@ class MonteCarloConfig:
         Master seed for reproducibility; ``None`` draws a fresh seed.
     collect_trace:
         When ``True`` the first iteration records a Fig. 1 style event trace
-        (this runs the per-lifetime scalar loop; every other single-process
-        run uses the policy's batch kernel when it has one).
+        (this runs the per-lifetime scalar loop, and cannot write a
+        journal; every other run of a policy with a batch kernel goes
+        through the sharded executor).
     workers:
         Number of worker processes for the sharded executor.  ``1`` (the
         default) runs all shards in-process; ``> 1`` fans shards out over a
-        process pool.
+        process pool.  The worker count never changes the shard plan, so
+        results are bit-identical across worker counts.
     shard_size:
-        Lifetimes per shard on the sharded path.  ``None`` derives
-        ``ceil(round_budget / workers)`` (one shard per worker and round),
-        capped at 50k lifetimes per shard
-        (:data:`repro.core.montecarlo.parallel.DEFAULT_SHARD_CAP`), which
-        ties the decomposition — and therefore the exact random draws — to
-        the worker count.  Setting it explicitly pins the decomposition
-        instead (no cap applied), making results bit-identical across
-        different worker counts.
+        Lifetimes per shard on the sharded path.  ``None`` cuts every run
+        into shards of :data:`DEFAULT_SHARD_CAP` (50k) lifetimes; a
+        non-adaptive run of at most that many lifetimes is one shard on the
+        root stream family, the draws of one whole-budget batch.  Setting
+        it pins the decomposition to that size instead; every pinned shard
+        draws from its own spawned family.
     target_half_width:
         Adaptive-stopping target: keep dispatching shard rounds until the
         Student-t interval half-width at ``confidence`` drops to this value
@@ -259,10 +265,22 @@ class MonteCarloConfig:
                 "collect_trace cannot be combined with workers > 1, "
                 "shard_size or target_half_width"
             )
+        if self.collect_trace and self.journal_path is not None:
+            raise ConfigurationError(
+                "event traces run on the scalar loop, which writes no shard "
+                "journal; collect_trace cannot be combined with checkpoint "
+                "or resume"
+            )
 
     @property
     def uses_sharded_path(self) -> bool:
-        """Return whether this config runs on the sharded parallel executor."""
+        """Return whether a sharded-executor option is set.
+
+        ``workers > 1``, a pinned ``shard_size`` or a ``target_half_width``
+        sends every policy to the sharded executor, even one without a
+        batch kernel.  A policy with a batch kernel runs there in every
+        case but an event trace.
+        """
         return (
             int(self.workers) > 1
             or self.shard_size is not None

@@ -28,9 +28,11 @@ constant kept so that digests, and the journals they guard, stay valid
 across releases.  Execution knobs that provably do **not** change results
 — worker count, pool kind, transport, retry settings — are excluded, so a
 journal written by a 4-worker shm run resumes under a single serial worker
-(and vice versa).  The one exception is the single-point path with an
-unpinned ``shard_size``, whose decomposition derives from the worker
-count; there the worker count *is* part of the digest.
+(and vice versa).  A single-point run with an unpinned ``shard_size``
+records the default shard size it was cut into instead
+(``"default_shard_size"``), so a journal from a build that derived that
+decomposition from the worker count (and keyed ``"workers"``) is refused
+rather than spliced into a different one.
 
 Every other line is one completed shard::
 
@@ -58,6 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.montecarlo.batch import POINT_SUMMARY_DTYPE, POINT_SUMMARY_TOTAL_FIELDS
+from repro.core.montecarlo.config import DEFAULT_SHARD_CAP
 from repro.exceptions import ConfigurationError
 from repro.simulation.confidence import StreamingMoments
 
@@ -94,8 +97,8 @@ def run_digest(
 
     ``configs`` is the stacked grid (or the one-element list of a scalar
     run) and ``policy`` the resolved policy object.  ``shard_size=None`` on
-    the scalar path pulls the worker count into the key (see the module
-    docstring).
+    the scalar path records the default shard size in the key (see the
+    module docstring).
     """
     first = configs[0]
     key: Dict[str, object] = {
@@ -124,8 +127,7 @@ def run_digest(
         key["allocator"] = str(first.allocator)
         key["ceilings"] = [int(config.adaptive_ceiling) for config in configs]
     if scalar and shard_size is None:
-        # Unpinned scalar decomposition derives from the worker count.
-        key["workers"] = int(first.workers)
+        key["default_shard_size"] = DEFAULT_SHARD_CAP
     digest = hashlib.sha256(
         json.dumps(key, sort_keys=True).encode("utf-8")
     ).hexdigest()

@@ -1,17 +1,23 @@
 """Sharded parallel Monte Carlo executor with streaming aggregation.
 
-This is the scale-out layer above the vectorised batch kernels: the
-iteration budget is split into fixed-size *shards*, each shard runs on its
-own :class:`~repro.simulation.rng.RandomStreams` family (spawned from the
-master seed at the shard's index, so streams never collide and never
-depend on scheduling order), and shard results come back as constant-size
-summaries — Chan–Golub–LeVeque mergeable moments plus event totals —
-rather than per-lifetime sample arrays.  Merging is deterministic
-(shard-index order) and exact, so
+This is the scale-out layer above the vectorised batch kernels, and the
+executor of every single-point run of a policy with a batch kernel (only
+event traces and policies without one stay on the scalar loop).  The
+iteration budget is split into fixed-size *shards* — 50k lifetimes unless
+``shard_size`` pins another size, whatever the worker count — each shard
+runs on its own :class:`~repro.simulation.rng.RandomStreams` family
+(spawned from the master seed at the shard's index, so streams never
+collide and never depend on scheduling order), and shard results come
+back as constant-size summaries — Chan–Golub–LeVeque mergeable moments
+plus event totals — rather than per-lifetime sample arrays.  Merging is
+deterministic (shard-index order) and exact, so
 
-* ``workers=1`` and ``workers=N`` produce bit-identical results for the
-  same shard decomposition, and
+* ``workers=1`` and ``workers=N`` produce bit-identical results, and
 * memory stays flat no matter how many lifetimes are simulated.
+
+A run that is a single unpinned, non-adaptive shard draws from the root
+stream family instead, the draws of one whole-budget batch
+(:func:`~repro.core.montecarlo.batch.run_batch`).
 
 On top of the shard rounds sits **CI-driven adaptive stopping**: with
 ``MonteCarloConfig.target_half_width`` set, the executor keeps dispatching
@@ -24,7 +30,6 @@ replaces guessing ``--iterations``.
 from __future__ import annotations
 
 import contextlib
-import math
 import multiprocessing
 import os
 import sys
@@ -45,7 +50,7 @@ from repro.core.montecarlo.batch import (
     POINT_SUMMARY_TOTAL_FIELDS,
     segment_point_records,
 )
-from repro.core.montecarlo.config import MonteCarloConfig
+from repro.core.montecarlo.config import DEFAULT_SHARD_CAP, MonteCarloConfig
 from repro.core.montecarlo.faults import check_abort, check_fault
 from repro.core.montecarlo.journal import (
     SCALAR_RANGE,
@@ -74,14 +79,6 @@ from repro.simulation.confidence import (
     required_samples,
 )
 from repro.simulation.rng import RandomStreams
-
-
-#: Ceiling on the *derived* (unpinned) shard size.  Shards stream back
-#: constant-size summaries, but each shard materialises per-lifetime
-#: arrays inside the batch kernels while it runs — capping the shard size
-#: keeps that working set flat even when an adaptive round plans millions
-#: of lifetimes.  An explicit ``MonteCarloConfig.shard_size`` overrides it.
-DEFAULT_SHARD_CAP = 50_000
 
 
 @dataclass(frozen=True)
@@ -117,18 +114,36 @@ def plan_shards(n_iterations: int, shard_size: int) -> List[int]:
     return sizes
 
 
-def effective_shard_size(config: MonteCarloConfig, budget: Optional[int] = None) -> int:
-    """Return the shard size the config implies for a round of ``budget``.
+def effective_shard_size(config: MonteCarloConfig) -> int:
+    """Return the lifetimes per shard of a single-point run.
 
-    An explicit ``shard_size`` pins the decomposition (making results
-    independent of ``workers``); otherwise the round is split one shard
-    per worker, capped at ``DEFAULT_SHARD_CAP`` lifetimes per shard.
-    ``budget`` defaults to the first round, ``config.n_iterations``.
+    A pinned ``shard_size``, otherwise ``DEFAULT_SHARD_CAP``.  Neither the
+    worker count nor the round budget enters, so the decomposition — and
+    every draw — is the same for any ``workers``.
     """
     if config.shard_size is not None:
         return int(config.shard_size)
-    budget = config.n_iterations if budget is None else int(budget)
-    return min(max(1, math.ceil(budget / int(config.workers))), DEFAULT_SHARD_CAP)
+    return DEFAULT_SHARD_CAP
+
+
+def _draws_from_root(
+    config: MonteCarloConfig, shard_index: int, shard_size: int
+) -> bool:
+    """Return whether a shard draws from the root stream family.
+
+    An unpinned, non-adaptive run of at most ``DEFAULT_SHARD_CAP``
+    lifetimes is a single shard, and that shard draws from
+    ``RandomStreams(master_entropy)`` itself, as one whole-budget
+    :func:`~repro.core.montecarlo.batch.run_batch` does, so its numbers
+    equal that batch's bit for bit.  Every other shard owns
+    ``spawn_child(shard_index)``.
+    """
+    return (
+        config.shard_size is None
+        and config.target_half_width is None
+        and int(shard_index) == 0
+        and int(shard_size) == int(config.n_iterations) <= DEFAULT_SHARD_CAP
+    )
 
 
 def run_shard(
@@ -142,11 +157,14 @@ def run_shard(
     The shard rebuilds its stream family from ``(master_entropy,
     shard_index)`` alone — the parent never ships generator state, so the
     draws are identical whether the shard runs in-process, in a forked
-    worker or in a spawned one.
+    worker or in a spawned one.  A run that is one unpinned, non-adaptive
+    shard uses the root family (see :func:`_draws_from_root`).
     """
     check_fault(shard_index)
     policy = resolve_policy(config.policy)
-    streams = RandomStreams(master_entropy).spawn_child(shard_index)
+    streams = RandomStreams(master_entropy)
+    if not _draws_from_root(config, shard_index, shard_size):
+        streams = streams.spawn_child(shard_index)
     batch = policy.simulate_shard(
         config.params,
         config.horizon_hours,
@@ -577,8 +595,9 @@ def run_sharded(
 ) -> MonteCarloResult:
     """Run the configured study on the sharded executor and summarise it.
 
-    Dispatches shard rounds across ``config.workers`` processes (in-process
-    for ``workers=1``), merges the streaming summaries, and — when
+    Cuts each round into :func:`effective_shard_size` shards, dispatches
+    them across ``config.workers`` processes (in-process for
+    ``workers=1``), merges the streaming summaries, and — when
     ``config.target_half_width`` is set — keeps adding rounds until the
     interval is tight enough or ``config.adaptive_ceiling`` is hit.
 
@@ -601,6 +620,7 @@ def run_sharded(
     totals: Dict[str, float] = {}
     next_index = 0
     round_budget = config.n_iterations
+    shard_size = effective_shard_size(config)
 
     stats = _ShardStats()
     supervisor = _PoolSupervisor(int(config.workers), config.pool, pool)
@@ -613,11 +633,6 @@ def run_sharded(
     )
     try:
         while round_budget > 0:
-            # A pinned shard_size fixes the decomposition (bit-identical
-            # across worker counts); the default re-splits every round one
-            # shard per worker, so smaller adaptive follow-up rounds still
-            # fan out instead of idling all but one worker.
-            shard_size = effective_shard_size(config, round_budget)
             sizes = plan_shards(round_budget, shard_size)
             plan = [(next_index + offset, size) for offset, size in enumerate(sizes)]
             next_index += len(sizes)

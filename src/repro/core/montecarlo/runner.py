@@ -1,4 +1,4 @@
-"""Monte Carlo runner: policy-registry dispatch over three execution paths.
+"""Monte Carlo runner: policy-registry dispatch over two execution paths.
 
 Runs many independent simulated lifetimes (as configured by
 :class:`~repro.core.montecarlo.config.MonteCarloConfig`), averages their
@@ -10,13 +10,11 @@ The replacement policy is resolved by name through
 :mod:`repro.core.policies.registry`; the configuration alone decides the
 execution path:
 
-* the **sharded** path (whenever ``workers > 1``, ``shard_size`` or
-  ``target_half_width`` is configured) splits the budget into per-worker
-  shards and merges streaming summaries via
-  :mod:`repro.core.montecarlo.parallel`,
-* the **batch** path (every other run of a policy that ships a vectorised
-  kernel, unless an event trace was requested) runs all lifetimes as
-  struct-of-arrays numpy batches via :mod:`repro.core.montecarlo.batch`, and
+* the **sharded** path (every run of a policy that ships a vectorised
+  kernel, unless an event trace was requested, and every run that sets
+  ``workers > 1``, ``shard_size`` or ``target_half_width``) cuts the budget
+  into fixed-size shards — in-process at ``workers=1`` — and merges
+  streaming summaries via :mod:`repro.core.montecarlo.parallel`, and
 * the **scalar** path walks one Python event loop per lifetime — the
   per-lifetime reference, and the only path that can record the paper's
   Fig. 1 style episode traces, which can be replayed on the
@@ -30,7 +28,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.montecarlo.batch import run_batch
 from repro.core.montecarlo.parallel import run_sharded
 from repro.core.montecarlo.config import MonteCarloConfig, PolicyRef
 from repro.core.montecarlo.results import (
@@ -47,29 +44,29 @@ from repro.simulation.confidence import confidence_interval
 from repro.simulation.rng import RandomStreams
 
 
-def _use_batch_path(config: MonteCarloConfig) -> bool:
-    """Return whether a single-process run uses the policy's batch kernel.
+def _runs_scalar_loop(config: MonteCarloConfig) -> bool:
+    """Return whether ``config`` runs on the per-lifetime scalar loop.
 
-    Traces only exist on the scalar loop, and a policy without a batch
-    kernel has nothing else to run.
+    Traces only exist on the scalar loop, and a single-process policy
+    without a batch kernel has nothing else to run.
     """
     if config.collect_trace:
-        return False
-    return resolve_policy(config.policy).has_batch_kernel
+        return True
+    policy = resolve_policy(config.policy)
+    return not config.uses_sharded_path and not policy.has_batch_kernel
 
 
 def _executor_provenance(config: MonteCarloConfig) -> str:
     """Name the execution path ``config`` runs on, and its pool if it has one.
 
-    ``"batch"``, ``"scalar"`` or ``"sharded(N workers[, <kind> pool])"``:
-    the pool is recorded only where one exists, on the sharded path with
-    more than one worker.
+    ``"scalar"`` or ``"sharded(N workers[, <kind> pool])"``: the pool is
+    recorded only where one exists, with more than one worker.
     """
-    if config.uses_sharded_path:
-        workers = int(config.workers)
-        pool = f", {config.pool} pool" if workers > 1 else ""
-        return f"sharded({workers} worker{'s' if workers != 1 else ''}{pool})"
-    return "batch" if _use_batch_path(config) else "scalar"
+    if _runs_scalar_loop(config):
+        return "scalar"
+    workers = int(config.workers)
+    pool = f", {config.pool} pool" if workers > 1 else ""
+    return f"sharded({workers} worker{'s' if workers != 1 else ''}{pool})"
 
 
 def run_iterations(
@@ -99,24 +96,22 @@ def run_iterations(
 def run_monte_carlo(config: MonteCarloConfig, pool=None) -> MonteCarloResult:
     """Run the configured study and return the aggregated result.
 
-    Dispatches to the sharded parallel executor (``workers``,
-    ``shard_size`` or ``target_half_width`` configured), the vectorised
-    batch executor, or — for event traces and policies without a batch
-    kernel — the scalar loop.  ``pool`` optionally shares an
+    Runs the sharded executor — in-process at ``workers=1`` — for every
+    config but an event trace or a single-process policy without a batch
+    kernel, which walk the scalar loop.  ``pool`` optionally shares an
     externally owned executor across sharded studies (see
-    :func:`repro.core.montecarlo.parallel.worker_pool`); it is ignored on
-    the single-process paths.
+    :func:`repro.core.montecarlo.parallel.worker_pool`); the scalar loop
+    ignores it.
     """
-    if config.uses_sharded_path:
+    if not _runs_scalar_loop(config):
         return run_sharded(config, pool=pool)
     if config.journal_path is not None:
         raise ConfigurationError(
             "checkpoint/resume journals record *shard* summaries and need "
-            "the sharded executor; set workers, shard_size or "
+            f"the sharded executor; policy {resolve_policy(config.policy).name!r} "
+            "has no batch kernel, so set workers, shard_size or "
             "target_half_width"
         )
-    if _use_batch_path(config):
-        return run_batch(config)
     if config.biasing is not None:
         # The config validator already rejects biased traces; this catches
         # a policy without a batch kernel resolving to the scalar loop.

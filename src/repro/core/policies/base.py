@@ -444,9 +444,9 @@ class SimulationPolicy:
         A shard owns a whole :class:`~repro.simulation.rng.RandomStreams`
         family (spawned from the master seed at the shard's fixed index) and
         draws through the family's ``"montecarlo"`` stream — the same stream
-        name the single-process executors use, so a one-shard run and a
-        whole-budget batch run differ only in their position in the spawn
-        tree.
+        name a whole-budget batch uses on the root family.  A run that is
+        one unpinned, non-adaptive shard is handed the root family itself,
+        so it makes exactly that batch's draws.
         """
         rng = streams.stream("montecarlo")
         return self.simulate_batch(

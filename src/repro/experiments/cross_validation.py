@@ -123,10 +123,6 @@ def run_cross_validation(
                 confidence=confidence,
                 seed=seed,
                 workers=workers,
-                # Pinning the shard size keeps the drawn lifetimes identical
-                # across --workers values, so the smoke job is reproducible
-                # on any machine.
-                shard_size=max(1, mc_iterations // 4),
                 pool_kind=pool_kind,
                 pool=shared_pool,
             )

@@ -179,7 +179,7 @@ class TestProvenance:
             STRESS, "conventional", backend="monte_carlo",
             n_iterations=400, seed=3,
         )
-        assert estimate.provenance == "executor=batch"
+        assert estimate.provenance == "executor=sharded(1 worker)"
 
     def test_scalar_only_policy_provenance_names_path(self):
         scalar_only = SimulationPolicy(

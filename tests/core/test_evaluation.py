@@ -168,7 +168,7 @@ class TestMonteCarloBackend:
             n_iterations=800, seed=3,
         )
         assert estimate.backend == "monte_carlo"
-        assert estimate.provenance == "executor=batch"
+        assert estimate.provenance == "executor=sharded(1 worker)"
         assert estimate.has_interval
         assert estimate.ci_lower <= estimate.availability <= estimate.ci_upper
         assert estimate.contains(estimate.availability)

@@ -2,7 +2,8 @@
 
 Every policy has one batch kernel and one scalar per-lifetime loop, and
 no option chooses between them: the scalar loop runs for event traces and
-for policies without a batch kernel, the batch kernel in every other case.
+for policies without a batch kernel, the batch kernel (on the sharded
+executor, in-process at ``workers=1``) in every other case.
 The two samplers draw differently, so across them the contract is
 statistical — at a fixed operating point their intervals must agree.
 """
@@ -61,8 +62,10 @@ def _assert_same_numbers(a, b):
 class TestPathSelection:
     @pytest.mark.parametrize("name", POLICIES)
     def test_default_run_is_the_batch_kernel(self, name):
+        # The sharded executor, in-process; a run this small is one shard
+        # on the root stream family, so it makes one batch's draws.
         config = _config(name)
-        assert _executor_provenance(config) == "batch"
+        assert _executor_provenance(config) == "sharded(1 worker)"
         result = run_monte_carlo(config)
         _assert_same_numbers(result, run_batch(config))
         # ...and not the scalar loop, which draws differently.

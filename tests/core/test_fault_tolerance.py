@@ -11,6 +11,8 @@ itself, and the shared-memory orphan reaper.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.montecarlo import (
+    DEFAULT_SHARD_CAP,
     FaultInjected,
     FaultPlan,
     MonteCarloConfig,
@@ -29,11 +32,12 @@ from repro.core.montecarlo import (
     replay_stacked_point,
     run_digest,
     run_monte_carlo,
+    run_monte_carlo_with_trace,
     run_stacked,
 )
 from repro.core.montecarlo.transport import active_segments, reap_stale_segments
 from repro.core.parameters import paper_parameters
-from repro.core.policies import get_policy, resolve_policy
+from repro.core.policies import SimulationPolicy, get_policy, resolve_policy
 from repro.exceptions import ConfigurationError
 from repro.simulation.rng import RandomStreams
 
@@ -123,6 +127,11 @@ DIGEST_FIELD_VARIANTS = {
 }
 
 
+#: The run digest that builds deriving the unpinned shard size from the
+#: worker count wrote for ``_config(shard_size=None, workers=2)``.
+WORKER_KEYED_DIGEST = "f93b39d15127da156f754156b3c094840b2263162806e9d0cd385c4830673257"
+
+
 def _config_digest(config: MonteCarloConfig) -> str:
     """Return the digest a single-point sharded run of ``config`` journals."""
     digest, _ = run_digest(
@@ -162,17 +171,64 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             _config(checkpoint="a.journal", resume="b.journal")
 
-    def test_journal_requires_sharded_executor(self):
+    def test_journal_requires_sharded_executor(self, tmp_path):
+        # A batch-kernel policy runs on the sharded executor even at
+        # workers=1, so it journals; a policy without a batch kernel runs
+        # on the scalar loop there, which cannot.
+        journal = tmp_path / "default.journal"
         config = MonteCarloConfig(
             params=paper_parameters(**STRESS),
             n_iterations=2000,
             horizon_hours=HORIZON,
             seed=13,
-            checkpoint="never-written.journal",
+            checkpoint=str(journal),
         )
+        written = run_monte_carlo(config)
+        assert len(journal.read_text(encoding="utf-8").splitlines()) == 2
+        resumed = run_monte_carlo(config.with_journal(resume=str(journal)))
+        assert resumed.resumed_shards == 1
+        _assert_bit_identical([resumed], [written])
+
+        scalar_only = SimulationPolicy(
+            name="scalar_only",
+            description="no batch kernel",
+            scalar=get_policy("conventional").scalar,
+        )
+        never = tmp_path / "never-written.journal"
         with pytest.raises(ConfigurationError, match="sharded"):
-            run_monte_carlo(config)
-        assert not Path("never-written.journal").exists()
+            run_monte_carlo(
+                config.with_policy(scalar_only).with_journal(checkpoint=str(never))
+            )
+        assert not never.exists()
+
+    @pytest.mark.parametrize("field", ["checkpoint", "resume"])
+    def test_traced_config_refuses_journal(self, tmp_path, field):
+        # The scalar loop writes no journal, so a traced config must not
+        # accept one and silently drop it.
+        path = str(tmp_path / "trace.journal")
+        plain = MonteCarloConfig(
+            params=paper_parameters(**STRESS),
+            n_iterations=50,
+            horizon_hours=HORIZON,
+            seed=13,
+        )
+        with pytest.raises(ConfigurationError, match="collect_trace"):
+            dataclasses.replace(plain, collect_trace=True, **{field: path})
+        assert not Path(path).exists()
+
+    @pytest.mark.parametrize("field", ["checkpoint", "resume"])
+    def test_run_with_trace_refuses_journal(self, tmp_path, field):
+        path = str(tmp_path / "trace.journal")
+        config = MonteCarloConfig(
+            params=paper_parameters(**STRESS),
+            n_iterations=50,
+            horizon_hours=HORIZON,
+            seed=13,
+            **{field: path},
+        )
+        with pytest.raises(ConfigurationError, match="collect_trace"):
+            run_monte_carlo_with_trace(config)
+        assert not Path(path).exists()
 
     def test_with_retries_helper(self):
         config = _config().with_retries(3, shard_timeout=1.5)
@@ -318,6 +374,30 @@ class TestInterruptAndResume:
         assert resumed.resumed_shards == 2
         _assert_bit_identical([resumed], [clean])
 
+    def test_default_point_interrupt_resumes_across_workers(self, tmp_path):
+        # An unpinned single point at workers=1 (two 50k shards and a 20k
+        # remainder) journals, stops after one shard and resumes to the
+        # clean numbers, at one worker or two.
+        journal = str(tmp_path / "point.journal")
+        config = MonteCarloConfig(
+            params=paper_parameters(disk_failure_rate=1e-5, hep=0.01),
+            n_iterations=120_000,
+            horizon_hours=20_000.0,
+            seed=3,
+        )
+        clean = run_monte_carlo(config)
+        with fault_plan(FaultPlan(abort_after=1), tmp_path / "plan"):
+            partial = run_monte_carlo(config.with_journal(checkpoint=journal))
+        assert partial.interrupted
+        assert partial.n_iterations == 50_000
+        resumed = run_monte_carlo(config.with_journal(resume=journal))
+        assert not resumed.interrupted
+        assert resumed.resumed_shards > 0
+        _assert_bit_identical([resumed], [clean])
+        again = run_monte_carlo(config.with_workers(2).with_journal(resume=journal))
+        assert again.resumed_shards == 3
+        _assert_bit_identical([again], [clean])
+
     @pytest.mark.parametrize("resume_workers", [1, 4])
     def test_stacked_resume_bit_identical_across_workers(
         self, tmp_path, resume_workers
@@ -411,6 +491,39 @@ class TestJournalIntegrity:
         clean = run_stacked(_stacked_configs())
         resumed = run_stacked(_stacked_configs(resume=str(journal)))
         _assert_bit_identical(resumed, clean)
+
+    def test_worker_keyed_unpinned_journal_refused(self, tmp_path):
+        # Builds that split an unpinned run one shard per worker put
+        # "workers" into its key.  Such a journal records another
+        # decomposition, so resuming it must fail on the digest.
+        config = _config(shard_size=None, workers=2)
+        entropy = RandomStreams(13).seed_entropy
+        digest, key = run_digest(
+            [config], get_policy("conventional"), master_entropy=entropy,
+            shard_size=None, scalar=True,
+        )
+        assert "workers" not in key
+        assert key["default_shard_size"] == DEFAULT_SHARD_CAP
+        worker_keyed = {
+            name: value for name, value in key.items() if name != "default_shard_size"
+        }
+        worker_keyed["workers"] = 2
+        written = hashlib.sha256(
+            json.dumps(worker_keyed, sort_keys=True).encode("utf-8")
+        ).hexdigest()
+        # The digest such a build wrote for this config.
+        assert written == WORKER_KEYED_DIGEST != digest
+        journal = tmp_path / "worker-keyed.journal"
+        header = {
+            "kind": "header", "version": 1, "digest": written,
+            "master_entropy": entropy, "key": worker_keyed,
+        }
+        journal.write_text(json.dumps(header, sort_keys=True) + "\n", encoding="utf-8")
+        for workers in (1, 2):
+            with pytest.raises(ConfigurationError, match="different run"):
+                run_monte_carlo(
+                    config.with_workers(workers).with_journal(resume=str(journal))
+                )
 
     def test_digest_excludes_workers_and_transport(self):
         configs = _stacked_configs()

@@ -7,14 +7,18 @@ statistical-consistency guarantees across all executors.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.montecarlo import (
+    DEFAULT_SHARD_CAP,
     MonteCarloConfig,
     effective_shard_size,
     merge_totals,
     plan_shards,
+    run_batch,
     run_batch_lifetimes,
     run_monte_carlo,
     run_monte_carlo_with_trace,
@@ -23,7 +27,7 @@ from repro.core.montecarlo import (
     summarise_batch,
 )
 from repro.core.parameters import paper_parameters
-from repro.core.policies import get_policy
+from repro.core.policies import available_policies, get_policy
 from repro.core.policies.base import BatchLifetimes, SimulationPolicy
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.confidence import StreamingMoments
@@ -72,20 +76,22 @@ class TestShardPlanning:
         with pytest.raises(SimulationError):
             plan_shards(100, 0)
 
-    def test_effective_shard_size_derives_from_workers(self):
-        assert effective_shard_size(_config(workers=4)) == 500
-        assert effective_shard_size(_config(workers=3)) == 667
+    def test_effective_shard_size_ignores_workers(self):
+        # The unpinned shard size is one constant, so the decomposition —
+        # and every draw — is the same at any worker count.
+        assert DEFAULT_SHARD_CAP == 50_000
+        for workers in (1, 2, 3, 4):
+            assert effective_shard_size(_config(workers=workers)) == DEFAULT_SHARD_CAP
 
     def test_effective_shard_size_explicit_override(self):
         assert effective_shard_size(_config(workers=4, shard_size=100)) == 100
 
     def test_effective_shard_size_capped_when_derived(self):
-        # A huge adaptive round must not become one huge shard: the derived
-        # size is capped so kernel working sets stay bounded, while an
-        # explicit shard_size is taken literally.
+        # A huge run must not become one huge shard: the unpinned size
+        # keeps kernel working sets bounded, while an explicit shard_size
+        # is taken literally.
         big = _config(n_iterations=1_000_000, workers=1)
         assert effective_shard_size(big) == 50_000
-        assert effective_shard_size(_config(workers=1), budget=1_000_000) == 50_000
         pinned = _config(n_iterations=1_000_000, workers=1, shard_size=200_000)
         assert effective_shard_size(pinned) == 200_000
 
@@ -197,6 +203,80 @@ class TestShardedDeterminism:
         assert merged["disk_failures"] == 3.0
         assert merged["human_errors"] == 2.0
         assert merged["du_events"] == 0.0
+
+
+def _assert_same_numbers(a, b):
+    assert a.availability == b.availability
+    assert a.interval.lower == b.interval.lower
+    assert a.interval.upper == b.interval.upper
+    assert a.interval.std_error == b.interval.std_error
+    assert a.n_iterations == b.n_iterations
+    assert a.totals == b.totals
+    assert a.ess == b.ess
+
+
+#: A point with events in every policy that is cheap to simulate: 120k
+#: lifetimes of any registered kernel take a few tens of milliseconds.
+CHEAP = dict(
+    params=paper_parameters(disk_failure_rate=1e-5, hep=0.01),
+    horizon_hours=20_000.0,
+    seed=3,
+)
+
+#: Every registered batch-kernel policy, plus biased ``conventional``.
+DECOMPOSITION_CASES = [
+    (name, None)
+    for name in sorted(available_policies())
+    if get_policy(name).has_batch_kernel
+] + [("conventional", 3.0)]
+
+
+class TestDefaultDecomposition:
+    """An unpinned run is cut into 50k shards whatever the worker count."""
+
+    @pytest.mark.parametrize("name, biasing", DECOMPOSITION_CASES)
+    def test_worker_counts_and_pools_bit_identical(self, name, biasing):
+        # 120k lifetimes: two full shards and a 20k remainder.
+        base = MonteCarloConfig(
+            policy=name, n_iterations=120_000, biasing=biasing, **CHEAP
+        )
+        reference = run_monte_carlo(base)
+        assert reference.n_iterations == 120_000
+        assert reference.totals["disk_failures"] > 0
+        for variant in (
+            base.with_workers(2),
+            base.with_workers(2).with_pool("thread"),
+            base.with_workers(2).with_pool("serial"),
+            base.with_workers(1, shard_size=50_000),
+        ):
+            _assert_same_numbers(run_monte_carlo(variant), reference)
+
+    def test_one_shard_run_equals_one_batch_at_any_worker_count(self):
+        # At most 50k lifetimes make one shard on the root stream family:
+        # the draws of one whole-budget batch.
+        base = MonteCarloConfig(n_iterations=20_000, **CHEAP)
+        reference = run_batch(base)
+        _assert_same_numbers(run_monte_carlo(base), reference)
+        _assert_same_numbers(run_monte_carlo(base.with_workers(2)), reference)
+
+    def test_default_peak_memory_below_a_quarter_of_one_batch(self):
+        # 400k lifetimes at the paper's operating point: one batch holds
+        # every lifetime's arrays at once, the default holds one shard's.
+        config = MonteCarloConfig(
+            params=paper_parameters(disk_failure_rate=1e-6, hep=1e-3),
+            n_iterations=400_000,
+            seed=11,
+        )
+
+        def peak(run) -> int:
+            tracemalloc.start()
+            try:
+                run(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(run_monte_carlo) < peak(run_batch) / 4
 
 
 class TestStatisticalConsistency:

@@ -80,7 +80,7 @@ class TestMcCommand:
         ]) == 0
         out = capsys.readouterr().out
         assert "policy:             conventional" in out
-        assert "executor:           batch\n" in out
+        assert "executor:           sharded(1 worker)\n" in out
         assert "availability:" in out and "interval:" in out
 
     def test_mc_hot_spare_pool_end_to_end(self, capsys):
