@@ -102,6 +102,16 @@ The benchmarks, one per bullet:
   ordering is asserted (the shards' peak below the batch's); time carries
   no floor.
 
+* **Stacked grid decomposition**: the repository benchmark's ``mc_grid``
+  shape (16 heps x 8 failure rates at 10k lifetimes per point,
+  ``conventional``) on one shared 2-worker pool with a journal, at pinned
+  shard sizes of 8192 (the earlier default), 25,000 (the default) and
+  50,000 lifetimes, alternating, each the median of
+  :data:`TIMING_REPEATS` with its spread.  The default run's
+  ``tracemalloc`` peak comes from a separate in-process call.  Only the
+  bit-identity of ``workers=1`` and ``workers=2`` at the default is
+  asserted; time carries no floor.
+
 Run with ``pytest benchmarks/bench_sweep.py -s`` to see the measured
 speedups alongside the timing records; machine-readable results land in
 ``BENCH_sweep.json`` (see ``benchmarks/conftest.py``), accumulated across
@@ -112,6 +122,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import itertools
 import os
 import time
 import tracemalloc
@@ -123,12 +134,13 @@ import pytest
 from repro.core.evaluation import clear_template_cache, evaluate
 from repro.core.montecarlo import (
     DEFAULT_SHARD_CAP,
+    DEFAULT_STACKED_SHARD_SIZE,
     MonteCarloConfig,
     run_batch,
     run_monte_carlo,
     run_stacked,
 )
-from repro.core.montecarlo.parallel import worker_pool
+from repro.core.montecarlo.parallel import plan_stacked_shards, worker_pool
 from repro.core.montecarlo.transport import shared_memory_available
 from repro.core.parameters import paper_parameters
 from repro.core.policies import get_policy, vectorized
@@ -482,6 +494,99 @@ def test_point_decomposition(policy, bench_record):
         reference_peak_mb_min=round(min(peaks["batch"]), 3),
         reference_peak_mb_max=round(max(peaks["batch"]), 3),
     )
+
+
+#: The ``mc_grid`` shape of the repository benchmark, without its jitter.
+GRID_HEPS = [float(h) for h in np.logspace(-4.0, -2.0, 16)]
+GRID_RATES = [float(r) for r in np.logspace(-7.0, -4.0, 8)]
+GRID_LIFETIMES = 10_000
+
+#: Pinned shard sizes of the grid decomposition bench: the earlier
+#: default, the default and the single-point cap.
+GRID_SHARD_SIZES = (8192, DEFAULT_STACKED_SHARD_SIZE, DEFAULT_SHARD_CAP)
+
+
+def _decomposition_grid(**overrides) -> "list[MonteCarloConfig]":
+    return [
+        MonteCarloConfig(
+            params=paper_parameters(disk_failure_rate=rate, hep=hep),
+            policy="conventional",
+            n_iterations=GRID_LIFETIMES,
+            horizon_hours=87_600.0,
+            seed=2017,
+            **overrides,
+        )
+        for hep in GRID_HEPS
+        for rate in GRID_RATES
+    ]
+
+
+def test_stacked_grid_decomposition(bench_record, tmp_path):
+    """Stacked grid shard sizes on the ``mc_grid`` shape, one 2-worker pool.
+
+    Every timed call journals to a fresh path, as the repository
+    benchmark's op does.  Only the bit-identity of ``workers=1`` and
+    ``workers=2`` at the default shard size is asserted; the times carry
+    no floor.
+    """
+    points = len(GRID_HEPS) * len(GRID_RATES)
+    journals = itertools.count()
+
+    def run(pool, shard_size=None):
+        path = tmp_path / f"grid-{next(journals)}.journal"
+        configs = _decomposition_grid(
+            workers=2, shard_size=shard_size, checkpoint=str(path)
+        )
+        return run_stacked(configs, pool=pool)
+
+    seconds = {size: [] for size in GRID_SHARD_SIZES}
+    with worker_pool(2) as pool:
+        run(pool)  # warm the pool's workers
+        for _ in range(TIMING_REPEATS):
+            for size in GRID_SHARD_SIZES:
+                start = time.perf_counter()
+                run(pool, size)
+                seconds[size].append(time.perf_counter() - start)
+        pooled = run(pool)
+
+    tracemalloc.start()
+    try:
+        single = run_stacked(_decomposition_grid(workers=1))
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    for one, two in zip(single, pooled):
+        assert one.availability == two.availability
+        assert one.interval.half_width == two.interval.half_width
+        assert one.totals == two.totals
+
+    reference = float(np.median(seconds[8192]))
+    for size, times in seconds.items():
+        median = float(np.median(times))
+        shards = len(plan_stacked_shards([GRID_LIFETIMES] * points, size))
+        print(
+            f"\nstacked grid decomposition: {points} points x {GRID_LIFETIMES} "
+            f"lifetimes, {size}-lifetime shards ({shards}): {median:.3f}s "
+            f"({min(times):.3f}-{max(times):.3f}), "
+            f"{reference / median:.2f}x the 8192-lifetime shards"
+        )
+        extra = {}
+        if size == DEFAULT_STACKED_SHARD_SIZE:
+            extra = {"default": True, "peak_mb": round(peak, 3)}
+        bench_record(
+            f"stacked_grid_decomposition:{size}",
+            points=points,
+            seconds=median,
+            speedup=reference / median,
+            lifetimes_per_point=GRID_LIFETIMES,
+            shard_size=size,
+            shards=shards,
+            workers=2,
+            seconds_min=round(min(times), 6),
+            seconds_max=round(max(times), 6),
+            **extra,
+        )
+    print(f"default in-process tracemalloc peak: {peak:.1f} MB")
 
 
 def _transport_configs(transport: str, n_iterations=None):

@@ -14,7 +14,7 @@ keyed by git commit and UTC timestamp (op name, problem size, wall-clock
 seconds, speedup), so the performance trajectory accumulates across PRs
 instead of each session overwriting the last.  ``python -m repro bench
 history`` prints the per-op trend; ``python -m repro bench table`` renders
-the latest run as the README's markdown performance table.
+each op's newest record as the README's markdown performance table.
 """
 
 from __future__ import annotations

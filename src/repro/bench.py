@@ -10,8 +10,8 @@ lived nowhere.  This module makes the file an append-only history:
   (schema v2, :data:`BENCH_SCHEMA_VERSION`);
 * legacy single-run files are migrated transparently on load;
 * ``python -m repro bench history`` prints the per-op speedup trend, and
-  ``python -m repro bench table`` renders the latest run as the markdown
-  performance table embedded in the README.
+  ``python -m repro bench table`` renders each op's newest record as the
+  markdown performance table embedded in the README.
 """
 
 from __future__ import annotations
@@ -161,16 +161,27 @@ def render_history(history: Dict, op: Optional[str] = None) -> str:
 
 
 def render_latest_table(history: Dict) -> str:
-    """Render the latest run as the README's markdown performance table."""
+    """Render each op's newest record as the README's markdown table.
+
+    A session may run only some of the benches, so the newest run alone
+    is not the current table.  Every op takes its record from the newest
+    run that holds it, rows keep the order in which the ops first
+    appeared, and a ``commit`` column names each row's run.  The header
+    comment names the newest run.
+    """
     runs = history.get("runs", [])
     if not runs:
         return "no benchmark records; run 'pytest benchmarks/ -s' first"
-    latest = runs[-1]
+    newest: Dict[str, tuple] = {}
+    for run in runs:
+        for entry in run.get("results", []):
+            # Re-assigning a key keeps its first position in the dict.
+            newest[str(entry.get("op", "?"))] = (run, entry)
     lines = [
-        "| op | points | seconds | speedup | variance efficiency |",
-        "|---|---:|---:|---:|---:|",
+        "| op | commit | points | seconds | speedup | variance efficiency |",
+        "|---|---|---:|---:|---:|---:|",
     ]
-    for entry in latest.get("results", []):
+    for op, (run, entry) in newest.items():
         points = entry.get("points", "")
         seconds = entry.get("seconds")
         speedup = entry.get("speedup")
@@ -181,11 +192,13 @@ def render_latest_table(history: Dict) -> str:
             f"{efficiency:.0f}x" if isinstance(efficiency, (int, float)) else ""
         )
         lines.append(
-            f"| {entry.get('op', '?')} | {points} | {seconds_text} | "
+            f"| {op} | {run.get('commit') or '-'} | {points} | {seconds_text} | "
             f"{speedup_text} | {efficiency_text} |"
         )
+    latest = runs[-1]
     meta = (
         f"<!-- generated from BENCH_sweep.json @ {latest.get('commit') or 'unknown'} "
-        f"({latest.get('generated_at') or 'unknown'}) -->"
+        f"({latest.get('generated_at') or 'unknown'}) — regenerate with: "
+        "python -m repro bench table -->"
     )
     return "\n".join([meta] + lines)

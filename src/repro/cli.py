@@ -33,7 +33,8 @@ Eight subcommands cover the common workflows without writing any code:
 ``bench``
     Inspect the machine-readable benchmark trajectory (``BENCH_sweep.json``):
     ``bench history`` prints the per-op speedup trend across recorded runs,
-    ``bench table`` renders the latest run as the README's markdown table.
+    ``bench table`` renders each op's newest record as the README's
+    markdown table.
 ``reproduce``
     Regenerate the paper's figures (optionally including the Monte Carlo
     validation) and print the tables.
@@ -483,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
         "action",
         choices=["history", "table"],
         help="history: per-op speedup trend across recorded runs; "
-        "table: latest run as a markdown performance table",
+        "table: each op's newest record as a markdown performance table",
     )
     bench.add_argument(
         "--op",

@@ -725,8 +725,11 @@ def run_sharded(
 #: Deliberately **independent of the worker count**: the decomposition (and
 #: therefore every random draw) is the same for any ``workers``, making
 #: ``workers=N`` bit-identical to ``workers=1`` by construction rather than
-#: only under a pinned shard size.
-DEFAULT_STACKED_SHARD_SIZE = 8192
+#: only under a pinned shard size.  25k is the smallest size at which a
+#: 16 x 8-point, 10k-lifetime grid on a 2-worker pool stops getting faster
+#: (DESIGN.md, "Stream layout"); larger shards only grow the working set.
+#: Single points keep ``DEFAULT_SHARD_CAP``.
+DEFAULT_STACKED_SHARD_SIZE = 25_000
 
 
 @dataclass(frozen=True)

@@ -413,8 +413,8 @@ class SimulationPolicy:
         """Simulate one lifetime per row of a stacked parameter grid.
 
         One kernel invocation covers the whole grid: every per-study scalar
-        (hep, rates, geometry, pool size) is a per-lifetime array inside
-        ``stacked_params``.  Raises
+        (hep, rates, geometry, pool size) is a per-lifetime plane inside
+        ``stacked_params``, which the kernel must only read.  Raises
         :class:`~repro.exceptions.ConfigurationError` for policies whose
         kernel has not opted into stacked grids.
         """

@@ -8,16 +8,20 @@ invocation — plus shard scheduling and aggregation — per point.
 
 :class:`StackedParams` removes that limit: every per-study scalar (``hep``,
 ``lambda``, the repair/recovery rates, ``n_disks``, the spare-pool size)
-becomes a **per-lifetime array**, so a single kernel invocation can simulate
-``points x lifetimes`` lifetimes covering an entire sweep grid at once.  The
-class quacks exactly like ``AvailabilityParameters`` as far as the kernels
-are concerned:
+becomes a **per-lifetime plane**, so a single kernel invocation can simulate
+``points x lifetimes`` lifetimes covering an entire sweep grid at once.  A
+plane is a real array only for a swept field; a field with the same value
+at every point is a read-only zero-stride view of that one value, so a
+two-axis grid holds two per-lifetime arrays, not nine.  The class quacks
+exactly like ``AvailabilityParameters`` as far as the kernels are
+concerned:
 
 * the distribution factories return *row-aware* distributions whose
   ``sample_rows(rows, rng)`` draws each sample at the rate of the lifetime
   it belongs to, and
 * ``hep`` / ``crash_rate`` / the service rates are arrays the kernels index
-  with the global lifetime rows they are currently stepping.
+  with the global lifetime rows they are currently stepping.  Kernels only
+  read planes; none may write into one.
 
 Lifetimes of points with fewer disks than the widest point simply carry
 ``+inf`` failure clocks in the unused slots, so one rectangular clock matrix
@@ -168,7 +172,9 @@ class StackedParams:
     """Struct-of-arrays parameter grid, one entry per simulated lifetime.
 
     Attributes mirror :class:`~repro.core.parameters.AvailabilityParameters`
-    field for field, each widened to a length-``n_lifetimes`` array.
+    field for field, each widened to a length-``n_lifetimes`` plane; a
+    plane may be a read-only zero-stride view (``np.broadcast_to``) when
+    every row holds the same value, and :meth:`slice` keeps it one.
     ``n_spares`` is optional: when present it overrides the pool size a
     spare-pool kernel was constructed with, row by row.  The three scheme
     planes (``k_rows``/``repair_threshold_rows``/``check_period_rows``) are
@@ -276,8 +282,14 @@ class StackedParams:
         return RowExponential(self.spare_replacement_rate)
 
     def without_human_error(self) -> "StackedParams":
-        """Return a copy with every row's ``hep`` forced to zero."""
-        return replace(self, hep=np.zeros_like(self.hep))
+        """Return a copy with every row's ``hep`` forced to zero.
+
+        The zero plane is a read-only broadcast view, like every constant
+        plane of :func:`stack_parameter_points`.
+        """
+        return replace(
+            self, hep=np.broadcast_to(np.zeros(1, dtype=self.hep.dtype), self.hep.shape)
+        )
 
     # ------------------------------------------------------------------
     # Grid surgery
@@ -340,9 +352,15 @@ def stack_parameter_points(
     segmented per-point aggregation in
     :mod:`repro.core.montecarlo.batch` relies on.
 
+    Only swept fields are repeated into per-lifetime arrays.  A field whose
+    per-point values are all exactly equal becomes a read-only zero-stride
+    view of its one value (``np.broadcast_to``), keeping the field's dtype:
+    the kernels read it exactly as the repeated array, and it costs no
+    memory.
+
     ``schemes`` attaches one periodic redundancy scheme per point
     (:class:`~repro.core.policies.base.RedundancyScheme` instances are
-    resolved against their point's geometry), materialising the per-row
+    resolved against their point's geometry), attaching the per-row
     scheme planes the erasure kernel reads — this is how one grid mixes
     ``k``-of-``N`` layouts and check periods.
     """
@@ -353,9 +371,13 @@ def stack_parameter_points(
     reps = np.asarray([int(c) for c in counts], dtype=np.int64)
     if np.any(reps < 1):
         raise ConfigurationError("every stacked point needs at least one lifetime")
+    total_rows = int(reps.sum())
 
     def _field(values, dtype=float) -> np.ndarray:
-        return np.repeat(np.asarray(values, dtype=dtype), reps)
+        column = np.asarray(values, dtype=dtype)
+        if np.all(column == column[0]):
+            return np.broadcast_to(column[:1], (total_rows,))
+        return np.repeat(column, reps)
 
     spares = None
     if n_spares is not None:

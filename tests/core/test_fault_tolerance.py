@@ -482,6 +482,24 @@ class TestJournalIntegrity:
         with pytest.raises(ConfigurationError, match="different run"):
             run_stacked(_stacked_configs(seed=99, resume=journal))
 
+    def test_journal_of_the_earlier_default_shard_size_needs_it_pinned(self, tmp_path):
+        # Earlier builds cut unpinned grids into 8192-lifetime shards and
+        # keyed their journals on that size; a run pinned at 8192 writes
+        # the same digest.  Unpinned, the grid now plans 25k-lifetime
+        # shards, so such a journal is refused; pinned, it resumes.
+        journal = str(tmp_path / "8192.journal")
+        kwargs = dict(n_points=2, n_iterations=5000)
+        written = run_stacked(
+            _stacked_configs(shard_size=8192, checkpoint=journal, **kwargs)
+        )
+        with pytest.raises(ConfigurationError, match="different run"):
+            run_stacked(_stacked_configs(shard_size=None, resume=journal, **kwargs))
+        resumed = run_stacked(
+            _stacked_configs(shard_size=8192, resume=journal, **kwargs)
+        )
+        assert sum(point.resumed_shards for point in resumed) == 2
+        _assert_bit_identical(resumed, written)
+
     def test_torn_tail_tolerated(self, tmp_path):
         journal = tmp_path / "torn.journal"
         with fault_plan(FaultPlan(abort_after=1), tmp_path / "plan"):

@@ -25,6 +25,7 @@ Regenerate the fixture only for a change that is meant to alter results::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
@@ -133,6 +134,36 @@ def _kernel_cases() -> Dict[str, Callable[[], Tuple[np.ndarray, dict]]]:
 
 
 KERNEL_CASES = _kernel_cases()
+
+
+def _stacked_kernel_cases() -> Dict[str, tuple]:
+    """Return ``(policy, grid builder, biasing)`` of every stacked kernel case."""
+    cases: Dict[str, tuple] = {}
+    for name, policy in KERNEL_POLICIES.items():
+        for law, shape in FAILURE_SHAPES.items():
+            for label, biasing in BIASING.items():
+                cases[f"{name}-stacked-{law}-{label}"] = (
+                    policy, lambda s=shape: _kernel_params("stacked", s), biasing
+                )
+    cases["erasure_3of10-stacked"] = (ERASURE, lambda: _erasure_params("stacked"), None)
+    return cases
+
+
+STACKED_KERNEL_CASES = _stacked_kernel_cases()
+
+
+def _planes(grid) -> Dict[str, np.ndarray]:
+    """Return the grid's planes by field name (the optional ones when set)."""
+    planes = {field.name: getattr(grid, field.name) for field in dataclasses.fields(grid)}
+    return {name: plane for name, plane in planes.items() if plane is not None}
+
+
+def _materialised(grid):
+    """Return ``grid`` with every plane copied into its own contiguous array."""
+    return dataclasses.replace(
+        grid,
+        **{name: np.ascontiguousarray(plane) for name, plane in _planes(grid).items()},
+    )
 
 
 # ----------------------------------------------------------------------
@@ -301,6 +332,36 @@ def test_executor_results_match_golden(golden, case):
             _assert_close(got["totals"][name], value, name)
 
 
+@pytest.mark.parametrize("case", sorted(STACKED_KERNEL_CASES))
+def test_broadcast_planes_draw_exactly_like_materialised_planes(case):
+    # Constant planes of a stacked grid are zero-stride broadcast views.
+    # The kernels must make the same draws and decisions on them as on
+    # contiguous copies: equal to the last bit, not only within RTOL.
+    policy, build, biasing = STACKED_KERNEL_CASES[case]
+    grid, counts = build()
+    assert any(plane.strides == (0,) for plane in _planes(grid).values())
+    copy = _materialised(grid)
+    assert all(
+        plane.strides == (plane.itemsize,) for plane in _planes(copy).values()
+    )
+    outcomes = []
+    for params in (grid, copy):
+        rng = RandomStreams(19).stream("montecarlo")
+        kwargs = {} if biasing is None else {"biasing": biasing}
+        batch = policy.batch(params, HORIZON, sum(counts), rng, **kwargs)
+        outcomes.append((batch, rng.bit_generator.state))
+    (broadcast, state), (materialised, materialised_state) = outcomes
+    assert state == materialised_state
+    for field in dataclasses.fields(broadcast):
+        got = getattr(broadcast, field.name)
+        want = getattr(materialised, field.name)
+        if want is None:
+            assert got is None, field.name
+        else:
+            assert np.array_equal(got, want), field.name
+    assert (broadcast.log_weights is None) == (biasing is None)
+
+
 def test_scalar_run_digest_is_stable(tmp_path):
     assert _scalar_digest(tmp_path) == SCALAR_DIGEST
 
@@ -310,10 +371,8 @@ def test_stacked_run_digest_is_stable(tmp_path):
 
 
 if __name__ == "__main__":  # pragma: no cover - fixture regeneration
-    import os
     import tempfile
 
-    os.environ[FUSED_PUREPY_ENV] = "1"
     FIXTURE.write_text(json.dumps(capture(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
     with tempfile.TemporaryDirectory() as scratch:
         print("scalar digest: ", _scalar_digest(Path(scratch)))

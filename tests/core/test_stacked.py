@@ -10,6 +10,8 @@ policies whose kernels cannot take a stacked grid.
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,6 +35,7 @@ from repro.core.policies import (
     stack_parameter_points,
 )
 from repro.core.policies.base import SimulationPolicy
+from repro.core.policies.erasure import erasure_policy
 from repro.core.sweep import sweep
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.confidence import StreamingMoments, segmented_moments
@@ -77,6 +80,31 @@ def _scalar_only_policy() -> SimulationPolicy:
     )
 
 
+#: Erasure 3-of-10 with a repair threshold of 8: its grids carry every
+#: optional plane (spare pools and the three scheme planes).
+ERASURE = erasure_policy(3, 10, repair_threshold=8)
+
+
+def _two_axis_erasure_points():
+    return [
+        paper_parameters(
+            geometry=RaidGeometry.erasure(3, 10), disk_failure_rate=rate, hep=hep
+        )
+        for rate in (1e-5, 1e-4)
+        for hep in (0.001, 0.01)
+    ]
+
+
+def _two_axis_erasure_grid():
+    """A 2 x 2 failure-rate x hep grid whose other planes are all constant."""
+    points = _two_axis_erasure_points()
+    counts = [3, 2, 4, 1]
+    grid = stack_parameter_points(
+        points, counts, n_spares=[2] * len(points), schemes=[ERASURE.scheme] * len(points)
+    )
+    return grid, counts
+
+
 def _intervals_overlap(a, b) -> bool:
     return max(a.interval.lower, b.interval.lower) <= min(
         a.interval.upper, b.interval.upper
@@ -107,6 +135,69 @@ class TestStackedParams:
         grid = stack_parameter_points([paper_parameters(hep=0.3)], [4])
         assert np.all(grid.without_human_error().hep == 0.0)
         assert np.all(grid.hep == 0.3)  # original untouched
+
+    def test_constant_planes_are_read_only_broadcast_views(self):
+        grid, counts = _two_axis_erasure_grid()
+        swept = {"disk_failure_rate", "hep"}
+        for name in (field.name for field in dataclasses.fields(StackedParams)):
+            plane = getattr(grid, name)
+            if name in swept:
+                assert plane.strides == (plane.itemsize,), name
+                assert plane.flags.writeable, name
+            else:
+                assert plane.strides == (0,), name
+                assert not plane.flags.writeable, name
+            assert plane.shape == (sum(counts),), name
+        assert grid.n_disks_rows.dtype == np.int64
+        assert grid.check_period_rows.dtype == np.float64
+
+    def test_broadcast_planes_hold_the_repeated_values(self):
+        grid, counts = _two_axis_erasure_grid()
+        points = _two_axis_erasure_points()
+        scheme = ERASURE.scheme.resolve(points[0])
+        expected = {
+            "disk_failure_rate": [p.disk_failure_rate for p in points],
+            "hep": [p.hep for p in points],
+            "crash_rate": [p.crash_rate for p in points],
+            "failure_shape": [p.failure_shape for p in points],
+            "n_disks_rows": [p.n_disks for p in points],
+            "n_spares_rows": [2] * len(points),
+            "k_rows": [scheme.k] * len(points),
+            "check_period_rows": [scheme.check_period_hours] * len(points),
+        }
+        for name, values in expected.items():
+            assert np.array_equal(getattr(grid, name), np.repeat(values, counts)), name
+
+    def test_slice_and_without_human_error_keep_constant_planes_zero_stride(self):
+        grid, _ = _two_axis_erasure_grid()
+        part = grid.slice(2, 9)
+        assert part.crash_rate.strides == (0,) and part.k_rows.strides == (0,)
+        assert part.hep.strides == (8,)
+        assert list(part.hep) == list(grid.hep[2:9])
+        for zeroed in (grid.without_human_error(), part.without_human_error()):
+            assert zeroed.hep.strides == (0,)
+            assert not zeroed.hep.flags.writeable
+            assert zeroed.hep.dtype == np.float64
+            assert np.all(zeroed.hep == 0.0)
+        assert np.any(grid.hep > 0.0)  # original untouched
+
+    def test_two_axis_grid_planes_peak_below_eight_megabytes(self):
+        # 32 points x 10k lifetimes sweeping hep and failure rate: the two
+        # swept planes are 2.56 MB each; materialising all nine planes
+        # took 23 MB.
+        points = [
+            paper_parameters(disk_failure_rate=float(rate), hep=float(hep))
+            for rate in np.logspace(-7.0, -4.0, 4)
+            for hep in np.logspace(-4.0, -2.0, 8)
+        ]
+        tracemalloc.start()
+        try:
+            grid = stack_parameter_points(points, [10_000] * len(points))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grid) == 320_000
+        assert peak < 8_000_000, f"stacking peaked at {peak / 1e6:.1f} MB"
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -460,6 +551,41 @@ class TestStackedDeterminism:
         assert 2 * 900 < DEFAULT_STACKED_SHARD_SIZE
         shards = plan_stacked_shards([900, 900], DEFAULT_STACKED_SHARD_SIZE)
         assert len(shards) == 1 and shards[0].point_indices == (0, 1)
+
+    def test_default_plan_cuts_the_mc_grid_shape_into_52_shards(self):
+        # perfbench's mc_grid: 16 heps x 8 failure rates at 10k lifetimes.
+        shards = plan_stacked_shards([10_000] * 128, DEFAULT_STACKED_SHARD_SIZE)
+        assert len(shards) == 52
+        assert shards[0].stop - shards[0].start == 25_000
+
+    def test_default_shards_are_bit_identical_on_every_pool(self):
+        # 6 points x 12,500 lifetimes are three default shards, so every
+        # pool really dispatches more than one shard.
+        def configs(**overrides):
+            return [
+                MonteCarloConfig(
+                    params=paper_parameters(disk_failure_rate=1e-5, hep=hep),
+                    policy="conventional",
+                    n_iterations=12_500,
+                    horizon_hours=HORIZON,
+                    seed=23,
+                    **overrides,
+                )
+                for hep in (0.0, 0.002, 0.005, 0.01, 0.02, 0.05)
+            ]
+
+        assert len(plan_stacked_shards([12_500] * 6, DEFAULT_STACKED_SHARD_SIZE)) == 3
+        reference = run_stacked(configs(workers=1))
+        for overrides in (
+            dict(workers=2),
+            dict(workers=2, pool="thread"),
+            dict(workers=2, pool="serial"),
+            dict(shard_size=25_000),
+        ):
+            for got, want in zip(run_stacked(configs(**overrides)), reference):
+                assert got.availability == want.availability, overrides
+                assert got.interval.half_width == want.interval.half_width, overrides
+                assert got.totals == want.totals, overrides
 
     @pytest.mark.parametrize("crn", [False, True])
     def test_replay_point_is_bit_identical_to_grid_entry(self, crn):
