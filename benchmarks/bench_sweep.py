@@ -21,8 +21,17 @@ The benchmarks, one per bullet:
   RAID5(3+1), RAID5(7+1), RAID6(10+2)), run on the numpy column-pass row
   searches and on the per-row ``argmin``/``partition`` searches they
   replaced (the test-only references in ``tests/core/test_compiled.py``).
+  The conventional cases call the clock-matrix kernel directly, since
+  ``batch_conventional`` runs these inputs on the memoryless kernel.
   Byte-identical batches and generator states are asserted; the speedup is
   recorded with its spread and carries no floor.
+* **Memoryless kernel**: the unbiased exponential conventional kernel,
+  one aggregate failure clock per lifetime, against the clock-matrix
+  kernel it replaced on those inputs: one 500k-lifetime paper-point batch,
+  and the ``mc_grid`` grid in default 25k-row shards, in process.  Time
+  (median of :data:`TIMING_REPEATS`, alternating, with its spread) and
+  each kernel's ``tracemalloc`` peak are recorded; only the mean disk
+  failures are asserted to agree within 5 standard errors.
 * **Zero-copy transport** (PR 5): a 256-point x 10k-lifetime grid on 4
   workers, run on the shared-memory parameter planes (``transport="shm"``)
   against the per-shard pickle rebuild (the process-pool default), with
@@ -366,8 +375,15 @@ def _paper_point_batch(policy: str, geometry: str, retired: bool):
         if retired
         else contextlib.nullcontext()
     )
+    # Unbiased exponential conventional runs take the memoryless kernel,
+    # which searches no clock matrix; time the clock-matrix kernel instead.
+    kernel = (
+        vectorized._clock_matrix_conventional
+        if policy == "conventional"
+        else get_policy(policy).batch
+    )
     with searches:
-        batch = get_policy(policy).batch(params, 87_600.0, ROW_SEARCH_LIFETIMES, rng)
+        batch = kernel(params, 87_600.0, ROW_SEARCH_LIFETIMES, rng)
     return batch, rng
 
 
@@ -587,6 +603,110 @@ def test_stacked_grid_decomposition(bench_record, tmp_path):
             **extra,
         )
     print(f"default in-process tracemalloc peak: {peak:.1f} MB")
+
+
+#: Lifetimes of the memoryless-kernel comparison at the paper's point.
+MEMORYLESS_LIFETIMES = 500_000
+
+
+def _memoryless_shapes():
+    """Return each compared shape as its list of ``(params, lifetimes)`` calls."""
+    point = paper_parameters(disk_failure_rate=1e-6, hep=1e-3)
+    grid = stack_parameter_points(
+        [
+            paper_parameters(disk_failure_rate=rate, hep=hep)
+            for hep in GRID_HEPS
+            for rate in GRID_RATES
+        ],
+        [GRID_LIFETIMES] * (len(GRID_HEPS) * len(GRID_RATES)),
+    )
+    shards = [
+        grid.slice(start, min(start + DEFAULT_STACKED_SHARD_SIZE, len(grid)))
+        for start in range(0, len(grid), DEFAULT_STACKED_SHARD_SIZE)
+    ]
+    return {
+        "paper_point": [(point, MEMORYLESS_LIFETIMES)],
+        "mc_grid": [(shard, len(shard)) for shard in shards],
+    }
+
+
+def _run_calls(kernel, calls) -> np.ndarray:
+    """Run ``calls`` on one stream; return ``(n, sum, sum of squares)`` of disk failures.
+
+    Only the sums outlive a call, so a ``tracemalloc`` peak is the largest
+    single call's, not the collected output's.
+    """
+    rng = RandomStreams(2017).stream("montecarlo")
+    totals = np.zeros(3)
+    for params, n in calls:
+        failures = kernel(params, 87_600.0, n, rng).disk_failures.astype(float)
+        totals += (failures.size, failures.sum(), failures @ failures)
+    return totals
+
+
+def _mean_and_se(totals: np.ndarray):
+    """Return the mean and its standard error from ``(n, sum, sum of squares)``."""
+    n, total, squares = totals
+    mean = total / n
+    return mean, np.sqrt((squares - n * mean * mean) / (n - 1) / n)
+
+
+@pytest.mark.parametrize("shape", ["paper_point", "mc_grid"])
+def test_memoryless_kernel(shape, bench_record):
+    """Memoryless vs clock-matrix conventional kernel, unbiased and exponential.
+
+    Two shapes: one 500k-lifetime batch at the paper's point, and the
+    repository benchmark's ``mc_grid`` grid (16 heps x 8 failure rates at
+    10k lifetimes per point) cut into default 25k-row shards, run in
+    process.  Both kernels are timed warm, alternating, as the median of
+    :data:`TIMING_REPEATS` calls; each kernel's ``tracemalloc`` peak comes
+    from a separate call.  The two kernels make different draws from the
+    same law, so only the mean disk-failure counts are compared, within
+    5 standard errors; time carries no floor.
+    """
+    calls = _memoryless_shapes()[shape]
+    lifetimes = sum(n for _, n in calls)
+    sides = {
+        "memoryless": lambda: _run_calls(vectorized._memoryless_conventional, calls),
+        "clock_matrix": lambda: _run_calls(vectorized._clock_matrix_conventional, calls),
+    }
+    totals = {name: call() for name, call in sides.items()}  # warm both sides
+    seconds = {name: [] for name in sides}
+    for _ in range(TIMING_REPEATS):
+        for name, call in sides.items():
+            start = time.perf_counter()
+            call()
+            seconds[name].append(time.perf_counter() - start)
+    peaks = {name: _peak_mb(call) for name, call in sides.items()}
+
+    (new, new_se), (old, old_se) = (_mean_and_se(totals[name]) for name in sides)
+    assert abs(new - old) <= 5.0 * np.hypot(new_se, old_se)
+
+    fast, slow = seconds["memoryless"], seconds["clock_matrix"]
+    speedup = float(np.median(slow)) / max(float(np.median(fast)), 1e-9)
+    print(
+        f"\nmemoryless kernel {shape}: {lifetimes} lifetimes in {len(calls)} calls — "
+        f"memoryless {np.median(fast):.3f}s ({min(fast):.3f}-{max(fast):.3f}), peak "
+        f"{peaks['memoryless']:.1f} MB; clock matrix {np.median(slow):.3f}s "
+        f"({min(slow):.3f}-{max(slow):.3f}), peak {peaks['clock_matrix']:.1f} MB; "
+        f"speedup {speedup:.2f}x; mean disk failures {new:.5g} vs {old:.5g}"
+    )
+    bench_record(
+        f"memoryless_kernel:{shape}",
+        points=1 if shape == "paper_point" else len(GRID_HEPS) * len(GRID_RATES),
+        seconds=float(np.median(fast)),
+        speedup=speedup,
+        lifetimes_per_point=MEMORYLESS_LIFETIMES if shape == "paper_point" else GRID_LIFETIMES,
+        seconds_min=round(min(fast), 6),
+        seconds_max=round(max(fast), 6),
+        reference_seconds=round(float(np.median(slow)), 6),
+        reference_seconds_min=round(min(slow), 6),
+        reference_seconds_max=round(max(slow), 6),
+        speedup_min=round(min(slow) / max(max(fast), 1e-9), 3),
+        speedup_max=round(max(slow) / max(min(fast), 1e-9), 3),
+        peak_mb=round(peaks["memoryless"], 3),
+        reference_peak_mb=round(peaks["clock_matrix"], 3),
+    )
 
 
 def _transport_configs(transport: str, n_iterations=None):

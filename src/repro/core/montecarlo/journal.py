@@ -16,16 +16,16 @@ File format (JSONL, one object per line)
 ----------------------------------------
 The first line is a header::
 
-    {"kind": "header", "version": 1, "digest": "<sha256>",
+    {"kind": "header", "version": 2, "digest": "<sha256>",
      "master_entropy": 1234..., "key": {...}}
 
 ``digest`` is the SHA-256 of the canonical (sorted-key) JSON of everything
 that determines the run's numbers: policy name and redundancy scheme,
 parameter reprs, horizon, per-point lifetime counts, master entropy, shard
 size, CRN mode, biasing, and the adaptive controls (target, ceilings,
-allocator, confidence).  The key also carries ``"kernel": "numpy"``, a
-constant kept so that digests, and the journals they guard, stay valid
-across releases.  Execution knobs that provably do **not** change results
+allocator, confidence) and :data:`JOURNAL_VERSION`.  The key also carries
+``"kernel": "numpy"``, a constant left from when the kernel was an option.
+Execution knobs that provably do **not** change results
 — worker count, pool kind, transport, retry settings — are excluded, so a
 journal written by a 4-worker shm run resumes under a single serial worker
 (and vice versa).  A single-point run with an unpinned ``shard_size``
@@ -74,8 +74,13 @@ __all__ = [
     "summary_parts_from_record",
 ]
 
-#: Format version written to (and required of) every journal header.
-JOURNAL_VERSION = 1
+#: Format version written to every journal header and carried in the run
+#: digest.  Raised whenever the same configuration starts making different
+#: draws, so that a journal written by an earlier build is refused instead
+#: of spliced into a run whose live shards come out differently.  Version 2:
+#: unbiased exponential ``conventional``/``baseline`` runs draw from one
+#: aggregate failure clock per lifetime.
+JOURNAL_VERSION = 2
 
 #: ``(start, stop)`` sentinel of single-point (scalar-path) shard keys.
 SCALAR_RANGE = (-1, -1)
@@ -111,8 +116,7 @@ def run_digest(
         "master_entropy": int(master_entropy),
         "shard_size": None if shard_size is None else int(shard_size),
         "crn": bool(crn),
-        # Constant, kept in the key so that journals written by earlier
-        # builds still match their digests.
+        # Constant, left in the key from when the kernel was an option.
         "kernel": "numpy",
         "biasing": None if first.biasing is None else float(first.biasing),
         "confidence": float(first.confidence),

@@ -32,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
+import signal
 import sys
 import time
 from concurrent.futures import (
@@ -186,6 +187,10 @@ def run_shard(
 #: the oversubscription regression test probes for.
 WORKER_INIT_ENV = "REPRO_MC_WORKER"
 
+#: Longest wait, in seconds, for a torn-down process pool's manager thread
+#: to reap its terminated workers.
+_MANAGER_JOIN_S = 5.0
+
 #: Thread-count knobs of the BLAS/OpenMP runtimes numpy may load.
 _BLAS_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -224,7 +229,7 @@ def _clamp_blas_threadpools() -> None:
 
 
 def _worker_initializer() -> None:
-    """Pin worker-side BLAS/OpenMP pools to one thread.
+    """Pin worker-side BLAS/OpenMP pools to one thread; default SIGTERM.
 
     Without this, ``workers=N`` forked from a numpy-initialised parent runs
     up to ``N x cores`` BLAS threads — oversubscription that *slows* the
@@ -233,7 +238,13 @@ def _worker_initializer() -> None:
     ``setdefault`` and the runtime clamp leave that configuration alone.
     The marker variable lets tests assert the initializer actually ran in
     every worker.
+
+    A forked worker also inherits the parent's SIGTERM handler (the CLI
+    turns SIGTERM into ``KeyboardInterrupt``); the default action is
+    restored so a worker terminated by a pool teardown exits quietly
+    instead of printing a traceback.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     os.environ[WORKER_INIT_ENV] = "1"
     pinned_explicitly = any(var in os.environ for var in _BLAS_ENV_VARS)
     for var in _BLAS_ENV_VARS:
@@ -320,25 +331,33 @@ class _ShardStats:
 
 
 def _terminate_pool_workers(pool: Executor) -> None:
-    """Best-effort SIGTERM of a process pool's workers (hung-shard path).
+    """Tear a pool down without waiting for its shards: cancel, terminate, reap.
 
     ``shutdown(cancel_futures=True)`` only drops *queued* work; a worker
     stuck inside a shard never returns to pick up the cancellation, so the
-    processes themselves must be terminated before the pool's threads can
-    be abandoned.  Reaches into ``ProcessPoolExecutor._processes`` —
-    private, but guarded so an implementation change degrades to leaving
-    the workers to die with the parent instead of crashing the run.
-    Thread pools have nothing to terminate (threads cannot be killed); a
-    hung thread is simply abandoned with its executor.
+    processes themselves must be terminated.  CPython's ``shutdown`` drops
+    the pool's ``_processes`` and ``_executor_manager_thread`` references,
+    so both are captured first; the workers are then sent SIGTERM and the
+    manager thread, which reaps them, is joined for at most
+    :data:`_MANAGER_JOIN_S` seconds.  The attributes are private, but
+    guarded so an implementation change degrades to leaving the workers to
+    die with the parent instead of crashing the run.  Thread pools have
+    nothing to terminate (threads cannot be killed); a hung thread is
+    simply abandoned with its executor.
     """
-    processes = getattr(pool, "_processes", None)
-    if not processes:
-        return
-    for process in list(processes.values()):
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
+    try:
+        pool.shutdown(wait=False, cancel_futures=True)
+    except Exception:
+        pass
+    for process in processes:
         try:
             process.terminate()
         except Exception:
             pass
+    if manager is not None:
+        manager.join(timeout=_MANAGER_JOIN_S)
 
 
 class _PoolSupervisor:
@@ -371,18 +390,16 @@ class _PoolSupervisor:
         """Replace a failed own pool with a fresh one (``None`` if external).
 
         The failed pool's queued futures are cancelled and its worker
-        processes terminated — a hung worker would otherwise keep its
-        stuck shard (and on fork platforms its copy of the planes) alive
-        forever.  In-flight shards are the caller's to resubmit.
+        processes terminated and reaped (:func:`_terminate_pool_workers`)
+        before the new pool starts — a hung worker would otherwise keep
+        its stuck shard (and on fork platforms its copy of the planes)
+        alive until it finished, and the parent would wait for it at exit.
+        In-flight shards are the caller's to resubmit.
         """
         if self._external:
             return None
         pool, self.pool = self.pool, None
         if pool is not None:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
             _terminate_pool_workers(pool)
         self.pool = _make_pool(self._workers, self._kind)
         return self.pool
@@ -392,10 +409,6 @@ class _PoolSupervisor:
         if self._external or self.pool is None:
             return
         pool, self.pool = self.pool, None
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
         _terminate_pool_workers(pool)
 
     def close(self) -> None:

@@ -13,7 +13,11 @@ paths produce statistically indistinguishable availability estimates.
 Three kernels are provided:
 
 ``batch_conventional``
-    The paper's Fig. 2 conventional replacement policy.
+    The paper's Fig. 2 conventional replacement policy.  Unbiased runs
+    with exponential failures track one aggregate next-failure clock per
+    lifetime (``_memoryless_conventional``); Weibull laws and biased runs
+    keep the ``(n_lifetimes, n_disks)`` clock matrix
+    (``_clock_matrix_conventional``).  The input alone picks the path.
 ``batch_spare_pool``
     A hot-spare state machine parameterised by the pool size ``n_spares``.
     With ``n_spares=1`` it is the paper's Fig. 3 automatic fail-over policy;
@@ -36,10 +40,10 @@ The dispatch is duck-typed: row-aware distributions expose ``sample_rows``
 and stacked parameter objects expose ``n_disks_rows``/``n_spares_rows``;
 plain scalars take the exact pre-stacked code paths (identical draws).
 
-**Allocation discipline.**  The conventional and spare-pool kernels keep a
-*physically compacted* working set: the clock matrix, episode clocks and
-bookkeeping arrays hold only the still-active lifetimes, shrinking whenever
-lifetimes reach the horizon, so late rounds touch only live rows.  The
+**Allocation discipline.**  The clock-matrix kernels keep a *physically
+compacted* working set: the clock matrix, episode clocks and bookkeeping
+arrays hold only the still-active lifetimes, shrinking whenever lifetimes
+reach the horizon, so late rounds touch only live rows.  The
 compaction targets come from a reusable :class:`_Arena` sized once to the
 shard.  Compaction only changes *where* state lives, never which rows are
 stepped or in which order they are sampled: row-aware draws are keyed by
@@ -108,6 +112,11 @@ def _rows(value: Union[float, np.ndarray], rows: np.ndarray):
 def _has_positive(value: Union[float, np.ndarray]) -> bool:
     """Return whether a scalar-or-array parameter has any positive entry."""
     return bool(np.any(np.asarray(value) > 0.0))
+
+
+def _exponential_law(params) -> bool:
+    """Return whether every row of ``params`` fails exponentially (shape 1)."""
+    return bool(np.all(np.asarray(getattr(params, "failure_shape", 1.0)) == 1.0))
 
 
 def _clip_downtime(start: np.ndarray, end: np.ndarray, horizon: float) -> np.ndarray:
@@ -620,16 +629,133 @@ def batch_conventional(
     :class:`~repro.core.policies.stacked.StackedParams` grid (one row per
     lifetime; ``n_lifetimes`` must then equal the grid length).
 
-    State lives in a physically compacted working set: ``clocks``/``now``
-    hold only live rows and ``rows`` maps each back to its global lifetime
-    id (used for batch counters and row-aware sampling).  Matrix-sized
-    scratch comes from the :class:`_Arena`.
+    The input alone picks one of two clock disciplines:
+
+    * unbiased runs whose every row fails exponentially
+      (``failure_shape == 1``) carry one episode start per lifetime and
+      draw each failure from the aggregate clock of the healthy disks
+      (:func:`_memoryless_conventional`);
+    * Weibull laws and failure-biased runs carry the ``(n_lifetimes,
+      n_disks)`` clock matrix (:func:`_clock_matrix_conventional`).
 
     ``biasing`` (a factor > 0, scalar or per-lifetime array) switches the
     kernel to failure-biased importance sampling: failure rates are
     inflated by the factor and the returned batch carries per-lifetime
-    ``log_weights`` (see :class:`_BiasedSampler`).  ``None`` — the default —
-    takes the exact historical code path.
+    ``log_weights`` (see :class:`_BiasedSampler`).
+    """
+    if biasing is None and _exponential_law(params):
+        return _memoryless_conventional(params, horizon_hours, n_lifetimes, rng)
+    return _clock_matrix_conventional(params, horizon_hours, n_lifetimes, rng, biasing)
+
+
+def _memoryless_conventional(
+    params, horizon_hours: float, n_lifetimes: int, rng: np.random.Generator
+) -> BatchLifetimes:
+    """Conventional lifetimes with exponential failures, one clock per lifetime.
+
+    Every episode of the clock-matrix kernel ends with each disk either
+    renewed or still running, so by memorylessness the next episode starts
+    from ``n`` fresh disks: the first failure arrives at rate ``n*lambda``
+    and a failure during its repair at rate ``(n-1)*lambda`` among the
+    survivors.  Each lifetime therefore carries only the start of its
+    next episode, and the per-lifetime counters follow the clock-matrix
+    kernel's distribution without its clock matrix.  A wrong pull draws no
+    slot: which disk was pulled no longer matters.  Stacked grids take
+    ``n`` and ``lambda`` row by row, so mixed geometries need no masking.
+    """
+    if horizon_hours <= 0.0:
+        raise SimulationError(f"horizon must be positive, got {horizon_hours!r}")
+    horizon_hours = float(horizon_hours)
+    m = _check_lifetimes(params, n_lifetimes)
+    n = _per_row_or(params, "n_disks_rows", params.n_disks)
+    first_rate = n * params.disk_failure_rate
+    second_rate = (n - 1) * params.disk_failure_rate
+    repair_dist = params.repair_distribution()
+    ddf_dist = params.ddf_recovery_distribution()
+    recovery_dist = params.human_error_recovery_distribution()
+    hep = params.hep
+    has_hep = _has_positive(hep)
+    crash_rate = params.crash_rate
+
+    batch = BatchLifetimes.zeros(m, horizon_hours)
+    rows = np.arange(m)
+    start = np.zeros(m, dtype=float)
+
+    while rows.size:
+        fail = rng.exponential(1.0, rows.size)
+        fail /= _rows(first_rate, rows)
+        fail += start
+        alive = fail < horizon_hours
+        if not alive.all():
+            rows = rows[alive]
+            fail = fail[alive]
+            if rows.size == 0:
+                break
+        k = rows.size
+        batch.disk_failures[rows] += 1
+
+        # ``end`` starts as the repair's end and is overwritten where an
+        # outage extends the episode.
+        end = fail + _sample_rows(repair_dist, rows, rng)
+        second = rng.exponential(1.0, k)
+        second /= _rows(second_rate, rows)
+        second += fail
+
+        # Double disk failure during the repair: data loss, backup restore.
+        dl = second < end
+        dl_pos = np.flatnonzero(dl)
+        if dl_pos.size:
+            g = rows[dl_pos]
+            batch.disk_failures[g] += 1
+            batch.dl_events[g] += 1
+            lost = second[dl_pos]
+            outage_end = lost + _sample_rows(ddf_dist, g, rng)
+            batch.downtime_hours[g] += _clip_downtime(lost, outage_end, horizon_hours)
+            end[dl_pos] = outage_end
+
+        # Wrong disk replacement: data unavailable until the error is undone
+        # (or, when the pulled disk crashes, until the backup restore ends).
+        if has_hep:
+            he_pos = np.flatnonzero(~dl & (rng.random(k) < _rows(hep, rows)))
+            if he_pos.size:
+                g = rows[he_pos]
+                batch.human_errors[g] += 1
+                batch.du_events[g] += 1
+                duration, crashed = _recovery_race(g, recovery_dist, hep, crash_rate, rng)
+                repaired = end[he_pos]
+                outage_end = repaired + duration
+                cr = np.flatnonzero(crashed)
+                if cr.size:
+                    batch.dl_events[g[cr]] += 1
+                    outage_end[cr] += _sample_rows(ddf_dist, g[cr], rng)
+                batch.downtime_hours[g] += _clip_downtime(repaired, outage_end, horizon_hours)
+                end[he_pos] = outage_end
+
+        # An episode ending at or after the horizon retires its lifetime.
+        alive = end < horizon_hours
+        rows = rows[alive]
+        start = end[alive]
+
+    return batch
+
+
+def _clock_matrix_conventional(
+    params,
+    horizon_hours: float,
+    n_lifetimes: int,
+    rng: np.random.Generator,
+    biasing: Optional[Union[float, np.ndarray]] = None,
+) -> BatchLifetimes:
+    """Conventional lifetimes on the ``(n_lifetimes, n_disks)`` clock matrix.
+
+    Serves Weibull laws and failure-biased runs of
+    :func:`batch_conventional`, and accepts any input of it.  State lives
+    in a physically compacted working set: ``clocks`` holds only live rows
+    and ``rows`` maps each back to its global lifetime id (used for batch
+    counters and row-aware sampling).  Matrix-sized scratch comes from the
+    :class:`_Arena`.  Every branch leaves every clock at or after its
+    episode's end, so a row's earliest clock is its next episode's start.
+    ``biasing`` is as in :func:`batch_conventional`.
     """
     if horizon_hours <= 0.0:
         raise SimulationError(f"horizon must be positive, got {horizon_hours!r}")
@@ -648,28 +774,19 @@ def batch_conventional(
     batch = BatchLifetimes.zeros(m, horizon_hours)
     batch.log_weights = log_weights
     clocks = _initial_clocks(params, failure_dist, m, n, rng)
-    now = np.zeros(m, dtype=float)
     rows = np.arange(m)
     arena = _Arena(m, n)
-    first_round = True
 
     while rows.size:
         # Only the minimum decides who reaches the horizon; the slot and the
         # second failure are searched on the survivors.
         fail = _row_min(clocks)
-        if first_round:
-            # ``now`` is still all-zero and clocks are non-negative, so the
-            # episode-start clamp is a no-op this round.
-            first_round = False
-        else:
-            np.maximum(fail, now, out=fail)
         alive = fail < horizon_hours
         if not alive.all():
             keep = np.flatnonzero(alive)
             if keep.size == 0:
                 break
             clocks = arena.compact(clocks, keep)
-            now = now[keep]
             rows = rows[keep]
             fail = fail[keep]
         k = rows.size
@@ -677,7 +794,6 @@ def batch_conventional(
 
         repair_done = fail + _sample_rows(repair_dist, rows, rng)
         slot, second = _second_smallest(clocks)
-        np.maximum(second, fail, out=second)
 
         # Double disk failure during the repair: data loss, backup restore.
         dl = second < repair_done
@@ -689,7 +805,6 @@ def batch_conventional(
             outage_end = second[dl_pos] + _sample_rows(ddf_dist, g, rng)
             batch.downtime_hours[g] += _clip_downtime(second[dl_pos], outage_end, horizon_hours)
             _renew_failed_before(clocks, dl_pos, outage_end, failure_dist, rng, g)
-            now[dl_pos] = outage_end
 
         rest = ~dl
         if has_hep:
@@ -717,7 +832,6 @@ def batch_conventional(
             batch.downtime_hours[g] += _clip_downtime(repair_done[he_pos], outage_end, horizon_hours)
             _renew_slots(clocks, he_pos, slot[he_pos], outage_end, failure_dist, rng, g)
             _renew_failed_before(clocks, he_pos, outage_end, failure_dist, rng, g)
-            now[he_pos] = outage_end
 
         # Successful replacement and rebuild.
         ok = rest & ~he
@@ -727,7 +841,6 @@ def batch_conventional(
                 clocks, ok_pos, slot[ok_pos], repair_done[ok_pos],
                 failure_dist, rng, rows[ok_pos],
             )
-            now[ok_pos] = repair_done[ok_pos]
 
     return batch
 
@@ -827,8 +940,9 @@ def batch_spare_pool(
     per-row ``StackedParams.n_spares_rows`` (when present) overrides the
     scalar argument, so one invocation can mix pool sizes.
 
-    The working set is compacted and ``biasing`` enables failure-biased
-    importance sampling, both exactly as in :func:`batch_conventional`.
+    Every input runs on the clock matrix.  The working set is compacted
+    and ``biasing`` enables failure-biased importance sampling, both
+    exactly as in :func:`_clock_matrix_conventional`.
     """
     if horizon_hours <= 0.0:
         raise SimulationError(f"horizon must be positive, got {horizon_hours!r}")
@@ -1242,7 +1356,7 @@ def batch_erasure(
         )
     horizon = float(horizon_hours)
     m = _check_lifetimes(params, n_lifetimes)
-    if np.any(np.asarray(getattr(params, "failure_shape", 1.0)) != 1.0):
+    if not _exponential_law(params):
         raise ConfigurationError(
             "the erasure kernel requires exponential share failures "
             "(failure_shape == 1); Weibull share decay is not memoryless"

@@ -311,10 +311,25 @@ def _oracle_params(grid, shape):
     return stack_parameter_points(points, counts), counts
 
 
+def _clock_matrix_batch(policy):
+    """Return ``policy``'s kernel, on the clock matrix for any input.
+
+    Unbiased exponential conventional and baseline runs take the
+    memoryless path, which holds no clock matrix to search.
+    """
+    if policy == "conventional":
+        return vectorized._clock_matrix_conventional
+    if policy == "baseline":
+        return lambda params, *args, **kwargs: vectorized._clock_matrix_conventional(
+            params.without_human_error(), *args, **kwargs
+        )
+    return resolve_policy(policy).batch
+
+
 def _kernel_records(policy, params, counts, biasing):
     rng = RandomStreams(19).stream("montecarlo")
     kwargs = {} if biasing is None else {"biasing": biasing}
-    batch = resolve_policy(policy).batch(params, HORIZON, sum(counts), rng, **kwargs)
+    batch = _clock_matrix_batch(policy)(params, HORIZON, sum(counts), rng, **kwargs)
     records = segment_point_records(batch, range(len(counts)), counts)
     return records.tobytes(), rng.bit_generator.state
 

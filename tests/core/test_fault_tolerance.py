@@ -14,8 +14,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,8 @@ from repro.core.montecarlo import (
     run_monte_carlo_with_trace,
     run_stacked,
 )
+from repro.core.montecarlo.faults import FAULT_PLAN_ENV, write_plan
+from repro.core.montecarlo.parallel import _PoolSupervisor, worker_pool
 from repro.core.montecarlo.transport import active_segments, reap_stale_segments
 from repro.core.parameters import paper_parameters
 from repro.core.policies import SimulationPolicy, get_policy, resolve_policy
@@ -526,6 +530,7 @@ class TestJournalIntegrity:
             name: value for name, value in key.items() if name != "default_shard_size"
         }
         worker_keyed["workers"] = 2
+        worker_keyed["version"] = 1  # such builds wrote journal version 1
         written = hashlib.sha256(
             json.dumps(worker_keyed, sort_keys=True).encode("utf-8")
         ).hexdigest()
@@ -706,6 +711,93 @@ class TestShmOrphanRecovery:
                 _stacked_configs(workers=2, pool="process", transport="shm")
             )
         assert set(active_segments()) <= before
+
+
+def _mark_and_sleep(directory: str) -> None:
+    """Leave a marker named after this worker's pid, then hang."""
+    Path(directory, str(os.getpid())).touch()
+    time.sleep(30.0)
+
+
+def _sigterm_is_default() -> bool:
+    """Return whether this process takes SIGTERM's default action."""
+    return signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+
+def _wait_until(condition, seconds: float) -> bool:
+    """Poll ``condition`` for up to ``seconds``; return its last value."""
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return condition()
+
+
+class TestPoolTeardown:
+    """Tearing an own process pool down terminates its workers."""
+
+    @staticmethod
+    def _hung_workers(supervisor, directory):
+        """Occupy both workers of the supervisor's pool; return them."""
+        pool = supervisor.ensure()
+        for _ in range(2):
+            pool.submit(_mark_and_sleep, str(directory))
+        assert _wait_until(lambda: len(os.listdir(directory)) == 2, 30.0)
+        return list(pool._processes.values())
+
+    def test_abort_terminates_hung_workers(self, tmp_path):
+        supervisor = _PoolSupervisor(2, "process", None)
+        workers = self._hung_workers(supervisor, tmp_path)
+        supervisor.abort()
+        assert _wait_until(lambda: not any(w.is_alive() for w in workers), 2.0)
+
+    def test_rebuild_terminates_hung_workers(self, tmp_path):
+        supervisor = _PoolSupervisor(2, "process", None)
+        workers = self._hung_workers(supervisor, tmp_path)
+        try:
+            assert supervisor.rebuild() is not None
+            assert _wait_until(lambda: not any(w.is_alive() for w in workers), 2.0)
+        finally:
+            supervisor.close()
+
+    def test_workers_take_the_default_sigterm_action(self):
+        # The CLI turns SIGTERM into KeyboardInterrupt; a forked worker must
+        # not inherit that, or every terminated worker prints a traceback.
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            with worker_pool(2) as pool:
+                answers = [pool.submit(_sigterm_is_default) for _ in range(4)]
+                assert all(answer.result(timeout=30) for answer in answers)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+    def test_hung_shard_run_exits_promptly(self, tmp_path):
+        # The hung worker sleeps 30 s; a run that waits for it to finish
+        # instead of terminating it exits after that.
+        plan = write_plan(FaultPlan.single(0, "hang", hang_seconds=30.0), tmp_path)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env[FAULT_PLAN_ENV] = str(plan)
+        command = [
+            sys.executable, "-m", "repro", "mc",
+            "--policy", "conventional",
+            "--failure-rate", "1e-4",
+            "--hep", "0.01",
+            "--iterations", "4000",
+            "--seed", "1",
+            "--workers", "2",
+            "--shard-size", "1000",
+            "--shard-timeout", "1",
+            "--max-shard-retries", "2",
+            "--retry-backoff", "0",
+        ]
+        start = time.monotonic()
+        proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 0, proc.stderr
+        assert "retried shards:" in proc.stdout
+        assert proc.stderr == ""
+        assert elapsed < 15.0
 
 
 class TestCliFaultFlags:

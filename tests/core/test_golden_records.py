@@ -8,7 +8,8 @@ to the kernels, the executors or the journal must leave every case as it
 is.  Kernel cases call ``policy.batch`` directly and summarise with
 ``segment_point_records``; executor cases run ``run_sharded`` and
 ``run_stacked`` end to end; the digest cases pin the journal's run digest,
-so a journal written by an earlier build still resumes.
+which must change together with the fixture, so that a journal written by
+a build that drew differently is refused instead of resumed.
 
 How cases are compared: the ``point``/``n`` counts, the final generator
 state and the seed entropy must match exactly (the same draws were made);
@@ -44,6 +45,7 @@ from repro.core.policies import stack_parameter_points
 from repro.core.policies.erasure import erasure_policy
 from repro.core.policies.hotspare import hot_spare_policy
 from repro.core.policies.registry import resolve_policy
+from repro.exceptions import ConfigurationError
 from repro.simulation.rng import RandomStreams
 from repro.storage.raid import RaidGeometry
 
@@ -223,10 +225,14 @@ EXECUTOR_CASES = _executor_cases()
 
 
 # ----------------------------------------------------------------------
-# Journal run digests, as written by earlier builds
+# Journal run digests
 # ----------------------------------------------------------------------
-SCALAR_DIGEST = "b02c3f7ff5594450331c2e4c3b3e06716035decbac77e1381e1dbc9c48f3797d"
-STACKED_DIGEST = "a8334daed4ce86634ff6811116dd137cde9ed869d8ff7514e4f3da3f269835ab"
+SCALAR_DIGEST = "076289e012b9c676aaf05eae8b82d380fd4b1211e94286bf5af73cc9660772f4"
+STACKED_DIGEST = "57c0619d6aa64e4dd845eeec0c090eff9d433048dbbb9e382563f24580eee966"
+
+#: The scalar case's digest under journal version 1, whose unbiased
+#: exponential conventional runs drew from the clock matrix.
+VERSION_1_SCALAR_DIGEST = "b02c3f7ff5594450331c2e4c3b3e06716035decbac77e1381e1dbc9c48f3797d"
 
 
 def _journal_digest(path: Path) -> str:
@@ -368,6 +374,16 @@ def test_scalar_run_digest_is_stable(tmp_path):
 
 def test_stacked_run_digest_is_stable(tmp_path):
     assert _stacked_digest(tmp_path) == STACKED_DIGEST
+
+
+def test_version_1_journal_is_refused(tmp_path):
+    # The same run under journal version 1 made other draws; splicing its
+    # shards into this build's run would mix two experiments.
+    path = tmp_path / "version1.jsonl"
+    header = {"kind": "header", "version": 1, "digest": VERSION_1_SCALAR_DIGEST}
+    path.write_text(json.dumps(header) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match="different run"):
+        run_sharded(_config(shard_size=200, resume=str(path)))
 
 
 if __name__ == "__main__":  # pragma: no cover - fixture regeneration
