@@ -130,9 +130,12 @@ runs and rendered by ``python -m repro bench history``.
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
 import itertools
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from unittest import mock
@@ -375,12 +378,14 @@ def _paper_point_batch(policy: str, geometry: str, retired: bool):
         if retired
         else contextlib.nullcontext()
     )
-    # Unbiased exponential conventional runs take the memoryless kernel,
-    # which searches no clock matrix; time the clock-matrix kernel instead.
+    # Unbiased exponential runs take the memoryless kernels, which search
+    # no clock matrix; time the clock-matrix kernels instead.
     kernel = (
         vectorized._clock_matrix_conventional
         if policy == "conventional"
-        else get_policy(policy).batch
+        else functools.partial(
+            vectorized._clock_matrix_spare_pool, n_spares=get_policy(policy).n_spares
+        )
     )
     with searches:
         batch = kernel(params, 87_600.0, ROW_SEARCH_LIFETIMES, rng)
@@ -651,24 +656,43 @@ def _mean_and_se(totals: np.ndarray):
     return mean, np.sqrt((squares - n * mean * mean) / (n - 1) / n)
 
 
-@pytest.mark.parametrize("shape", ["paper_point", "mc_grid"])
-def test_memoryless_kernel(shape, bench_record):
-    """Memoryless vs clock-matrix conventional kernel, unbiased and exponential.
+#: Each compared kernel pair: ``(memoryless, clock matrix)`` with the same
+#: signature.
+MEMORYLESS_KERNELS = {
+    "conventional": (vectorized._memoryless_conventional, vectorized._clock_matrix_conventional),
+    "automatic_failover": (
+        functools.partial(vectorized._memoryless_spare_pool, n_spares=1),
+        functools.partial(vectorized._clock_matrix_spare_pool, n_spares=1),
+    ),
+    "hot_spare_pool_k3": (
+        functools.partial(vectorized._memoryless_spare_pool, n_spares=3),
+        functools.partial(vectorized._clock_matrix_spare_pool, n_spares=3),
+    ),
+}
 
-    Two shapes: one 500k-lifetime batch at the paper's point, and the
-    repository benchmark's ``mc_grid`` grid (16 heps x 8 failure rates at
-    10k lifetimes per point) cut into default 25k-row shards, run in
-    process.  Both kernels are timed warm, alternating, as the median of
-    :data:`TIMING_REPEATS` calls; each kernel's ``tracemalloc`` peak comes
-    from a separate call.  The two kernels make different draws from the
-    same law, so only the mean disk-failure counts are compared, within
-    5 standard errors; time carries no floor.
+
+@pytest.mark.parametrize("shape", ["paper_point", "mc_grid"])
+@pytest.mark.parametrize("policy", list(MEMORYLESS_KERNELS))
+def test_memoryless_kernel(policy, shape, bench_record):
+    """Memoryless vs clock-matrix kernel, unbiased and exponential.
+
+    Three kernel pairs: ``conventional`` and the spare pools of fail-over
+    (one spare) and of ``hot_spare_pool_k3``.  Two shapes: one
+    500k-lifetime batch at the paper's point, and the repository
+    benchmark's event-rich ``mc_grid`` grid (16 heps x 8 failure rates up
+    to 1e-4 at 10k lifetimes per point) cut into default 25k-row shards,
+    run in process.  Both kernels are timed warm, alternating, as the
+    median of :data:`TIMING_REPEATS` calls; each kernel's ``tracemalloc``
+    peak comes from a separate call.  The two kernels make different draws
+    from the same law, so only the mean disk-failure counts are compared,
+    within 5 standard errors; time carries no floor.
     """
     calls = _memoryless_shapes()[shape]
     lifetimes = sum(n for _, n in calls)
+    memoryless, clock_matrix = MEMORYLESS_KERNELS[policy]
     sides = {
-        "memoryless": lambda: _run_calls(vectorized._memoryless_conventional, calls),
-        "clock_matrix": lambda: _run_calls(vectorized._clock_matrix_conventional, calls),
+        "memoryless": lambda: _run_calls(memoryless, calls),
+        "clock_matrix": lambda: _run_calls(clock_matrix, calls),
     }
     totals = {name: call() for name, call in sides.items()}  # warm both sides
     seconds = {name: [] for name in sides}
@@ -685,14 +709,19 @@ def test_memoryless_kernel(shape, bench_record):
     fast, slow = seconds["memoryless"], seconds["clock_matrix"]
     speedup = float(np.median(slow)) / max(float(np.median(fast)), 1e-9)
     print(
-        f"\nmemoryless kernel {shape}: {lifetimes} lifetimes in {len(calls)} calls — "
-        f"memoryless {np.median(fast):.3f}s ({min(fast):.3f}-{max(fast):.3f}), peak "
-        f"{peaks['memoryless']:.1f} MB; clock matrix {np.median(slow):.3f}s "
+        f"\nmemoryless {policy} kernel {shape}: {lifetimes} lifetimes in {len(calls)} "
+        f"calls — memoryless {np.median(fast):.3f}s ({min(fast):.3f}-{max(fast):.3f}), "
+        f"peak {peaks['memoryless']:.1f} MB; clock matrix {np.median(slow):.3f}s "
         f"({min(slow):.3f}-{max(slow):.3f}), peak {peaks['clock_matrix']:.1f} MB; "
         f"speedup {speedup:.2f}x; mean disk failures {new:.5g} vs {old:.5g}"
     )
+    # The conventional records keep the names they had before the spare
+    # pools joined.
+    op = f"memoryless_kernel:{shape}"
+    if policy != "conventional":
+        op = f"memoryless_kernel:{policy}:{shape}"
     bench_record(
-        f"memoryless_kernel:{shape}",
+        op,
         points=1 if shape == "paper_point" else len(GRID_HEPS) * len(GRID_RATES),
         seconds=float(np.median(fast)),
         speedup=speedup,
@@ -707,6 +736,70 @@ def test_memoryless_kernel(shape, bench_record):
         peak_mb=round(peaks["memoryless"], 3),
         reference_peak_mb=round(peaks["clock_matrix"], 3),
     )
+
+
+#: Alternating 2M-lifetime paper-point ops in one interpreter; prints each
+#: op's policy, wall seconds and minor page faults.
+PAGE_FAULT_SCRIPT = """
+import resource, time
+from repro.core.evaluation import evaluate
+from repro.core.parameters import paper_parameters
+
+params = paper_parameters(disk_failure_rate=1e-6, hep=1e-3)
+for op in range({ops}):
+    policy = ("conventional", "automatic_failover")[op % 2]
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    evaluate(params, policy, backend="monte_carlo", n_iterations=2_000_000, seed=op)
+    seconds = time.perf_counter() - start
+    print(policy, seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux", reason="minor page faults are read from getrusage on Linux"
+)
+def test_page_faults_per_op(bench_record):
+    """Minor page faults per 2M-lifetime op, per policy, in a fresh interpreter.
+
+    The ops alternate ``conventional`` and ``automatic_failover`` at the
+    paper's point as perfbench's ``mc_point`` does, in a new interpreter so
+    no earlier benchmark has moved malloc's thresholds.  The first op of
+    each policy maps its working set and is reported apart; the steady
+    ops should take almost none.  No floor is asserted.
+    """
+    ops = 2 * (TIMING_REPEATS + 1)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", PAGE_FAULT_SCRIPT.format(ops=ops)],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = [line.split() for line in proc.stdout.splitlines()]
+    for policy in ("conventional", "automatic_failover"):
+        mine = [(float(seconds), int(faults)) for name, seconds, faults in runs if name == policy]
+        (first_seconds, first_faults), steady = mine[0], mine[1:]
+        faults = [count for _, count in steady]
+        times = [seconds for seconds, _ in steady]
+        print(
+            f"\npage faults per 2M-lifetime {policy} op: first {first_faults}, then "
+            f"median {np.median(faults):.0f} ({min(faults)}-{max(faults)}); "
+            f"{np.median(times):.3f}s ({min(times):.3f}-{max(times):.3f})"
+        )
+        bench_record(
+            f"page_faults:{policy}",
+            points=1,
+            seconds=float(np.median(times)),
+            lifetimes_per_point=2_000_000,
+            seconds_min=round(min(times), 6),
+            seconds_max=round(max(times), 6),
+            minor_faults=int(np.median(faults)),
+            minor_faults_min=min(faults),
+            minor_faults_max=max(faults),
+            first_op_minor_faults=first_faults,
+        )
 
 
 def _transport_configs(transport: str, n_iterations=None):

@@ -621,6 +621,10 @@ def _run_mc(args: argparse.Namespace) -> Tuple[str, int]:
     )
     result = run_monte_carlo(config)
     totals = result.totals
+    # A run interrupted before its first shard finished merged no lifetimes.
+    downtime = (
+        downtime_minutes_per_year(result.availability) if result.n_iterations else float("nan")
+    )
     scheme_lines = []
     if policy.has_periodic_checks:
         resolved = policy.scheme.resolve(params)
@@ -647,7 +651,7 @@ def _run_mc(args: argparse.Namespace) -> Tuple[str, int]:
             if result.ess is not None
             else []
         ),
-        f"downtime per year:  {downtime_minutes_per_year(result.availability):.4f} minutes",
+        f"downtime per year:  {downtime:.4f} minutes",
         f"events:             {int(totals.get('disk_failures', 0))} disk failures, "
         f"{int(totals.get('human_errors', 0))} human errors, "
         f"{int(totals.get('du_events', 0))} DU, {int(totals.get('dl_events', 0))} DL",

@@ -16,7 +16,7 @@ File format (JSONL, one object per line)
 ----------------------------------------
 The first line is a header::
 
-    {"kind": "header", "version": 2, "digest": "<sha256>",
+    {"kind": "header", "version": 3, "digest": "<sha256>",
      "master_entropy": 1234..., "key": {...}}
 
 ``digest`` is the SHA-256 of the canonical (sorted-key) JSON of everything
@@ -79,8 +79,9 @@ __all__ = [
 #: draws, so that a journal written by an earlier build is refused instead
 #: of spliced into a run whose live shards come out differently.  Version 2:
 #: unbiased exponential ``conventional``/``baseline`` runs draw from one
-#: aggregate failure clock per lifetime.
-JOURNAL_VERSION = 2
+#: aggregate failure clock per lifetime.  Version 3: so do unbiased
+#: exponential ``automatic_failover``/``hot_spare_pool`` runs.
+JOURNAL_VERSION = 3
 
 #: ``(start, stop)`` sentinel of single-point (scalar-path) shard keys.
 SCALAR_RANGE = (-1, -1)

@@ -123,7 +123,13 @@ class MonteCarloResult:
 
     @property
     def nines(self) -> float:
-        """Return the availability expressed as a number of nines."""
+        """Return the availability expressed as a number of nines.
+
+        A point with no merged lifetimes, which only an interrupted run
+        leaves, has no estimate: its nines are NaN.
+        """
+        if self.n_iterations == 0:
+            return float("nan")
         return availability_to_nines(self.availability)
 
     @property

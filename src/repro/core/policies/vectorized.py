@@ -23,7 +23,10 @@ Three kernels are provided:
     With ``n_spares=1`` it is the paper's Fig. 3 automatic fail-over policy;
     larger pools implement the hot-spare-pool scenario (each technician
     visit restocks the full pool, and a failure arriving while spares remain
-    consumes another spare instead of exposing the array).
+    consumes another spare instead of exposing the array).  Its clock
+    disciplines and the rule that picks one are ``batch_conventional``'s:
+    ``_memoryless_spare_pool`` carries one next-failure time per lifetime,
+    ``_clock_matrix_spare_pool`` the clock matrix.
 ``batch_erasure``
     The erasure-coded k-of-N checker/repair family: shares decay between
     deterministic check instants, and the checker repairs below a threshold
@@ -40,12 +43,11 @@ The dispatch is duck-typed: row-aware distributions expose ``sample_rows``
 and stacked parameter objects expose ``n_disks_rows``/``n_spares_rows``;
 plain scalars take the exact pre-stacked code paths (identical draws).
 
-**Allocation discipline.**  The clock-matrix kernels keep a *physically
-compacted* working set: the clock matrix, episode clocks and bookkeeping
-arrays hold only the still-active lifetimes, shrinking whenever lifetimes
-reach the horizon, so late rounds touch only live rows.  The
-compaction targets come from a reusable :class:`_Arena` sized once to the
-shard.  Compaction only changes *where* state lives, never which rows are
+**Allocation discipline.**  Every kernel keeps a *physically compacted*
+working set: its per-lifetime state holds only the still-active
+lifetimes, shrinking whenever lifetimes reach the horizon, so late rounds
+touch only live rows.  The clock-matrix kernels compact their clock
+matrix into a reusable :class:`_Arena` sized once to the shard.  Compaction only changes *where* state lives, never which rows are
 stepped or in which order they are sampled: row-aware draws are keyed by
 global lifetime ids, never by working-set positions.  Golden records of
 fixed-seed runs (``tests/core/test_golden_records.py``) pin the resulting
@@ -65,6 +67,17 @@ from repro.core.policies.base import BatchLifetimes, RedundancyScheme, ResolvedS
 from repro.exceptions import ConfigurationError, HumanErrorModelError, SimulationError
 
 __all__ = ["batch_conventional", "batch_erasure", "batch_spare_pool"]
+
+# Free one 2 MiB block before the first shard, so that shards keep their
+# pages mapped.  glibc malloc serves blocks at or above its mmap threshold
+# (128 KiB at start) with a fresh mmap and raises the threshold, and the
+# heap trim threshold to twice it, to the largest mmapped block freed so
+# far.  A 50k-lifetime shard allocates about ten 400 kB per-lifetime
+# columns, so without a larger free the trim threshold stays near 800 kB
+# and every shard faults its 3-4 MB working set in again: about 4,300
+# minor faults on the second of two 200k-lifetime ``conventional`` runs in
+# a fresh interpreter, none once this block has been freed.
+np.empty(1 << 21, dtype=np.uint8)
 
 
 # ----------------------------------------------------------------------
@@ -614,6 +627,79 @@ class _Arena:
 
 
 # ----------------------------------------------------------------------
+# Episode helpers
+# ----------------------------------------------------------------------
+def _exp_after(start: np.ndarray, rate, rng: np.random.Generator) -> np.ndarray:
+    """Return ``start`` plus one ``Exp(rate)`` draw per entry.
+
+    ``rate`` is a scalar or one rate per entry; every entry takes one
+    standard draw from the stream.
+    """
+    draw = rng.exponential(1.0, start.size)
+    draw /= rate
+    draw += start
+    return draw
+
+
+class _Outages:
+    """Outage episodes counted into one batch.
+
+    Serves both memoryless kernels and the clock-matrix spare pool.  Each
+    method takes the **global** rows ``g`` of the lifetimes in the episode,
+    updates their counters and downtime, and returns the instant each
+    array is back; the clock-matrix caller renews its clocks afterwards.
+    """
+
+    __slots__ = ("batch", "horizon", "rng", "ddf_dist", "recovery_dist", "hep", "crash_rate")
+
+    def __init__(self, params, batch: BatchLifetimes, rng: np.random.Generator) -> None:
+        self.batch = batch
+        self.horizon = batch.horizon_hours
+        self.rng = rng
+        self.ddf_dist = params.ddf_recovery_distribution()
+        self.recovery_dist = params.human_error_recovery_distribution()
+        self.hep = params.hep
+        self.crash_rate = params.crash_rate
+
+    def data_loss(
+        self, g: np.ndarray, lost: np.ndarray, restore_from: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """A disk fails at ``lost``: data loss until the backup restore ends.
+
+        The restore starts at ``restore_from``, by default at ``lost``.
+        """
+        batch = self.batch
+        batch.disk_failures[g] += 1
+        batch.dl_events[g] += 1
+        start = lost if restore_from is None else restore_from
+        end = start + _sample_rows(self.ddf_dist, g, self.rng)
+        batch.downtime_hours[g] += _clip_downtime(lost, end, self.horizon)
+        return end
+
+    def recovery_race(self, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Return ``(duration, crashed)`` of undoing one wrong pull per row."""
+        return _recovery_race(g, self.recovery_dist, self.hep, self.crash_rate, self.rng)
+
+    def wrong_pull(self, g: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """Wrong disk pulled from a degraded array at ``start``.
+
+        Data is unavailable until the error is undone or, when the pulled
+        disk crashes first, until the backup restore ends.
+        """
+        batch = self.batch
+        batch.human_errors[g] += 1
+        batch.du_events[g] += 1
+        duration, crashed = self.recovery_race(g)
+        end = start + duration
+        cr = np.flatnonzero(crashed)
+        if cr.size:
+            batch.dl_events[g[cr]] += 1
+            end[cr] += _sample_rows(self.ddf_dist, g[cr], self.rng)
+        batch.downtime_hours[g] += _clip_downtime(start, end, self.horizon)
+        return end
+
+
+# ----------------------------------------------------------------------
 # Conventional replacement policy
 # ----------------------------------------------------------------------
 def batch_conventional(
@@ -671,24 +757,20 @@ def _memoryless_conventional(
     first_rate = n * params.disk_failure_rate
     second_rate = (n - 1) * params.disk_failure_rate
     repair_dist = params.repair_distribution()
-    ddf_dist = params.ddf_recovery_distribution()
-    recovery_dist = params.human_error_recovery_distribution()
     hep = params.hep
     has_hep = _has_positive(hep)
-    crash_rate = params.crash_rate
 
     batch = BatchLifetimes.zeros(m, horizon_hours)
+    outages = _Outages(params, batch, rng)
     rows = np.arange(m)
     start = np.zeros(m, dtype=float)
 
     while rows.size:
-        fail = rng.exponential(1.0, rows.size)
-        fail /= _rows(first_rate, rows)
-        fail += start
+        fail = _exp_after(start, _rows(first_rate, rows), rng)
         alive = fail < horizon_hours
         if not alive.all():
-            rows = rows[alive]
-            fail = fail[alive]
+            keep = np.flatnonzero(alive)
+            rows, fail = rows[keep], fail[keep]
             if rows.size == 0:
                 break
         k = rows.size
@@ -697,44 +779,23 @@ def _memoryless_conventional(
         # ``end`` starts as the repair's end and is overwritten where an
         # outage extends the episode.
         end = fail + _sample_rows(repair_dist, rows, rng)
-        second = rng.exponential(1.0, k)
-        second /= _rows(second_rate, rows)
-        second += fail
+        second = _exp_after(fail, _rows(second_rate, rows), rng)
 
         # Double disk failure during the repair: data loss, backup restore.
         dl = second < end
         dl_pos = np.flatnonzero(dl)
         if dl_pos.size:
-            g = rows[dl_pos]
-            batch.disk_failures[g] += 1
-            batch.dl_events[g] += 1
-            lost = second[dl_pos]
-            outage_end = lost + _sample_rows(ddf_dist, g, rng)
-            batch.downtime_hours[g] += _clip_downtime(lost, outage_end, horizon_hours)
-            end[dl_pos] = outage_end
+            end[dl_pos] = outages.data_loss(rows[dl_pos], second[dl_pos])
 
-        # Wrong disk replacement: data unavailable until the error is undone
-        # (or, when the pulled disk crashes, until the backup restore ends).
+        # Wrong disk replacement after the repair.
         if has_hep:
             he_pos = np.flatnonzero(~dl & (rng.random(k) < _rows(hep, rows)))
             if he_pos.size:
-                g = rows[he_pos]
-                batch.human_errors[g] += 1
-                batch.du_events[g] += 1
-                duration, crashed = _recovery_race(g, recovery_dist, hep, crash_rate, rng)
-                repaired = end[he_pos]
-                outage_end = repaired + duration
-                cr = np.flatnonzero(crashed)
-                if cr.size:
-                    batch.dl_events[g[cr]] += 1
-                    outage_end[cr] += _sample_rows(ddf_dist, g[cr], rng)
-                batch.downtime_hours[g] += _clip_downtime(repaired, outage_end, horizon_hours)
-                end[he_pos] = outage_end
+                end[he_pos] = outages.wrong_pull(rows[he_pos], end[he_pos])
 
         # An episode ending at or after the horizon retires its lifetime.
-        alive = end < horizon_hours
-        rows = rows[alive]
-        start = end[alive]
+        keep = np.flatnonzero(end < horizon_hours)
+        rows, start = rows[keep], end[keep]
 
     return batch
 
@@ -886,8 +947,7 @@ class _SparePoolState:
     failure_dist: object
     rebuild_dist: object
     replace_dist: object
-    ddf_dist: object
-    recovery_dist: object
+    outages: _Outages
 
     #: Global lifetime ids of the live rows.
     rows: np.ndarray
@@ -903,10 +963,6 @@ class _SparePoolState:
     @property
     def hep(self) -> Union[float, np.ndarray]:
         return self.params.hep
-
-    @property
-    def crash_rate(self) -> Union[float, np.ndarray]:
-        return self.params.crash_rate
 
     @property
     def n_disks(self) -> Union[int, np.ndarray]:
@@ -940,9 +996,31 @@ def batch_spare_pool(
     per-row ``StackedParams.n_spares_rows`` (when present) overrides the
     scalar argument, so one invocation can mix pool sizes.
 
-    Every input runs on the clock matrix.  The working set is compacted
-    and ``biasing`` enables failure-biased importance sampling, both
-    exactly as in :func:`_clock_matrix_conventional`.
+    The input alone picks one of two clock disciplines, as in
+    :func:`batch_conventional`:
+
+    * unbiased runs whose every row fails exponentially carry one
+      next-failure time per lifetime and draw each failure from the
+      aggregate clock of the disks still running
+      (:func:`_memoryless_spare_pool`);
+    * Weibull laws and failure-biased runs carry the ``(n_lifetimes,
+      n_disks)`` clock matrix (:func:`_clock_matrix_spare_pool`).
+
+    ``biasing`` is as in :func:`batch_conventional`.
+    """
+    if biasing is None and _exponential_law(params):
+        return _memoryless_spare_pool(params, horizon_hours, n_lifetimes, rng, n_spares)
+    return _clock_matrix_spare_pool(params, horizon_hours, n_lifetimes, rng, n_spares, biasing)
+
+
+def _spare_pools(
+    params, horizon_hours: float, n_lifetimes: int, n_spares: int
+) -> Tuple[int, Union[int, np.ndarray], np.ndarray]:
+    """Validate a spare-pool run; return ``(m, pool_sizes, initial_counts)``.
+
+    ``pool_sizes`` is the scalar pool or the grid's per-row plane, and
+    ``initial_counts`` a fresh per-lifetime array of full pools.  Both
+    kernel bodies call it before drawing anything.
     """
     if horizon_hours <= 0.0:
         raise SimulationError(f"horizon must be positive, got {horizon_hours!r}")
@@ -954,29 +1032,221 @@ def batch_spare_pool(
             raise ConfigurationError(
                 f"spare pool needs at least one spare, got {n_spares!r}"
             )
-        initial = np.full(m, pool_sizes, dtype=np.int64)
-    else:
-        if np.any(pool_sizes < 1):
-            raise ConfigurationError("every stacked pool needs at least one spare")
-        initial = np.asarray(pool_sizes, dtype=np.int64).copy()
+        return m, pool_sizes, np.full(m, pool_sizes, dtype=np.int64)
+    if np.any(pool_sizes < 1):
+        raise ConfigurationError("every stacked pool needs at least one spare")
+    return m, pool_sizes, np.asarray(pool_sizes, dtype=np.int64).copy()
+
+
+def _memoryless_spare_pool(
+    params,
+    horizon_hours: float,
+    n_lifetimes: int,
+    rng: np.random.Generator,
+    n_spares: int = 1,
+) -> BatchLifetimes:
+    """Spare-pool lifetimes with exponential failures, one clock per lifetime.
+
+    Each lifetime carries only its next failure time and its pool count.
+    Every failure is drawn from the aggregate clock ``Exp(k*lambda)`` of
+    the ``k`` disks still running, started at the last instant all of them
+    are known to be fresh, so by memorylessness every branch of
+    :func:`_clock_matrix_spare_pool` keeps its law without the clock
+    matrix.  Three places need more than a fresh ``Exp(n*lambda)``:
+
+    * a wrong pull during the replacement visit takes the pulled disk out
+      of the race: the first failure among the others is ``A ~
+      Exp((n-1)*lambda)`` (the clock matrix's :func:`_min_excluding`),
+      while the pulled disk's own clock ``W ~ Exp(lambda)`` keeps running;
+    * the exposed service after that pull starts when the recovery ends,
+      possibly after a clock fired: its second failure is ``min(W, A +
+      Exp((n-2)*lambda))`` when ``A`` came during the pull and ``A`` when
+      the pulled disk crashed, clamped to the service start as the clock
+      matrix clamps to ``now``;
+    * a clean recovery resumes at ``max(min(A, W), recovery_end)``: a
+      pulled disk whose clock fired during the pull fails when it is back.
+
+    Stacked grids take ``n``, ``lambda`` and the pool size row by row.
+    """
+    m, pool_sizes, spares = _spare_pools(params, horizon_hours, n_lifetimes, n_spares)
+    horizon = float(horizon_hours)
+    n = _per_row_or(params, "n_disks_rows", params.n_disks)
+    lam = params.disk_failure_rate
+    all_rate, one_down_rate, two_down_rate = n * lam, (n - 1) * lam, (n - 2) * lam
+    service_rate = params.disk_repair_rate + params.spare_replacement_rate
+    rebuild_dist = params.repair_distribution()
+    replace_dist = params.spare_replacement_distribution()
+    hep = params.hep
+    has_hep = _has_positive(hep)
+
+    batch = BatchLifetimes.zeros(m, horizon)
+    outages = _Outages(params, batch, rng)
+    rows = np.arange(m)
+    fail = rng.exponential(1.0, m)
+    fail /= all_rate
+
+    while rows.size:
+        alive = fail < horizon
+        if not alive.all():
+            keep = np.flatnonzero(alive)
+            rows, fail, spares = rows[keep], fail[keep], spares[keep]
+            if rows.size == 0:
+                break
+        batch.disk_failures[rows] += 1
+        # Every branch sets each row's next failure in ``nxt``.  Rows whose
+        # disks are all fresh at a known instant queue it in ``fresh`` for
+        # one aggregate draw at the end of the round; rows entering the
+        # exposed service queue ``(positions, start, second failure)``.
+        nxt = np.empty(rows.size)
+        fresh: List[Tuple[np.ndarray, np.ndarray]] = []
+        exposed: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        has_spare = spares > 0
+
+        # On-line rebuild onto a hot spare.
+        pos = np.flatnonzero(has_spare)
+        g = rows[pos]
+        at = fail[pos]
+        rebuilt = at + _sample_rows(rebuild_dist, g, rng)
+        second = _exp_after(at, _rows(one_down_rate, g), rng)
+
+        # Double disk failure during the rebuild: data loss, backup restore;
+        # the restore window is long enough to restock the pool.
+        dl = second < rebuilt
+        if dl.any():
+            fresh.append((pos[dl], outages.data_loss(g[dl], second[dl])))
+            spares[pos[dl]] = _rows(pool_sizes, g[dl])
+            ok = np.flatnonzero(~dl)
+            pos, g, rebuilt = pos[ok], g[ok], rebuilt[ok]
+
+        # Rebuild finished: the spare carries the data, and a technician
+        # visit replaces the dead hardware.  A failure before the visit ends
+        # preempts it: a spare is gone and the failure is handled next
+        # round.  Otherwise the visit restocks the pool (the exposed service
+        # below resets the pools of the rows it takes), and the next failure
+        # is still ``after``: ``max(after, replaced)`` differs from it only
+        # past the horizon.
+        replaced = rebuilt + _sample_rows(replace_dist, g, rng)
+        after = _exp_after(rebuilt, _rows(all_rate, g), rng)
+        nxt[pos] = after
+        visit = (after >= replaced) | (after >= horizon)
+        spares[pos] = np.where(visit, _rows(pool_sizes, g), spares[pos] - 1)
+        if has_hep:
+            he = visit & (rng.random(pos.size) < _rows(hep, g))
+        else:
+            he = np.zeros(pos.size, dtype=bool)
+
+        # Wrong pull during the visit: the array was fully redundant, so it
+        # only degrades unless another disk fails (``a``) before the error
+        # is undone.  ``w`` is the pulled disk's own clock.
+        if he.any():
+            pos, g, start = pos[he], g[he], replaced[he]
+            batch.human_errors[g] += 1
+            duration, crashed = outages.recovery_race(g)
+            recovered = start + duration
+            a = _exp_after(start, _rows(one_down_rate, g), rng)
+            w = _exp_after(start, _rows(lam, g), rng)
+            during = (a < recovered) & (a < horizon)
+
+            # Failure during the pull, pulled disk crashed: data loss, with
+            # the restore after the recovery.
+            lost = during & crashed
+            if lost.any():
+                batch.du_events[g[lost]] += 1
+                end = outages.data_loss(g[lost], a[lost], recovered[lost])
+                fresh.append((pos[lost], end))
+
+            # Failure during the pull, no crash: unavailable until the error
+            # is undone, then the failed disk waits for the exposed service.
+            unavailable = during & ~crashed
+            if unavailable.any():
+                gu = g[unavailable]
+                batch.disk_failures[gu] += 1
+                batch.du_events[gu] += 1
+                batch.downtime_hours[gu] += _clip_downtime(
+                    a[unavailable], recovered[unavailable], horizon
+                )
+                with np.errstate(divide="ignore"):  # RAID1 has no third disk
+                    third = _exp_after(a[unavailable], _rows(two_down_rate, gu), rng)
+                ex_start = recovered[unavailable]
+                ex_second = np.maximum(np.minimum(w[unavailable], third), ex_start)
+                exposed.append((pos[unavailable], ex_start, ex_second))
+
+            # No failure, but the pulled disk crashed: it is a failed disk.
+            degraded = ~during & crashed
+            if degraded.any():
+                ex_start = recovered[degraded]
+                exposed.append((pos[degraded], ex_start, np.maximum(a[degraded], ex_start)))
+
+            # Clean recovery.
+            clean = ~during & ~crashed
+            nxt[pos[clean]] = np.maximum(np.minimum(a[clean], w[clean]), recovered[clean])
+
+        # No spare left: the failure waits for the exposed service.
+        pos = np.flatnonzero(~has_spare)
+        if pos.size:
+            second = _exp_after(fail[pos], _rows(one_down_rate, rows[pos]), rng)
+            exposed.append((pos, fail[pos], second))
+
+        # Exposed service (``EXPns1``): one visit rebuilds and replaces at
+        # the combined rate; a data loss or a wrong pull empties the pool,
+        # success restocks it.
+        if exposed:
+            pos, start, second = (np.concatenate(part) for part in zip(*exposed))
+            g = rows[pos]
+            end = _exp_after(start, _rows(service_rate, g), rng)
+            dl = (second < end) & (second < horizon)
+            if dl.any():
+                end[dl] = outages.data_loss(g[dl], second[dl])
+            if has_hep:
+                he = ~dl & (rng.random(pos.size) < _rows(hep, g))
+                if he.any():
+                    end[he] = outages.wrong_pull(g[he], end[he])
+                dl |= he
+            spares[pos] = np.where(dl, 0, _rows(pool_sizes, g))
+            fresh.append((pos, end))
+
+        if fresh:
+            pos, start = (np.concatenate(part) for part in zip(*fresh))
+            nxt[pos] = _exp_after(start, _rows(all_rate, rows[pos]), rng)
+        fail = nxt
+
+    return batch
+
+
+def _clock_matrix_spare_pool(
+    params,
+    horizon_hours: float,
+    n_lifetimes: int,
+    rng: np.random.Generator,
+    n_spares: int = 1,
+    biasing: Optional[Union[float, np.ndarray]] = None,
+) -> BatchLifetimes:
+    """Spare-pool lifetimes on the ``(n_lifetimes, n_disks)`` clock matrix.
+
+    Serves Weibull laws and failure-biased runs of
+    :func:`batch_spare_pool`, and accepts any input of it.  The working set
+    is compacted and ``biasing`` enables failure-biased importance
+    sampling, both exactly as in :func:`_clock_matrix_conventional`.
+    """
+    m, pool_sizes, initial = _spare_pools(params, horizon_hours, n_lifetimes, n_spares)
     n = params.n_disks
     failure_dist, log_weights = _biased_failure_dist(
         params, float(horizon_hours), m, biasing
     )
+    batch = BatchLifetimes.zeros(m, horizon_hours)
     state = _SparePoolState(
         params=params,
         horizon=float(horizon_hours),
         rng=rng,
         n_spares=pool_sizes,
-        batch=BatchLifetimes.zeros(m, horizon_hours),
+        batch=batch,
         clocks=_initial_clocks(params, failure_dist, m, n, rng),
         now=np.zeros(m, dtype=float),
         spares=initial,
         failure_dist=failure_dist,
         rebuild_dist=params.repair_distribution(),
         replace_dist=params.spare_replacement_distribution(),
-        ddf_dist=params.ddf_recovery_distribution(),
-        recovery_dist=params.human_error_recovery_distribution(),
+        outages=_Outages(params, batch, rng),
         rows=np.arange(m),
         arena=_Arena(m, n),
         has_hep=_has_positive(params.hep),
@@ -1045,10 +1315,7 @@ def _spare_rebuild_step(
     dl_idx = idx[dl]
     if dl_idx.size:
         g_dl = g[dl]
-        state.batch.disk_failures[g_dl] += 1
-        state.batch.dl_events[g_dl] += 1
-        outage_end = second[dl] + _sample_rows(state.ddf_dist, g_dl, rng)
-        state.batch.downtime_hours[g_dl] += _clip_downtime(second[dl], outage_end, state.horizon)
+        outage_end = state.outages.data_loss(g_dl, second[dl])
         _renew_failed_before(
             state.clocks, dl_idx, outage_end, state.failure_dist, rng, g_dl
         )
@@ -1108,9 +1375,7 @@ def _replacement_visit_step(
     g_he = g[he]
     state.batch.human_errors[g_he] += 1
     wrong = _random_slots(rng, _rows(state.n_disks, g_he), he_idx.size)
-    duration, crashed = _recovery_race(
-        g_he, state.recovery_dist, state.hep, state.crash_rate, rng
-    )
+    duration, crashed = state.outages.recovery_race(g_he)
     recovery_end = replace_done[he] + duration
     other, second = _min_excluding(state.clocks[he_idx], wrong)
     second = np.maximum(second, replace_done[he])
@@ -1122,11 +1387,8 @@ def _replacement_visit_step(
     a_idx = he_idx[a]
     if a_idx.size:
         g_a = g_he[a]
-        state.batch.disk_failures[g_a] += 1
         state.batch.du_events[g_a] += 1
-        state.batch.dl_events[g_a] += 1
-        outage_end = recovery_end[a] + _sample_rows(state.ddf_dist, g_a, rng)
-        state.batch.downtime_hours[g_a] += _clip_downtime(second[a], outage_end, state.horizon)
+        outage_end = state.outages.data_loss(g_a, second[a], recovery_end[a])
         _renew_failed_before(
             state.clocks, a_idx, outage_end, state.failure_dist, rng, g_a
         )
@@ -1185,10 +1447,7 @@ def _exposed_step(
     dl_idx = idx[dl]
     if dl_idx.size:
         g_dl = g[dl]
-        state.batch.disk_failures[g_dl] += 1
-        state.batch.dl_events[g_dl] += 1
-        outage_end = second[dl] + _sample_rows(state.ddf_dist, g_dl, rng)
-        state.batch.downtime_hours[g_dl] += _clip_downtime(second[dl], outage_end, state.horizon)
+        outage_end = state.outages.data_loss(g_dl, second[dl])
         _renew_slots(
             state.clocks, dl_idx, slot[dl], outage_end,
             state.failure_dist, rng, g_dl,
@@ -1210,19 +1469,7 @@ def _exposed_step(
     he_idx = idx[he]
     if he_idx.size:
         g_he = g[he]
-        state.batch.human_errors[g_he] += 1
-        state.batch.du_events[g_he] += 1
-        duration, crashed = _recovery_race(
-            g_he, state.recovery_dist, state.hep, state.crash_rate, rng
-        )
-        outage_end = service_done[he] + duration
-        cr = np.flatnonzero(crashed)
-        if cr.size:
-            state.batch.dl_events[g_he[cr]] += 1
-            outage_end[cr] += _sample_rows(state.ddf_dist, g_he[cr], rng)
-        state.batch.downtime_hours[g_he] += _clip_downtime(
-            service_done[he], outage_end, state.horizon
-        )
+        outage_end = state.outages.wrong_pull(g_he, service_done[he])
         _renew_slots(
             state.clocks, he_idx, slot[he], outage_end,
             state.failure_dist, rng, g_he,

@@ -12,6 +12,7 @@ whole batches.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -314,8 +315,8 @@ def _oracle_params(grid, shape):
 def _clock_matrix_batch(policy):
     """Return ``policy``'s kernel, on the clock matrix for any input.
 
-    Unbiased exponential conventional and baseline runs take the
-    memoryless path, which holds no clock matrix to search.
+    Unbiased exponential runs of every policy here take a memoryless
+    path, which holds no clock matrix to search.
     """
     if policy == "conventional":
         return vectorized._clock_matrix_conventional
@@ -323,7 +324,9 @@ def _clock_matrix_batch(policy):
         return lambda params, *args, **kwargs: vectorized._clock_matrix_conventional(
             params.without_human_error(), *args, **kwargs
         )
-    return resolve_policy(policy).batch
+    return functools.partial(
+        vectorized._clock_matrix_spare_pool, n_spares=resolve_policy(policy).n_spares
+    )
 
 
 def _kernel_records(policy, params, counts, biasing):

@@ -831,6 +831,36 @@ class TestCliFaultFlags:
         out = capsys.readouterr().out
         assert "resumed shards:" in out
 
+    def test_mc_interrupt_before_the_first_shard_exits_with_hint(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Interrupted as its first shard starts, the run merged no
+        # lifetimes: it still reports a partial result, not an error.
+        from repro.cli import main
+        from repro.core.montecarlo import parallel
+
+        def interrupt(stream_index):
+            raise KeyboardInterrupt
+
+        journal = str(tmp_path / "cli.journal")
+        args = [
+            "mc",
+            "--failure-rate", "1e-4",
+            "--hep", "0.05",
+            "--iterations", "2000",
+            "--seed", "13",
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(parallel, "check_fault", interrupt)
+            code = main(args + ["--checkpoint", journal])
+        assert code == 3
+        out = capsys.readouterr().out
+        assert "iterations:         0 x" in out
+        assert f"--resume {journal}" in out
+
+        assert main(args + ["--resume", journal]) == 0
+        assert "interrupted" not in capsys.readouterr().out
+
     def test_mc_retry_count_printed(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -849,7 +879,10 @@ class TestCliFaultFlags:
         assert code == 0
         assert "retried shards:     1" in capsys.readouterr().out
 
-    def test_sweep_interrupt_exits_nonzero_with_hint(self, tmp_path, capsys):
+    # At 30000 lifetimes per point the three points fill 25k-lifetime
+    # shards 0-3, so after one shard the last two points have none.
+    @pytest.mark.parametrize("iterations", ["1500", "30000"])
+    def test_sweep_interrupt_exits_nonzero_with_hint(self, tmp_path, capsys, iterations):
         from repro.cli import main
 
         journal = str(tmp_path / "sweep.journal")
@@ -859,7 +892,7 @@ class TestCliFaultFlags:
             "--values", "0.01,0.03,0.05",
             "--backend", "monte_carlo",
             "--failure-rate", "1e-4",
-            "--iterations", "1500",
+            "--iterations", iterations,
             "--seed", "13",
         ]
         with fault_plan(FaultPlan(abort_after=1), tmp_path / "plan"):

@@ -227,12 +227,16 @@ EXECUTOR_CASES = _executor_cases()
 # ----------------------------------------------------------------------
 # Journal run digests
 # ----------------------------------------------------------------------
-SCALAR_DIGEST = "076289e012b9c676aaf05eae8b82d380fd4b1211e94286bf5af73cc9660772f4"
-STACKED_DIGEST = "57c0619d6aa64e4dd845eeec0c090eff9d433048dbbb9e382563f24580eee966"
+SCALAR_DIGEST = "ca030f001d0077e8aab0240829edf813f86e9f525e0def7691f0ffe3db20ca7f"
+STACKED_DIGEST = "6c7fbe6977dbbccd06b333acba7f163adfb46e32cded69382e7817a62aac968f"
 
 #: The scalar case's digest under journal version 1, whose unbiased
 #: exponential conventional runs drew from the clock matrix.
 VERSION_1_SCALAR_DIGEST = "b02c3f7ff5594450331c2e4c3b3e06716035decbac77e1381e1dbc9c48f3797d"
+
+#: The scalar case's digest under journal version 2, whose unbiased
+#: exponential fail-over and hot-spare-pool runs drew from the clock matrix.
+VERSION_2_SCALAR_DIGEST = "076289e012b9c676aaf05eae8b82d380fd4b1211e94286bf5af73cc9660772f4"
 
 
 def _journal_digest(path: Path) -> str:
@@ -376,14 +380,23 @@ def test_stacked_run_digest_is_stable(tmp_path):
     assert _stacked_digest(tmp_path) == STACKED_DIGEST
 
 
-def test_version_1_journal_is_refused(tmp_path):
-    # The same run under journal version 1 made other draws; splicing its
-    # shards into this build's run would mix two experiments.
-    path = tmp_path / "version1.jsonl"
-    header = {"kind": "header", "version": 1, "digest": VERSION_1_SCALAR_DIGEST}
+def _assert_refused(path: Path, version: int, digest: str) -> None:
+    header = {"kind": "header", "version": version, "digest": digest}
     path.write_text(json.dumps(header) + "\n", encoding="utf-8")
     with pytest.raises(ConfigurationError, match="different run"):
         run_sharded(_config(shard_size=200, resume=str(path)))
+
+
+def test_version_1_journal_is_refused(tmp_path):
+    # The same run under journal version 1 made other draws; splicing its
+    # shards into this build's run would mix two experiments.
+    _assert_refused(tmp_path / "version1.jsonl", 1, VERSION_1_SCALAR_DIGEST)
+
+
+def test_version_2_journal_is_refused(tmp_path):
+    # Version 2 drew unbiased exponential spare-pool runs from the clock
+    # matrix; the run digest carries the version, so its journal is refused.
+    _assert_refused(tmp_path / "version2.jsonl", 2, VERSION_2_SCALAR_DIGEST)
 
 
 if __name__ == "__main__":  # pragma: no cover - fixture regeneration

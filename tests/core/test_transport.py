@@ -43,8 +43,8 @@ from repro.core.policies.base import SimulationPolicy
 from repro.core.policies.stacked import stack_parameter_points
 from repro.core.policies.vectorized import (
     _clock_matrix_conventional,
+    _clock_matrix_spare_pool,
     batch_conventional,
-    batch_spare_pool,
 )
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.rng import RandomStreams
@@ -303,9 +303,9 @@ class TestWorkerInitializer:
 class TestCompactionEquivalence:
     """The compacted kernels run the experiment the gathered loops ran.
 
-    Exponential conventional cases call the clock-matrix kernel directly:
-    ``batch_conventional`` sends unbiased exponential runs to the
-    memoryless path, which the gathered loops never had.
+    Exponential cases call the clock-matrix kernels directly: the batch
+    kernels send unbiased exponential runs to the memoryless paths, which
+    the gathered loops never had.
     """
 
     def _assert_equivalent(self, case, kernel, params, counts, **kwargs):
@@ -317,8 +317,8 @@ class TestCompactionEquivalence:
         "case,kernel,kwargs",
         [
             ("scalar-conventional", _clock_matrix_conventional, {}),
-            ("scalar-failover", batch_spare_pool, {"n_spares": 1}),
-            ("scalar-pool3", batch_spare_pool, {"n_spares": 3}),
+            ("scalar-failover", _clock_matrix_spare_pool, {"n_spares": 1}),
+            ("scalar-pool3", _clock_matrix_spare_pool, {"n_spares": 3}),
         ],
         ids=["conventional", "failover", "pool3"],
     )
@@ -330,7 +330,7 @@ class TestCompactionEquivalence:
         "case,kernel,kwargs",
         [
             ("stacked-conventional", _clock_matrix_conventional, {}),
-            ("stacked-pool", batch_spare_pool, {"n_spares": 2}),
+            ("stacked-pool", _clock_matrix_spare_pool, {"n_spares": 2}),
         ],
         ids=["conventional", "pool"],
     )
@@ -350,7 +350,9 @@ class TestCompactionEquivalence:
         ]
         counts = [700, 500]
         grid = stack_parameter_points(points, counts, n_spares=[1, 3])
-        self._assert_equivalent("mixed_geometry-spare_pool", batch_spare_pool, grid, counts)
+        self._assert_equivalent(
+            "mixed_geometry-spare_pool", _clock_matrix_spare_pool, grid, counts
+        )
         self._assert_equivalent(
             "mixed_geometry-conventional", _clock_matrix_conventional, grid, counts
         )
