@@ -121,6 +121,12 @@ The benchmarks, one per bullet:
   bit-identity of ``workers=1`` and ``workers=2`` at the default is
   asserted; time carries no floor.
 
+* **Start-up**: ``import repro``, ``repro mc`` and ``repro solve``, each in
+  a fresh interpreter, :data:`STARTUP_REPEATS` times, alternating.  The
+  median wall time is recorded with its spread, together with the number of
+  scipy modules each command left loaded.  Only that count is asserted
+  (zero): none of the three computes with scipy.  Time carries no floor.
+
 Run with ``pytest benchmarks/bench_sweep.py -s`` to see the measured
 speedups alongside the timing records; machine-readable results land in
 ``BENCH_sweep.json`` (see ``benchmarks/conftest.py``), accumulated across
@@ -738,6 +744,16 @@ def test_memoryless_kernel(policy, shape, bench_record):
     )
 
 
+def _run_fresh(code: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter with this checkout's ``src`` importable."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
 #: Alternating 2M-lifetime paper-point ops in one interpreter; prints each
 #: op's policy, wall seconds and minor page faults.
 PAGE_FAULT_SCRIPT = """
@@ -769,13 +785,7 @@ def test_page_faults_per_op(bench_record):
     ops should take almost none.  No floor is asserted.
     """
     ops = 2 * (TIMING_REPEATS + 1)
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", PAGE_FAULT_SCRIPT.format(ops=ops)],
-        capture_output=True, text=True, env=env, timeout=600,
-    )
+    proc = _run_fresh(PAGE_FAULT_SCRIPT.format(ops=ops), timeout=600)
     assert proc.returncode == 0, proc.stderr
     runs = [line.split() for line in proc.stdout.splitlines()]
     for policy in ("conventional", "automatic_failover"):
@@ -800,6 +810,61 @@ def test_page_faults_per_op(bench_record):
             minor_faults_max=max(faults),
             first_op_minor_faults=first_faults,
         )
+
+
+#: Fresh interpreters per start-up command (the median is recorded).
+STARTUP_REPEATS = 7
+
+#: Start-up commands, each run as a user runs it, its output discarded.
+STARTUP_COMMANDS = {
+    "import_repro": "import repro",
+    "repro_mc": "from repro.cli import main; assert main(['mc']) == 0",
+    "repro_solve": "from repro.cli import main; assert main(['solve']) == 0",
+}
+
+#: One start-up command; prints how many scipy modules it left loaded.
+STARTUP_SCRIPT = """
+import contextlib, io, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    {command}
+print(sum(name.partition(".")[0] == "scipy" for name in sys.modules))
+"""
+
+
+def test_cli_startup(bench_record):
+    """Wall time of ``import repro``, ``repro mc`` and ``repro solve`` from a cold start.
+
+    Each command runs in a new interpreter, :data:`STARTUP_REPEATS` times,
+    the three commands alternating; the wall time includes interpreter
+    start-up, as a user sees it.  None of the three computes with scipy,
+    so none may load it; no time floor is asserted.
+    """
+    times = {op: [] for op in STARTUP_COMMANDS}
+    scipy_modules = {op: [] for op in STARTUP_COMMANDS}
+    for _ in range(STARTUP_REPEATS):
+        for op, command in STARTUP_COMMANDS.items():
+            start = time.perf_counter()
+            proc = _run_fresh(STARTUP_SCRIPT.format(command=command), timeout=300)
+            times[op].append(time.perf_counter() - start)
+            assert proc.returncode == 0, proc.stderr
+            scipy_modules[op].append(int(proc.stdout.split()[-1]))
+    for op in STARTUP_COMMANDS:
+        seconds = times[op]
+        print(
+            f"\nstart-up {op}: {np.median(seconds):.3f}s "
+            f"({min(seconds):.3f}-{max(seconds):.3f}), "
+            f"{max(scipy_modules[op])} scipy modules"
+        )
+        bench_record(
+            f"startup:{op}",
+            seconds=float(np.median(seconds)),
+            seconds_min=round(min(seconds), 6),
+            seconds_max=round(max(seconds), 6),
+            repeats=STARTUP_REPEATS,
+            scipy_modules=max(scipy_modules[op]),
+        )
+    for op, counts in scipy_modules.items():
+        assert counts == [0] * STARTUP_REPEATS, f"{op} loaded scipy"
 
 
 def _transport_configs(transport: str, n_iterations=None):

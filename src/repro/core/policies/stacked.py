@@ -37,11 +37,11 @@ row range out of an existing grid for direct grid surgery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from repro.core.parameters import AvailabilityParameters
 from repro.exceptions import ConfigurationError
@@ -146,8 +146,14 @@ class RowWeibull:
             raise ConfigurationError("row rates and shapes must be positive")
         self.rates = rates
         self.shapes = shapes
-        # mean = scale * Gamma(1 + 1/shape)  =>  scale = mean / Gamma(...)
-        self.scales = (1.0 / rates) / _gamma(1.0 + 1.0 / shapes)
+        # mean = scale * Gamma(1 + 1/shape)  =>  scale = mean / Gamma(...),
+        # with math.gamma as in Weibull.from_mean_and_shape, so a one-row
+        # grid has its point's scale to the bit.  Shapes come in runs of one
+        # value per point: evaluate Gamma once per run.
+        starts = np.flatnonzero(np.concatenate(([True], shapes[1:] != shapes[:-1])))
+        run_lengths = np.diff(np.append(starts, shapes.size))
+        gammas = [math.gamma(1.0 + 1.0 / shape) for shape in shapes[starts].tolist()]
+        self.scales = (1.0 / rates) / np.repeat(gammas, run_lengths)
 
     def sample_rows(self, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Draw one sample per entry of ``rows`` at that row's parameters."""

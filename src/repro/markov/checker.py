@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import linalg
 
 from repro.exceptions import SolverError, StateError
 from repro.markov.chain import MarkovChain
@@ -136,6 +135,9 @@ def cycle_operator(q: np.ndarray, period_hours: float):
     augmented block matrix ``[[Q, I], [0, 0]]`` — its upper-left block is
     ``M`` and its upper-right block is ``OCC``.
     """
+    # Imported here, not at module level, so Monte Carlo runs start without scipy.
+    from scipy import linalg
+
     period = float(period_hours)
     if period <= 0.0:
         raise SolverError(f"check period must be positive, got {period_hours!r}")

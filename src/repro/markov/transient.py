@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
-from scipy import linalg
 
 from repro.exceptions import SolverError
 from repro.markov.chain import MarkovChain
@@ -109,6 +108,9 @@ def transient_distribution_expm(
     auto-detects the spacing; pass ``False`` to force the per-time
     reference path (used by the benchmarks and equivalence tests).
     """
+    # Imported here, not at module level, so Monte Carlo runs start without scipy.
+    from scipy import linalg
+
     times_arr = np.asarray(list(times), dtype=float)
     if times_arr.size == 0:
         raise SolverError("transient analysis requires at least one time point")

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from typing import List, Set, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from repro.exceptions import MarkovChainError
 from repro.markov.chain import MarkovChain
@@ -49,13 +47,27 @@ class ValidationReport:
         self.warnings.append(message)
 
 
-def _adjacency(chain: MarkovChain) -> csr_matrix:
+def _adjacency(chain: MarkovChain) -> np.ndarray:
     """Return the chain's directed graph: an edge per positive-rate pair.
 
     Self loops are not allowed, so the generator's positive entries are
     exactly the off-diagonal pairs some positive rate connects.
     """
-    return csr_matrix(chain.generator_matrix() > 0.0)
+    return chain.generator_matrix() > 0.0
+
+
+def _reached(adjacency: np.ndarray, start: int) -> np.ndarray:
+    """Return the mask of states reachable from ``start``, by breadth-first search.
+
+    Each level expands the whole frontier in one boolean row reduction.
+    """
+    reached = np.zeros(adjacency.shape[0], dtype=bool)
+    reached[start] = True
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    return reached
 
 
 def check_reachability(chain: MarkovChain, from_state: str = "") -> Tuple[Set[str], Set[str]]:
@@ -65,10 +77,8 @@ def check_reachability(chain: MarkovChain, from_state: str = "") -> Tuple[Set[st
     state, which by convention is the fully-operational state).
     """
     start = from_state or chain.state_names[0]
-    order = breadth_first_order(
-        _adjacency(chain), chain.index_of(start), return_predecessors=False
-    )
-    reachable = {chain.state_names[i] for i in order}
+    mask = _reached(_adjacency(chain), chain.index_of(start))
+    reachable = {name for name, hit in zip(chain.state_names, mask) if hit}
     unreachable = set(chain.state_names) - reachable
     return reachable, unreachable
 
@@ -83,11 +93,13 @@ def find_absorbing_states(chain: MarkovChain) -> List[str]:
 
 
 def is_irreducible(chain: MarkovChain) -> bool:
-    """Return whether the positive-rate graph is strongly connected."""
-    if len(chain.states) <= 1:
-        return True
-    n_components, _ = connected_components(_adjacency(chain), connection="strong")
-    return n_components == 1
+    """Return whether the positive-rate graph is strongly connected.
+
+    It is when the first state reaches every state and every state reaches
+    it, i.e. when it reaches every state along the edges and against them.
+    """
+    adjacency = _adjacency(chain)
+    return bool(_reached(adjacency, 0).all() and _reached(adjacency.T, 0).all())
 
 
 def generator_row_sums(chain: MarkovChain) -> np.ndarray:

@@ -5,16 +5,20 @@ interval width shrinking as the square root of the number of iterations
 scaled by the Student-t coefficient.  These helpers compute exactly that, and
 also provide the sample-size planner used to decide how many iterations a
 target precision needs.
+
+The quantiles come from the standard library, not scipy: the normal one from
+:class:`statistics.NormalDist` (Wichura's AS241) and the Student-t one from
+:func:`_student_t_quantile`, so that no Monte Carlo run has to import scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from repro.exceptions import SimulationError
 
@@ -239,14 +243,105 @@ def _float_array(samples: Iterable[float]) -> np.ndarray:
     return np.asarray(list(samples), dtype=float)
 
 
+#: Degrees of freedom from which the Cornish–Fisher expansion alone is the
+#: Student-t quantile: its first omitted term is below 1e-16 relative there
+#: at every two-sided level up to 0.999.
+_CORNISH_FISHER_DOF = 1000
+
+
+def _log_t_density_constant(dof: float) -> float:
+    """Return ``log(Gamma((dof + 1) / 2) / (Gamma(dof / 2) * sqrt(dof * pi)))``.
+
+    From ``a = dof / 2 >= 20`` the log-gamma difference comes from its
+    asymptotic series, which is exact to 2e-17 there; ``math.lgamma`` of two
+    large, nearly equal arguments would lose up to 1e-13 to cancellation.
+    """
+    a = 0.5 * dof
+    if a < 20.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a) - 0.5 * math.log(dof * math.pi)
+    r = 1.0 / (a * a)
+    ratio = (-1 / 8 + r * (1 / 192 + r * (-1 / 640 + r * (17 / 14336 - r * 31 / 18432)))) / a
+    return ratio - 0.5 * math.log(2.0 * math.pi)
+
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """Return the continued fraction of ``I_x(a, b)``, by modified Lentz.
+
+    ``I_x(a, b) = x^a (1 - x)^b / (a B(a, b)) * cf``; it converges fast for
+    ``x < (a + 1) / (a + b + 2)`` (Numerical Recipes, ``betacf``).
+    """
+    tiny = 1e-300
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 1000):
+        m2 = 2 * m
+        for numerator in (
+            m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+            -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 2.0**-52:
+            return h
+    raise SimulationError("incomplete beta continued fraction did not converge")
+
+
+def _student_t_quantile(tail: float, dof: float) -> float:
+    """Return ``t`` with ``P(|T| > t) = tail`` for ``dof`` degrees of freedom.
+
+    The start is the Cornish–Fisher expansion about the normal quantile to
+    ``dof^-5`` (Abramowitz & Stegun 26.7.5 give the terms to ``dof^-4``);
+    from :data:`_CORNISH_FISHER_DOF` on it is the answer, in O(1).  Below
+    that, Newton steps on ``log P(|T| > t)`` use the exact tail, the
+    regularised incomplete beta ``I_x(dof / 2, 1 / 2)`` at
+    ``x = dof / (dof + t^2)``, and the density.  Over dof 1..1e9 at levels
+    0.9-0.999 the result agrees with a 40-digit root to 5e-14 relative.
+    """
+    z = -NormalDist().inv_cdf(0.5 * tail)
+    z2 = z * z
+    g1 = (z2 + 1.0) * z / 4.0
+    g2 = ((5.0 * z2 + 16.0) * z2 + 3.0) * z / 96.0
+    g3 = (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) * z / 384.0
+    g4 = ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) * z / 92160.0
+    g5 = (
+        (((((27.0 * z2 + 339.0) * z2 + 930.0) * z2 - 1782.0) * z2 - 765.0) * z2 + 17955.0)
+        * z
+        / 368640.0
+    )
+    t = z + (g1 + (g2 + (g3 + (g4 + g5 / dof) / dof) / dof) / dof) / dof
+    if dof >= _CORNISH_FISHER_DOF:
+        return t
+    a = 0.5 * dof
+    log_constant = _log_t_density_constant(dof)
+    log_tail = math.log(tail)
+    for _ in range(100):
+        s = t * t / dof
+        two_density = 2.0 * math.exp(log_constant - (a + 0.5) * math.log1p(s))
+        x = 1.0 / (1.0 + s)
+        # x^a (1 - x)^(1/2) / B(a, 1/2) is t times the density at t.
+        if x < (a + 1.0) / (a + 2.5):
+            q = 0.5 * t * two_density * _beta_continued_fraction(a, 0.5, x) / a
+        else:
+            q = 1.0 - t * two_density * _beta_continued_fraction(0.5, a, 1.0 - x)
+        step = (math.log(q) - log_tail) * q / two_density
+        t += step
+        # Newton converges quadratically: a step this small leaves an error
+        # far below the tail's own rounding.
+        if abs(step) <= 1e-9 * t:
+            return t
+    raise SimulationError(f"Student-t quantile did not converge (tail {tail!r}, dof {dof!r})")
+
+
 def t_critical(confidence: float, n_samples: int) -> float:
     """Return the two-sided Student-t critical value for the given level."""
     if not 0.0 < confidence < 1.0:
         raise SimulationError(f"confidence must lie in (0, 1), got {confidence!r}")
     if n_samples < 2:
         raise SimulationError(f"at least two samples are required, got {n_samples!r}")
-    alpha = 1.0 - confidence
-    return float(special.stdtrit(n_samples - 1, 1.0 - alpha / 2.0))
+    return _student_t_quantile(1.0 - float(confidence), float(n_samples - 1))
 
 
 def confidence_interval(samples: Sequence[float], confidence: float = 0.99) -> ConfidenceInterval:
@@ -286,7 +381,7 @@ def required_samples(
         raise SimulationError(f"target half-width must be positive, got {target_half_width!r}")
     if sample_std == 0.0:
         return 2
-    z = float(special.ndtri(0.5 + confidence / 2.0))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     n = max(int(math.ceil((z * sample_std / target_half_width) ** 2)), 2)
     if n > max_samples:
         raise SimulationError(

@@ -236,6 +236,21 @@ class TestStackedParams:
         assert matrix.shape == (2, 3)
         assert matrix[1].min() > matrix[0].max()  # rate 1e-6 rows are huge
 
+    @pytest.mark.parametrize("shape", [0.7, 1.09, 1.12, 1.2, 1.3, 1.48, 2.0])
+    def test_weibull_row_scale_equals_the_point_scale(self, shape):
+        # A one-row grid must draw its point's lifetimes: the same Gamma,
+        # hence the same scale to the last bit (Fig. 5 uses 1.12 and 1.48).
+        point = paper_parameters(disk_failure_rate=1e-4, failure_shape=shape)
+        grid = stack_parameter_points([point], [3])
+        assert grid.failure_distribution().scales[0] == point.failure_distribution().scale
+
+    def test_weibull_rows_take_their_own_point_scales(self):
+        shapes = [1.12, 1.12, 1.48, 2.0]
+        points = [paper_parameters(disk_failure_rate=1e-4, failure_shape=s) for s in shapes]
+        scales = stack_parameter_points(points, [2, 1, 3, 1]).failure_distribution().scales
+        expected = [p.failure_distribution().scale for p in points]
+        assert scales.tolist() == np.repeat(expected, [2, 1, 3, 1]).tolist()
+
 
 class TestSegmentedMoments:
     def test_matches_per_segment_from_samples(self):

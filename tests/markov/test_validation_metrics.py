@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
+from repro.core.parameters import paper_parameters
+from repro.core.policies.registry import available_policies, resolve_policy
 from repro.exceptions import MarkovChainError
 from repro.markov import (
     ChainBuilder,
@@ -20,6 +24,7 @@ from repro.markov import (
     steady_state_availability,
     validate_chain,
 )
+from repro.storage.raid import RaidGeometry
 
 
 def availability_chain(failure=0.01, repair=1.0) -> MarkovChain:
@@ -177,3 +182,63 @@ class TestSharedStationaryVector:
         result = availability_result_from_pi(pi, chain.state_names, ("UP",))
         assert result.availability == pytest.approx(1.0 / 1.1)
         assert result.down_states == ("DOWN",)
+
+
+# ----------------------------------------------------------------------
+# The numpy graph searches against scipy's csgraph, which they replace
+# ----------------------------------------------------------------------
+ORACLE_POINTS = [
+    paper_parameters(),
+    paper_parameters(disk_failure_rate=1e-4, hep=0.1),
+    paper_parameters(geometry=RaidGeometry.raid5(7), disk_failure_rate=1e-5, hep=0.0),
+]
+
+
+def _assert_graph_checks_match_csgraph(chain: MarkovChain) -> None:
+    graph = csr_matrix(chain.generator_matrix() > 0.0)
+    for start in chain.state_names:
+        order = breadth_first_order(graph, chain.index_of(start), return_predecessors=False)
+        expected = {chain.state_names[i] for i in order}
+        assert check_reachability(chain, start) == (expected, set(chain.state_names) - expected)
+    n_components, _ = connected_components(graph, connection="strong")
+    assert is_irreducible(chain) == (n_components == 1)
+
+
+@pytest.mark.parametrize(
+    ("name", "params"),
+    [
+        pytest.param(name, params, id=f"{name}-{index}")
+        for name in available_policies()
+        if resolve_policy(name).has_analytical_model
+        for index, params in enumerate(ORACLE_POINTS)
+    ],
+)
+def test_registered_chain_graph_checks_match_csgraph(name, params):
+    _assert_graph_checks_match_csgraph(resolve_policy(name).build_chain(params))
+
+
+#: Chains that are not irreducible, each for its own reason.
+DEFECTIVE_CHAINS = {
+    "unreachable": MarkovChain(
+        [State("A"), State("B"), State("C", up=False)],
+        [Transition("A", "B", 1.0), Transition("B", "A", 1.0), Transition("C", "A", 1.0)],
+    ),
+    "absorbing": MarkovChain([State("A"), State("B", up=False)], [Transition("A", "B", 1.0)]),
+    "two_components": MarkovChain(
+        [State("A"), State("B"), State("C", up=False), State("D", up=False)],
+        [
+            Transition("A", "B", 1.0),
+            Transition("B", "A", 1.0),
+            Transition("B", "C", 1.0),
+            Transition("C", "D", 1.0),
+            Transition("D", "C", 1.0),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFECTIVE_CHAINS))
+def test_defective_chain_graph_checks_match_csgraph(name):
+    chain = DEFECTIVE_CHAINS[name]
+    assert not is_irreducible(chain)
+    _assert_graph_checks_match_csgraph(chain)

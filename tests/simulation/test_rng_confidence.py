@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 from itertools import combinations
 
@@ -221,3 +224,49 @@ class TestStreamingMoments:
             StreamingMoments.from_samples([1.0]).variance()
         with pytest.raises(SimulationError):
             StreamingMoments.from_samples([1.0, float("nan")])
+
+
+# ----------------------------------------------------------------------
+# The stdlib quantiles against scipy's, which they replace
+# ----------------------------------------------------------------------
+#: Degrees of freedom of the oracle grid: every small value, both sides of
+#: the Cornish–Fisher boundary at 1000, and large values up to 1e9.
+ORACLE_DOFS = [
+    *range(1, 40), 50, 99, 100, 199, 399, 500, 999, 1000, 1001, 1999, 4999, 9999,
+    19999, 99999, 199999, 1999999, 10**7, 10**9,
+]
+
+
+@pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99, 0.999])
+def test_t_critical_matches_scipy_stdtrit(confidence):
+    for dof in ORACLE_DOFS:
+        expected = float(special.stdtrit(dof, 1.0 - (1.0 - confidence) / 2.0))
+        assert t_critical(confidence, dof + 1) == pytest.approx(expected, rel=1e-12, abs=0.0), dof
+
+
+def _scipy_required_samples(std: float, target: float, confidence: float) -> int:
+    """The sample-size planner as it was written on scipy's quantiles."""
+    z = float(special.ndtri(0.5 + confidence / 2.0))
+    n = max(int(math.ceil((z * std / target) ** 2)), 2)
+    t = float(special.stdtrit(n - 1, 1.0 - (1.0 - confidence) / 2.0))
+    return max(int(math.ceil((t * std / target) ** 2)), 2)
+
+
+@pytest.mark.parametrize(
+    ("std", "target", "confidence"),
+    [
+        (1.0, 0.5, 0.9),
+        (1.0, 0.3, 0.99),
+        (1.0, 0.1, 0.95),
+        (2.5, 0.1, 0.999),
+        (1.0, 0.03, 0.99),
+        (1e-3, 1e-5, 0.95),
+        (0.37, 1e-3, 0.99),
+        (1e-5, 1e-8, 0.99),
+        (3e-6, 1e-9, 0.999),
+        (1.0, 1e-3, 0.9),
+    ],
+)
+def test_required_samples_matches_scipy(std, target, confidence):
+    expected = _scipy_required_samples(std, target, confidence)
+    assert abs(required_samples(std, target, confidence=confidence) - expected) <= 1

@@ -20,30 +20,74 @@ REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 
 
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter with ``src`` importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
 @pytest.mark.parametrize(
     "module",
     [
-        # scipy.stats alone costs about half a second to import, and no src
-        # module uses it; the package needs only scipy.special quantiles.
-        "scipy.stats",
-        # Not a declared dependency: chain validation uses scipy's csgraph.
+        # scipy costs about half a second to import, and only the erasure
+        # checker cycle, the transient solvers and chains of 500 or more
+        # states call it; each imports it where it computes.
+        "scipy",
+        # Not a declared dependency: chain validation searches the generator
+        # matrix's graph with numpy.
         "networkx",
     ],
 )
 def test_import_repro_does_not_load(module):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            f"import repro, sys; assert {module!r} not in sys.modules",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = _run_python(f"import repro, sys; assert {module!r} not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+#: Monte Carlo runs and RAID chain solves with every scipy import failing.
+WITHOUT_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
+
+from repro.core.evaluation import evaluate, evaluate_stacked
+from repro.core.parameters import paper_parameters
+from repro.core.sweep import sweep_grid
+from repro.exceptions import MarkovChainError
+from repro.markov import ChainBuilder
+
+for policy in ("conventional", "automatic_failover"):
+    for shape in (1.0, 1.3):
+        params = paper_parameters(disk_failure_rate=1e-4, hep=0.01, failure_shape=shape)
+        evaluate(params, policy, backend="monte_carlo", n_iterations=2000, seed=1)
+sweep_grid(
+    paper_parameters(failure_shape=1.3), "hep", [0.0, 0.01], "failure_rate",
+    [1e-5, 1e-4], backend="monte_carlo", mc_iterations=2000, seed=1, workers=2,
+)
+evaluate_stacked(
+    [paper_parameters(disk_failure_rate=rate, hep=0.0) for rate in (1e-6, 2e-6)],
+    n_iterations=2000, max_iterations=20000, biasing=8.0, allocator="ci_width",
+    target_half_width=1e-8, seed=1,
+)
+for policy in ("conventional", "automatic_failover", "baseline"):
+    evaluate(paper_parameters(), policy, backend="analytical")
+
+builder = ChainBuilder("unreachable")
+builder.add_up_state("A").add_up_state("B").add_down_state("C")
+builder.add_transition("A", "B", 1.0).add_transition("B", "A", 1.0)
+builder.add_transition("C", "A", 1.0)
+try:
+    builder.build()
+except MarkovChainError:
+    pass
+else:
+    raise SystemExit("a chain with an unreachable state passed validation")
+"""
+
+
+def test_monte_carlo_and_raid_chains_run_without_scipy():
+    proc = _run_python(WITHOUT_SCIPY_SCRIPT)
     assert proc.returncode == 0, proc.stderr
 
 
