@@ -1,7 +1,7 @@
 """Engine benchmark: steady-state and transient solvers on the paper's chains.
 
-Compares the dense direct solve (default), least-squares, sparse LU and
-power-iteration solvers on the Fig. 3 chain — the largest chain in the
+Compares the dense GTH state reduction (default), least-squares, sparse LU
+and power-iteration solvers on the Fig. 3 chain — the largest chain in the
 package — both for timing and to confirm they agree to solver tolerance,
 and measures the transient analysers' grid-reuse optimisations: one
 ``expm(Q * dt)`` propagated over a uniform grid versus one ``expm`` per

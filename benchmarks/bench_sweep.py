@@ -93,6 +93,13 @@ The benchmarks, one per bullet:
   ``tests/markov/test_checker.py``).  Byte-identical points are asserted;
   the speedup is recorded with its spread and carries no floor.
 
+* **Dense stationary solve**: ``ChainTemplate.solve_many`` on the
+  ``analytical`` op's 100 x 100 hep x failure-rate grid (k = 10,000) and
+  one ``TemplateEvaluator.solve`` (k = 1), per template (conventional,
+  automatic fail-over), both on the GTH state reduction.  Batch rows are
+  asserted equal to the single solves bit for bit; time, recorded with its
+  spread, carries no floor.
+
 * **Likelihood-ratio arithmetic**: the same two rare points at 200k
   lifetimes each (the repository benchmark's ``rare_event`` first round),
   stacked into one in-process batch at ``biasing=50``, run on the
@@ -149,7 +156,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.core.evaluation import clear_template_cache, evaluate
+from repro.core.evaluation import chain_template, clear_template_cache, evaluate
 from repro.core.montecarlo import (
     DEFAULT_SHARD_CAP,
     DEFAULT_STACKED_SHARD_SIZE,
@@ -165,6 +172,7 @@ from repro.core.policies import get_policy, vectorized
 from repro.core.policies.erasure import erasure_policy
 from repro.core.policies.stacked import stack_parameter_points
 from repro.core.sweep import sweep, sweep_grid
+from repro.markov.rates import symbol_table
 from repro.simulation.confidence import t_critical
 from repro.simulation.rng import RandomStreams
 from repro.storage.raid import RaidGeometry
@@ -1314,6 +1322,64 @@ def test_analytical_result_path(bench_record):
         reference_seconds_max=round(max(old), 6),
         speedup_min=round(min(old) / max(max(new), 1e-9), 3),
         speedup_max=round(max(old) / max(min(new), 1e-9), 3),
+    )
+
+
+# ----------------------------------------------------------------------
+# The dense stationary solve: GTH on batch-innermost rate planes
+# ----------------------------------------------------------------------
+#: Calls per timed repeat of a single (k = 1) solve.
+SINGLE_SOLVE_CALLS = 200
+
+
+@pytest.mark.parametrize("policy", ["conventional", "automatic_failover"])
+def test_dense_stationary_solve(policy, bench_record):
+    """One GTH solve over the analytical op's grid, and a batch of one.
+
+    ``ChainTemplate.solve_many`` over the repository benchmark's 100 x 100
+    hep x failure-rate grid (k = 10,000) and ``TemplateEvaluator.solve`` at
+    one point (k = 1), alternating, each the median of
+    :data:`TIMING_REPEATS` with its min and max (a single solve as the mean
+    of :data:`SINGLE_SOLVE_CALLS` calls), each batch from a collected heap.
+    Every tenth batch row must equal the single solve of its point bit for
+    bit; time carries no floor.
+    """
+    base = paper_parameters()
+    template = chain_template(policy, base.with_hep(ANALYTICAL_HEPS[0]))
+    grid = np.meshgrid(ANALYTICAL_HEPS, ANALYTICAL_RATES, indexing="ij")
+    heps, rates = (column.ravel() for column in grid)
+    columns = dict(symbol_table(base), hep=heps, lam=rates)
+    single = template.evaluator(base.with_hep(1e-3))
+    batch_times, single_times = [], []
+    for _ in range(TIMING_REPEATS):
+        gc.collect()
+        start = time.perf_counter()
+        pi = template.solve_many(columns)
+        batch_times.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        for _ in range(SINGLE_SOLVE_CALLS):
+            single.solve()
+        single_times.append((time.perf_counter() - start) / SINGLE_SOLVE_CALLS)
+
+    for row in range(0, len(heps), 10):
+        params = base.with_hep(float(heps[row])).with_failure_rate(float(rates[row]))
+        assert np.array_equal(pi[row], template.evaluator(params).solve())
+
+    seconds = float(np.median(batch_times))
+    print(
+        f"\nmarkov_solve:{policy}: k={len(heps)} {seconds * 1e3:.2f} ms "
+        f"({min(batch_times) * 1e3:.2f}-{max(batch_times) * 1e3:.2f}); "
+        f"k=1 {np.median(single_times) * 1e6:.1f} us"
+    )
+    bench_record(
+        f"markov_solve:{policy}",
+        points=len(heps),
+        seconds=seconds,
+        seconds_min=round(min(batch_times), 6),
+        seconds_max=round(max(batch_times), 6),
+        single_seconds=round(float(np.median(single_times)), 8),
+        single_seconds_min=round(min(single_times), 8),
+        single_seconds_max=round(max(single_times), 8),
     )
 
 

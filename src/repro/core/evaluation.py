@@ -10,7 +10,7 @@ and solver/executor provenance.
 Analytical evaluations go through a process-wide cache of
 :class:`~repro.markov.template.ChainTemplate` objects: the policy's chain is
 built **once** per (policy, geometry, structure) and later parameter points
-only rewrite the affected generator entries and re-factorize (with automatic
+only rewrite the affected generator entries and re-solve (with automatic
 dense/sparse solver selection by state count).  Repeated evaluations — and
 especially the sweeps in :mod:`repro.core.sweep` — therefore never pay the
 builder/validation cost again.

@@ -109,7 +109,7 @@ class RowExponential:
         """Draw one sample per entry of ``rows`` at that row's rate."""
         if rows.size == 0:
             return np.empty(0, dtype=float)
-        draws = rng.exponential(1.0, rows.size)
+        draws = rng.standard_exponential(rows.size)
         draws /= self.rates[rows]
         return draws
 
@@ -121,7 +121,7 @@ class RowExponential:
         the draw buffer) instead of gathering one rate per sample — the
         fast path for the initial clock matrix of a large stacked grid.
         """
-        draws = rng.exponential(1.0, (self.rates.size, int(n_cols)))
+        draws = rng.standard_exponential((self.rates.size, int(n_cols)))
         draws /= self.rates[:, None]
         return draws
 

@@ -309,7 +309,7 @@ def _crash_times(
     crash = np.full(size, np.inf)
     positive = crash_rate > 0.0
     if np.any(positive):
-        std = rng.exponential(1.0, size)
+        std = rng.standard_exponential(size)
         crash[positive] = std[positive] / crash_rate[positive]
     return crash
 
@@ -635,7 +635,7 @@ def _exp_after(start: np.ndarray, rate, rng: np.random.Generator) -> np.ndarray:
     ``rate`` is a scalar or one rate per entry; every entry takes one
     standard draw from the stream.
     """
-    draw = rng.exponential(1.0, start.size)
+    draw = rng.standard_exponential(start.size)
     draw /= rate
     draw += start
     return draw
@@ -1082,7 +1082,7 @@ def _memoryless_spare_pool(
     batch = BatchLifetimes.zeros(m, horizon)
     outages = _Outages(params, batch, rng)
     rows = np.arange(m)
-    fail = rng.exponential(1.0, m)
+    fail = rng.standard_exponential(m)
     fail /= all_rate
 
     while rows.size:
@@ -1436,7 +1436,7 @@ def _exposed_step(
     g = state.gids(idx)
     combined_rate = state.params.disk_repair_rate + state.params.spare_replacement_rate
     if isinstance(combined_rate, np.ndarray):
-        service_done = start + rng.exponential(1.0, idx.size) / combined_rate[g]
+        service_done = start + rng.standard_exponential(idx.size) / combined_rate[g]
     else:
         service_done = start + rng.exponential(1.0 / combined_rate, idx.size)
     _, second = _min_excluding(state.clocks[idx], slot)
@@ -1619,7 +1619,7 @@ def batch_erasure(
     shares = n_arr.copy()
     # Aggregate next-failure clock: from s live shares the next loss arrives
     # at rate s*lambda; one draw per state change (memorylessness).
-    pending = rng.exponential(1.0, m) / (shares * lam)
+    pending = rng.standard_exponential(m) / (shares * lam)
     # Checks fire at T, 2T, ...; while s >= repair_threshold every check is
     # a no-op, so jump straight to the first check at or after the failure.
     next_check = period * np.ceil(pending / period)
@@ -1703,7 +1703,7 @@ def batch_erasure(
         redraw_pos = np.sort(np.concatenate([surv_pos, acted_up_pos]))
         if redraw_pos.size:
             g = active[redraw_pos]
-            pending[g] = etime[redraw_pos] + rng.exponential(1.0, g.size) / (
+            pending[g] = etime[redraw_pos] + rng.standard_exponential(g.size) / (
                 shares[g] * lam[g]
             )
 

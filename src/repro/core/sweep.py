@@ -9,8 +9,8 @@ registered policy on either evaluation backend:
   validated once, the swept parameters become float64 symbol columns, and
   the policy's cached chain template (one per (policy, geometry, structure),
   see :mod:`repro.core.evaluation`) evaluates each transition rate once over
-  those columns and solves the whole generator stack in one batched
-  factorization.  No parameter object, builder, chain or solver is
+  those columns and solves every point in one batched GTH state
+  reduction.  No parameter object, builder, chain or solver is
   constructed per point, and the points themselves are built in bulk —
   see ``benchmarks/bench_sweep.py`` for the speedup over the per-point
   rebuild loop the test suite keeps as its reference.
@@ -28,7 +28,7 @@ registered policy on either evaluation backend:
 
 :func:`sweep_grid` runs a full **2-axis surface** (e.g. the Fig. 5
 hep-versus-lambda sheet) in one call on either backend: analytically the
-cross-product joins one batched factorization group per chain structure, on
+cross-product joins one batched solve per chain structure, on
 Monte Carlo it becomes a single stacked grid.
 
 Periodic-scheme policies (the erasure k-of-N family) have no ergodic steady
@@ -549,8 +549,8 @@ def sweep_grid(
     """Sweep two parameter axes at once (a fig5-style surface) in one call.
 
     The cross product ``values1 x values2`` is evaluated as **one** batch:
-    analytically all points join the template engine's grouped batched
-    factorizations, on Monte Carlo they form a single stacked grid (one
+    analytically all points join the template engine's batched solves,
+    one per chain structure, on Monte Carlo they form a single stacked grid (one
     kernel invocation per shard for the entire surface).  Options match
     :func:`sweep`.
     """
@@ -665,7 +665,7 @@ def sweep_hep_for_failure_rates(
     """Return one hep sweep per failure rate (the shape of Fig. 5).
 
     The whole surface is evaluated as one :func:`sweep_grid` call — one
-    batched factorization group per chain structure analytically, one
+    batched solve per chain structure analytically, one
     stacked grid on Monte Carlo — and re-keyed by failure rate for the
     legacy mapping shape.
     """

@@ -101,7 +101,7 @@ def run_fig5_surface(
 
     The whole ``failure_rates x hep_values`` sheet is evaluated as a single
     :func:`~repro.core.sweep.sweep_grid`: analytically one batched
-    factorization group per chain structure, on the ``monte_carlo`` backend
+    solve per chain structure, on the ``monte_carlo`` backend
     one stacked grid (a handful of kernel invocations for every point of
     the surface).  ``failure_rates`` defaults to the field rates the paper
     quotes in Fig. 5.

@@ -82,8 +82,10 @@ def availability_from_up_mass(up_mass: Iterable[float]) -> Tuple[float, float, f
     the sweep engine's per-point summary all reduce their stationary mass
     here, so every route clips and converts identically.
     """
-    availability = float(sum(up_mass))
-    availability = min(max(availability, 0.0), 1.0)
+    availability = 0.0
+    for mass in up_mass:  # plain adds: from Python 3.12 on, sum() compensates
+        availability += mass
+    availability = min(max(float(availability), 0.0), 1.0)
     return availability, 1.0 - availability, availability_to_nines(availability)
 
 

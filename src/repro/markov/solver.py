@@ -6,8 +6,9 @@ distribution ``pi`` satisfies ``pi Q = 0`` with ``sum(pi) = 1``.  The rates
 in these models span ten orders of magnitude (disk failures at 1e-7/h versus
 operator actions at 1/h), so the solvers pay attention to conditioning:
 
-* :func:`solve_steady_state_dense` — replace one balance equation by the
-  normalisation constraint and solve the dense linear system (default).
+* :func:`solve_steady_state_dense` — the Grassmann–Taksar–Heyman (GTH)
+  state reduction (default): no subtraction, so every state probability
+  comes out to a few ulps, however small.
 * :func:`solve_steady_state_least_squares` — minimum-norm least-squares
   solution of the stacked system; robust to mild redundancy.
 * :func:`solve_steady_state_power` — power iteration on the uniformized
@@ -26,7 +27,8 @@ The ``"auto"`` method selects dense or sparse by state count
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import functools
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from repro.markov.chain import MarkovChain
 _RESIDUAL_TOL = 1e-8
 
 #: State count at or above which the ``"auto"`` method switches from the
-#: dense direct solve to the sparse LU factorisation.
+#: dense GTH reduction to the sparse LU factorisation.
 SPARSE_STATE_THRESHOLD = 500
 
 
@@ -65,27 +67,137 @@ def _check_pi(q: np.ndarray, pi: np.ndarray, residual_tol: float, name: str) -> 
     return pi
 
 
+@functools.lru_cache(maxsize=256)
+def _elimination_plan(pattern: bytes, n: int) -> Tuple[tuple, ...]:
+    """Return the GTH schedule of an ``(n, n)`` boolean nonzero pattern's bytes.
+
+    Eliminating ``p`` (from ``n - 1`` down to ``1``) can fill every cell
+    ``(i, j)`` with ``(i, p)`` and ``(p, j)`` nonzero, so the fill-in is
+    followed once here.  Per pivot: ``(p, row, column, updates)`` — the flat
+    cells ``p * n + j`` of row ``p`` that can be nonzero for ``j < p``, the
+    states ``i < p`` whose ``(i, p)`` can be, and ``(i * n + j, position of
+    i, position of j)`` for each such pair off the diagonal, all ascending.
+    """
+    nonzero = [[bool(pattern[i * n + j]) and i != j for j in range(n)] for i in range(n)]
+    pivots = []
+    for p in range(n - 1, 0, -1):
+        row = [j for j in range(p) if nonzero[p][j]]
+        column = tuple(i for i in range(p) if nonzero[i][p])
+        updates = []
+        for a, i in enumerate(column):
+            for b, j in enumerate(row):
+                if i != j:
+                    nonzero[i][j] = True
+                    updates.append((i * n + j, a, b))
+        pivots.append((p, tuple(p * n + j for j in row), column, tuple(updates)))
+    return tuple(pivots)
+
+
+def _sum_in_order(vectors: list, zero):
+    """Add k-vectors left to right (``zero`` when empty): the same adds at any ``k``."""
+    total = vectors[0] if vectors else zero
+    for vector in vectors[1:]:
+        total = total + vector
+    return total
+
+
+def _stationary_gth(
+    rates: np.ndarray, plan: tuple, name: str, residual_tol: float = _RESIDUAL_TOL
+) -> np.ndarray:
+    """Solve ``k`` chains at once by GTH state reduction; return ``(n, k)``.
+
+    ``rates`` holds the off-diagonal rates laid out ``(n, n, k)``, the batch
+    axis innermost, so each step is one contiguous k-vector operation; a
+    batch of one runs the same statements on Python floats.  ``plan`` is the
+    :func:`_elimination_plan` of a pattern covering every nonzero cell.
+    Every sum runs in a fixed order, so a point's bits do not depend on
+    ``k``; the elimination never subtracts, so nothing needs clipping.  A
+    state that cannot reach the states below it roots its closed class
+    there (the states below get probability zero); anything but exactly one
+    closed class per point raises :class:`SolverError`.  See DESIGN.md,
+    *Dense stationary solve*.
+    """
+    n, _, k = rates.shape
+    flat = rates.reshape(n * n, k)
+    if k == 1:
+        work, zero, one = flat[:, 0].tolist(), 0.0, 1.0
+    else:
+        work, zero, one = list(flat), np.zeros(k), np.ones(k)
+    leak = [zero] * n  # rate into the closed classes found so far
+    roots = {}  # p -> points whose closed class has p as its lowest state
+    factors = []
+    for p, row, column, updates in plan:
+        kept = [work[cell] for cell in row]
+        total = _sum_in_order(kept, zero)  # rate from p into states 0..p-1
+        if np.count_nonzero(total) < k:
+            # A stuck point's row is all zeros: a unit divisor keeps the
+            # updates exact no-ops there.
+            stuck = total == 0.0
+            roots[p] = stuck & (leak[p] == 0.0)
+            total = total + stuck
+            leak[p] = leak[p] + stuck
+        scaled = [work[i * n + p] / total for i in column]
+        for target, a, b in updates:
+            work[target] = work[target] + scaled[a] * kept[b]
+        if roots:
+            for i, factor in zip(column, scaled):
+                leak[i] = leak[i] + factor * leak[p]
+        factors.append(scaled)
+    if roots:
+        closed = [leak[0] == 0.0, *roots.values()]
+        bad = np.broadcast_to(sum(closed) != 1, (k,))
+        if bad.any():
+            point = int(np.argmax(bad))
+            lowest = [s for s, c in zip([0, *roots], closed) if np.broadcast_to(c, (k,))[point]]
+            raise SolverError(
+                f"chain {name!r} is reducible: closed classes start at states "
+                f"{sorted(lowest)}, so no unique steady state exists"
+            )
+    # pi[p] = sum_i pi[i] r[i, p] / s_p from pi[0] = 1; a root resets the
+    # states below it to zero (its mask as exact 0/1 factors).
+    pi = [one]
+    for (p, _, column, _), scaled in zip(reversed(plan), reversed(factors)):
+        mass = _sum_in_order([pi[i] * f for i, f in zip(column, scaled)], zero)
+        if p in roots:
+            pi = [below * (1.0 - roots[p]) for below in pi]
+            mass = mass * (1.0 - roots[p]) + roots[p]
+        pi.append(mass)
+    # Normalise with the small masses summed first.  Where state 0 holds at
+    # least half the mass, 1 - rest/total rounds once and cannot cancel, so
+    # the dominant probability (and the availability it carries) comes out
+    # correctly rounded far more often than x0/total after two roundings.
+    rest = _sum_in_order(pi[:0:-1], zero)
+    total = rest + pi[0]
+    dominant = np.where(rest <= pi[0], 1.0 - rest / total, pi[0] / total)
+    pi = np.array(pi).reshape(n, k) / total
+    pi[0] = dominant
+    if not np.isfinite(pi).all():
+        raise SolverError(f"steady-state solution for {name!r} contains non-finite entries")
+    # Residual of pi Q against the row-sum diagonal, relative to max |Q|.
+    exits = rates.sum(axis=1)
+    balance = np.einsum("ik,ijk->jk", pi, rates) - pi * exits
+    worst = float((np.abs(balance).max(axis=0) / np.maximum(1.0, exits.max(axis=0))).max())
+    if worst > residual_tol:
+        raise SolverError(
+            f"steady-state residual {worst:.3e} exceeds tolerance for chain {name!r}"
+        )
+    return pi
+
+
 def stationary_dense_from_q(
     q: np.ndarray, residual_tol: float = _RESIDUAL_TOL, name: str = "generator"
 ) -> np.ndarray:
-    """Solve ``pi Q = 0, sum(pi) = 1`` with a dense direct solve on ``Q``.
+    """Solve ``pi Q = 0, sum(pi) = 1`` by GTH state reduction on ``Q``.
 
-    One column of the transposed generator is replaced by the normalisation
-    row, which keeps the system square and well determined for irreducible
-    chains.
+    The same routine as :meth:`~repro.markov.template.ChainTemplate.solve_many`
+    on a batch of one, so a point solved here and inside a sweep agree bit
+    for bit.  Raises :class:`~repro.exceptions.SolverError` unless the chain
+    has exactly one closed class.
     """
-    n = q.shape[0]
-    a = q.T.copy()
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"dense steady-state solve failed for chain {name!r}: {exc}"
-        ) from exc
-    return _check_pi(q, pi, residual_tol, name)
+    rates = q.copy()
+    np.fill_diagonal(rates, 0.0)
+    plan = _elimination_plan((rates != 0.0).tobytes(), q.shape[0])
+    return _stationary_gth(rates[:, :, None], plan, name, residual_tol)[:, 0]
 
 
 def stationary_lstsq_from_q(
@@ -202,7 +314,7 @@ def _as_dict(chain: MarkovChain, pi: np.ndarray) -> Dict[str, float]:
 def solve_steady_state_dense(
     chain: MarkovChain, residual_tol: float = _RESIDUAL_TOL
 ) -> Dict[str, float]:
-    """Solve ``pi Q = 0, sum(pi) = 1`` with a dense direct solve."""
+    """Solve ``pi Q = 0, sum(pi) = 1`` by GTH state reduction."""
     q = chain.generator_matrix()
     return _as_dict(chain, stationary_dense_from_q(q, residual_tol, name=chain.name))
 

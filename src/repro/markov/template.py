@@ -11,9 +11,11 @@ parameter sweep never reconstructs builder/chain/solver objects:
   swept one,
 * every transition's expression is evaluated once over those columns (a
   scalar where none of its symbols varies, a column otherwise) and
-  scatter-added into a ``(k, n, n)`` generator stack, and
-* the stack is factorized by one batched LAPACK solve (dense path) or row
-  by row through the array-level solvers in :mod:`repro.markov.solver`.
+  scatter-added into ``(n, n, k)`` rate planes, the batch axis innermost,
+  and
+* the planes go through one GTH state reduction for all ``k`` points
+  (dense path), or become a ``(k, n, n)`` generator stack solved point by
+  point through the array-level solvers in :mod:`repro.markov.solver`.
 
 The assembly mirrors :meth:`~repro.markov.chain.MarkovChain.generator_matrix`
 entry for entry (same scatter order, same row-sum diagonal), so a template
@@ -30,7 +32,12 @@ import numpy as np
 from repro.exceptions import SolverError, TransitionError
 from repro.markov.chain import MarkovChain
 from repro.markov.rates import RateExpression, compile_rate_expression, symbol_table
-from repro.markov.solver import _RESIDUAL_TOL, resolve_method, stationary_from_q
+from repro.markov.solver import (
+    _elimination_plan,
+    _stationary_gth,
+    resolve_method,
+    stationary_from_q,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.core.parameters import AvailabilityParameters
@@ -82,6 +89,11 @@ class ChainTemplate:
             *(t.expression.symbols for t in self._transitions)
         )
         self._check_against(chain, params)
+        # The GTH fill-in of every cell a transition can occupy, worked out once.
+        pattern = np.zeros((self.n_states, self.n_states), dtype=bool)
+        for t in self._transitions:
+            pattern[t.source_index, t.target_index] = True
+        self._plan = _elimination_plan(pattern.tobytes(), self.n_states)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -128,16 +140,12 @@ class ChainTemplate:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def generator_stack(self, columns: Mapping[str, object]) -> np.ndarray:
-        """Assemble the generator matrices of ``k`` points given as columns.
+    def _rate_planes(self, columns: Mapping[str, object]) -> np.ndarray:
+        """Scatter-add every transition's rate into ``(n, n, k)`` planes.
 
-        ``columns`` maps every rate symbol to a scalar (the same at every
-        point) or a ``(k,)`` float array.  Each transition's expression is
-        evaluated once over the columns and scatter-added into
-        ``q[:, i, j]`` in declaration order; the diagonal is then restored
-        from the row sums — the same arithmetic, cell for cell, as
-        :meth:`MarkovChain.generator_matrix` at each point.  Returns an
-        array of shape ``(k, n, n)`` (``k = 1`` when no column varies).
+        Each expression is evaluated once over the columns and added into
+        the contiguous row ``r[i, j]`` in declaration order; the diagonal
+        stays zero.
         """
         sizes = {len(v) for v in columns.values() if isinstance(v, np.ndarray)}
         if len(sizes) > 1:
@@ -146,11 +154,23 @@ class ChainTemplate:
                 f"{sorted(sizes)}"
             )
         n = self.n_states
-        q = np.zeros((sizes.pop() if sizes else 1, n, n))
+        rates = np.zeros((n, n, sizes.pop() if sizes else 1))
         for t in self._transitions:
-            q[:, t.source_index, t.target_index] += t.expression(columns)
-        diagonal = np.arange(n)
-        q[:, diagonal, diagonal] = 0.0
+            rates[t.source_index, t.target_index] += t.expression(columns)
+        return rates
+
+    def generator_stack(self, columns: Mapping[str, object]) -> np.ndarray:
+        """Assemble the generator matrices of ``k`` points given as columns.
+
+        ``columns`` maps every rate symbol to a scalar (the same at every
+        point) or a ``(k,)`` float array.  The rate planes are copied
+        point-major and the diagonal is restored from the row sums — the
+        same arithmetic, cell for cell, as
+        :meth:`MarkovChain.generator_matrix` at each point.  Returns an
+        array of shape ``(k, n, n)`` (``k = 1`` when no column varies).
+        """
+        q = self._rate_planes(columns).transpose(2, 0, 1).copy()
+        diagonal = np.arange(self.n_states)
         q[:, diagonal, diagonal] = -q.sum(axis=2)
         return q
 
@@ -169,64 +189,22 @@ class ChainTemplate:
 
         This is the vectorized heart of the sweep engine.  ``columns`` is a
         symbol table whose swept symbols are ``(k,)`` arrays (see
-        :meth:`generator_stack`).  On the dense path (the ``"auto"`` choice
-        for every paper-sized chain) the whole generator stack is
-        factorized by a **single** batched LAPACK solve, then validated and
-        normalised with vectorized arithmetic that matches the scalar
-        solver operation for operation.  Non-dense methods solve the same
-        stack one point at a time.
+        :meth:`generator_stack`).  On the dense path (the ``"auto"`` choice for
+        every paper-sized chain) the rate planes go through **one** GTH
+        state reduction along the template's precomputed fill-in, each step
+        a contiguous k-vector operation, with the same arithmetic per point
+        as :func:`repro.markov.solver.stationary_dense_from_q`.  Non-dense
+        methods solve the generator stack one point at a time.
 
         Returns an array of shape ``(k, n_states)``.
         """
-        q = self.generator_stack(columns)
         resolved = resolve_method(method, self.n_states)
         if resolved != "dense":
-            return np.stack(
-                [stationary_from_q(qi, method=resolved, name=self._name) for qi in q]
-            )
-
-        # One batched factorization for the whole sweep: the stacked system
-        # mirrors stationary_dense_from_q (replace one balance equation by
-        # the normalisation row) applied to every point at once.
-        k, n = q.shape[0], self.n_states
-        a = q.transpose(0, 2, 1).copy()
-        a[:, -1, :] = 1.0
-        b = np.zeros((k, n, 1))
-        b[:, -1, 0] = 1.0
-        try:
-            pi = np.linalg.solve(a, b)[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"batched dense steady-state solve failed for template "
-                f"{self._name!r}: {exc}"
-            ) from exc
-        if np.any(~np.isfinite(pi)):
-            raise SolverError(
-                f"batched steady-state solution for {self._name!r} contains "
-                "non-finite entries"
-            )
-        most_negative = float(pi.min())
-        if most_negative < -1e-9:
-            raise SolverError(
-                f"batched steady-state solution for {self._name!r} has negative "
-                f"probability {most_negative:.3e}"
-            )
-        pi = np.clip(pi, 0.0, None)
-        totals = pi.sum(axis=1)
-        if np.any(totals <= 0.0):
-            raise SolverError(
-                f"batched steady-state solution for {self._name!r} sums to zero"
-            )
-        pi = pi / totals[:, None]
-        residual = np.max(np.abs(np.matmul(pi[:, None, :], q)[:, 0, :]), axis=1)
-        scale = np.maximum(1.0, np.max(np.abs(q), axis=(1, 2)))
-        worst = float(np.max(residual / scale))
-        if worst > _RESIDUAL_TOL:
-            raise SolverError(
-                f"batched steady-state residual {worst:.3e} exceeds tolerance "
-                f"for template {self._name!r}"
-            )
-        return pi
+            return np.stack([
+                stationary_from_q(qi, method=resolved, name=self._name)
+                for qi in self.generator_stack(columns)
+            ])
+        return _stationary_gth(self._rate_planes(columns), self._plan, self._name).T
 
     # ------------------------------------------------------------------
     # Internal helpers
@@ -247,7 +225,7 @@ class ChainTemplate:
 class TemplateEvaluator:
     """A template bound to the generator matrix of one parameter point.
 
-    :meth:`solve` factorizes that generator through the array-level
+    :meth:`solve` solves that generator through the array-level
     steady-state solvers; sweeps over many points use
     :meth:`ChainTemplate.solve_many` instead.
     """

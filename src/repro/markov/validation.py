@@ -47,15 +47,6 @@ class ValidationReport:
         self.warnings.append(message)
 
 
-def _adjacency(chain: MarkovChain) -> np.ndarray:
-    """Return the chain's directed graph: an edge per positive-rate pair.
-
-    Self loops are not allowed, so the generator's positive entries are
-    exactly the off-diagonal pairs some positive rate connects.
-    """
-    return chain.generator_matrix() > 0.0
-
-
 def _reached(adjacency: np.ndarray, start: int) -> np.ndarray:
     """Return the mask of states reachable from ``start``, by breadth-first search.
 
@@ -70,26 +61,32 @@ def _reached(adjacency: np.ndarray, start: int) -> np.ndarray:
     return reached
 
 
+# Self loops are not allowed, so a generator's positive entries ``q > 0``
+# are exactly the off-diagonal pairs some positive rate connects: its graph.
+def _unreachable(chain: MarkovChain, q: np.ndarray, start: str) -> Set[str]:
+    """Return the names of the states ``start`` cannot reach in generator ``q``."""
+    mask = _reached(q > 0.0, chain.index_of(start))
+    return {name for name, hit in zip(chain.state_names, mask) if not hit}
+
+
+def _absorbing(chain: MarkovChain, q: np.ndarray) -> List[str]:
+    """Return the states of generator ``q`` with no positive rate out."""
+    return [name for name, out in zip(chain.state_names, (q > 0.0).any(axis=1)) if not out]
+
+
 def check_reachability(chain: MarkovChain, from_state: str = "") -> Tuple[Set[str], Set[str]]:
     """Return ``(reachable, unreachable)`` state-name sets.
 
     Reachability is computed from ``from_state`` (default: the first declared
     state, which by convention is the fully-operational state).
     """
-    start = from_state or chain.state_names[0]
-    mask = _reached(_adjacency(chain), chain.index_of(start))
-    reachable = {name for name, hit in zip(chain.state_names, mask) if hit}
-    unreachable = set(chain.state_names) - reachable
-    return reachable, unreachable
+    unreachable = _unreachable(chain, chain.generator_matrix(), from_state or chain.state_names[0])
+    return set(chain.state_names) - unreachable, unreachable
 
 
 def find_absorbing_states(chain: MarkovChain) -> List[str]:
     """Return states with no outgoing positive-rate transition."""
-    absorbing = []
-    for state in chain.states:
-        if chain.exit_rate(state.name) <= 0.0:
-            absorbing.append(state.name)
-    return absorbing
+    return _absorbing(chain, chain.generator_matrix())
 
 
 def is_irreducible(chain: MarkovChain) -> bool:
@@ -98,7 +95,7 @@ def is_irreducible(chain: MarkovChain) -> bool:
     It is when the first state reaches every state and every state reaches
     it, i.e. when it reaches every state along the edges and against them.
     """
-    adjacency = _adjacency(chain)
+    adjacency = chain.generator_matrix() > 0.0
     return bool(_reached(adjacency, 0).all() and _reached(adjacency.T, 0).all())
 
 
@@ -127,24 +124,24 @@ def validate_chain(
         :class:`~repro.exceptions.MarkovChainError`.
     """
     report = ValidationReport()
+    q = chain.generator_matrix()
 
     # Generator rows must sum to zero by construction; a violation indicates
     # numerical overflow from absurd rate magnitudes.
-    row_sums = generator_row_sums(chain)
-    worst = float(np.max(np.abs(row_sums))) if row_sums.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(chain.generator_matrix()))))
+    worst = float(np.max(np.abs(q.sum(axis=1))))
+    scale = max(1.0, float(np.max(np.abs(q))))
     if worst > 1e-9 * scale:
         report.add_error(f"generator rows do not sum to zero (worst residual {worst:.3e})")
 
     # Unreachable states are almost always transcription bugs.
-    _, unreachable = check_reachability(chain)
+    unreachable = _unreachable(chain, q, chain.state_names[0])
     if unreachable:
         report.add_error(
             f"states unreachable from {chain.state_names[0]!r}: {sorted(unreachable)}"
         )
 
     # Absorbing states make long-run availability trivially 0 or 1.
-    absorbing = find_absorbing_states(chain)
+    absorbing = _absorbing(chain, q)
     if absorbing:
         message = f"absorbing states present: {absorbing}"
         if allow_absorbing:
