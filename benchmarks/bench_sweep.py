@@ -128,11 +128,12 @@ The benchmarks, one per bullet:
   bit-identity of ``workers=1`` and ``workers=2`` at the default is
   asserted; time carries no floor.
 
-* **Start-up**: ``import repro``, ``repro mc`` and ``repro solve``, each in
-  a fresh interpreter, :data:`STARTUP_REPEATS` times, alternating.  The
-  median wall time is recorded with its spread, together with the number of
-  scipy modules each command left loaded.  Only that count is asserted
-  (zero): none of the three computes with scipy.  Time carries no floor.
+* **Start-up**: ``import repro``, ``repro mc``, ``repro solve`` and
+  ``repro reproduce``, each in a fresh interpreter, :data:`STARTUP_REPEATS`
+  times, alternating.  The median wall time is recorded with its spread,
+  together with the number of scipy modules each command left loaded.  Only
+  that count is asserted (zero): none of the four computes with scipy.
+  Time carries no floor.
 
 Run with ``pytest benchmarks/bench_sweep.py -s`` to see the measured
 speedups alongside the timing records; machine-readable results land in
@@ -828,6 +829,7 @@ STARTUP_COMMANDS = {
     "import_repro": "import repro",
     "repro_mc": "from repro.cli import main; assert main(['mc']) == 0",
     "repro_solve": "from repro.cli import main; assert main(['solve']) == 0",
+    "repro_reproduce": "from repro.cli import main; assert main(['reproduce']) == 0",
 }
 
 #: One start-up command; prints how many scipy modules it left loaded.
@@ -840,12 +842,12 @@ print(sum(name.partition(".")[0] == "scipy" for name in sys.modules))
 
 
 def test_cli_startup(bench_record):
-    """Wall time of ``import repro``, ``repro mc`` and ``repro solve`` from a cold start.
+    """Wall time of each :data:`STARTUP_COMMANDS` entry from a cold start.
 
     Each command runs in a new interpreter, :data:`STARTUP_REPEATS` times,
-    the three commands alternating; the wall time includes interpreter
-    start-up, as a user sees it.  None of the three computes with scipy,
-    so none may load it; no time floor is asserted.
+    the commands alternating; the wall time includes interpreter start-up,
+    as a user sees it.  None of them computes with scipy, so none may load
+    it; no time floor is asserted.
     """
     times = {op: [] for op in STARTUP_COMMANDS}
     scipy_modules = {op: [] for op in STARTUP_COMMANDS}

@@ -344,7 +344,7 @@ def _periodic_availability_result(
     share count) and hands it to the checker-cycle operator solver in
     :mod:`repro.markov.checker`.  The "state probabilities" reported are the
     expected fraction of a check period spent in each state.  ``method``
-    maps ``"auto"`` to the exact augmented-``expm`` operator;
+    maps ``"auto"`` to the exact matrix-exponential series operator;
     ``"uniformization"`` selects the independent transient-engine reference.
     """
     from repro.markov.checker import (

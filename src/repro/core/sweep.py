@@ -273,13 +273,13 @@ def _periodic_availability(
     depend on every parameter except ``hep``, which only enters the
     check-instant repair matrix.  Rows are therefore grouped by their
     non-hep values; each group builds its chain and operator once, builds
-    one repair matrix per point, and solves the stack of its points' cycle
-    fixed points in one batched call — member for member the arithmetic of
-    :func:`repro.core.evaluation.analytical_result`.
+    the stack of its points' repair matrices from their hep column, and
+    solves their cycle fixed points in one batched call — member for
+    member the arithmetic of :func:`repro.core.evaluation.analytical_result`.
     """
     others = [field for field in swept if field != "hep"]
     keys = list(zip(*(swept[field].tolist() for field in others))) or [()] * k
-    heps = swept["hep"].tolist() if "hep" in swept else [base.hep] * k
+    heps = swept["hep"] if "hep" in swept else np.full(k, base.hep)
     groups: Dict[tuple, List[int]] = {}
     for row, key in enumerate(keys):
         groups.setdefault(key, []).append(row)
@@ -291,12 +291,9 @@ def _periodic_availability(
         chain = policy.build_chain(params)
         period = float(scheme.check_period_hours)
         m, occ = checker.chain_cycle_operator(chain, period, checker_method)
-        repairs = np.array([
-            checker.check_repair_matrix(
-                chain, scheme.n_shares, scheme.k, scheme.repair_threshold, heps[row]
-            )
-            for row in rows
-        ])
+        repairs = checker.check_repair_matrix(
+            chain, scheme.n_shares, scheme.k, scheme.repair_threshold, heps[rows]
+        )
         phis = checker.cycle_start_distribution(m @ repairs)
         fractions = np.array([phi @ occ for phi in phis]) / period
         availability[rows] = sum(fractions[:, chain.index_of(s)] for s in chain.up_states())

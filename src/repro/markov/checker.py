@@ -19,9 +19,10 @@ One cycle maps a check-instant distribution ``phi`` to ``phi @ M @ D``.
 The long-run behaviour is the fixed point ``phi = phi M D`` (the cycle-start
 stationary distribution), and long-run availability is one minus the
 expected fraction of a cycle spent in down states, computed *exactly* from
-the occupancy integral ``OCC = integral_0^T expm(Q u) du`` — both blocks of
-a single augmented matrix exponential (:func:`cycle_operator`), so no time
-grid or quadrature error enters the default path.
+the occupancy integral ``OCC = integral_0^T expm(Q u) du``.  Both come from
+one series on the uniformized chain whose every term is nonnegative
+(:func:`cycle_operator`), so each entry, however small, is accurate to a
+few ulps and no time grid or quadrature error enters the default path.
 
 ``method="uniformization"`` provides an independent reference built from
 :func:`repro.markov.transient.transient_distribution_uniformization`
@@ -33,8 +34,9 @@ by the checker test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -47,6 +49,14 @@ DOWN_STATE = "DOWN"
 
 #: Residual tolerance of the cycle-stationary fixed-point solve.
 _RESIDUAL_TOLERANCE = 1e-9
+
+#: Most expected jumps (largest exit rate times period) one series covers;
+#: a longer period is halved until it fits, then doubled back.
+_SERIES_SPAN = 64.0
+
+#: Unit roundoff: the series stops once its tails are this small relative
+#: to the smallest nonzero entry.
+_EPSILON = 2.0**-53
 
 
 def share_state_name(n_live: int) -> str:
@@ -83,7 +93,7 @@ def check_repair_matrix(
     n_shares: int,
     k: int,
     repair_threshold: int,
-    hep: float,
+    hep: Union[float, np.ndarray],
     restore_from_down: bool = True,
 ) -> np.ndarray:
     """Return the discrete check/repair matrix ``D`` of one check instant.
@@ -100,6 +110,9 @@ def check_repair_matrix(
       backup with the same ``hep`` botch risk.  ``restore_from_down=False``
       leaves the down row as identity instead, turning the cycle into a
       *reliability* model (absorbing data loss) for survival curves.
+
+    A scalar ``hep`` gives one ``(n, n)`` matrix; a ``(r,)`` column of heps
+    gives the ``(r, n, n)`` stack, each member byte-equal to its scalar call.
     """
     n, k, threshold = int(n_shares), int(k), int(repair_threshold)
     if not 1 <= k <= threshold <= n:
@@ -107,10 +120,11 @@ def check_repair_matrix(
             f"check/repair needs 1 <= k <= repair_threshold <= N, got "
             f"k={k!r}, repair_threshold={threshold!r}, N={n!r}"
         )
-    hep = float(hep)
-    if not 0.0 <= hep <= 1.0:
-        raise SolverError(f"hep must lie in [0, 1], got {hep!r}")
-    d = np.eye(chain.n_states)
+    heps = np.asarray(hep, dtype=float)
+    if heps.ndim > 1 or not ((heps >= 0.0) & (heps <= 1.0)).all():
+        raise SolverError(f"hep must lie in [0, 1], got {heps.tolist()!r}")
+    size = chain.n_states
+    d = np.broadcast_to(np.eye(size), heps.shape + (size, size)).copy()
     full = chain.index_of(share_state_name(n))
     down = chain.index_of(DOWN_STATE)
     # A botched repair leaves N - 1 shares — the down state when k == N.
@@ -119,37 +133,85 @@ def check_repair_matrix(
     if restore_from_down:
         repaired_rows.append(down)
     for i in repaired_rows:
-        d[i, :] = 0.0
-        d[i, full] = 1.0 - hep
-        d[i, botched] += hep
+        d[..., i, :] = 0.0
+        d[..., i, full] = 1.0 - heps
+        d[..., i, botched] += heps
     return d
 
 
 def cycle_operator(q: np.ndarray, period_hours: float):
-    """Return ``(M, OCC)`` for one check period from a single ``expm``.
+    """Return ``(M, OCC)`` for one check period as nonnegative series.
 
     ``M = expm(Q T)`` transports a distribution across the period and
     ``OCC = integral_0^T expm(Q u) du`` is the exact occupancy integral
     (``(phi @ OCC)[j]`` is the expected hours spent in state ``j`` over a
-    period started from ``phi``).  Both come out of one exponential of the
-    augmented block matrix ``[[Q, I], [0, 0]]`` — its upper-left block is
-    ``M`` and its upper-right block is ``OCC``.
+    period started from ``phi``).  Both are series on the uniformized chain
+    (Jensen 1953; Grassmann 1977): with ``L`` the largest exit rate and
+    ``P = I + Q / L >= 0``, ``M = sum_k w_k P^k`` and
+    ``OCC = sum_k S_k P^k / L``, where ``w_k`` is the Poisson(``L T``) pmf
+    and ``S_k`` its tail beyond ``k``, summed from the far end.  The series
+    stops once every state reachable in ``n - 1`` jumps has entered and
+    both tails are below ``2**-53`` of the smallest nonzero entry; a period
+    with ``L T`` above :data:`_SERIES_SPAN` is halved until it fits, then
+    doubled back by ``OCC <- OCC + M OCC`` and ``M <- M M``.  Every term
+    and product is nonnegative, so each entry, however small, comes out to
+    a few ulps, and an entry the chain cannot reach is an exact zero.
     """
-    # Imported here, not at module level, so Monte Carlo runs start without scipy.
-    from scipy import linalg
-
     period = float(period_hours)
-    if period <= 0.0:
-        raise SolverError(f"check period must be positive, got {period_hours!r}")
+    if not 0.0 < period < math.inf:
+        raise SolverError(f"check period must be positive and finite, got {period_hours!r}")
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
     if q.shape != (n, n):
         raise SolverError(f"generator must be square, got shape {q.shape!r}")
-    augmented = np.zeros((2 * n, 2 * n))
-    augmented[:n, :n] = q
-    augmented[:n, n:] = np.eye(n)
-    exp = linalg.expm(augmented * period)
-    return exp[:n, :n], exp[:n, n:]
+    if not np.isfinite(q).all():
+        raise SolverError("generator has non-finite entries")
+    exits = -np.diagonal(q)
+    rate = float(exits.max())
+    if not rate * period > 0.0:  # no jump can happen within the period
+        return np.eye(n), period * np.eye(n)
+    p = q / rate
+    np.fill_diagonal(p, (rate - exits) / rate)
+    if (p < 0.0).any():
+        raise SolverError("generator has negative off-diagonal rates")
+    halvings = 0
+    while rate * math.ldexp(period, -halvings) > _SERIES_SPAN:
+        halvings += 1
+    mean = rate * math.ldexp(period, -halvings)
+    # The Poisson pmf out to where it underflows, at least n + 1 terms;
+    # each tail is summed from that far end, never as a difference of ones.
+    weights = [math.exp(-mean)]
+    while weights[-1] > 0.0 or len(weights) <= n:
+        weights.append(weights[-1] * mean / len(weights))
+    w = np.array(weights)
+    tails = np.append(np.cumsum(w[:0:-1])[::-1], 0.0)
+    tails_of_tails = np.append(np.cumsum(tails[:0:-1])[::-1], 0.0)
+    powers = [np.eye(n)]
+    while len(powers) < n:
+        powers.append(powers[-1] @ p)
+    # After n - 1 jumps every reachable entry is nonzero and only grows, so
+    # the smallest ones bound the truncation error (each P^k is <= 1).
+    head = np.stack(powers)
+    m_floor = _smallest_positive(np.tensordot(w[:n], head, axes=1))
+    occ_floor = _smallest_positive(np.tensordot(tails[:n], head, axes=1))
+    converged = (tails[n - 1:] <= _EPSILON * m_floor) & (
+        tails_of_tails[n - 1:] <= _EPSILON * occ_floor
+    )
+    last = n - 1 + int(np.argmax(converged))
+    while len(powers) <= last:
+        powers.append(powers[-1] @ p)
+    stack = np.stack(powers)
+    m = np.tensordot(w[: last + 1], stack, axes=1)
+    occ = np.tensordot(tails[: last + 1], stack, axes=1) / rate
+    for _ in range(halvings):
+        occ = occ + m @ occ
+        m = m @ m
+    return m, occ
+
+
+def _smallest_positive(matrix: np.ndarray) -> float:
+    """Return the smallest positive entry of a nonnegative matrix."""
+    return float(matrix[matrix > 0.0].min())
 
 
 def cycle_start_distribution(cycle_matrix: np.ndarray) -> np.ndarray:
@@ -196,7 +258,7 @@ def _uniformized_operator(chain: MarkovChain, period_hours: float, n_grid: int =
     propagated across ``[0, T]`` by Jensen uniformization; the final row
     gives that row of ``M`` and trapezoidal integration over the grid gives
     the corresponding row of ``OCC`` (quadrature-accurate, unlike the exact
-    augmented-``expm`` default — which is why the default is the default).
+    series of the default — which is why the default is the default).
     """
     times = np.linspace(0.0, float(period_hours), int(n_grid))
     size = chain.n_states
@@ -212,7 +274,7 @@ def _uniformized_operator(chain: MarkovChain, period_hours: float, n_grid: int =
 def chain_cycle_operator(chain: MarkovChain, period_hours: float, method: str = "expm"):
     """Return ``(M, OCC)`` of a decay chain over one check period.
 
-    ``method="expm"`` uses the exact augmented exponential
+    ``method="expm"`` uses the exact exponential series
     (:func:`cycle_operator`), ``method="uniformization"`` the transient
     engine reference.  Neither depends on ``hep``, which only enters the
     check-instant matrix, so a hep sweep builds the operator once.
@@ -235,9 +297,10 @@ def cycle_stationary_availability(
     ``chain`` is the between-checks decay CTMC (down states absorbing until
     the next check), ``repair`` the check-instant matrix from
     :func:`check_repair_matrix`, and ``period_hours`` the check period.
-    ``method="expm"`` (default) uses the exact augmented matrix
-    exponential; ``method="uniformization"`` rebuilds both operators from
-    the transient uniformization engine as an independent cross-check.
+    ``method="expm"`` (default) uses the exact matrix-exponential series
+    of :func:`cycle_operator`; ``method="uniformization"`` rebuilds both
+    operators from the transient uniformization engine as an independent
+    cross-check.
     """
     repair = np.asarray(repair, dtype=float)
     size = chain.n_states

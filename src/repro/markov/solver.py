@@ -68,17 +68,21 @@ def _check_pi(q: np.ndarray, pi: np.ndarray, residual_tol: float, name: str) -> 
 
 
 @functools.lru_cache(maxsize=256)
-def _elimination_plan(pattern: bytes, n: int) -> Tuple[tuple, ...]:
+def _elimination_plan(pattern: bytes, n: int) -> Tuple[tuple, tuple]:
     """Return the GTH schedule of an ``(n, n)`` boolean nonzero pattern's bytes.
 
     Eliminating ``p`` (from ``n - 1`` down to ``1``) can fill every cell
     ``(i, j)`` with ``(i, p)`` and ``(p, j)`` nonzero, so the fill-in is
-    followed once here.  Per pivot: ``(p, row, column, updates)`` — the flat
-    cells ``p * n + j`` of row ``p`` that can be nonzero for ``j < p``, the
-    states ``i < p`` whose ``(i, p)`` can be, and ``(i * n + j, position of
-    i, position of j)`` for each such pair off the diagonal, all ascending.
+    followed once here.  Returns ``(cells, pivots)``: ``cells`` holds
+    ``(i * n + j, i, j)`` for each nonzero cell of the pattern off the
+    diagonal, and per pivot ``pivots`` holds ``(p, row, column, updates)``
+    — the flat cells ``p * n + j`` of row ``p`` that can be nonzero for
+    ``j < p``, the states ``i < p`` whose ``(i, p)`` can be, and
+    ``(i * n + j, position of i, position of j)`` for each such pair off
+    the diagonal, all ascending.
     """
     nonzero = [[bool(pattern[i * n + j]) and i != j for j in range(n)] for i in range(n)]
+    cells = tuple((i * n + j, i, j) for i in range(n) for j in range(n) if nonzero[i][j])
     pivots = []
     for p in range(n - 1, 0, -1):
         row = [j for j in range(p) if nonzero[p][j]]
@@ -90,7 +94,7 @@ def _elimination_plan(pattern: bytes, n: int) -> Tuple[tuple, ...]:
                     nonzero[i][j] = True
                     updates.append((i * n + j, a, b))
         pivots.append((p, tuple(p * n + j for j in row), column, tuple(updates)))
-    return tuple(pivots)
+    return cells, tuple(pivots)
 
 
 def _sum_in_order(vectors: list, zero):
@@ -117,6 +121,7 @@ def _stationary_gth(
     closed class per point raises :class:`SolverError`.  See DESIGN.md,
     *Dense stationary solve*.
     """
+    cells, pivots = plan
     n, _, k = rates.shape
     flat = rates.reshape(n * n, k)
     if k == 1:
@@ -126,7 +131,7 @@ def _stationary_gth(
     leak = [zero] * n  # rate into the closed classes found so far
     roots = {}  # p -> points whose closed class has p as its lowest state
     factors = []
-    for p, row, column, updates in plan:
+    for p, row, column, updates in pivots:
         kept = [work[cell] for cell in row]
         total = _sum_in_order(kept, zero)  # rate from p into states 0..p-1
         if np.count_nonzero(total) < k:
@@ -156,7 +161,7 @@ def _stationary_gth(
     # pi[p] = sum_i pi[i] r[i, p] / s_p from pi[0] = 1; a root resets the
     # states below it to zero (its mask as exact 0/1 factors).
     pi = [one]
-    for (p, _, column, _), scaled in zip(reversed(plan), reversed(factors)):
+    for (p, _, column, _), scaled in zip(reversed(pivots), reversed(factors)):
         mass = _sum_in_order([pi[i] * f for i, f in zip(column, scaled)], zero)
         if p in roots:
             pi = [below * (1.0 - roots[p]) for below in pi]
@@ -173,10 +178,20 @@ def _stationary_gth(
     pi[0] = dominant
     if not np.isfinite(pi).all():
         raise SolverError(f"steady-state solution for {name!r} contains non-finite entries")
-    # Residual of pi Q against the row-sum diagonal, relative to max |Q|.
-    exits = rates.sum(axis=1)
-    balance = np.einsum("ik,ijk->jk", pi, rates) - pi * exits
-    worst = float((np.abs(balance).max(axis=0) / np.maximum(1.0, exits.max(axis=0))).max())
+    # Residual of pi Q relative to max |Q| (the largest exit rate), summed
+    # over the pattern's cells only: rate r_ij carries pi_i r_ij from i to j.
+    if k == 1:
+        probs, r, inflow, exits = pi[:, 0].tolist(), flat[:, 0].tolist(), [0.0] * n, [0.0] * n
+    else:
+        probs, r, inflow, exits = pi, flat, np.zeros((n, k)), np.zeros((n, k))
+    for cell, i, j in cells:
+        inflow[j] += probs[i] * r[cell]
+        exits[i] += r[cell]
+    if k == 1:  # on n floats, numpy's per-call cost outweighs the sums
+        worst = max(abs(a - p * e) for a, p, e in zip(inflow, probs, exits)) / max(1.0, *exits)
+    else:
+        balance = np.abs(inflow - probs * exits)
+        worst = float((balance.max(axis=0) / np.maximum(1.0, exits.max(axis=0))).max())
     if worst > residual_tol:
         raise SolverError(
             f"steady-state residual {worst:.3e} exceeds tolerance for chain {name!r}"

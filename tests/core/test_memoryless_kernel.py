@@ -86,11 +86,14 @@ LAW_INPUTS = {
     "failover-raid1-hep0.1": (
         SPARE_POOL, lambda: _point(RAID1, 1e-4, 0.1), {"n_spares": 1}, LAW_LIFETIMES
     ),
+    # Event-rich at lambda=3e-4: at a sixth of LAW_LIFETIMES each still
+    # fails three or more of its tests against a kernel that drops W from
+    # the clean recovery or leaves the pulled disk in A's race.
     "failover-raid5-rate3e-4-hep0.2": (
-        SPARE_POOL, lambda: _point(RAID5, 3e-4, 0.2), {"n_spares": 1}, LAW_LIFETIMES
+        SPARE_POOL, lambda: _point(RAID5, 3e-4, 0.2), {"n_spares": 1}, 20_000
     ),
     "pool3-raid6-rate3e-4-hep0.1": (
-        SPARE_POOL, lambda: _point(RAID6, 3e-4, 0.1), {"n_spares": 3}, LAW_LIFETIMES
+        SPARE_POOL, lambda: _point(RAID6, 3e-4, 0.1), {"n_spares": 3}, 20_000
     ),
     "failover-raid5-hep0": (
         SPARE_POOL, lambda: _point(RAID5, 1e-4, 0.0), {"n_spares": 1}, LAW_LIFETIMES

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -160,6 +161,23 @@ class TestCheckRepairMatrix:
         with pytest.raises(SolverError):
             check_repair_matrix(chain, 10, 3, 7, hep=hep)
 
+    @pytest.mark.parametrize("scheme", ORACLE_SCHEMES)
+    @pytest.mark.parametrize("restore_from_down", [True, False])
+    def test_hep_column_stacks_the_scalar_matrices(self, scheme, restore_from_down):
+        k, n, threshold = scheme
+        chain, _ = decay_chain(k, n)
+        heps = np.array(ORACLE_HEPS + [1e-4, 1 / 3])
+        stack = check_repair_matrix(chain, n, k, threshold, heps, restore_from_down)
+        assert stack.shape == (heps.size, chain.n_states, chain.n_states)
+        for hep, member in zip(heps.tolist(), stack):
+            single = check_repair_matrix(chain, n, k, threshold, hep, restore_from_down)
+            assert member.tobytes() == single.tobytes()
+
+    def test_invalid_hep_in_a_column_rejected(self):
+        chain, _ = decay_chain(3, 10)
+        with pytest.raises(SolverError):
+            check_repair_matrix(chain, 10, 3, 7, np.array([0.1, 1.5]))
+
 
 class TestCycleOperator:
     def test_transport_rows_are_stochastic(self):
@@ -191,13 +209,83 @@ class TestCycleOperator:
 
     def test_invalid_period_rejected(self):
         chain, _ = decay_chain(3, 10)
-        for period in (0.0, -5.0):
+        for period in (0.0, -5.0, math.inf, math.nan):
             with pytest.raises(SolverError):
                 cycle_operator(chain.generator_matrix(), period)
 
     def test_non_square_generator_rejected(self):
         with pytest.raises(SolverError):
             cycle_operator(np.zeros((3, 2)), MONTH)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1e-4])
+    def test_non_finite_or_negative_rate_rejected(self, value):
+        q = decay_chain(3, 10)[0].generator_matrix()
+        q[0, 2] = value
+        with pytest.raises(SolverError):
+            cycle_operator(q, MONTH)
+
+    def test_zero_generator_is_the_identity(self):
+        m, occ = cycle_operator(np.zeros((3, 3)), MONTH)
+        np.testing.assert_array_equal(m, np.eye(3))
+        np.testing.assert_array_equal(occ, MONTH * np.eye(3))
+
+
+#: ``(k, N, repair_threshold)`` of the exact-operator cases.
+EXACT_SCHEMES = [(3, 10, 8), (3, 10, 7), (2, 4, 3), (6, 9, 8)]
+
+
+def exact_cycle_operator(chain, k, n, rate, period):
+    """Return ``(M, OCC)`` of a k-of-N decay chain from 80-digit decimals.
+
+    Each of ``s`` live shares survives the period independently with
+    probability ``p = exp(-rate T)``, so ``M[s, t]`` is the binomial term
+    ``C(s, t) p^t (1 - p)^(s - t)`` for ``t >= k`` and ``DOWN`` collects
+    every ``t < k``.  ``OCC`` integrates the same terms over ``[0, T]``:
+    expanding ``(1 - e^(-rate u))^(s - t)`` binomially turns each into a sum
+    of exponential integrals, and 80 digits absorb the cancellation of that
+    alternating sum.  ``rate`` is taken exactly as its float64 value.
+    """
+    size = chain.n_states
+    down = chain.index_of(DOWN_STATE)
+    m = [[Decimal(0)] * size for _ in range(size)]
+    occ = [[Decimal(0)] * size for _ in range(size)]
+    with localcontext() as ctx:
+        ctx.prec = 80
+        lam, t_end = Decimal(rate), Decimal(period)
+        decay = [(-c * lam * t_end).exp() for c in range(n + 1)]
+        integral = [t_end] + [(1 - decay[c]) / (c * lam) for c in range(1, n + 1)]
+        m[down][down], occ[down][down] = Decimal(1), t_end
+        for s in range(k, n + 1):
+            i = chain.index_of(share_state_name(s))
+            for t in range(s + 1):
+                j = chain.index_of(share_state_name(t)) if t >= k else down
+                m[i][j] += math.comb(s, t) * decay[1] ** t * (1 - decay[1]) ** (s - t)
+                occ[i][j] += math.comb(s, t) * sum(
+                    math.comb(s - t, r) * (-1) ** r * integral[t + r]
+                    for r in range(s - t + 1)
+                )
+    return m, occ
+
+
+class TestCycleOperatorExact:
+    """Every entry of ``(M, OCC)`` to a few ulps, however small it is."""
+
+    @pytest.mark.parametrize(
+        ("scheme", "rate", "period"),
+        list(itertools.product(EXACT_SCHEMES, ORACLE_RATES, ORACLE_PERIODS)),
+    )
+    def test_operator_matches_exact_oracle(self, scheme, rate, period):
+        k, n, threshold = scheme
+        policy = erasure_policy(k, n, repair_threshold=threshold, check_period_hours=period)
+        chain = policy.build_chain(erasure_params(k, n, rate=rate))
+        got = chain_cycle_operator(chain, period)
+        for operator, exact in zip(got, exact_cycle_operator(chain, k, n, rate, period)):
+            for row, exact_row in zip(operator.tolist(), exact):
+                for value, want in zip(row, exact_row):
+                    if want == 0:
+                        assert value == 0.0
+                    else:
+                        assert abs(Decimal(value) - want) / want <= Decimal("1e-13")
 
 
 class TestCycleStartDistribution:

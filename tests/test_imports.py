@@ -32,9 +32,9 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize(
     "module",
     [
-        # scipy costs about half a second to import, and only the erasure
-        # checker cycle, the transient solvers and chains of 500 or more
-        # states call it; each imports it where it computes.
+        # scipy costs about half a second to import, and only the transient
+        # expm solver and chains of 500 or more states call it; each imports
+        # it where it computes.
         "scipy",
         # Not a declared dependency: chain validation searches the generator
         # matrix's graph with numpy.
@@ -46,16 +46,20 @@ def test_import_repro_does_not_load(module):
     assert proc.returncode == 0, proc.stderr
 
 
-#: Monte Carlo runs and RAID chain solves with every scipy import failing.
+#: Monte Carlo runs, RAID chain solves and the erasure checker cycle with
+#: every scipy import failing.
 WITHOUT_SCIPY_SCRIPT = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
 
 from repro.core.evaluation import evaluate, evaluate_stacked
 from repro.core.parameters import paper_parameters
-from repro.core.sweep import sweep_grid
+from repro.core.policies import erasure_policy
+from repro.core.sweep import sweep, sweep_grid
 from repro.exceptions import MarkovChainError
-from repro.markov import ChainBuilder
+from repro.experiments.scrub_interval import run_scrub_interval_study
+from repro.markov import ChainBuilder, checker
+from repro.storage.raid import RaidGeometry
 
 for policy in ("conventional", "automatic_failover"):
     for shape in (1.0, 1.3):
@@ -72,6 +76,15 @@ evaluate_stacked(
 )
 for policy in ("conventional", "automatic_failover", "baseline"):
     evaluate(paper_parameters(), policy, backend="analytical")
+
+erasure = erasure_policy(3, 10, repair_threshold=8)
+params = paper_parameters(geometry=RaidGeometry.erasure(3, 10), disk_failure_rate=1e-4, hep=0.1)
+evaluate(params, erasure, backend="analytical")
+sweep(params, "hep", [0.0, 0.01, 0.1], erasure, backend="analytical")
+chain = erasure.build_chain(params)
+repair = checker.check_repair_matrix(chain, 10, 3, 8, 0.1, restore_from_down=False)
+checker.survival_curve(chain, repair, 730.0, n_cycles=12)
+run_scrub_interval_study(mc_iterations=2000)
 
 builder = ChainBuilder("unreachable")
 builder.add_up_state("A").add_up_state("B").add_down_state("C")
