@@ -86,11 +86,13 @@ The benchmarks, one per bullet:
 
 * **Analytical op**: the repository benchmark's ``analytical`` op in one
   process — two 100 x 100 hep x failure-rate template grids and a 200-hep
-  3-of-10 erasure checker-cycle sweep — on the bulk point constructor and
-  the batched cycle fixed-point solve, against the per-point builder, the
-  per-point checker loop and the one-matrix solve they replaced (the
-  test-only references in ``tests/core/test_sweep_engine.py`` and
-  ``tests/markov/test_checker.py``).  Byte-identical points are asserted;
+  3-of-10 erasure checker-cycle sweep — on the column conversion and the
+  batched cycle fixed-point solve, against the per-point result
+  conversion, the per-point checker loop and the one-matrix solve they
+  replaced (the test-only references in
+  ``tests/core/test_sweep_engine.py`` and ``tests/markov/test_checker.py``).
+  Each side is timed for the op alone and for the op plus building every
+  point its grids defer until read.  Byte-identical points are asserted;
   the speedup is recorded with its spread and carries no floor.
 
 * **Dense stationary solve**: ``ChainTemplate.solve_many`` on the
@@ -1248,7 +1250,8 @@ def test_biased_lr_arithmetic(bench_record):
 
 
 # ----------------------------------------------------------------------
-# The analytical op: bulk-built points and batched checker-cycle solves
+# The analytical op: column conversion, batched checker-cycle solves, and
+# points built on read
 # ----------------------------------------------------------------------
 #: Axes of the repository benchmark's ``analytical`` op (its inputs without
 #: the per-seed jitter): two 100 x 100 template grids and a 200-hep
@@ -1259,7 +1262,11 @@ ANALYTICAL_ERASURE_HEPS = [float(h) for h in np.logspace(-4.0, -1.0, 200)]
 
 
 def _analytical_op(retired: bool):
-    """Run the analytical op, optionally on the retired per-point paths."""
+    """Run the analytical op, optionally on the retired per-point paths.
+
+    Returns the two grids and the erasure sweep; the grids hold columns
+    and build their points only when read (:func:`_analytical_points`).
+    """
     from tests.core.test_sweep_engine import retired_sweep_paths
 
     with retired_sweep_paths() if retired else contextlib.nullcontext():
@@ -1275,42 +1282,59 @@ def _analytical_op(retired: bool):
             "hep", ANALYTICAL_ERASURE_HEPS, erasure_policy(3, 10, repair_threshold=8),
             backend="analytical",
         )
+    return grids, erasure
+
+
+def _analytical_points(output) -> list:
+    """Every point of an analytical op's output, grids first."""
+    grids, erasure = output
     return [point for grid in grids for row in grid.points for point in row] + erasure
 
 
 def test_analytical_result_path(bench_record):
-    """Bulk-built points and batched fixed points vs the per-point paths.
+    """Column conversion and batched fixed points vs the per-point paths.
 
-    The retired point builder, per-point checker loop and one-matrix
-    fixed-point solve are the test-only references, patched into the
-    engine.  Every field of every point must match byte for byte.  Both
-    sides are timed warm, alternating, as the median of
+    The retired per-point result conversion, per-point checker loop and
+    one-matrix fixed-point solve are the test-only references, patched into
+    the engine.  Every field of every point must match byte for byte.  Each
+    side is timed twice per call: the op alone, and the op plus building
+    every point of its grids, which the op itself defers until they are
+    read.  Both sides are timed warm, alternating, as the median of
     :data:`TIMING_REPEATS` calls; the speedup carries no floor because host
     speed drifts between calls.  Each timed call starts from a collected
-    heap: an op leaves 20k points behind, and a full collection owed by
-    earlier calls would otherwise land on whichever side runs next.
+    heap: the points of one call would otherwise leave a full collection
+    owed to whichever side runs next.
     """
     from tests.core.test_sweep_engine import hex_dump
 
-    _analytical_op(False)  # warm both sides: template cache, imports
-    _analytical_op(True)
-    seconds = {False: [], True: []}
+    _analytical_points(_analytical_op(False))  # warm both sides: template cache, imports
+    _analytical_points(_analytical_op(True))
+    op_seconds = {False: [], True: []}
+    built_seconds = {False: [], True: []}
     for _ in range(TIMING_REPEATS):
         for retired in (True, False):
             gc.collect()
             start = time.perf_counter()
-            _analytical_op(retired)
-            seconds[retired].append(time.perf_counter() - start)
+            output = _analytical_op(retired)
+            op_done = time.perf_counter()
+            _analytical_points(output)
+            built = time.perf_counter()
+            op_seconds[retired].append(op_done - start)
+            built_seconds[retired].append(built - start)
+            del output
 
-    points = _analytical_op(False)
-    assert hex_dump(points) == hex_dump(_analytical_op(True))
+    points = _analytical_points(_analytical_op(False))
+    assert hex_dump(points) == hex_dump(_analytical_points(_analytical_op(True)))
 
-    new, old = seconds[False], seconds[True]
+    new, old = op_seconds[False], op_seconds[True]
+    new_built, old_built = built_seconds[False], built_seconds[True]
     speedup = float(np.median(old)) / max(float(np.median(new)), 1e-9)
     print(
-        f"\nanalytical op: {len(points)} points — bulk/batched {np.median(new):.3f}s "
-        f"({min(new):.3f}-{max(new):.3f}), per-point {np.median(old):.3f}s "
-        f"({min(old):.3f}-{max(old):.3f}), speedup {speedup:.2f}x"
+        f"\nanalytical op: {len(points)} points — columns/batched "
+        f"{np.median(new):.4f}s ({min(new):.4f}-{max(new):.4f}), "
+        f"{np.median(new_built):.4f}s with points; per-point "
+        f"{np.median(old):.4f}s ({min(old):.4f}-{max(old):.4f}), "
+        f"{np.median(old_built):.4f}s with points; speedup {speedup:.2f}x"
     )
     bench_record(
         "analytical_result_path",
@@ -1319,9 +1343,11 @@ def test_analytical_result_path(bench_record):
         speedup=speedup,
         seconds_min=round(min(new), 6),
         seconds_max=round(max(new), 6),
+        seconds_with_points=round(float(np.median(new_built)), 6),
         reference_seconds=round(float(np.median(old)), 6),
         reference_seconds_min=round(min(old), 6),
         reference_seconds_max=round(max(old), 6),
+        reference_seconds_with_points=round(float(np.median(old_built)), 6),
         speedup_min=round(min(old) / max(max(new), 1e-9), 3),
         speedup_max=round(max(old) / max(min(new), 1e-9), 3),
     )

@@ -718,15 +718,14 @@ def _sweep_values(args: argparse.Namespace) -> List[float]:
     return values
 
 
-def _fault_summary_lines(args: argparse.Namespace, points) -> Tuple[List[str], int]:
+def _fault_summary_lines(
+    args: argparse.Namespace, retried: int, resumed: int, interrupted: bool
+) -> Tuple[List[str], int]:
     """Summarise retry/resume/interrupt outcomes of a Monte Carlo sweep.
 
     Returns extra report lines plus the process exit code (3 when the sweep
     was interrupted and only partial points exist, 0 otherwise).
     """
-    retried = sum(point.retried_shards for point in points)
-    resumed = sum(point.resumed_shards for point in points)
-    interrupted = any(point.interrupted for point in points)
     lines: List[str] = []
     if retried:
         lines.append(f"retried shards: {retried}")
@@ -802,7 +801,7 @@ def _run_sweep(args: argparse.Namespace) -> Tuple[str, int]:
         grid = sweep_grid(params, args.axis, values, args.axis2, values2, **options)
         rendered = _render_sweep_grid(args, params, grid, policy_label)
         extra, code = _fault_summary_lines(
-            args, [point for row in grid.points for point in row]
+            args, grid.retried_shards, grid.resumed_shards, grid.interrupted
         )
         return "\n".join([rendered] + extra), code
     points = sweep(params, args.axis, values, **options)
@@ -823,7 +822,12 @@ def _run_sweep(args: argparse.Namespace) -> Tuple[str, int]:
         if with_ci:
             row += f"{point.ci_lower:>20.12f}{point.ci_upper:>20.12f}"
         lines.append(row)
-    extra, code = _fault_summary_lines(args, points)
+    extra, code = _fault_summary_lines(
+        args,
+        sum(point.retried_shards for point in points),
+        sum(point.resumed_shards for point in points),
+        any(point.interrupted for point in points),
+    )
     if extra:
         lines.append("")
         lines.extend(extra)
@@ -832,7 +836,7 @@ def _run_sweep(args: argparse.Namespace) -> Tuple[str, int]:
 
 def _render_sweep_grid(args: argparse.Namespace, params, grid, policy_label: str) -> str:
     """Render a 2-axis surface as long-format rows (one line per point)."""
-    with_ci = any(point.has_interval for row in grid.points for point in row)
+    with_ci = grid.ci_lower is not None
     n_points = len(grid.values1) * len(grid.values2)
     lines = [
         f"policy:   {policy_label}",
@@ -846,14 +850,17 @@ def _render_sweep_grid(args: argparse.Namespace, params, grid, policy_label: str
     if with_ci:
         header += f"{'ci_low':>20}{'ci_high':>20}"
     lines.append(header)
-    for v1, row_points in zip(grid.values1, grid.points):
-        for point in row_points:
+    availability, nines = grid.availability.tolist(), grid.nines.tolist()
+    if with_ci:
+        lower, upper = grid.ci_lower.tolist(), grid.ci_upper.tolist()
+    for i, v1 in enumerate(grid.values1):
+        for j, x in enumerate(grid.values2):
             row = (
-                f"{v1:>14.6g}{point.x:>14.6g}"
-                f"{point.availability:>20.12f}{point.nines:>10.3f}"
+                f"{v1:>14.6g}{x:>14.6g}"
+                f"{availability[i][j]:>20.12f}{nines[i][j]:>10.3f}"
             )
             if with_ci:
-                row += f"{point.ci_lower:>20.12f}{point.ci_upper:>20.12f}"
+                row += f"{lower[i][j]:>20.12f}{upper[i][j]:>20.12f}"
             lines.append(row)
     return "\n".join(lines)
 

@@ -30,6 +30,7 @@ replaces guessing ``--iterations``.
 from __future__ import annotations
 
 import contextlib
+import logging
 import multiprocessing
 import os
 import signal
@@ -80,6 +81,11 @@ from repro.simulation.confidence import (
     required_samples,
 )
 from repro.simulation.rng import RandomStreams
+
+#: Shard lifecycle events (submitted, finished, retried, timed out, pool
+#: rebuilt, journal splice) go here at DEBUG.  No handler is installed:
+#: enable them with ``logging.basicConfig(level=logging.DEBUG)``.
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -402,6 +408,7 @@ class _PoolSupervisor:
         if pool is not None:
             _terminate_pool_workers(pool)
         self.pool = _make_pool(self._workers, self._kind)
+        logger.debug("worker pool rebuilt: %d %s workers", self._workers, self._kind)
         return self.pool
 
     def abort(self) -> None:
@@ -464,38 +471,60 @@ def _gather_shards(
     timeout = config.shard_timeout
     max_retries = int(config.max_shard_retries)
     backoff = float(config.retry_backoff)
+    total = len(items)
+
+    def record_retry(index: int, attempt: int, cause: str) -> None:
+        stats.retried += 1
+        logger.debug(
+            "shard %d/%d retried (attempt %d of %d): %s",
+            index, total, attempt, max_retries, cause,
+        )
+
+    def submit_shard(pool_: Executor, index: int):
+        logger.debug("shard %d/%d submitted", index, total)
+        return submit(pool_, items[index])
+
     pool = supervisor.ensure()
     if pool is None:
-        for item in items:
+        for index, item in enumerate(items):
             attempt = 0
+            logger.debug("shard %d/%d submitted inline", index, total)
             while True:
                 try:
-                    yield run_inline(item)
-                    break
-                except Exception:
+                    result = run_inline(item)
+                except Exception as error:
                     attempt += 1
                     if attempt > max_retries:
                         raise
-                    stats.retried += 1
+                    record_retry(index, attempt, repr(error))
                     _backoff_sleep(backoff, attempt)
+                    continue
+                logger.debug("shard %d/%d finished", index, total)
+                yield result
+                break
         return
-    pending = {index: submit(pool, item) for index, item in enumerate(items)}
-    attempts = [0] * len(items)
+    pending = {index: submit_shard(pool, index) for index in range(total)}
+    attempts = [0] * total
     try:
         # Collect in item (= plan) order so the merge stays deterministic
         # regardless of which worker finishes first.
-        for index in range(len(items)):
+        for index in range(total):
             while True:
                 try:
                     result = pending[index].result(timeout=timeout)
                     del pending[index]
+                    logger.debug("shard %d/%d finished", index, total)
                     yield result
                     break
                 except FuturesTimeout:
                     attempts[index] += 1
+                    logger.debug(
+                        "shard %d/%d timed out after %ss (attempt %d)",
+                        index, total, timeout, attempts[index],
+                    )
                     if attempts[index] > max_retries:
                         raise SimulationError(
-                            f"shard {index} of {len(items)} did not finish "
+                            f"shard {index} of {total} did not finish "
                             f"within shard_timeout={timeout}s after "
                             f"{attempts[index]} attempts"
                         )
@@ -508,11 +537,11 @@ def _gather_shards(
                             "shard_timeout"
                         )
                     pool = new_pool
-                    stats.retried += 1
+                    record_retry(index, attempts[index], f"timed out after {timeout}s")
                     _backoff_sleep(backoff, attempts[index])
                     for other in list(pending):
-                        pending[other] = submit(pool, items[other])
-                except BrokenExecutor:
+                        pending[other] = submit_shard(pool, other)
+                except BrokenExecutor as error:
                     attempts[index] += 1
                     if attempts[index] > max_retries:
                         raise
@@ -520,17 +549,17 @@ def _gather_shards(
                     if new_pool is None:
                         raise  # external pool: the owner handles worker loss
                     pool = new_pool
-                    stats.retried += 1
+                    record_retry(index, attempts[index], repr(error))
                     _backoff_sleep(backoff, attempts[index])
                     for other in list(pending):
-                        pending[other] = submit(pool, items[other])
-                except Exception:
+                        pending[other] = submit_shard(pool, other)
+                except Exception as error:
                     attempts[index] += 1
                     if attempts[index] > max_retries:
                         raise
-                    stats.retried += 1
+                    record_retry(index, attempts[index], repr(error))
                     _backoff_sleep(backoff, attempts[index])
-                    pending[index] = submit(pool, items[index])
+                    pending[index] = submit_shard(pool, index)
     except BaseException:
         # Drop the remaining shards even on a shared pool, so a failure
         # doesn't leave orphan work blocking later studies.  GeneratorExit
@@ -559,6 +588,14 @@ def _partial_interval(
             confidence=confidence,
             n_samples=moments.n,
             std_error=float("nan"),
+        )
+
+
+def _log_splice(journal: ShardJournal, spliced: int, planned: int) -> None:
+    """Log how many of a plan's shards came from the journal."""
+    if spliced:
+        logger.debug(
+            "journal %s: spliced %d of %d shards (resumed)", journal.path, spliced, planned
         )
 
 
@@ -663,6 +700,8 @@ def run_sharded(
                     stats.resumed += 1
                 else:
                     to_run.append((position, index, size))
+            if journal is not None:
+                _log_splice(journal, len(plan) - len(to_run), len(plan))
             gathered = _gather_shards(
                 [(index, size) for _, index, size in to_run],
                 run_inline=lambda item: run_shard(
@@ -1194,6 +1233,8 @@ def run_stacked_sharded(
                 stats.resumed += 1
             else:
                 to_run.append((position, shard))
+        if journal is not None:
+            _log_splice(journal, len(plan) - len(to_run), len(plan))
         gathered = _run_stacked_shards(
             policy, configs, horizon, master_entropy,
             [shard for _, shard in to_run], supervisor, stats,

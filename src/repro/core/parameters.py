@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.distributions import Distribution, Exponential, Weibull
 from repro.exceptions import ConfigurationError
@@ -48,15 +48,8 @@ class AvailabilityParameters:
     failure_shape: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_positive("disk_failure_rate", self.disk_failure_rate)
-        _require_positive("disk_repair_rate", self.disk_repair_rate)
-        _require_positive("ddf_recovery_rate", self.ddf_recovery_rate)
-        _require_positive("human_error_rate", self.human_error_rate)
-        _require_positive("spare_replacement_rate", self.spare_replacement_rate)
-        _require_non_negative("crash_rate", self.crash_rate)
-        _require_positive("failure_shape", self.failure_shape)
-        if not 0.0 <= self.hep <= 1.0:
-            raise ConfigurationError(f"hep must lie in [0, 1], got {self.hep!r}")
+        for name, check in FIELD_CHECKS.items():
+            check(name, getattr(self, name))
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -166,3 +159,23 @@ def _require_positive(name: str, value: float) -> None:
 def _require_non_negative(name: str, value: float) -> None:
     if not math.isfinite(value) or value < 0.0:
         raise ConfigurationError(f"{name} must be a non-negative finite number, got {value!r}")
+
+
+def _require_probability(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ConfigurationError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+#: Each checked field's value check, in the order ``__post_init__`` runs
+#: them.  No check reads another field, so a sweep validates an axis value
+#: with its field's check alone (:func:`repro.core.sweep._axis_column`).
+FIELD_CHECKS: Dict[str, Callable[[str, float], None]] = {
+    "disk_failure_rate": _require_positive,
+    "disk_repair_rate": _require_positive,
+    "ddf_recovery_rate": _require_positive,
+    "human_error_rate": _require_positive,
+    "spare_replacement_rate": _require_positive,
+    "crash_rate": _require_non_negative,
+    "failure_shape": _require_positive,
+    "hep": _require_probability,
+}

@@ -11,8 +11,9 @@ registered policy on either evaluation backend:
   see :mod:`repro.core.evaluation`) evaluates each transition rate once over
   those columns and solves every point in one batched GTH state
   reduction.  No parameter object, builder, chain or solver is
-  constructed per point, and the points themselves are built in bulk —
-  see ``benchmarks/bench_sweep.py`` for the speedup over the per-point
+  constructed per point, and the solved availability column is validated
+  and converted to unavailability and nines once per column — see
+  ``benchmarks/bench_sweep.py`` for the speedup over the per-point
   rebuild loop the test suite keeps as its reference.
 * **monte_carlo** sweeps run on the **stacked-grid engine**, the one
   Monte Carlo grid path: per-study scalars become per-lifetime broadcast
@@ -29,7 +30,9 @@ registered policy on either evaluation backend:
 :func:`sweep_grid` runs a full **2-axis surface** (e.g. the Fig. 5
 hep-versus-lambda sheet) in one call on either backend: analytically the
 cross-product joins one batched solve per chain structure, on
-Monte Carlo it becomes a single stacked grid.
+Monte Carlo it becomes a single stacked grid.  The :class:`SweepGrid` it
+returns holds the surface as float64 columns and builds its
+:class:`SweepPoint` objects only when they are read.
 
 Periodic-scheme policies (the erasure k-of-N family) have no ergodic steady
 state; analytical sweeps route their points through the checker-cycle solver
@@ -44,13 +47,15 @@ works anywhere a policy is expected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from itertools import repeat
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.availability.metrics import availability_to_nines
+from repro.availability.metrics import MAX_NINES, validate_probability
 from repro.core.evaluation import (
     analytical_result,  # looked up here by the tests' rebuild reference and perfbench
     chain_template,
@@ -62,7 +67,7 @@ from repro.core.montecarlo.config import (
     DEFAULT_ITERATIONS,
     PolicyRef,
 )
-from repro.core.parameters import AvailabilityParameters
+from repro.core.parameters import FIELD_CHECKS, AvailabilityParameters
 from repro.core.policies.base import SimulationPolicy
 from repro.core.policies.registry import resolve_policy
 from repro.exceptions import ConfigurationError
@@ -132,31 +137,61 @@ class SweepPoint:
         return payload
 
 
-#: The fields after ``nines`` at their defaults, in declaration order.
-_EXTRA_DEFAULTS = {field.name: field.default for field in fields(SweepPoint)[4:]}
+#: The float64 columns of a sweep's results, in :class:`SweepPoint` field
+#: order; the interval bounds are ``None`` on the analytical backend.
+_COLUMNS = ("availability", "unavailability", "nines", "ci_lower", "ci_upper")
 
 
-def _new_points(rows: Iterable[tuple]) -> List[SweepPoint]:
-    """Build sweep points in bulk from field rows.
+def _new_points(
+    xs: Sequence[float],
+    availability: np.ndarray,
+    unavailability: np.ndarray,
+    nines: np.ndarray,
+    ci_lower: Optional[np.ndarray] = None,
+    ci_upper: Optional[np.ndarray] = None,
+    retried_shards: int = 0,
+    resumed_shards: int = 0,
+    interrupted: bool = False,
+) -> List[SweepPoint]:
+    """Build sweep points in bulk from result columns.
 
-    A row is ``(x, availability, unavailability, nines, extra)``, with
-    ``extra`` mapping the later fields in declaration order.  Each point's
-    instance ``__dict__`` is filled directly, in that order, instead of
-    through the generated ``__init__`` and its nine ``object.__setattr__``
-    calls; the points equal ``SweepPoint(...)`` in ``vars()``, ``==``,
-    ``hash``, ``repr`` and pickle.
+    Point ``i`` takes ``xs[i]`` and element ``i`` of each column (columns
+    are read in C order).  Each point's instance ``__dict__`` is filled
+    directly, in field order, instead of through the generated ``__init__``
+    and its nine ``object.__setattr__`` calls; the points equal
+    ``SweepPoint(...)`` in ``vars()``, ``==``, ``hash``, ``repr`` and
+    pickle.  ``interrupted`` qualifies every point, while the run-level
+    retry and resume counters ride on the first point only, as on the
+    Monte Carlo executor's results, so sums over the points total the run.
     """
+    lower = repeat(None) if ci_lower is None else ci_lower.ravel().tolist()
+    upper = repeat(None) if ci_upper is None else ci_upper.ravel().tolist()
     new = object.__new__
-    points = []
-    for x, a, u, n, extra in rows:
+    points: List[SweepPoint] = []
+    append = points.append
+    for x, a, u, n, low, high in zip(
+        xs,
+        availability.ravel().tolist(),
+        unavailability.ravel().tolist(),
+        nines.ravel().tolist(),
+        lower,
+        upper,
+    ):
         point = new(SweepPoint)
         state = point.__dict__
         state["x"] = x
         state["availability"] = a
         state["unavailability"] = u
         state["nines"] = n
-        state.update(extra)
-        points.append(point)
+        state["ci_lower"] = low
+        state["ci_upper"] = high
+        state["retried_shards"] = 0
+        state["resumed_shards"] = 0
+        state["interrupted"] = interrupted
+        append(point)
+    if points:
+        points[0].__dict__["retried_shards"] = retried_shards
+        points[0].__dict__["resumed_shards"] = resumed_shards
     return points
 
 
@@ -175,19 +210,19 @@ def _with_axis(
     return replace(params, **{field: float(value)})
 
 
-def _axis_column(
-    base: AvailabilityParameters, field: str, values: Sequence[float]
-) -> np.ndarray:
+def _axis_column(field: str, values: Sequence[float]) -> np.ndarray:
     """Validate each distinct axis value once and return the axis as a column.
 
-    :class:`AvailabilityParameters` has no cross-field checks, so a value
-    that is valid on ``base`` is valid at every point of the sweep, and an
-    invalid one raises the same :class:`ConfigurationError` a per-point
+    Each value goes through its field's own check
+    (:data:`~repro.core.parameters.FIELD_CHECKS`).  No check reads another
+    field, so a value that passes is valid at every point of the sweep, and
+    an invalid one raises the same :class:`ConfigurationError` a per-point
     build would.
     """
     column = [float(value) for value in values]
+    check = FIELD_CHECKS[field]
     for value in dict.fromkeys(column):
-        _with_axis(base, field, value)
+        check(field, value)
     return np.array(column)
 
 
@@ -201,27 +236,35 @@ def _params_at(
     return params
 
 
-def _points_from_availability(
-    availability: np.ndarray, xs: Sequence[float]
-) -> List[SweepPoint]:
-    # Column-wise twin of availability_from_up_mass: the caller summed the
-    # up-state mass left to right from 0, as the scalar path does; clip and
-    # subtract the same way, and validate each point's nines conversion.
+def _columns_from_availability(availability: np.ndarray) -> Dict[str, np.ndarray]:
+    """Clip, validate and convert an availability column once per column.
+
+    Column-wise twin of ``availability_from_up_mass`` and
+    :func:`~repro.availability.metrics.availability_to_nines`: the caller
+    summed the up-state mass left to right from 0, as the scalar path does;
+    the column is clipped and subtracted the same way.  Clipping leaves NaN
+    as the only invalid value, and a NaN raises the per-point error here,
+    before any result exists.  Nines take ``math.log10`` per element:
+    ``np.log10`` differs from it in the last bit on some inputs, and a
+    point's nines must equal :func:`evaluate`'s.
+    """
     clipped = np.minimum(np.maximum(availability, 0.0), 1.0)
-    values = clipped.tolist()
-    nines = map(availability_to_nines, values)
-    return _new_points(
-        zip(xs, values, (1.0 - clipped).tolist(), nines, repeat(_EXTRA_DEFAULTS))
-    )
+    if np.isnan(clipped).any():
+        validate_probability(math.nan, "availability")
+    unavailability = 1.0 - clipped
+    nines = np.full(clipped.shape, MAX_NINES)
+    down = unavailability > 0.0
+    nines[down] = -np.fromiter(map(math.log10, unavailability[down].tolist()), float)
+    return {"availability": clipped, "unavailability": unavailability, "nines": nines}
 
 
-def _analytical_points(
+def _analytical_columns(
     base: AvailabilityParameters,
     swept: Dict[str, np.ndarray],
-    xs: Sequence[float],
+    k: int,
     policy: SimulationPolicy,
     method: str,
-) -> List[SweepPoint]:
+) -> Dict[str, np.ndarray]:
     """Evaluate a sweep analytically from its parameter columns.
 
     ``swept`` maps each swept :class:`AvailabilityParameters` field to its
@@ -231,20 +274,21 @@ def _analytical_points(
     solves its rows in one :meth:`~repro.markov.template.ChainTemplate.solve_many`
     call on the symbol columns.  Periodic-scheme policies (the erasure
     family) have no ergodic steady state and go through
-    :func:`_periodic_availability` instead.
+    :func:`_periodic_availability` instead.  Returns the ``(k,)``
+    availability, unavailability and nines columns.
     """
     if policy.has_periodic_checks:
-        return _points_from_availability(
-            _periodic_availability(base, swept, len(xs), policy, method), xs
+        return _columns_from_availability(
+            _periodic_availability(base, swept, k, policy, method)
         )
     columns = symbol_table(base)
     columns.update({PARAMETER_SYMBOLS[field]: c for field, c in swept.items()})
     structure = np.broadcast_to(
         2 * (np.asarray(columns["hep"]) > 0.0)
         + (np.asarray(columns["lam_crash"]) > 0.0),
-        (len(xs),),
+        (k,),
     )
-    availability = np.empty(len(xs))
+    availability = np.empty(k)
     # Groups in first-appearance order, so templates build in point order.
     for first in sorted(np.unique(structure, return_index=True)[1].tolist()):
         rows = np.flatnonzero(structure == structure[first])
@@ -257,7 +301,7 @@ def _analytical_points(
             method=method,
         )
         availability[rows] = sum(pi[:, i] for i in template.up_indices)
-    return _points_from_availability(availability, xs)
+    return _columns_from_availability(availability)
 
 
 def _periodic_availability(
@@ -326,14 +370,21 @@ def _check_mc_options_for_backend(
         )
 
 
-def _points_from_estimates(estimates, xs: Sequence[float]) -> List[SweepPoint]:
-    return _new_points(
-        (
-            float(x), e.availability, e.unavailability, e.nines,
-            {name: getattr(e, name) for name in _EXTRA_DEFAULTS},
-        )
-        for e, x in zip(estimates, xs)
-    )
+def _estimate_columns(estimates) -> Dict[str, object]:
+    """Return Monte Carlo estimates as result columns plus run-level facts.
+
+    The keys are :class:`SweepGrid`'s field names.  ``interrupted`` is the
+    same on every estimate of a run, and the retry and resume counters ride
+    on its first estimate only, so their sums are the run's.
+    """
+    surface: Dict[str, object] = {
+        name: np.array([getattr(e, name) for e in estimates], dtype=np.float64)
+        for name in _COLUMNS
+    }
+    surface["retried_shards"] = sum(e.retried_shards for e in estimates)
+    surface["resumed_shards"] = sum(e.resumed_shards for e in estimates)
+    surface["interrupted"] = any(e.interrupted for e in estimates)
+    return surface
 
 
 def sweep(
@@ -436,11 +487,13 @@ def sweep(
     if backend == "auto":
         backend = "analytical" if resolved.has_analytical_model else "monte_carlo"
     _check_mc_options_for_backend(backend, crn, biasing)
-    column = _axis_column(base_params, field, values)
+    column = _axis_column(field, values)
     xs = column.tolist()
 
     if backend == "analytical":
-        return _analytical_points(base_params, {field: column}, xs, resolved, method)
+        return _new_points(
+            xs, **_analytical_columns(base_params, {field: column}, len(xs), resolved, method)
+        )
     estimates = evaluate_stacked(
         [_with_axis(base_params, field, x) for x in xs],
         resolved,
@@ -464,31 +517,86 @@ def sweep(
         checkpoint=checkpoint,
         resume=resume,
     )
-    return _points_from_estimates(estimates, xs)
+    return _new_points(xs, **_estimate_columns(estimates))
 
 
 # ----------------------------------------------------------------------
 # 2-axis grid sweeps (fig5-style surfaces)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepGrid:
-    """A 2-axis sweep surface: ``points[i][j]`` evaluates ``(values1[i],
-    values2[j])``.
+    """A 2-axis sweep surface, held as ``(len(values1), len(values2))`` columns.
 
-    Each :class:`SweepPoint` carries the *second* axis value as its ``x``
-    (every row of the grid is a valid 1-axis sweep over ``axis2``).
+    ``availability[i, j]``, ``unavailability[i, j]`` and ``nines[i, j]``
+    evaluate ``(values1[i], values2[j])``; Monte Carlo grids add their
+    interval bounds ``ci_lower``/``ci_upper`` (``None`` analytically).
+    Every column is a read-only float64 array.  ``retried_shards``,
+    ``resumed_shards`` and ``interrupted`` describe the whole run.
+
+    :attr:`points` (and :meth:`row` and :meth:`as_dict`, which read it)
+    builds one :class:`SweepPoint` per cell on first access and caches
+    them; each carries the *second* axis value as its ``x`` (every row of
+    the grid is a valid 1-axis sweep over ``axis2``), and the first point
+    carries the run's retry and resume counters.  Reading the columns
+    builds no points.
     """
 
     axis1: str
     axis2: str
     values1: tuple
     values2: tuple
-    points: List[List[SweepPoint]]
+    availability: np.ndarray
+    unavailability: np.ndarray
+    nines: np.ndarray
+    ci_lower: Optional[np.ndarray] = None
+    ci_upper: Optional[np.ndarray] = None
+    retried_shards: int = 0
+    resumed_shards: int = 0
+    interrupted: bool = False
+
+    def __post_init__(self) -> None:
+        for name in _COLUMNS:
+            column = getattr(self, name)
+            if column is not None:
+                column = np.array(column, dtype=np.float64).reshape(self.shape)
+                column.flags.writeable = False
+                object.__setattr__(self, name, column)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, field.name) for field in fields(self))
+
+    def __reduce__(self):
+        # Through __init__, so the columns come back read-only and the
+        # point cache is not pickled.
+        return (type(self), self._fields())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SweepGrid):
+            return NotImplemented
+        return all(
+            np.array_equal(mine, theirs, equal_nan=True)
+            if isinstance(mine, np.ndarray) and isinstance(theirs, np.ndarray)
+            else mine == theirs
+            for mine, theirs in zip(self._fields(), other._fields())
+        )
 
     @property
     def shape(self) -> tuple:
         """Return ``(len(values1), len(values2))``."""
         return (len(self.values1), len(self.values2))
+
+    @cached_property
+    def points(self) -> List[List[SweepPoint]]:
+        """Return the surface as ``points[i][j]``, built once on first read."""
+        n1, n2 = self.shape
+        flat = _new_points(
+            self.values2 * n1,
+            **{name: getattr(self, name) for name in _COLUMNS},
+            retried_shards=self.retried_shards,
+            resumed_shards=self.resumed_shards,
+            interrupted=self.interrupted,
+        )
+        return [flat[i * n2 : (i + 1) * n2] for i in range(n1)]
 
     def row(self, index: int) -> List[SweepPoint]:
         """Return the ``axis2`` sweep at ``values1[index]``."""
@@ -496,11 +604,11 @@ class SweepGrid:
 
     def availability_matrix(self) -> List[List[float]]:
         """Return availabilities as a ``values1 x values2`` nested list."""
-        return [[point.availability for point in row] for row in self.points]
+        return self.availability.tolist()
 
     def nines_matrix(self) -> List[List[float]]:
         """Return nines as a ``values1 x values2`` nested list."""
-        return [[point.nines for point in row] for row in self.points]
+        return self.nines.tolist()
 
     def as_dict(self) -> Dict[str, object]:
         """Return a serialisable description of the surface."""
@@ -550,6 +658,11 @@ def sweep_grid(
     one per chain structure, on Monte Carlo they form a single stacked grid (one
     kernel invocation per shard for the entire surface).  Options match
     :func:`sweep`.
+
+    The returned :class:`SweepGrid` holds the results as columns.  An
+    analytical surface is validated and converted to nines here, as whole
+    columns, so an invalid result raises from this call; its
+    :class:`SweepPoint` objects are built only when first read.
     """
     field1, field2 = _axis_field(axis1), _axis_field(axis2)
     if field1 == field2:
@@ -570,14 +683,13 @@ def sweep_grid(
     if backend == "auto":
         backend = "analytical" if resolved.has_analytical_model else "monte_carlo"
     _check_mc_options_for_backend(backend, crn, biasing)
-    column1 = _axis_column(base_params, field1, values1)
-    column2 = _axis_column(base_params, field2, values2)
+    column1 = _axis_column(field1, values1)
+    column2 = _axis_column(field2, values2)
     n1, n2 = len(column1), len(column2)
-    xs = np.tile(column2, n1).tolist()
 
     if backend == "analytical":
         swept = {field1: np.repeat(column1, n2), field2: np.tile(column2, n1)}
-        flat = _analytical_points(base_params, swept, xs, resolved, method)
+        surface = _analytical_columns(base_params, swept, n1 * n2, resolved, method)
     else:
         estimates = evaluate_stacked(
             [
@@ -606,14 +718,13 @@ def sweep_grid(
             checkpoint=checkpoint,
             resume=resume,
         )
-        flat = _points_from_estimates(estimates, xs)
-    rows = [flat[i * n2 : (i + 1) * n2] for i in range(n1)]
+        surface = _estimate_columns(estimates)
     return SweepGrid(
         axis1=axis1,
         axis2=axis2,
         values1=tuple(column1.tolist()),
         values2=tuple(column2.tolist()),
-        points=rows,
+        **surface,
     )
 
 

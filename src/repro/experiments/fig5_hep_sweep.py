@@ -129,8 +129,8 @@ def run_fig5_surface(
 def fig5_surface_table(grid: SweepGrid) -> Table:
     """Render the Fig. 5 surface as a table (one column per failure rate)."""
     columns = {
-        f"lambda={rate:.3g}": [point.nines for point in row]
-        for rate, row in zip(grid.values1, grid.points)
+        f"lambda={rate:.3g}": row
+        for rate, row in zip(grid.values1, grid.nines_matrix())
     }
     return table_from_series(
         title="Fig. 5 surface — RAID5(3+1) nines over the hep x lambda grid",

@@ -5,7 +5,9 @@ recompute bit-identical summaries), worker-loss recovery on process pools,
 graceful interruption into flagged partial results, the durable
 checkpoint/resume journal (resumed runs bit-identical to uninterrupted
 ones, across worker counts), the deterministic fault-injection harness
-itself, and the shared-memory orphan reaper.
+itself, and the shared-memory orphan reaper.  Retry, timeout, rebuild and
+resume tests also check the executor's DEBUG shard lifecycle log against
+its counters.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -148,6 +151,27 @@ def _config_digest(config: MonteCarloConfig) -> str:
     return digest
 
 
+#: The logger of the executor's shard lifecycle events.
+SHARD_LOGGER = "repro.core.montecarlo.parallel"
+
+
+@pytest.fixture
+def shard_log(caplog):
+    """Capture the executor's DEBUG shard events; return a message filter."""
+    caplog.set_level(logging.DEBUG, logger=SHARD_LOGGER)
+
+    def messages(text: str):
+        return [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == SHARD_LOGGER
+            and record.levelno == logging.DEBUG
+            and text in record.getMessage()
+        ]
+
+    return messages
+
+
 def _assert_bit_identical(results, reference):
     for got, want in zip(results, reference):
         assert got.availability == want.availability
@@ -280,7 +304,7 @@ class TestFaultHarness:
 class TestScalarShardRetry:
     @pytest.mark.parametrize("pool", ["serial", "thread", "process"])
     @pytest.mark.parametrize("kind", ["raise", "kill"])
-    def test_faulted_shard_retries_bit_identical(self, tmp_path, pool, kind):
+    def test_faulted_shard_retries_bit_identical(self, tmp_path, pool, kind, shard_log):
         # "kill" degrades to "raise" on thread/serial pools (documented);
         # on the process pool it exercises the BrokenProcessPool rebuild.
         workers = 1 if pool == "serial" else 2
@@ -288,16 +312,22 @@ class TestScalarShardRetry:
         with fault_plan(FaultPlan.single(0, kind), tmp_path):
             faulted = run_monte_carlo(_config(workers=workers, pool=pool))
         assert faulted.retried_shards >= 1
+        assert len(shard_log("retried")) == faulted.retried_shards
+        if kind == "kill" and pool == "process":
+            assert shard_log("worker pool rebuilt")
         assert not faulted.interrupted
         _assert_bit_identical([faulted], [clean])
 
-    def test_hang_trips_timeout_and_retries(self, tmp_path):
+    def test_hang_trips_timeout_and_retries(self, tmp_path, shard_log):
         clean = run_monte_carlo(_config(workers=2, pool="process"))
         with fault_plan(FaultPlan.single(0, "hang", hang_seconds=30.0), tmp_path):
             faulted = run_monte_carlo(
                 _config(workers=2, pool="process", shard_timeout=1.0)
             )
         assert faulted.retried_shards >= 1
+        assert shard_log("timed out after 1.0s")
+        assert len(shard_log("worker pool rebuilt")) == faulted.retried_shards
+        assert len(shard_log("retried")) == faulted.retried_shards
         _assert_bit_identical([faulted], [clean])
 
     def test_retries_exhausted_raises(self, tmp_path):
@@ -308,7 +338,7 @@ class TestScalarShardRetry:
             with pytest.raises(FaultInjected):
                 run_monte_carlo(_config(workers=2, pool="thread", max_shard_retries=0))
 
-    def test_inline_path_retries_exceptions(self, tmp_path):
+    def test_inline_path_retries_exceptions(self, tmp_path, shard_log):
         # workers=1 without a pool runs shards inline; the retry budget
         # still applies to in-shard exceptions (timeouts are documented as
         # unenforced there).
@@ -316,6 +346,10 @@ class TestScalarShardRetry:
         with fault_plan(FaultPlan.single(2, "raise"), tmp_path):
             faulted = run_monte_carlo(_config(workers=1))
         assert faulted.retried_shards == 1
+        assert shard_log("retried") == [
+            "shard 2/4 retried (attempt 1 of 2): "
+            "FaultInjected(\"injected 'raise' fault on shard 2\")"
+        ]
         _assert_bit_identical([faulted], [clean])
 
 
@@ -332,22 +366,28 @@ class TestStackedFaultMatrix:
         ],
     )
     def test_faulted_stacked_shard_retries_bit_identical(
-        self, tmp_path, kind, pool, workers
+        self, tmp_path, kind, pool, workers, shard_log
     ):
         clean = run_stacked(_stacked_configs(workers=workers, pool=pool))
         with fault_plan(FaultPlan.single(1, kind), tmp_path):
             faulted = run_stacked(_stacked_configs(workers=workers, pool=pool))
-        assert sum(point.retried_shards for point in faulted) >= 1
+        retried = sum(point.retried_shards for point in faulted)
+        assert retried >= 1
+        assert len(shard_log("retried")) == retried
         _assert_bit_identical(faulted, clean)
 
     @pytest.mark.parametrize("pool", ["thread", "process"])
-    def test_stacked_hang_trips_timeout(self, tmp_path, pool):
+    def test_stacked_hang_trips_timeout(self, tmp_path, pool, shard_log):
         clean = run_stacked(_stacked_configs(workers=2, pool=pool))
         with fault_plan(FaultPlan.single(0, "hang", hang_seconds=3.0), tmp_path):
             faulted = run_stacked(
                 _stacked_configs(workers=2, pool=pool, shard_timeout=0.75)
             )
-        assert sum(point.retried_shards for point in faulted) >= 1
+        retried = sum(point.retried_shards for point in faulted)
+        assert retried >= 1
+        assert shard_log("timed out after 0.75s")
+        assert len(shard_log(f"worker pool rebuilt: 2 {pool} workers")) == retried
+        assert len(shard_log("retried")) == retried
         _assert_bit_identical(faulted, clean)
 
     def test_adaptive_run_survives_fault(self, tmp_path):
@@ -366,16 +406,20 @@ class TestStackedFaultMatrix:
 
 
 class TestInterruptAndResume:
-    def test_scalar_interrupt_flags_partial_and_resumes(self, tmp_path):
+    def test_scalar_interrupt_flags_partial_and_resumes(self, tmp_path, shard_log):
         journal = str(tmp_path / "scalar.journal")
         clean = run_monte_carlo(_config(workers=1))
         with fault_plan(FaultPlan(abort_after=2), tmp_path / "plan"):
             partial = run_monte_carlo(_config(workers=1, checkpoint=journal))
         assert partial.interrupted
         assert partial.n_iterations == 1000  # 2 of 4 journaled shards
+        assert not shard_log("spliced")
         resumed = run_monte_carlo(_config(workers=1, resume=journal))
         assert not resumed.interrupted
         assert resumed.resumed_shards == 2
+        assert shard_log("spliced") == [
+            f"journal {journal}: spliced 2 of 4 shards (resumed)"
+        ]
         _assert_bit_identical([resumed], [clean])
 
     def test_default_point_interrupt_resumes_across_workers(self, tmp_path):
@@ -404,7 +448,7 @@ class TestInterruptAndResume:
 
     @pytest.mark.parametrize("resume_workers", [1, 4])
     def test_stacked_resume_bit_identical_across_workers(
-        self, tmp_path, resume_workers
+        self, tmp_path, resume_workers, shard_log
     ):
         journal = str(tmp_path / "stacked.journal")
         clean = run_stacked(_stacked_configs(workers=1))
@@ -419,7 +463,11 @@ class TestInterruptAndResume:
             )
         )
         assert all(not point.interrupted for point in resumed)
-        assert sum(point.resumed_shards for point in resumed) >= 2
+        spliced = sum(point.resumed_shards for point in resumed)
+        assert spliced >= 2
+        assert shard_log("spliced") == [
+            f"journal {journal}: spliced {spliced} of 9 shards (resumed)"
+        ]
         _assert_bit_identical(resumed, clean)
 
     def test_adaptive_resume_bit_identical(self, tmp_path):
@@ -437,14 +485,17 @@ class TestInterruptAndResume:
         assert sum(point.resumed_shards for point in resumed) >= 1
         _assert_bit_identical(resumed, clean)
 
-    def test_completed_journal_resumes_without_recompute(self, tmp_path):
+    def test_completed_journal_resumes_without_recompute(self, tmp_path, shard_log):
         journal = str(tmp_path / "done.journal")
         clean = run_stacked(_stacked_configs(checkpoint=journal))
+        assert len(shard_log("finished")) == 9
         again = run_stacked(_stacked_configs(resume=journal))
         # Every shard of the finished run is journaled: the resume replays
         # them all without computing anything new.
         assert sum(point.resumed_shards for point in again) == 9  # 4500 / 500
         assert all(point.retried_shards == 0 for point in again)
+        assert shard_log("spliced") == [f"journal {journal}: spliced 9 of 9 shards (resumed)"]
+        assert len(shard_log("submitted")) == len(shard_log("finished")) == 9
         _assert_bit_identical(again, clean)
 
     def test_resume_with_unseeded_run_adopts_journal_entropy(self, tmp_path):
@@ -796,6 +847,8 @@ class TestPoolTeardown:
         elapsed = time.monotonic() - start
         assert proc.returncode == 0, proc.stderr
         assert "retried shards:" in proc.stdout
+        # The timeout, rebuild and retry events are DEBUG records and no
+        # handler is installed, so the default run stays silent.
         assert proc.stderr == ""
         assert elapsed < 15.0
 
@@ -905,3 +958,30 @@ class TestCliFaultFlags:
         assert main(args + ["--resume", journal]) == 0
         out = capsys.readouterr().out
         assert "resumed shards:" in out
+
+    def test_grid_sweep_interrupt_exits_nonzero_with_hint(self, tmp_path, capsys):
+        # The --axis2 report reads the grid's run-level counters.
+        from repro.cli import main
+
+        journal = str(tmp_path / "grid.journal")
+        args = [
+            "sweep",
+            "--axis", "hep",
+            "--values", "0.01,0.05",
+            "--axis2", "failure_rate",
+            "--values2", "1e-4,2e-4",
+            "--backend", "monte_carlo",
+            "--iterations", "1500",
+            "--seed", "13",
+        ]
+        with fault_plan(FaultPlan(abort_after=1), tmp_path / "plan"):
+            code = main(args + ["--checkpoint", journal])
+        assert code == 3
+        out = capsys.readouterr().out
+        assert "interrupted: partial sweep" in out
+        assert f"--resume {journal}" in out
+
+        assert main(args + ["--resume", journal]) == 0
+        out = capsys.readouterr().out
+        assert "resumed shards: 1" in out
+        assert "interrupted" not in out

@@ -1,8 +1,8 @@
 """Tests for the generic sweep engine against the per-point rebuild path.
 
-:data:`RETIRED_SWEEP` keeps the per-point point builder and the per-point
-checker-cycle loop that the bulk constructor and the batched fixed-point
-solve replaced, verbatim, as oracles; :func:`retired_sweep_paths` patches
+:data:`RETIRED_SWEEP` keeps the per-point result conversion and the
+per-point checker-cycle loop that the column conversion and the batched
+fixed-point solve replaced as oracles; :func:`retired_sweep_paths` patches
 them (and the one-matrix checker solve) back into the engine.
 """
 
@@ -13,7 +13,7 @@ import importlib
 import itertools
 import pickle
 from dataclasses import FrozenInstanceError, fields, replace
-from typing import Dict, List, Sequence
+from typing import Dict, List
 from unittest import mock
 
 import numpy as np
@@ -25,6 +25,7 @@ from repro.core.evaluation import (
     analytical_result,
     clear_template_cache,
     evaluate,
+    evaluate_stacked,
 )
 from repro.core.parameters import AvailabilityParameters, paper_parameters
 from repro.core.policies.base import SimulationPolicy
@@ -56,22 +57,16 @@ sweep_module = importlib.import_module("repro.core.sweep")
 _params_at = sweep_module._params_at
 
 
-def _retired_points_from_availability(
-    availability: np.ndarray, xs: Sequence[float]
-) -> List[SweepPoint]:
+def _retired_columns_from_availability(availability: np.ndarray) -> Dict[str, np.ndarray]:
     # Column-wise twin of availability_from_up_mass: the caller summed the
     # up-state mass left to right from 0, as the scalar path does; clip and
-    # convert the same way, point by point.
+    # convert the same way, point by point, validating each point's nines.
     clipped = np.minimum(np.maximum(availability, 0.0), 1.0).tolist()
-    return [
-        SweepPoint(
-            x=x,
-            availability=value,
-            unavailability=1.0 - value,
-            nines=availability_to_nines(value),
-        )
-        for x, value in zip(xs, clipped)
-    ]
+    return {
+        "availability": np.array(clipped),
+        "unavailability": np.array([1.0 - value for value in clipped]),
+        "nines": np.array([availability_to_nines(value) for value in clipped]),
+    }
 
 
 def _retired_periodic_availability(
@@ -115,10 +110,10 @@ def _retired_periodic_availability(
     return availability
 
 
-#: The per-point sweep paths the bulk constructor and the batched
+#: The per-point sweep paths the column conversion and the batched
 #: checker-cycle solve replaced, by their names in ``repro.core.sweep``.
 RETIRED_SWEEP = {
-    "_points_from_availability": _retired_points_from_availability,
+    "_columns_from_availability": _retired_columns_from_availability,
     "_periodic_availability": _retired_periodic_availability,
 }
 
@@ -554,7 +549,7 @@ class TestBulkPointsAndBatchedCycles:
                 for point in row
             ]
         )
-        assert calls["_points_from_availability"] == 1
+        assert calls["_columns_from_availability"] == 1
 
     def test_engine_points_equal_constructed_points(self):
         policy, base = self._erasure((3, 10, 8))
@@ -571,3 +566,199 @@ class TestBulkPointsAndBatchedCycles:
         assert len(points) == 2 and all(point.has_interval for point in points)
         for point in points:
             assert_same_as_constructed(point)
+
+
+def _grid_dict(axis1, values1, axis2, values2, rows) -> Dict[str, object]:
+    """``SweepGrid.as_dict()`` as it reads for a grid of ``rows`` of points."""
+    return {
+        "axis1": axis1,
+        "axis2": axis2,
+        "values1": list(values1),
+        "values2": list(values2),
+        "points": [[point.as_dict() for point in row] for row in rows],
+    }
+
+
+def _flat(rows) -> List[SweepPoint]:
+    return [point for row in rows for point in row]
+
+
+class TestColumnarGrid:
+    """A grid is float64 columns; its points are built on first read only."""
+
+    BASE = paper_parameters(disk_failure_rate=2e-6, hep=0.01)
+    HEPS = [0.0, 1e-3, 0.05]
+    RATES = [1e-7, 3e-5, 1e-4]
+    MC_HEPS = [0.01, 0.05]
+    MC_RATES = [1e-4, 2e-4]
+    MC_OPTIONS = dict(mc_iterations=400, seed=3, shard_size=200)
+
+    def _analytical(self, policy="automatic_failover"):
+        return sweep_grid(
+            self.BASE, "hep", self.HEPS, "failure_rate", self.RATES, policy,
+            backend="analytical",
+        )
+
+    def _analytical_oracle(self, policy="automatic_failover"):
+        """One ``evaluate`` per point, each made a point as before columns."""
+        rows = []
+        for hep in self.HEPS:
+            row = []
+            for rate in self.RATES:
+                estimate = evaluate(
+                    replace(self.BASE, hep=hep, disk_failure_rate=rate), policy,
+                    backend="analytical",
+                )
+                row.append(SweepPoint(
+                    x=rate,
+                    availability=estimate.availability,
+                    unavailability=estimate.unavailability,
+                    nines=estimate.nines,
+                ))
+            rows.append(row)
+        return rows
+
+    def _monte_carlo(self, **options):
+        return sweep_grid(
+            FAST_PARAMS, "hep", self.MC_HEPS, "failure_rate", self.MC_RATES,
+            "conventional", backend="monte_carlo", **self.MC_OPTIONS, **options,
+        )
+
+    def _monte_carlo_oracle(self):
+        """The stacked estimates of the same grid, one point per estimate."""
+        estimates = evaluate_stacked(
+            [
+                replace(FAST_PARAMS, hep=hep, disk_failure_rate=rate)
+                for hep in self.MC_HEPS
+                for rate in self.MC_RATES
+            ],
+            "conventional",
+            n_iterations=self.MC_OPTIONS["mc_iterations"],
+            seed=self.MC_OPTIONS["seed"],
+            shard_size=self.MC_OPTIONS["shard_size"],
+        )
+        points = [
+            SweepPoint(
+                x=rate,
+                **{f.name: getattr(estimate, f.name) for f in fields(SweepPoint)[1:]},
+            )
+            for rate, estimate in zip(self.MC_RATES * len(self.MC_HEPS), estimates)
+        ]
+        n2 = len(self.MC_RATES)
+        return [points[i : i + n2] for i in range(0, len(points), n2)]
+
+    def test_columns_are_read_only_float64(self):
+        analytical, mc = self._analytical(), self._monte_carlo()
+        assert analytical.ci_lower is None and analytical.ci_upper is None
+        for grid, names in (
+            (analytical, ["availability", "unavailability", "nines"]),
+            (mc, ["availability", "unavailability", "nines", "ci_lower", "ci_upper"]),
+        ):
+            for name in names:
+                column = getattr(grid, name)
+                assert column.dtype == np.float64 and column.shape == grid.shape
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[0, 0] = 0.5
+
+    def test_reading_columns_builds_no_points(self, capsys):
+        from repro.cli import main
+        from repro.experiments.fig5_hep_sweep import fig5_surface_table, run_fig5_surface
+
+        oracle = self._analytical_oracle()
+        with mock.patch.object(
+            sweep_module, "_new_points", side_effect=AssertionError("points built")
+        ):
+            grid = self._analytical()
+            assert grid.shape == (3, 3)
+            assert grid.availability_matrix() == [
+                [point.availability for point in row] for row in oracle
+            ]
+            assert grid.nines_matrix() == [[point.nines for point in row] for row in oracle]
+            assert main([
+                "sweep", "--policy", "automatic_failover", "--axis", "hep",
+                "--values", "0,0.001,0.01", "--axis2", "failure_rate",
+                "--grid2", "1e-7:1e-4:4", "--backend", "analytical",
+            ]) == 0
+            assert "3 x 4 = 12 points" in capsys.readouterr().out
+            table = fig5_surface_table(run_fig5_surface()).render()
+            assert "whole surface evaluated in one sweep_grid call" in table
+
+    def test_points_are_built_once_on_first_read(self):
+        grid = self._analytical()
+        with mock.patch.object(
+            sweep_module, "_new_points", wraps=sweep_module._new_points
+        ) as built:
+            rows = grid.points
+            assert grid.row(1) is rows[1] and grid.points is rows
+            grid.as_dict()
+        assert built.call_count == 1
+
+    def test_nan_availability_raises_from_sweep_grid(self, monkeypatch):
+        from repro.markov.template import ChainTemplate
+
+        solve_many = ChainTemplate.solve_many
+
+        def poisoned(template, columns, method="auto"):
+            pi = solve_many(template, columns, method=method)
+            pi[-1, template.up_indices[0]] = np.nan
+            return pi
+
+        monkeypatch.setattr(ChainTemplate, "solve_many", poisoned)
+        message = r"availability must lie in \[0, 1\], got nan"
+        with pytest.raises(ConfigurationError, match=message):
+            self._analytical()
+        with pytest.raises(ConfigurationError, match=message):
+            sweep(self.BASE, "hep", self.HEPS, "conventional", backend="analytical")
+
+    @pytest.mark.parametrize("policy", analytical_policies())
+    def test_analytical_points_equal_per_point_evaluate(self, policy):
+        grid = self._analytical(policy)
+        assert hex_dump(_flat(grid.points)) == hex_dump(_flat(self._analytical_oracle(policy)))
+
+    def test_monte_carlo_points_equal_stacked_estimates(self):
+        grid = self._monte_carlo()
+        oracle = self._monte_carlo_oracle()
+        assert hex_dump(_flat(grid.points)) == hex_dump(_flat(oracle))
+        for name in ("availability", "ci_lower", "ci_upper"):
+            assert getattr(grid, name).tolist() == [
+                [getattr(point, name) for point in row] for row in oracle
+            ]
+
+    def test_monte_carlo_first_point_carries_run_counters(self, tmp_path):
+        from repro.core.montecarlo import FaultPlan, fault_plan
+
+        journal = str(tmp_path / "grid.journal")
+        with fault_plan(FaultPlan.single(1, "raise"), tmp_path / "plan"):
+            faulted = self._monte_carlo(
+                checkpoint=journal, max_shard_retries=1, retry_backoff=0.0
+            )
+        resumed = self._monte_carlo(resume=journal)
+        assert (faulted.retried_shards, faulted.resumed_shards) == (1, 0)
+        assert (resumed.retried_shards, resumed.resumed_shards) == (0, 8)  # 1600 / 200
+        for grid in (faulted, resumed):
+            first, *rest = _flat(grid.points)
+            assert first.retried_shards == grid.retried_shards
+            assert first.resumed_shards == grid.resumed_shards
+            assert all(p.retried_shards == p.resumed_shards == 0 for p in rest)
+            assert not grid.interrupted and not any(p.interrupted for p in rest)
+        assert faulted.availability_matrix() == resumed.availability_matrix()
+
+    @pytest.mark.parametrize("backend", ["analytical", "monte_carlo"])
+    def test_as_dict_and_pickle_round_trip_equal_the_oracle(self, backend):
+        if backend == "analytical":
+            grid, oracle = self._analytical(), self._analytical_oracle()
+            axes = ("hep", self.HEPS, "failure_rate", self.RATES)
+        else:
+            grid, oracle = self._monte_carlo(), self._monte_carlo_oracle()
+            axes = ("hep", self.MC_HEPS, "failure_rate", self.MC_RATES)
+        expected = _grid_dict(*axes, oracle)
+        clone = pickle.loads(pickle.dumps(grid))
+        assert grid.as_dict() == expected
+        # The clone is rebuilt from the columns: the cached points stay
+        # behind, and its columns come back read-only.
+        assert "points" not in vars(clone)
+        assert not clone.availability.flags.writeable
+        assert clone == grid
+        assert clone.as_dict() == expected
+        assert hex_dump(_flat(clone.points)) == hex_dump(_flat(oracle))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -12,6 +14,24 @@ from repro.core.policies import (
     register_policy,
     unregister_policy,
 )
+
+#: Saved stdout of CLI runs whose output must not change byte for byte.
+DATA = Path(__file__).resolve().parent / "data"
+
+#: The ``--axis2`` grid commands of the CI smokes, by their saved stdout.
+GOLDEN_GRIDS = {
+    "sweep_grid_analytical_failover.txt": [
+        "sweep", "--policy", "automatic_failover", "--axis", "hep",
+        "--values", "0,0.001,0.01", "--axis2", "failure_rate",
+        "--grid2", "1e-7:1e-4:4", "--backend", "analytical",
+    ],
+    "sweep_grid_monte_carlo_2workers.txt": [
+        "sweep", "--axis", "hep", "--values", "0,0.001,0.01",
+        "--axis2", "failure_rate", "--grid2", "1e-5:1e-4:3",
+        "--backend", "monte_carlo", "--iterations", "10000", "--seed", "1",
+        "--workers", "2",
+    ],
+}
 
 #: The columns of ``repro policies``, in order.
 POLICY_COLUMNS = ["name", "faces", "kernels", "stacked", "scheme"]
@@ -232,6 +252,13 @@ class TestSweepCommand:
         ]) == 0
         out = capsys.readouterr().out
         assert "2 x 2 = 4 points" in out and "ci_low" not in out
+
+    @pytest.mark.parametrize("golden", sorted(GOLDEN_GRIDS))
+    def test_grid_output_matches_golden(self, golden, capsys):
+        assert main(GOLDEN_GRIDS[golden]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (DATA / golden).read_text()
+        assert captured.err == ""
 
     def test_crn_flag_runs_stacked_engine(self, capsys):
         assert main([
