@@ -652,17 +652,24 @@ def _memoryless_shapes():
     }
 
 
-def _run_calls(kernel, calls) -> np.ndarray:
-    """Run ``calls`` on one stream; return ``(n, sum, sum of squares)`` of disk failures.
+#: Per-lifetime counters the memoryless comparison checks.
+MEMORYLESS_COUNTERS = ("disk_failures", "dl_events", "human_errors")
 
-    Only the sums outlive a call, so a ``tracemalloc`` peak is the largest
-    single call's, not the collected output's.
+
+def _run_calls(kernel, calls) -> np.ndarray:
+    """Run ``calls`` on one stream; return ``(n, sum, sum of squares)`` per counter.
+
+    One row per :data:`MEMORYLESS_COUNTERS` entry.  Only the sums outlive
+    a call, so a ``tracemalloc`` peak is the largest single call's, not the
+    collected output's.
     """
     rng = RandomStreams(2017).stream("montecarlo")
-    totals = np.zeros(3)
+    totals = np.zeros((len(MEMORYLESS_COUNTERS), 3))
     for params, n in calls:
-        failures = kernel(params, 87_600.0, n, rng).disk_failures.astype(float)
-        totals += (failures.size, failures.sum(), failures @ failures)
+        batch = kernel(params, 87_600.0, n, rng)
+        for row, name in zip(totals, MEMORYLESS_COUNTERS):
+            counts = getattr(batch, name).astype(float)
+            row += (counts.size, counts.sum(), counts @ counts)
     return totals
 
 
@@ -701,8 +708,10 @@ def test_memoryless_kernel(policy, shape, bench_record):
     run in process.  Both kernels are timed warm, alternating, as the
     median of :data:`TIMING_REPEATS` calls; each kernel's ``tracemalloc``
     peak comes from a separate call.  The two kernels make different draws
-    from the same law, so only the mean disk-failure counts are compared,
-    within 5 standard errors; time carries no floor.
+    from the same law, so only the mean counts of
+    :data:`MEMORYLESS_COUNTERS` are compared, each within 5 standard
+    errors: disk failures, and the split of repair windows into data
+    losses and wrong pulls.  Time carries no floor.
     """
     calls = _memoryless_shapes()[shape]
     lifetimes = sum(n for _, n in calls)
@@ -720,8 +729,13 @@ def test_memoryless_kernel(policy, shape, bench_record):
             seconds[name].append(time.perf_counter() - start)
     peaks = {name: _peak_mb(call) for name, call in sides.items()}
 
-    (new, new_se), (old, old_se) = (_mean_and_se(totals[name]) for name in sides)
-    assert abs(new - old) <= 5.0 * np.hypot(new_se, old_se)
+    means = {}
+    for name, new_totals, old_totals in zip(
+        MEMORYLESS_COUNTERS, totals["memoryless"], totals["clock_matrix"]
+    ):
+        (new, new_se), (old, old_se) = _mean_and_se(new_totals), _mean_and_se(old_totals)
+        assert abs(new - old) <= 5.0 * np.hypot(new_se, old_se), name
+        means[name] = f"{new:.5g} vs {old:.5g}"
 
     fast, slow = seconds["memoryless"], seconds["clock_matrix"]
     speedup = float(np.median(slow)) / max(float(np.median(fast)), 1e-9)
@@ -730,7 +744,8 @@ def test_memoryless_kernel(policy, shape, bench_record):
         f"calls — memoryless {np.median(fast):.3f}s ({min(fast):.3f}-{max(fast):.3f}), "
         f"peak {peaks['memoryless']:.1f} MB; clock matrix {np.median(slow):.3f}s "
         f"({min(slow):.3f}-{max(slow):.3f}), peak {peaks['clock_matrix']:.1f} MB; "
-        f"speedup {speedup:.2f}x; mean disk failures {new:.5g} vs {old:.5g}"
+        f"speedup {speedup:.2f}x; means "
+        + ", ".join(f"{name} {pair}" for name, pair in means.items())
     )
     # The conventional records keep the names they had before the spare
     # pools joined.

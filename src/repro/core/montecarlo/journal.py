@@ -16,7 +16,7 @@ File format (JSONL, one object per line)
 ----------------------------------------
 The first line is a header::
 
-    {"kind": "header", "version": 3, "digest": "<sha256>",
+    {"kind": "header", "version": 4, "digest": "<sha256>",
      "master_entropy": 1234..., "key": {...}}
 
 ``digest`` is the SHA-256 of the canonical (sorted-key) JSON of everything
@@ -80,8 +80,11 @@ __all__ = [
 #: of spliced into a run whose live shards come out differently.  Version 2:
 #: unbiased exponential ``conventional``/``baseline`` runs draw from one
 #: aggregate failure clock per lifetime.  Version 3: so do unbiased
-#: exponential ``automatic_failover``/``hot_spare_pool`` runs.
-JOURNAL_VERSION = 3
+#: exponential ``automatic_failover``/``hot_spare_pool`` runs.  Version 4:
+#: those four draw each repair or rebuild window as one race, an
+#: exponential duration and one uniform, in place of two clocks and a
+#: Bernoulli.
+JOURNAL_VERSION = 4
 
 #: ``(start, stop)`` sentinel of single-point (scalar-path) shard keys.
 SCALAR_RANGE = (-1, -1)

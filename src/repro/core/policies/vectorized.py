@@ -641,6 +641,24 @@ def _exp_after(start: np.ndarray, rate, rng: np.random.Generator) -> np.ndarray:
     return draw
 
 
+def _repair_race(repair_rate, second_rate, hep):
+    """Return ``(rate, p_dl, p_he)`` of a repair window raced by a failure.
+
+    The window lasts ``Exp(rate)``, ``rate = repair_rate + second_rate``,
+    whichever clock ends it.  One uniform ``u`` per window names the
+    winner: the failure (data loss) when ``u < p_dl = second_rate / rate``,
+    else the repair, followed by a wrong pull when ``u < p_he = p_dl + (1 -
+    p_dl) * hep``.  The minimum of independent exponentials is independent
+    of which one came first, and given ``u >= p_dl`` the ratio ``(u - p_dl)
+    / (1 - p_dl)`` is uniform, so this is the law of two clocks and a
+    Bernoulli.  Scalars and per-row planes take the same arithmetic, so a
+    one-row grid decides each window exactly as its point does.
+    """
+    rate = repair_rate + second_rate
+    p_dl = second_rate / rate
+    return rate, p_dl, p_dl + (1.0 - p_dl) * hep
+
+
 class _Outages:
     """Outage episodes counted into one batch.
 
@@ -718,8 +736,8 @@ def batch_conventional(
     The input alone picks one of two clock disciplines:
 
     * unbiased runs whose every row fails exponentially
-      (``failure_shape == 1``) carry one episode start per lifetime and
-      draw each failure from the aggregate clock of the healthy disks
+      (``failure_shape == 1``) carry one next-failure time per lifetime
+      and draw each failure from the aggregate clock of the healthy disks
       (:func:`_memoryless_conventional`);
     * Weibull laws and failure-biased runs carry the ``(n_lifetimes,
       n_disks)`` clock matrix (:func:`_clock_matrix_conventional`).
@@ -741,61 +759,60 @@ def _memoryless_conventional(
 
     Every episode of the clock-matrix kernel ends with each disk either
     renewed or still running, so by memorylessness the next episode starts
-    from ``n`` fresh disks: the first failure arrives at rate ``n*lambda``
-    and a failure during its repair at rate ``(n-1)*lambda`` among the
-    survivors.  Each lifetime therefore carries only the start of its
-    next episode, and the per-lifetime counters follow the clock-matrix
-    kernel's distribution without its clock matrix.  A wrong pull draws no
-    slot: which disk was pulled no longer matters.  Stacked grids take
-    ``n`` and ``lambda`` row by row, so mixed geometries need no masking.
+    from ``n`` fresh disks: the first failure arrives at rate ``n*lambda``,
+    and its repair races a failure among the ``n - 1`` survivors.  One
+    :func:`_repair_race` draw and one uniform settle that window, so the
+    per-lifetime counters follow the clock-matrix kernel's distribution
+    without its clock matrix.  Each lifetime carries only its next
+    failure, drawn from the end of the episode before it.  A wrong pull
+    draws no slot: which disk was pulled no longer matters.  Stacked grids
+    take ``n`` and ``lambda`` row by row, so mixed geometries need no
+    masking.
     """
     if horizon_hours <= 0.0:
         raise SimulationError(f"horizon must be positive, got {horizon_hours!r}")
     horizon_hours = float(horizon_hours)
     m = _check_lifetimes(params, n_lifetimes)
     n = _per_row_or(params, "n_disks_rows", params.n_disks)
-    first_rate = n * params.disk_failure_rate
-    second_rate = (n - 1) * params.disk_failure_rate
-    repair_dist = params.repair_distribution()
-    hep = params.hep
-    has_hep = _has_positive(hep)
+    lam = params.disk_failure_rate
+    first_rate = n * lam
+    race_rate, p_dl, p_he = _repair_race(params.disk_repair_rate, (n - 1) * lam, params.hep)
+    has_hep = _has_positive(params.hep)
 
     batch = BatchLifetimes.zeros(m, horizon_hours)
     outages = _Outages(params, batch, rng)
     rows = np.arange(m)
-    start = np.zeros(m, dtype=float)
+    fail = rng.standard_exponential(m)
+    fail /= first_rate
 
     while rows.size:
-        fail = _exp_after(start, _rows(first_rate, rows), rng)
+        # A failure at or after the horizon retires its lifetime.
         alive = fail < horizon_hours
         if not alive.all():
             keep = np.flatnonzero(alive)
             rows, fail = rows[keep], fail[keep]
             if rows.size == 0:
                 break
-        k = rows.size
         batch.disk_failures[rows] += 1
 
-        # ``end`` starts as the repair's end and is overwritten where an
-        # outage extends the episode.
-        end = fail + _sample_rows(repair_dist, rows, rng)
-        second = _exp_after(fail, _rows(second_rate, rows), rng)
+        # ``end`` starts as the repair window's end and is overwritten
+        # where an outage extends the episode.
+        end = _exp_after(fail, _rows(race_rate, rows), rng)
+        u = rng.random(rows.size)
 
         # Double disk failure during the repair: data loss, backup restore.
-        dl = second < end
+        dl = u < _rows(p_dl, rows)
         dl_pos = np.flatnonzero(dl)
         if dl_pos.size:
-            end[dl_pos] = outages.data_loss(rows[dl_pos], second[dl_pos])
+            end[dl_pos] = outages.data_loss(rows[dl_pos], end[dl_pos])
 
         # Wrong disk replacement after the repair.
         if has_hep:
-            he_pos = np.flatnonzero(~dl & (rng.random(k) < _rows(hep, rows)))
+            he_pos = np.flatnonzero(~dl & (u < _rows(p_he, rows)))
             if he_pos.size:
                 end[he_pos] = outages.wrong_pull(rows[he_pos], end[he_pos])
 
-        # An episode ending at or after the horizon retires its lifetime.
-        keep = np.flatnonzero(end < horizon_hours)
-        rows, start = rows[keep], end[keep]
+        fail = _exp_after(end, _rows(first_rate, rows), rng)
 
     return batch
 
@@ -1052,7 +1069,11 @@ def _memoryless_spare_pool(
     the ``k`` disks still running, started at the last instant all of them
     are known to be fresh, so by memorylessness every branch of
     :func:`_clock_matrix_spare_pool` keeps its law without the clock
-    matrix.  Three places need more than a fresh ``Exp(n*lambda)``:
+    matrix.  A rebuild onto a spare is one :func:`_repair_race` window,
+    whose uniform, given no data loss, also decides the replacement
+    visit's wrong pull.  The exposed service keeps a drawn second failure,
+    because after a wrong pull it comes from clocks already running.
+    Three places need more than a fresh ``Exp(n*lambda)``:
 
     * a wrong pull during the replacement visit takes the pulled disk out
       of the race: the first failure among the others is ``A ~
@@ -1073,8 +1094,8 @@ def _memoryless_spare_pool(
     n = _per_row_or(params, "n_disks_rows", params.n_disks)
     lam = params.disk_failure_rate
     all_rate, one_down_rate, two_down_rate = n * lam, (n - 1) * lam, (n - 2) * lam
+    rebuild_rate, p_dl, p_he = _repair_race(params.disk_repair_rate, one_down_rate, params.hep)
     service_rate = params.disk_repair_rate + params.spare_replacement_rate
-    rebuild_dist = params.repair_distribution()
     replace_dist = params.spare_replacement_distribution()
     hep = params.hep
     has_hep = _has_positive(hep)
@@ -1102,21 +1123,22 @@ def _memoryless_spare_pool(
         exposed: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         has_spare = spares > 0
 
-        # On-line rebuild onto a hot spare.
+        # On-line rebuild onto a hot spare, raced by a failure among the
+        # other disks (:func:`_repair_race`): ``rebuilt`` ends the window,
+        # at the second failure where that wins.
         pos = np.flatnonzero(has_spare)
         g = rows[pos]
-        at = fail[pos]
-        rebuilt = at + _sample_rows(rebuild_dist, g, rng)
-        second = _exp_after(at, _rows(one_down_rate, g), rng)
+        rebuilt = _exp_after(fail[pos], _rows(rebuild_rate, g), rng)
+        u = rng.random(pos.size)
 
         # Double disk failure during the rebuild: data loss, backup restore;
         # the restore window is long enough to restock the pool.
-        dl = second < rebuilt
+        dl = u < _rows(p_dl, g)
         if dl.any():
-            fresh.append((pos[dl], outages.data_loss(g[dl], second[dl])))
+            fresh.append((pos[dl], outages.data_loss(g[dl], rebuilt[dl])))
             spares[pos[dl]] = _rows(pool_sizes, g[dl])
             ok = np.flatnonzero(~dl)
-            pos, g, rebuilt = pos[ok], g[ok], rebuilt[ok]
+            pos, g, rebuilt, u = pos[ok], g[ok], rebuilt[ok], u[ok]
 
         # Rebuild finished: the spare carries the data, and a technician
         # visit replaces the dead hardware.  A failure before the visit ends
@@ -1124,14 +1146,15 @@ def _memoryless_spare_pool(
         # round.  Otherwise the visit restocks the pool (the exposed service
         # below resets the pools of the rows it takes), and the next failure
         # is still ``after``: ``max(after, replaced)`` differs from it only
-        # past the horizon.
+        # past the horizon.  The rebuild's ``u``, uniform above ``p_dl``
+        # now, decides the visit's wrong pull.
         replaced = rebuilt + _sample_rows(replace_dist, g, rng)
         after = _exp_after(rebuilt, _rows(all_rate, g), rng)
         nxt[pos] = after
         visit = (after >= replaced) | (after >= horizon)
         spares[pos] = np.where(visit, _rows(pool_sizes, g), spares[pos] - 1)
         if has_hep:
-            he = visit & (rng.random(pos.size) < _rows(hep, g))
+            he = visit & (u < _rows(p_he, g))
         else:
             he = np.zeros(pos.size, dtype=bool)
 

@@ -10,12 +10,12 @@ paper handles the non-exponential case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.availability.report import Table, table_from_series
 from repro.core.evaluation import evaluate
-from repro.core.sweep import SweepGrid, sweep_grid, sweep_hep
+from repro.core.sweep import SweepGrid, sweep_grid
 from repro.experiments.config import DEFAULTS, FIG5_FIELD_RATES, HEP_SWEEP
 from repro.core.parameters import paper_parameters
 from repro.storage.raid import RaidGeometry
@@ -49,22 +49,22 @@ def run_fig5_sweep(
     mc_horizon_hours: float = DEFAULTS.mc_horizon_hours,
     seed: int = DEFAULTS.seed,
 ) -> List[HepSweepSeries]:
-    """Run the Fig. 5 sweep and return one series per field failure rate."""
+    """Run the Fig. 5 sweep and return one series per field failure rate.
+
+    The analytical curves are the rows of one :func:`run_fig5_surface`
+    grid over ``field_rates x hep_values``.
+    """
+    surface = run_fig5_surface(hep_values, [rate for rate, _ in field_rates])
     series: List[HepSweepSeries] = []
-    for rate, shape in field_rates:
-        base = paper_parameters(
-            geometry=RaidGeometry.raid5(3), disk_failure_rate=rate, hep=0.0
-        )
-        markov_points = sweep_hep(base, hep_values, model="conventional")
-        mc_nines: Optional[List[float]] = None
+    for entry in _series_from_surface(surface, field_rates):
         if include_monte_carlo:
             mc_nines = []
             for hep in hep_values:
                 params = paper_parameters(
                     geometry=RaidGeometry.raid5(3),
-                    disk_failure_rate=rate,
+                    disk_failure_rate=entry.disk_failure_rate,
                     hep=hep,
-                    failure_shape=shape,
+                    failure_shape=entry.weibull_shape,
                 )
                 result = evaluate(
                     params,
@@ -76,16 +76,28 @@ def run_fig5_sweep(
                     seed=seed,
                 )
                 mc_nines.append(result.nines)
-        series.append(
-            HepSweepSeries(
-                disk_failure_rate=float(rate),
-                weibull_shape=float(shape),
-                hep_values=[float(h) for h in hep_values],
-                markov_nines=[p.nines for p in markov_points],
-                mc_nines=mc_nines,
-            )
-        )
+            entry = replace(entry, mc_nines=mc_nines)
+        series.append(entry)
     return series
+
+
+def _series_from_surface(
+    grid: SweepGrid, field_rates: Sequence = FIG5_FIELD_RATES
+) -> List[HepSweepSeries]:
+    """Return the analytical Fig. 5 series: one per row of a surface grid.
+
+    Row ``i`` of ``grid`` (a :func:`run_fig5_surface` result) belongs to
+    ``field_rates[i]``, which supplies the series' Weibull shape.
+    """
+    return [
+        HepSweepSeries(
+            disk_failure_rate=float(rate),
+            weibull_shape=float(shape),
+            hep_values=[float(hep) for hep in grid.values2],
+            markov_nines=row,
+        )
+        for rate, (_, shape), row in zip(grid.values1, field_rates, grid.nines_matrix())
+    ]
 
 
 def run_fig5_surface(

@@ -227,8 +227,8 @@ EXECUTOR_CASES = _executor_cases()
 # ----------------------------------------------------------------------
 # Journal run digests
 # ----------------------------------------------------------------------
-SCALAR_DIGEST = "ca030f001d0077e8aab0240829edf813f86e9f525e0def7691f0ffe3db20ca7f"
-STACKED_DIGEST = "6c7fbe6977dbbccd06b333acba7f163adfb46e32cded69382e7817a62aac968f"
+SCALAR_DIGEST = "e2c542179bf08d0b527f18f3161d826c404f2955b734e6d44be9df34ad702149"
+STACKED_DIGEST = "398ba437ab5b92b8056346f9c18a21f38e13926b831d71730bbd2751f1b73330"
 
 #: The scalar case's digest under journal version 1, whose unbiased
 #: exponential conventional runs drew from the clock matrix.
@@ -237,6 +237,10 @@ VERSION_1_SCALAR_DIGEST = "b02c3f7ff5594450331c2e4c3b3e06716035decbac77e1381e1db
 #: The scalar case's digest under journal version 2, whose unbiased
 #: exponential fail-over and hot-spare-pool runs drew from the clock matrix.
 VERSION_2_SCALAR_DIGEST = "076289e012b9c676aaf05eae8b82d380fd4b1211e94286bf5af73cc9660772f4"
+
+#: The scalar case's digest under journal version 3, whose unbiased
+#: exponential runs drew a repair window as two clocks and a Bernoulli.
+VERSION_3_SCALAR_DIGEST = "ca030f001d0077e8aab0240829edf813f86e9f525e0def7691f0ffe3db20ca7f"
 
 
 def _journal_digest(path: Path) -> str:
@@ -397,6 +401,12 @@ def test_version_2_journal_is_refused(tmp_path):
     # Version 2 drew unbiased exponential spare-pool runs from the clock
     # matrix; the run digest carries the version, so its journal is refused.
     _assert_refused(tmp_path / "version2.jsonl", 2, VERSION_2_SCALAR_DIGEST)
+
+
+def test_version_3_journal_is_refused(tmp_path):
+    # Version 3 drew each unbiased exponential repair window from two
+    # clocks and a Bernoulli, where version 4 draws one race.
+    _assert_refused(tmp_path / "version3.jsonl", 3, VERSION_3_SCALAR_DIGEST)
 
 
 if __name__ == "__main__":  # pragma: no cover - fixture regeneration

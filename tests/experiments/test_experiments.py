@@ -156,18 +156,46 @@ class TestFig5:
             fig5_table([])
 
     def test_surface_matches_per_series_sweep(self):
-        # The one-call hep x lambda surface must reproduce the per-rate
-        # analytical series exactly (same template engine, same points).
+        # The one-call hep x lambda surface, whose rows are the Fig. 5
+        # series, must equal one 1-D sweep per rate bit for bit (same
+        # template engine, same points).
+        from repro.core.parameters import paper_parameters
+        from repro.core.sweep import sweep_hep
         from repro.experiments.fig5_hep_sweep import fig5_surface_table, run_fig5_surface
+        from repro.storage.raid import RaidGeometry
 
         surface = run_fig5_surface()
         series = run_fig5_sweep()
         assert surface.shape == (4, 3)
-        for entry, row in zip(series, surface.points):
-            for want, point in zip(entry.markov_nines, row):
-                assert point.nines == pytest.approx(want, abs=1e-12)
+        for (rate, _), entry, row in zip(FIG5_FIELD_RATES, series, surface.nines_matrix()):
+            base = paper_parameters(
+                geometry=RaidGeometry.raid5(3), disk_failure_rate=rate, hep=0.0
+            )
+            swept = sweep_hep(base, entry.hep_values, model="conventional")
+            assert entry.markov_nines == row == [point.nines for point in swept]
         table = fig5_surface_table(surface)
         assert len(table.rows) == 3 and len(table.columns) == 5
+
+    def test_reproduce_solves_the_fig5_sheet_once(self, monkeypatch):
+        # Both Fig. 5 tables of a reproduction come from one surface grid;
+        # the series sweep would solve the same sheet a second time.
+        from repro.experiments import fig5_hep_sweep, run_all_experiments
+
+        grids = []
+        sweep_grid = fig5_hep_sweep.sweep_grid
+
+        def counted(*args, **kwargs):
+            grids.append(args)
+            return sweep_grid(*args, **kwargs)
+
+        def second_solve(*args, **kwargs):
+            raise AssertionError("the Fig. 5 series were solved apart from the surface")
+
+        monkeypatch.setattr(fig5_hep_sweep, "sweep_grid", counted)
+        monkeypatch.setattr(fig5_hep_sweep, "run_fig5_sweep", second_solve)
+        report = run_all_experiments(include_monte_carlo=False)
+        assert len(grids) == 1
+        assert sum(table.title.startswith("Fig. 5") for table in report.tables) == 2
 
     def test_surface_runs_on_monte_carlo_backend(self):
         from repro.experiments.fig5_hep_sweep import run_fig5_surface
