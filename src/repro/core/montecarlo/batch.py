@@ -31,7 +31,7 @@ stacked grid runs in the same shards, one kernel call per point segment.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,11 +40,11 @@ from repro.core.montecarlo.results import MonteCarloResult
 from repro.core.policies.base import BatchLifetimes
 from repro.core.policies.registry import resolve_policy
 from repro.exceptions import ConfigurationError
-from repro.simulation.confidence import (
-    StreamingMoments,
-    confidence_interval,
-    segmented_moments,
-)
+from repro.simulation.confidence import StreamingMoments, segment_sums, segmented_moments
+
+# Not called here any more: the traced benchmark run (``perfbench/spans.py``)
+# wraps ``batch.confidence_interval`` by module attribute.
+from repro.simulation.confidence import confidence_interval  # noqa: F401
 from repro.simulation.rng import RandomStreams
 
 
@@ -69,6 +69,15 @@ def run_batch_lifetimes(
     )
 
 
+def summarise_lifetimes(batch: BatchLifetimes) -> Tuple[StreamingMoments, Dict[str, float]]:
+    """Return a batch's mergeable moments and event totals, as one segment.
+
+    The one-segment case of :func:`segment_point_records`, so a shard, a
+    whole-budget batch and a stacked point are summarised alike.
+    """
+    return unpack_record(segment_point_records(batch, (0,), (len(batch),))[0])
+
+
 def summarise_batch(
     batch: BatchLifetimes,
     config: MonteCarloConfig,
@@ -80,22 +89,16 @@ def summarise_batch(
     # SimulationError from deep inside the interval computation.
     if len(batch) < 2:
         raise ConfigurationError("at least two iterations are required to summarise")
-    weights = batch.weights()
-    availabilities = batch.weighted_availabilities(weights)
-    interval = confidence_interval(availabilities, confidence=config.confidence)
-    ess = None
-    if weights is not None:
-        moments = StreamingMoments.from_samples(availabilities, weights=weights)
-        ess = moments.ess()
+    moments, totals = summarise_lifetimes(batch)
     return MonteCarloResult(
-        availability=float(availabilities.mean()),
-        interval=interval,
+        availability=moments.mean,
+        interval=moments.interval(config.confidence),
         n_iterations=len(batch),
         horizon_hours=config.horizon_hours,
-        totals=batch.totals(),
+        totals=totals,
         label=config.label(),
         seed_entropy=seed_entropy,
-        ess=ess,
+        ess=None if batch.log_weights is None else moments.ess(),
     )
 
 
@@ -154,15 +157,23 @@ def segment_point_records(
     :func:`~repro.simulation.confidence.segmented_moments`) and its event
     totals (``np.add.reduceat``), with no per-point Python loop over
     samples, into one record array the parent merges with array ops.
+
+    Only simulated lifetimes are read
+    (:meth:`~repro.core.policies.base.BatchLifetimes.simulated_part`): an
+    idle one is a sample of exactly 1 with weight 1 and no events, so its
+    segment folds it in closed form.
     """
     if len(point_indices) != len(counts):
         raise ConfigurationError("one point index is required per segment")
-    weights = batch.weights()
-    moments = segmented_moments(
-        batch.weighted_availabilities(weights), counts, weights=weights
-    )
     sizes = np.asarray(list(counts), dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    simulated, part = batch.simulated_part(sizes)
+    weights = part.weights()
+    moments = segmented_moments(
+        part.weighted_availabilities(weights),
+        simulated,
+        weights=weights,
+        ones=sizes - simulated,
+    )
     records = np.zeros(len(moments), dtype=POINT_SUMMARY_DTYPE)
     records["point"] = np.asarray(list(point_indices), dtype=np.int64)
     records["n"] = sizes
@@ -171,11 +182,23 @@ def segment_point_records(
     records["w_sum"] = [moment.w_sum for moment in moments]
     records["w2_sum"] = [moment.w2_sum for moment in moments]
     for key in POINT_SUMMARY_TOTAL_FIELDS:
-        values = getattr(batch, key)
+        values = getattr(part, key)
         if weights is not None:
             values = weights * values
-        records[key] = np.add.reduceat(values, offsets)
+        records[key] = segment_sums(values, simulated)
     return records
+
+
+def unpack_record(record) -> Tuple[StreamingMoments, Dict[str, float]]:
+    """Unpack one :data:`POINT_SUMMARY_DTYPE` record into (moments, totals)."""
+    moments = StreamingMoments(
+        n=int(record["n"]),
+        mean=float(record["mean"]),
+        m2=float(record["m2"]),
+        w_sum=float(record["w_sum"]),
+        w2_sum=float(record["w2_sum"]),
+    )
+    return moments, {key: float(record[key]) for key in POINT_SUMMARY_TOTAL_FIELDS}
 
 
 def run_stacked(

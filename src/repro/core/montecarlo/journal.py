@@ -59,7 +59,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.montecarlo.batch import POINT_SUMMARY_DTYPE, POINT_SUMMARY_TOTAL_FIELDS
+from repro.core.montecarlo.batch import (
+    POINT_SUMMARY_DTYPE,
+    POINT_SUMMARY_TOTAL_FIELDS,
+    unpack_record,
+)
 from repro.core.montecarlo.config import DEFAULT_SHARD_CAP
 from repro.exceptions import ConfigurationError
 from repro.simulation.confidence import StreamingMoments
@@ -83,8 +87,10 @@ __all__ = [
 #: exponential ``automatic_failover``/``hot_spare_pool`` runs.  Version 4:
 #: those four draw each repair or rebuild window as one race, an
 #: exponential duration and one uniform, in place of two clocks and a
-#: Bernoulli.
-JOURNAL_VERSION = 4
+#: Bernoulli.  Version 5: they draw how many lifetimes of each point
+#: segment fail before the horizon as one binomial, and only those
+#: lifetimes' first failures, where version 4 drew every lifetime's.
+JOURNAL_VERSION = 5
 
 #: ``(start, stop)`` sentinel of single-point (scalar-path) shard keys.
 SCALAR_RANGE = (-1, -1)
@@ -170,18 +176,7 @@ def summary_parts_from_record(
         raise ConfigurationError(
             f"a scalar shard journals exactly one point record, got {len(records)}"
         )
-    record = records[0]
-    moments = StreamingMoments(
-        n=int(record["n"]),
-        mean=float(record["mean"]),
-        m2=float(record["m2"]),
-        w_sum=float(record["w_sum"]),
-        w2_sum=float(record["w2_sum"]),
-    )
-    totals = {
-        field: float(record[field]) for field in POINT_SUMMARY_TOTAL_FIELDS
-    }
-    return moments, totals
+    return unpack_record(records[0])
 
 
 def journal_entropy(path: Union[str, Path]) -> Optional[int]:

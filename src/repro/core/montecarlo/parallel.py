@@ -51,6 +51,8 @@ import numpy as np
 from repro.core.montecarlo.batch import (
     POINT_SUMMARY_TOTAL_FIELDS,
     segment_point_records,
+    summarise_lifetimes,
+    unpack_record,
 )
 from repro.core.montecarlo.config import DEFAULT_SHARD_CAP, MonteCarloConfig
 from repro.core.montecarlo.faults import check_abort, check_fault
@@ -179,14 +181,8 @@ def run_shard(
         streams,
         biasing=config.biasing,
     )
-    weights = batch.weights()
-    return ShardSummary(
-        shard_index=shard_index,
-        moments=StreamingMoments.from_samples(
-            batch.weighted_availabilities(weights), weights=weights
-        ),
-        totals=batch.totals(),
-    )
+    moments, totals = summarise_lifetimes(batch)
+    return ShardSummary(shard_index=shard_index, moments=moments, totals=totals)
 
 
 #: Environment flag the pool initializer sets in every worker — the hook
@@ -960,7 +956,7 @@ def run_stacked_shard_shm(
     payload per shard is the tiny spec.
     """
     segment = attach_segment_cached(spec.name)
-    grid_slice = attach_grid_slice(spec, segment.buf, shard.start, shard.stop)
+    grid_slice = attach_grid_slice(spec, segment.buf, shard.start, shard.stop, shard.counts)
     try:
         return _simulate_stacked_shard(
             policy, grid_slice, horizon_hours, master_entropy, shard,
@@ -1115,15 +1111,7 @@ def _merge_point_records(
             key: float(sums[key][row]) for key in POINT_SUMMARY_TOTAL_FIELDS
         }
     for record in records:
-        moments[int(record["point"])].merge(
-            StreamingMoments(
-                n=int(record["n"]),
-                mean=float(record["mean"]),
-                m2=float(record["m2"]),
-                w_sum=float(record["w_sum"]),
-                w2_sum=float(record["w2_sum"]),
-            )
-        )
+        moments[int(record["point"])].merge(unpack_record(record)[0])
     return moments, totals
 
 

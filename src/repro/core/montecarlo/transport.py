@@ -35,7 +35,7 @@ import os
 import secrets
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -431,13 +431,20 @@ def attach_segment_cached(name: str):
     return segment
 
 
-def attach_grid_slice(spec: GridPlanesSpec, buf, start: int, stop: int) -> StackedParams:
+def attach_grid_slice(
+    spec: GridPlanesSpec,
+    buf,
+    start: int,
+    stop: int,
+    segments: Optional[Sequence[int]] = None,
+) -> StackedParams:
     """Build a worker's grid slice as read-only views of an attached buffer.
 
     ``buf`` is the attached segment's buffer; the returned
     :class:`StackedParams` holds zero-copy row-range views ``[start, stop)``
     of every plane, marked non-writable so a kernel bug can never corrupt
-    the planes other workers are reading.
+    the planes other workers are reading.  ``segments`` are the slice's
+    point segments (the shard's ``counts``).
     """
     if not 0 <= start < stop <= spec.n_rows:
         raise ConfigurationError(
@@ -454,7 +461,7 @@ def attach_grid_slice(spec: GridPlanesSpec, buf, start: int, stop: int) -> Stack
         )
         view.flags.writeable = False
         planes[name] = view
-    return stacked_from_planes(planes)
+    return stacked_from_planes(planes, segments=segments)
 
 
 def active_segments() -> List[str]:

@@ -36,7 +36,7 @@ must stay importable from either direction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -161,6 +161,19 @@ class ResolvedScheme:
         return self.check_period_hours is not None
 
 
+def prefix_rows(sizes: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Return the rows of the first ``heads[i]`` lifetimes of each segment.
+
+    ``sizes[i]`` consecutive rows form segment ``i``; the result lists
+    rows ``offset_i .. offset_i + heads[i] - 1`` of every segment, in order.
+    """
+    if sizes.size == 1:
+        return np.arange(int(heads[0]))
+    offsets = np.cumsum(sizes) - sizes
+    starts = np.cumsum(heads) - heads
+    return np.arange(int(heads.sum())) + np.repeat(offsets - starts, heads)
+
+
 @dataclass
 class BatchLifetimes:
     """Struct-of-arrays outcome of a batch of simulated lifetimes.
@@ -173,6 +186,13 @@ class BatchLifetimes:
     kernel runs: per-lifetime log-likelihood-ratio ``log dP/dQ`` of the
     nominal measure against the biased sampling measure.  ``None`` means the
     batch was drawn from the nominal measure (all weights exactly one).
+
+    ``segments``/``simulated`` are set by the kernels that thin idle
+    lifetimes: ``segments[i]`` consecutive lifetimes form segment ``i``,
+    and only its first ``simulated[i]`` saw a failure before the horizon.
+    The others hold all-zero counters, exactly as if simulated, so every
+    per-lifetime array stays valid; :meth:`simulated_part` lets a summary
+    skip them.
     """
 
     horizon_hours: float
@@ -182,6 +202,8 @@ class BatchLifetimes:
     disk_failures: np.ndarray
     human_errors: np.ndarray
     log_weights: Optional[np.ndarray] = None
+    segments: Optional[np.ndarray] = None
+    simulated: Optional[np.ndarray] = None
 
     @classmethod
     def zeros(cls, n: int, horizon_hours: float) -> "BatchLifetimes":
@@ -197,6 +219,36 @@ class BatchLifetimes:
 
     def __len__(self) -> int:
         return int(self.downtime_hours.size)
+
+    def simulated_part(self, counts) -> Tuple[np.ndarray, "BatchLifetimes"]:
+        """Return ``(simulated, part)`` for a summary over segments ``counts``.
+
+        ``part`` holds, segment after segment, the ``simulated[i]``
+        simulated lifetimes of segment ``i``; every other lifetime is idle
+        (no failure, no downtime).  Segments other than the kernel's, or a
+        batch that thinned nothing, count every lifetime as simulated and
+        return the batch itself.
+        """
+        sizes = np.asarray(counts, dtype=np.int64)
+        if (
+            self.simulated is None
+            or not np.array_equal(self.segments, sizes)
+            or np.array_equal(self.simulated, sizes)
+        ):
+            return sizes, self
+        if sizes.size == 1:
+            rows: Union[slice, np.ndarray] = slice(0, int(self.simulated[0]))
+        else:
+            rows = prefix_rows(sizes, self.simulated)
+        return self.simulated, BatchLifetimes(
+            horizon_hours=self.horizon_hours,
+            downtime_hours=self.downtime_hours[rows],
+            du_events=self.du_events[rows],
+            dl_events=self.dl_events[rows],
+            disk_failures=self.disk_failures[rows],
+            human_errors=self.human_errors[rows],
+            log_weights=None if self.log_weights is None else self.log_weights[rows],
+        )
 
     def availabilities(self) -> np.ndarray:
         """Return the per-lifetime availability (downtime clipped to horizon)."""
@@ -226,29 +278,6 @@ class BatchLifetimes:
         if weights is None:
             return availabilities
         return 1.0 - weights * (1.0 - availabilities)
-
-    def totals(self) -> Dict[str, float]:
-        """Return summed counters in the ``MonteCarloResult.totals`` layout.
-
-        Importance-sampled batches sum likelihood-ratio-weighted counters so
-        the totals estimate the nominal-measure expectations.
-        """
-        weights = self.weights()
-        if weights is None:
-            return {
-                "downtime_hours": float(self.downtime_hours.sum()),
-                "du_events": float(self.du_events.sum()),
-                "dl_events": float(self.dl_events.sum()),
-                "disk_failures": float(self.disk_failures.sum()),
-                "human_errors": float(self.human_errors.sum()),
-            }
-        return {
-            "downtime_hours": float(np.dot(weights, self.downtime_hours)),
-            "du_events": float(np.dot(weights, self.du_events)),
-            "dl_events": float(np.dot(weights, self.dl_events)),
-            "disk_failures": float(np.dot(weights, self.disk_failures)),
-            "human_errors": float(np.dot(weights, self.human_errors)),
-        }
 
     def to_iteration_results(self) -> List["IterationResult"]:
         """Explode the batch into per-lifetime result objects."""

@@ -188,6 +188,14 @@ class StackedParams:
     one resolved :class:`~repro.core.policies.base.RedundancyScheme` per
     row, letting one kernel invocation mix ``k``-of-``N`` geometries and
     check periods (``N`` is ``n_disks_rows``).
+
+    ``segments`` is not a plane: ``segments[i]`` consecutive rows belong to
+    one parameter point, in row order.  The memoryless kernels draw each
+    segment's count of lifetimes that fail before the horizon as one
+    binomial, which is only that point's law if the segment is the point's
+    own: rows of two points, even two identical ones, must never share a
+    segment.  :func:`stack_parameter_points` sets it and :meth:`slice`
+    cuts it; a grid without it is thinned row by row.
     """
 
     disk_failure_rate: np.ndarray
@@ -203,6 +211,7 @@ class StackedParams:
     k_rows: Optional[np.ndarray] = None
     repair_threshold_rows: Optional[np.ndarray] = None
     check_period_rows: Optional[np.ndarray] = None
+    segments: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         n = self.disk_failure_rate.shape
@@ -252,6 +261,14 @@ class StackedParams:
                 )
             if np.any(self.check_period_rows <= 0.0):
                 raise ConfigurationError("stacked check periods must be positive")
+        if self.segments is not None and (
+            self.segments.ndim != 1
+            or np.any(self.segments < 1)
+            or int(self.segments.sum()) != n[0]
+        ):
+            raise ConfigurationError(
+                "stacked segments must be positive row counts that tile the grid"
+            )
 
     @property
     def has_schemes(self) -> bool:
@@ -309,6 +326,11 @@ class StackedParams:
         def _cut(plane):
             return None if plane is None else plane[start:stop]
 
+        segments = None
+        if self.segments is not None:
+            ends = np.cumsum(self.segments)
+            sizes = np.minimum(ends, stop) - np.maximum(ends - self.segments, start)
+            segments = sizes[sizes > 0]
         return StackedParams(
             disk_failure_rate=self.disk_failure_rate[start:stop],
             disk_repair_rate=self.disk_repair_rate[start:stop],
@@ -323,17 +345,19 @@ class StackedParams:
             k_rows=_cut(self.k_rows),
             repair_threshold_rows=_cut(self.repair_threshold_rows),
             check_period_rows=_cut(self.check_period_rows),
+            segments=segments,
         )
 
 
-def stacked_from_planes(planes: dict) -> StackedParams:
+def stacked_from_planes(planes: dict, segments: Optional[Sequence[int]] = None) -> StackedParams:
     """Build a grid directly from per-field arrays (views included).
 
     ``planes`` maps every :data:`STACKED_PLANE_FIELDS` name — plus
     optionally ``n_spares_rows`` — to a length-matched 1-d array.  The
     arrays are adopted as-is, so zero-copy views (row ranges of a
     shared-memory segment, slices of a materialised sweep grid) flow
-    straight into the kernels without a repack.
+    straight into the kernels without a repack.  ``segments`` are the
+    rows' point segments (see :class:`StackedParams`).
     """
     missing = [name for name, _ in STACKED_PLANE_FIELDS if name not in planes]
     if missing:
@@ -342,6 +366,7 @@ def stacked_from_planes(planes: dict) -> StackedParams:
         **{name: planes[name] for name, _ in STACKED_PLANE_FIELDS},
         n_spares_rows=planes.get(OPTIONAL_PLANE_FIELD[0]),
         **{name: planes.get(name) for name, _ in SCHEME_PLANE_FIELDS},
+        segments=None if segments is None else np.asarray(segments, dtype=np.int64),
     )
 
 
@@ -356,7 +381,8 @@ def stack_parameter_points(
     ``points[i]`` contributes ``counts[i]`` consecutive lifetimes; the
     flattened row order is therefore point-major, which is what the
     segmented per-point aggregation in
-    :mod:`repro.core.montecarlo.batch` relies on.
+    :mod:`repro.core.montecarlo.batch` relies on.  ``counts`` become the
+    grid's ``segments``.
 
     Only swept fields are repeated into per-lifetime arrays.  A field whose
     per-point values are all exactly equal becomes a read-only zero-stride
@@ -425,4 +451,5 @@ def stack_parameter_points(
         failure_shape=_field([p.failure_shape for p in points]),
         n_disks_rows=_field([p.n_disks for p in points], dtype=np.int64),
         n_spares_rows=spares,
+        segments=reps,
     )

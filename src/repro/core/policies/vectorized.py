@@ -15,8 +15,9 @@ Three kernels are provided:
 ``batch_conventional``
     The paper's Fig. 2 conventional replacement policy.  Unbiased runs
     with exponential failures track one aggregate next-failure clock per
-    lifetime (``_memoryless_conventional``); Weibull laws and biased runs
-    keep the ``(n_lifetimes, n_disks)`` clock matrix
+    lifetime (``_memoryless_conventional``), and simulate only the
+    lifetimes that fail before the horizon (``_first_failures``); Weibull
+    laws and biased runs keep the ``(n_lifetimes, n_disks)`` clock matrix
     (``_clock_matrix_conventional``).  The input alone picks the path.
 ``batch_spare_pool``
     A hot-spare state machine parameterised by the pool size ``n_spares``.
@@ -46,7 +47,8 @@ plain scalars take the exact pre-stacked code paths (identical draws).
 **Allocation discipline.**  Every kernel keeps a *physically compacted*
 working set: its per-lifetime state holds only the still-active
 lifetimes, shrinking whenever lifetimes reach the horizon, so late rounds
-touch only live rows.  The clock-matrix kernels compact their clock
+touch only live rows; the memoryless kernels start it from the lifetimes
+that fail before the horizon at all.  The clock-matrix kernels compact their clock
 matrix into a reusable :class:`_Arena` sized once to the shard.  Compaction only changes *where* state lives, never which rows are
 stepped or in which order they are sampled: row-aware draws are keyed by
 global lifetime ids, never by working-set positions.  Golden records of
@@ -63,7 +65,12 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.parameters import AvailabilityParameters
-from repro.core.policies.base import BatchLifetimes, RedundancyScheme, ResolvedScheme
+from repro.core.policies.base import (
+    BatchLifetimes,
+    RedundancyScheme,
+    ResolvedScheme,
+    prefix_rows,
+)
 from repro.exceptions import ConfigurationError, HumanErrorModelError, SimulationError
 
 __all__ = ["batch_conventional", "batch_erasure", "batch_spare_pool"]
@@ -641,6 +648,69 @@ def _exp_after(start: np.ndarray, rate, rng: np.random.Generator) -> np.ndarray:
     return draw
 
 
+def _segments(params, m: int) -> np.ndarray:
+    """Return the sizes of the segments a memoryless kernel thins.
+
+    A point is one segment and a stacked grid has its point segments; a
+    grid that names none is thinned row by row, since nothing says which
+    of its rows share a point.
+    """
+    segments = getattr(params, "segments", None)
+    if segments is not None:
+        return np.asarray(segments, dtype=np.int64)
+    if getattr(params, "n_disks_rows", None) is not None:
+        return np.ones(m, dtype=np.int64)
+    return np.array([m], dtype=np.int64)
+
+
+def _first_failures(
+    params, batch: BatchLifetimes, first_rate, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Return ``(rows, fail)``: the lifetimes failing before the horizon, and when.
+
+    A lifetime's first failure is ``Exp(r)``, ``r = first_rate``, and the
+    lifetimes of one segment (:func:`_segments`) are i.i.d., so how many of
+    them fail before the horizon ``H`` is one ``Binomial(count, p)`` draw,
+    ``p = 1 - exp(-r*H)``.  The segment's first ``K`` rows take those
+    failures, ``Exp(r)`` truncated to ``[0, H)`` by inversion:
+    ``-log1p(-V*p) / r`` with ``V`` uniform (Devroye 1986).  Every other
+    row keeps the all-zero lifetime it would have had and is never
+    touched; ``batch`` records the segments and their ``K``.  A failure
+    that rounds up to ``H`` retires with no failure in the first round.
+    """
+    sizes = _segments(params, len(batch))
+    rate = np.asarray(first_rate, dtype=float)
+    rate = rate[np.cumsum(sizes) - sizes] if rate.ndim else np.full(sizes.size, rate)
+    p = -np.expm1(-rate * batch.horizon_hours)
+    heads = rng.binomial(sizes, p)
+    batch.segments, batch.simulated = sizes, heads
+    rows = prefix_rows(sizes, heads)
+    if sizes.size > 1:
+        p, rate = np.repeat(p, heads), np.repeat(rate, heads)
+    fail = rng.random(rows.size)
+    fail *= p
+    np.negative(fail, out=fail)
+    np.log1p(fail, out=fail)
+    np.negative(fail, out=fail)
+    fail /= rate
+    return rows, fail
+
+
+def _retire(batch: BatchLifetimes, rounds: int, alive: np.ndarray, rows: np.ndarray, *columns):
+    """Drop the rows not ``alive`` from ``rows`` and each working-set column.
+
+    A memoryless round opens on one disk failure of every live lifetime,
+    so a lifetime retiring after ``rounds`` rounds adds them to its
+    failure count once, instead of one scatter per round.
+    """
+    if alive.all():
+        return (rows, *columns)
+    if rounds:
+        batch.disk_failures[rows[~alive]] += rounds
+    keep = np.flatnonzero(alive)
+    return (rows[keep], *(column[keep] for column in columns))
+
+
 def _repair_race(repair_rate, second_rate, hep):
     """Return ``(rate, p_dl, p_he)`` of a repair window raced by a failure.
 
@@ -767,7 +837,8 @@ def _memoryless_conventional(
     failure, drawn from the end of the episode before it.  A wrong pull
     draws no slot: which disk was pulled no longer matters.  Stacked grids
     take ``n`` and ``lambda`` row by row, so mixed geometries need no
-    masking.
+    masking.  Lifetimes whose first failure would come at or after the
+    horizon are counted, not simulated (:func:`_first_failures`).
     """
     if horizon_hours <= 0.0:
         raise SimulationError(f"horizon must be positive, got {horizon_hours!r}")
@@ -777,40 +848,35 @@ def _memoryless_conventional(
     lam = params.disk_failure_rate
     first_rate = n * lam
     race_rate, p_dl, p_he = _repair_race(params.disk_repair_rate, (n - 1) * lam, params.hep)
-    has_hep = _has_positive(params.hep)
 
     batch = BatchLifetimes.zeros(m, horizon_hours)
     outages = _Outages(params, batch, rng)
-    rows = np.arange(m)
-    fail = rng.standard_exponential(m)
-    fail /= first_rate
+    rows, fail = _first_failures(params, batch, first_rate, rng)
 
-    while rows.size:
-        # A failure at or after the horizon retires its lifetime.
-        alive = fail < horizon_hours
-        if not alive.all():
-            keep = np.flatnonzero(alive)
-            rows, fail = rows[keep], fail[keep]
-            if rows.size == 0:
-                break
-        batch.disk_failures[rows] += 1
+    rounds = 0
+    while True:
+        rows, fail = _retire(batch, rounds, fail < horizon_hours, rows, fail)
+        if rows.size == 0:
+            break
+        rounds += 1
 
         # ``end`` starts as the repair window's end and is overwritten
         # where an outage extends the episode.
         end = _exp_after(fail, _rows(race_rate, rows), rng)
         u = rng.random(rows.size)
 
-        # Double disk failure during the repair: data loss, backup restore.
-        dl = u < _rows(p_dl, rows)
-        dl_pos = np.flatnonzero(dl)
-        if dl_pos.size:
-            end[dl_pos] = outages.data_loss(rows[dl_pos], end[dl_pos])
-
-        # Wrong disk replacement after the repair.
-        if has_hep:
-            he_pos = np.flatnonzero(~dl & (u < _rows(p_he, rows)))
-            if he_pos.size:
-                end[he_pos] = outages.wrong_pull(rows[he_pos], end[he_pos])
+        # ``u < p_he`` ends the window in an outage; ``u < p_dl`` among
+        # those is a double disk failure during the repair (data loss,
+        # backup restore), the rest a wrong disk replacement after it.
+        hit = np.flatnonzero(u < _rows(p_he, rows))
+        if hit.size:
+            g = rows[hit]
+            dl = u[hit] < _rows(p_dl, g)
+            if dl.any():
+                end[hit[dl]] = outages.data_loss(g[dl], end[hit[dl]])
+            he = ~dl
+            if he.any():
+                end[hit[he]] = outages.wrong_pull(g[he], end[hit[he]])
 
         fail = _exp_after(end, _rows(first_rate, rows), rng)
 
@@ -1032,11 +1098,10 @@ def batch_spare_pool(
 
 def _spare_pools(
     params, horizon_hours: float, n_lifetimes: int, n_spares: int
-) -> Tuple[int, Union[int, np.ndarray], np.ndarray]:
-    """Validate a spare-pool run; return ``(m, pool_sizes, initial_counts)``.
+) -> Tuple[int, Union[int, np.ndarray]]:
+    """Validate a spare-pool run; return ``(m, pool_sizes)``.
 
-    ``pool_sizes`` is the scalar pool or the grid's per-row plane, and
-    ``initial_counts`` a fresh per-lifetime array of full pools.  Both
+    ``pool_sizes`` is the scalar pool or the grid's per-row plane.  Both
     kernel bodies call it before drawing anything.
     """
     if horizon_hours <= 0.0:
@@ -1049,10 +1114,17 @@ def _spare_pools(
             raise ConfigurationError(
                 f"spare pool needs at least one spare, got {n_spares!r}"
             )
-        return m, pool_sizes, np.full(m, pool_sizes, dtype=np.int64)
+        return m, pool_sizes
     if np.any(pool_sizes < 1):
         raise ConfigurationError("every stacked pool needs at least one spare")
-    return m, pool_sizes, np.asarray(pool_sizes, dtype=np.int64).copy()
+    return m, pool_sizes
+
+
+def _full_pools(pool_sizes: Union[int, np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """Return a fresh array of the full pools of ``rows``."""
+    if isinstance(pool_sizes, np.ndarray):
+        return np.asarray(pool_sizes[rows], dtype=np.int64)
+    return np.full(rows.size, pool_sizes, dtype=np.int64)
 
 
 def _memoryless_spare_pool(
@@ -1088,8 +1160,10 @@ def _memoryless_spare_pool(
       pulled disk whose clock fired during the pull fails when it is back.
 
     Stacked grids take ``n``, ``lambda`` and the pool size row by row.
+    As in :func:`_memoryless_conventional`, only the lifetimes that fail
+    before the horizon are simulated (:func:`_first_failures`).
     """
-    m, pool_sizes, spares = _spare_pools(params, horizon_hours, n_lifetimes, n_spares)
+    m, pool_sizes = _spare_pools(params, horizon_hours, n_lifetimes, n_spares)
     horizon = float(horizon_hours)
     n = _per_row_or(params, "n_disks_rows", params.n_disks)
     lam = params.disk_failure_rate
@@ -1102,18 +1176,15 @@ def _memoryless_spare_pool(
 
     batch = BatchLifetimes.zeros(m, horizon)
     outages = _Outages(params, batch, rng)
-    rows = np.arange(m)
-    fail = rng.standard_exponential(m)
-    fail /= all_rate
+    rows, fail = _first_failures(params, batch, all_rate, rng)
+    spares = _full_pools(pool_sizes, rows)
 
-    while rows.size:
-        alive = fail < horizon
-        if not alive.all():
-            keep = np.flatnonzero(alive)
-            rows, fail, spares = rows[keep], fail[keep], spares[keep]
-            if rows.size == 0:
-                break
-        batch.disk_failures[rows] += 1
+    rounds = 0
+    while True:
+        rows, fail, spares = _retire(batch, rounds, fail < horizon, rows, fail, spares)
+        if rows.size == 0:
+            break
+        rounds += 1
         # Every branch sets each row's next failure in ``nxt``.  Rows whose
         # disks are all fresh at a known instant queue it in ``fresh`` for
         # one aggregate draw at the end of the round; rows entering the
@@ -1251,7 +1322,7 @@ def _clock_matrix_spare_pool(
     is compacted and ``biasing`` enables failure-biased importance
     sampling, both exactly as in :func:`_clock_matrix_conventional`.
     """
-    m, pool_sizes, initial = _spare_pools(params, horizon_hours, n_lifetimes, n_spares)
+    m, pool_sizes = _spare_pools(params, horizon_hours, n_lifetimes, n_spares)
     n = params.n_disks
     failure_dist, log_weights = _biased_failure_dist(
         params, float(horizon_hours), m, biasing
@@ -1265,7 +1336,7 @@ def _clock_matrix_spare_pool(
         batch=batch,
         clocks=_initial_clocks(params, failure_dist, m, n, rng),
         now=np.zeros(m, dtype=float),
-        spares=initial,
+        spares=_full_pools(pool_sizes, np.arange(m)),
         failure_dist=failure_dist,
         rebuild_dist=params.repair_distribution(),
         replace_dist=params.spare_replacement_distribution(),

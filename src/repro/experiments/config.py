@@ -60,8 +60,10 @@ class ExperimentDefaults:
     ----------
     mc_iterations:
         Monte Carlo iterations used by the experiment modules.  The paper
-        uses 1e6; the default here keeps a full reproduction run in the
-        minutes range on a laptop.  Benchmarks use an even smaller count.
+        uses 1e6; at this default ``run_all_experiments()`` takes about
+        3.5 s (2-vCPU x86-64 VM, one worker), and ``repro reproduce``,
+        whose ``--mc-iterations`` defaults to 8000, about 1 s including
+        start-up.  Benchmarks use an even smaller count.
     mc_horizon_hours:
         Mission time of each simulated lifetime.
     mc_confidence:

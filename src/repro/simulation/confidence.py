@@ -184,10 +184,27 @@ class StreamingMoments:
         )
 
 
+def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Return the sum of each run of ``counts[i]`` consecutive ``values``.
+
+    ``np.add.reduceat`` over the run starts; an empty run sums to zero,
+    where ``reduceat`` alone would return the next run's first value.
+    """
+    starts = np.cumsum(counts) - counts
+    filled = counts > 0
+    if filled.all():
+        return np.add.reduceat(values, starts)
+    sums = np.zeros(counts.size, dtype=values.dtype)
+    if filled.any():
+        sums[filled] = np.add.reduceat(values, starts[filled])
+    return sums
+
+
 def segmented_moments(
     samples: Sequence[float],
     counts: Sequence[int],
     weights: Optional[Sequence[float]] = None,
+    ones: Optional[Sequence[int]] = None,
 ) -> "list[StreamingMoments]":
     """Summarise consecutive segments of ``samples`` into moments triples.
 
@@ -198,12 +215,22 @@ def segmented_moments(
     segment mean, so each triple is numerically identical in construction to
     :meth:`StreamingMoments.from_samples` of that segment (no naive
     ``sum(x^2) - n*mean^2`` cancellation).
+
+    ``ones[i]`` more samples of segment ``i``, each exactly 1.0 with weight
+    1, are not listed in ``samples``: they enter the sums as ``ones[i]``
+    and the squared deviations as ``ones[i] * (1 - mean)^2``, so a segment
+    may list no sample at all.  Without ``ones`` every addition is ``+ 0``
+    and each triple keeps its bits.
     """
     data = np.asarray(samples, dtype=float)
     sizes = np.asarray(list(counts), dtype=np.int64)
+    extra = np.zeros_like(sizes) if ones is None else np.asarray(list(ones), dtype=np.int64)
     if sizes.size == 0:
         raise SimulationError("segmented moments require at least one segment")
-    if np.any(sizes < 1):
+    if extra.shape != sizes.shape or np.any(extra < 0):
+        raise SimulationError("one non-negative count of ones is required per segment")
+    n = sizes + extra
+    if np.any(sizes < 0) or np.any(n < 1):
         raise SimulationError("every segment requires at least one sample")
     if int(sizes.sum()) != data.size:
         raise SimulationError(
@@ -211,13 +238,12 @@ def segmented_moments(
         )
     if np.any(~np.isfinite(data)):
         raise SimulationError("streaming moments require finite samples")
-    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    means = np.add.reduceat(data, offsets) / sizes
+    means = (segment_sums(data, sizes) + extra) / n
     deviations = data - np.repeat(means, sizes)
-    m2 = np.add.reduceat(deviations * deviations, offsets)
+    m2 = segment_sums(deviations * deviations, sizes) + extra * (1.0 - means) ** 2
     if weights is None:
-        w_sums = sizes.astype(float)
-        w2_sums = sizes.astype(float)
+        w_sums = n.astype(float)
+        w2_sums = w_sums
     else:
         w = np.asarray(weights, dtype=float)
         if w.shape != data.shape:
@@ -226,13 +252,13 @@ def segmented_moments(
             )
         if np.any(~np.isfinite(w)) or np.any(w < 0.0):
             raise SimulationError("weights must be finite and non-negative")
-        w_sums = np.add.reduceat(w, offsets)
-        w2_sums = np.add.reduceat(w * w, offsets)
+        w_sums = segment_sums(w, sizes) + extra
+        w2_sums = segment_sums(w * w, sizes) + extra
     return [
         StreamingMoments(
-            n=int(n), mean=float(mean), m2=float(q), w_sum=float(ws), w2_sum=float(w2s)
+            n=int(k), mean=float(mean), m2=float(q), w_sum=float(ws), w2_sum=float(w2s)
         )
-        for n, mean, q, ws, w2s in zip(sizes, means, m2, w_sums, w2_sums)
+        for k, mean, q, ws, w2s in zip(n, means, m2, w_sums, w2_sums)
     ]
 
 

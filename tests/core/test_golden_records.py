@@ -227,8 +227,8 @@ EXECUTOR_CASES = _executor_cases()
 # ----------------------------------------------------------------------
 # Journal run digests
 # ----------------------------------------------------------------------
-SCALAR_DIGEST = "e2c542179bf08d0b527f18f3161d826c404f2955b734e6d44be9df34ad702149"
-STACKED_DIGEST = "398ba437ab5b92b8056346f9c18a21f38e13926b831d71730bbd2751f1b73330"
+SCALAR_DIGEST = "5ba4e8c5cfb9a9b31e0be24cf8dd4b739959783a0403e8d218630c914cb2d020"
+STACKED_DIGEST = "554a76f112233393643d6ccef7900b81643d8438f58213b7bfa43a7190b5db78"
 
 #: The scalar case's digest under journal version 1, whose unbiased
 #: exponential conventional runs drew from the clock matrix.
@@ -241,6 +241,10 @@ VERSION_2_SCALAR_DIGEST = "076289e012b9c676aaf05eae8b82d380fd4b1211e94286bf5af73
 #: The scalar case's digest under journal version 3, whose unbiased
 #: exponential runs drew a repair window as two clocks and a Bernoulli.
 VERSION_3_SCALAR_DIGEST = "ca030f001d0077e8aab0240829edf813f86e9f525e0def7691f0ffe3db20ca7f"
+
+#: The scalar case's digest under journal version 4, whose unbiased
+#: exponential runs drew every lifetime's first failure.
+VERSION_4_SCALAR_DIGEST = "e2c542179bf08d0b527f18f3161d826c404f2955b734e6d44be9df34ad702149"
 
 
 def _journal_digest(path: Path) -> str:
@@ -407,6 +411,13 @@ def test_version_3_journal_is_refused(tmp_path):
     # Version 3 drew each unbiased exponential repair window from two
     # clocks and a Bernoulli, where version 4 draws one race.
     _assert_refused(tmp_path / "version3.jsonl", 3, VERSION_3_SCALAR_DIGEST)
+
+
+def test_version_4_journal_is_refused(tmp_path):
+    # Version 4 drew every unbiased exponential lifetime's first failure,
+    # where version 5 draws one binomial per point segment and the first
+    # failures of only the lifetimes it picks.
+    _assert_refused(tmp_path / "version4.jsonl", 4, VERSION_4_SCALAR_DIGEST)
 
 
 if __name__ == "__main__":  # pragma: no cover - fixture regeneration

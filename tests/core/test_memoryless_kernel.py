@@ -11,12 +11,17 @@ keep the clock matrix (``_clock_matrix_conventional``,
 lifetimes from the same law, the input alone picks the kernel, the
 memoryless paths hold no clock matrix, a one-row grid decides every
 repair window as its point does, a process keeps its shard pages mapped
-between runs, and the estimates meet the analytical chains.
+between runs, and the estimates meet the analytical chains.  Both
+memoryless kernels simulate only the lifetimes that fail before the
+horizon, one binomial per point segment: the law holds where most
+lifetimes are idle, each point of a shard is thinned on its own, and the
+summary folds the idle lifetimes in exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import platform
 import subprocess
@@ -30,7 +35,7 @@ import pytest
 from scipy.stats import chi2_contingency
 
 from repro.core.evaluation import evaluate
-from repro.core.montecarlo import MonteCarloConfig, run_monte_carlo
+from repro.core.montecarlo import MonteCarloConfig, run_monte_carlo, segment_point_records
 from repro.core.parameters import paper_parameters
 from repro.core.policies import stack_parameter_points, vectorized
 from repro.core.policies.registry import resolve_policy
@@ -43,6 +48,7 @@ from repro.core.policies.vectorized import (
     batch_spare_pool,
 )
 from repro.exceptions import ConfigurationError
+from repro.simulation.confidence import StreamingMoments
 from repro.simulation.rng import RandomStreams
 from repro.storage.raid import RaidGeometry
 
@@ -143,19 +149,24 @@ def _histogram_table(a, b, min_column=10):
     return np.array(columns).T
 
 
+def _law_pair(entry):
+    """Run both kernels of one same-law input at the class's fixed seeds."""
+    (memoryless, clock_matrix), build, kwargs, n = entry
+    params = build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return (
+            _run(memoryless, params, n, seed=101, **kwargs),
+            _run(clock_matrix, params, n, seed=202, **kwargs),
+        )
+
+
 class TestSameLawAsClockMatrix:
     """The two kernels draw each lifetime's counters from one law."""
 
     @pytest.fixture(scope="class", params=list(LAW_INPUTS))
     def pair(self, request):
-        (memoryless, clock_matrix), build, kwargs, n = LAW_INPUTS[request.param]
-        params = build()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return (
-                _run(memoryless, params, n, seed=101, **kwargs),
-                _run(clock_matrix, params, n, seed=202, **kwargs),
-            )
+        return _law_pair(LAW_INPUTS[request.param])
 
     @pytest.mark.parametrize("field", COUNTERS)
     def test_means_agree(self, pair, field):
@@ -170,6 +181,137 @@ class TestSameLawAsClockMatrix:
         table = _histogram_table(*(batch.disk_failures for batch in pair))
         assert table.shape[1] > 10
         assert chi2_contingency(table)[1] >= 1e-3
+
+
+#: Sparse same-law inputs: at the paper's point (lambda = 1e-6) about 70%
+#: of lifetimes see no failure in the horizon, at lambda = 1e-7 about 97%,
+#: and the memoryless kernels never simulate those.
+SPARSE_INPUTS = {
+    "paper-point": (CONVENTIONAL, lambda: _point(RAID5, 1e-6, 1e-3), {}, LAW_LIFETIMES),
+    "rate1e-7-hep0.05": (CONVENTIONAL, lambda: _point(RAID5, 1e-7, 0.05), {}, LAW_LIFETIMES),
+    "failover-paper-point": (
+        SPARE_POOL, lambda: _point(RAID5, 1e-6, 1e-3), {"n_spares": 1}, LAW_LIFETIMES
+    ),
+    "failover-rate1e-7-hep0.05": (
+        SPARE_POOL, lambda: _point(RAID5, 1e-7, 0.05), {"n_spares": 1}, LAW_LIFETIMES
+    ),
+}
+
+
+class TestSameLawWhenSparse(TestSameLawAsClockMatrix):
+    """The same comparison where most lifetimes are idle and thinned."""
+
+    @pytest.fixture(scope="class", params=list(SPARSE_INPUTS))
+    def pair(self, request):
+        return _law_pair(SPARSE_INPUTS[request.param])
+
+    def test_disk_failure_histograms_agree(self, pair):
+        # Few lifetimes fail more than twice here, so the merged histogram
+        # has three to five columns.
+        table = _histogram_table(*(batch.disk_failures for batch in pair))
+        assert table.shape[1] >= 3
+        assert chi2_contingency(table)[1] >= 1e-3
+
+
+def _p_fail(rate, n_disks=4):
+    """Return the chance that a lifetime's first failure comes before the horizon."""
+    return -math.expm1(-n_disks * rate * HORIZON)
+
+
+MEMORYLESS = {"conventional": _memoryless_conventional, "failover": _memoryless_spare_pool}
+
+#: Two points in one stacked shard: a sparse point next to one where every
+#: lifetime fails, and two identical neighbours.  A binomial drawn over the
+#: whole shard would hand the first point failures that belong to the
+#: second.
+SHARED_SHARD_RATES = {"sparse-next-to-dense": (1e-7, 1e-4), "identical-neighbours": (1e-7, 1e-7)}
+
+
+@pytest.mark.parametrize("rates", list(SHARED_SHARD_RATES))
+@pytest.mark.parametrize("kernel", list(MEMORYLESS))
+def test_each_point_of_a_shard_is_thinned_on_its_own(kernel, rates):
+    count = 40_000
+    points = [_point(RAID5, rate, 0.05) for rate in SHARED_SHARD_RATES[rates]]
+    batch = _run(MEMORYLESS[kernel], stack_parameter_points(points, [count] * 2), 2 * count, seed=7)
+    assert batch.segments.tolist() == [count, count]
+    for index, point in enumerate(points):
+        p = _p_fail(point.disk_failure_rate)
+        failed = batch.disk_failures[index * count : (index + 1) * count] > 0
+        assert abs(failed.mean() - p) <= 4.0 * math.sqrt(p * (1.0 - p) / count), index
+
+
+@pytest.mark.parametrize("kernel", list(MEMORYLESS))
+def test_a_grid_without_segments_is_thinned_row_by_row(kernel):
+    # Nothing says which rows of such a grid share a point, so every row is
+    # its own segment: one Bernoulli(p) per lifetime.
+    count = 40_000
+    grid = stack_parameter_points([_point(RAID5, 1e-7, 0.05)], [count])
+    batch = _run(MEMORYLESS[kernel], dataclasses.replace(grid, segments=None), count, seed=8)
+    assert batch.segments.tolist() == [1] * count
+    assert np.array_equal(batch.simulated, batch.disk_failures > 0)
+    p = _p_fail(1e-7)
+    assert abs(batch.simulated.mean() - p) <= 4.0 * math.sqrt(p * (1.0 - p) / count)
+
+
+def test_folded_summary_equals_the_dense_arrays():
+    # The first point simulates no lifetime, the last all of them; only
+    # the middle one is thinned in part.
+    counts = [500, 30_000, 2_000]
+    points = [_point(RAID5, rate, 0.05) for rate in (1e-12, 1e-6, 1e-3)]
+    batch = _run(
+        _memoryless_conventional, stack_parameter_points(points, counts), sum(counts), seed=9
+    )
+    assert batch.simulated[0] == 0 and batch.simulated[2] == counts[2]
+    assert 0 < batch.simulated[1] < counts[1]
+    records = segment_point_records(batch, range(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    for record, start, count in zip(records, starts, counts):
+        rows = slice(start, start + count)
+        dense = StreamingMoments.from_samples(batch.availabilities()[rows])
+        assert record["n"] == dense.n
+        for name in ("mean", "m2", "w_sum", "w2_sum"):
+            np.testing.assert_allclose(record[name], getattr(dense, name), rtol=1e-14, atol=0.0)
+        for name in ("du_events", "dl_events", "disk_failures", "human_errors"):
+            assert record[name] == getattr(batch, name)[rows].sum(), name
+        # The same values summed in another grouping: last bits only.
+        np.testing.assert_allclose(
+            record["downtime_hours"], batch.downtime_hours[rows].sum(), rtol=1e-14, atol=0.0
+        )
+    idle = slice(0, counts[0])
+    assert not batch.disk_failures[idle].any() and not batch.downtime_hours[idle].any()
+
+
+class _FirstUniformAtOne:
+    """A generator whose first ``random`` array starts with 1.0.
+
+    ``1.0 * p`` is the largest product a drawn uniform ``V < 1`` can round
+    ``V * p`` up to, and it inverts to the horizon itself.
+    """
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._first = True
+
+    def random(self, size=None):
+        values = self._rng.random(size)
+        if self._first:
+            self._first = False
+            values[0] = 1.0
+        return values
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("kernel", list(MEMORYLESS))
+def test_first_failure_at_the_horizon_retires_without_a_failure(kernel):
+    rng = _FirstUniformAtOne(RandomStreams(4).stream("montecarlo"))
+    batch = MEMORYLESS[kernel](paper_parameters(), HORIZON, 2_000, rng)
+    heads = int(batch.simulated[0])
+    assert heads > 1
+    assert batch.disk_failures[0] == 0 and batch.downtime_hours[0] == 0.0
+    assert np.all(batch.disk_failures[1:heads] >= 1)
+    assert not batch.disk_failures[heads:].any()
 
 
 #: Same-law inputs at hep 0.

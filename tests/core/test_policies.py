@@ -12,6 +12,7 @@ from repro.core.montecarlo import (
     run_monte_carlo,
     run_monte_carlo_with_trace,
 )
+from repro.core.montecarlo.batch import summarise_lifetimes
 from repro.core.parameters import paper_parameters
 from repro.core.policies import (
     BatchLifetimes,
@@ -130,7 +131,7 @@ class TestBatchLifetimes:
         results = batch.to_iteration_results()
         assert len(results) == 3
         assert results[1].availability == pytest.approx(0.95)
-        assert batch.totals()["dl_events"] == 1.0
+        assert summarise_lifetimes(batch)[1]["dl_events"] == 1.0
         assert np.allclose(batch.availabilities(), [1.0, 0.95, 1.0])
 
     def test_scalar_fallback_for_policies_without_kernel(self):

@@ -28,13 +28,17 @@ from repro.core.montecarlo import (
 )
 from repro.core.parameters import paper_parameters
 from repro.core.policies import (
-    StackedParams,
     available_policies,
     batch_spare_pool,
     get_policy,
     stack_parameter_points,
 )
 from repro.core.policies.base import SimulationPolicy
+from repro.core.policies.stacked import (
+    OPTIONAL_PLANE_FIELD,
+    SCHEME_PLANE_FIELDS,
+    STACKED_PLANE_FIELDS,
+)
 from repro.core.policies.erasure import erasure_policy
 from repro.core.sweep import sweep
 from repro.exceptions import ConfigurationError, SimulationError
@@ -131,6 +135,21 @@ class TestStackedParams:
         with pytest.raises(ConfigurationError):
             grid.slice(0, 9)
 
+    @pytest.mark.parametrize("crn", [False, True])
+    def test_slices_carry_their_shards_point_segments(self, crn):
+        # A view-transport shard is a slice of the materialised grid; the
+        # memoryless kernels thin each of its point segments on its own, so
+        # the slice must carry exactly the shard's counts.
+        counts = [5, 7, 4]
+        points = [paper_parameters(hep=hep) for hep in (0.1, 0.1, 0.2)]
+        grid = stack_parameter_points(points, counts)
+        assert grid.segments.tolist() == counts
+        for shard in plan_stacked_shards(counts, 6, crn=crn):
+            part = grid.slice(shard.start, shard.stop)
+            assert part.segments.tolist() == list(shard.counts)
+        with pytest.raises(ConfigurationError, match="segments"):
+            dataclasses.replace(grid, segments=np.array([5, 7, 3]))
+
     def test_without_human_error_zeroes_every_row(self):
         grid = stack_parameter_points([paper_parameters(hep=0.3)], [4])
         assert np.all(grid.without_human_error().hep == 0.0)
@@ -139,7 +158,8 @@ class TestStackedParams:
     def test_constant_planes_are_read_only_broadcast_views(self):
         grid, counts = _two_axis_erasure_grid()
         swept = {"disk_failure_rate", "hep"}
-        for name in (field.name for field in dataclasses.fields(StackedParams)):
+        spec = STACKED_PLANE_FIELDS + (OPTIONAL_PLANE_FIELD,) + SCHEME_PLANE_FIELDS
+        for name in (name for name, _ in spec):
             plane = getattr(grid, name)
             if name in swept:
                 assert plane.strides == (plane.itemsize,), name
