@@ -653,7 +653,7 @@ def _memoryless_shapes():
 
 
 #: Per-lifetime counters the memoryless comparison checks.
-MEMORYLESS_COUNTERS = ("disk_failures", "dl_events", "human_errors")
+MEMORYLESS_COUNTERS = ("disk_failures", "dl_events", "human_errors", "downtime_hours")
 
 
 def _run_calls(kernel, calls) -> np.ndarray:
@@ -710,8 +710,9 @@ def test_memoryless_kernel(policy, shape, bench_record):
     peak comes from a separate call.  The two kernels make different draws
     from the same law, so only the mean counts of
     :data:`MEMORYLESS_COUNTERS` are compared, each within 5 standard
-    errors: disk failures, and the split of repair windows into data
-    losses and wrong pulls.  Time carries no floor.
+    errors: disk failures, the split of repair windows into data losses
+    and wrong pulls, and the downtime those outages cost.  Time carries
+    no floor.
     """
     calls = _memoryless_shapes()[shape]
     lifetimes = sum(n for _, n in calls)

@@ -90,7 +90,11 @@ __all__ = [
 #: Bernoulli.  Version 5: they draw how many lifetimes of each point
 #: segment fail before the horizon as one binomial, and only those
 #: lifetimes' first failures, where version 4 drew every lifetime's.
-JOURNAL_VERSION = 5
+#: Version 6: unbiased exponential ``conventional``/``baseline`` lifetimes
+#: that expect at least two more clean failures jump each run of clean
+#: repair windows as one Poisson count and one gamma total, where version
+#: 5 stepped one window per round.
+JOURNAL_VERSION = 6
 
 #: ``(start, stop)`` sentinel of single-point (scalar-path) shard keys.
 SCALAR_RANGE = (-1, -1)

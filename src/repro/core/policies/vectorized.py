@@ -15,8 +15,10 @@ Three kernels are provided:
 ``batch_conventional``
     The paper's Fig. 2 conventional replacement policy.  Unbiased runs
     with exponential failures track one aggregate next-failure clock per
-    lifetime (``_memoryless_conventional``), and simulate only the
-    lifetimes that fail before the horizon (``_first_failures``); Weibull
+    lifetime (``_memoryless_conventional``), simulate only the lifetimes
+    that fail before the horizon (``_first_failures``), and jump each run
+    of clean repair windows of an event-rich lifetime in one draw
+    (``_CleanRuns``); Weibull
     laws and biased runs keep the ``(n_lifetimes, n_disks)`` clock matrix
     (``_clock_matrix_conventional``).  The input alone picks the path.
 ``batch_spare_pool``
@@ -729,6 +731,189 @@ def _repair_race(repair_rate, second_rate, hep):
     return rate, p_dl, p_dl + (1.0 - p_dl) * hep
 
 
+#: A conventional lifetime jumps over its clean repair windows only while
+#: it expects at least this many more clean failures before the horizon;
+#: below it, stepping one round per failure costs less than a jump.  Set
+#: where the two cost the same on the shards of the Fig. 5 Monte Carlo
+#: surface (DESIGN.md, *Vectorised batch executor*).
+_JUMP_MIN_CLEAN = 2.0
+
+#: Working-set rows jumped per slice, so that the jump's temporaries stay
+#: a small fraction of an event-rich shard's working set.
+_JUMP_SLICE = 3072
+
+
+#: Kinds of failure a jump lands on, in the mark column of the
+#: conventional body; 0 marks none.
+_LOSS, _PULL = 1, 2
+
+
+def _clean_run(
+    room: np.ndarray,
+    loss: np.ndarray,
+    pull: np.ndarray,
+    clean_rate,
+    race_rate,
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return ``(arrive, count, kind)`` of the run after one clean failure.
+
+    A window's outcome is independent of its length and of the up time
+    before it, so in up time the failures whose window ends in a data
+    loss, those that end in a wrong pull and the clean ones are
+    independent Poisson streams (the marking theorem; Kingman, *Poisson
+    Processes*, 1993).  From a clean failure with ``room`` hours left,
+    ``loss`` and ``pull`` are the up times to the next failure of the
+    first two streams, and the next outage failure comes ``X = min(loss,
+    pull)`` later.  ``C ~ Poisson(clean_rate * min(X, room))`` clean
+    failures lie before it, and their windows and the first failure's own
+    total ``S ~ Gamma(C + 1) / race_rate``.  Where the outage failure comes
+    within ``room``, ``arrive = X + S``, ``count`` is ``C`` and ``kind``
+    says which outage it is (:data:`_LOSS`, :data:`_PULL`); elsewhere
+    ``arrive`` is ``inf``, ``kind`` 0 and ``count`` the clean failures that
+    land within ``room`` (:func:`_clean_before`).
+    """
+    arrive = np.minimum(loss, pull)
+    span = np.minimum(arrive, room)
+    count = rng.poisson(clean_rate * span)
+    windows = rng.standard_gamma(count + 1.0)
+    windows /= race_rate
+    arrive += windows
+    kind = np.where(loss < pull, np.int8(_LOSS), np.int8(_PULL))
+    late = np.flatnonzero(arrive >= room)
+    if late.size:
+        _clean_before(count, late, span, windows, room, rng)
+        arrive[late] = np.inf
+        kind[late] = 0
+    return arrive, count, kind
+
+
+def _clean_before(
+    count: np.ndarray,
+    late: np.ndarray,
+    span: np.ndarray,
+    windows: np.ndarray,
+    room: np.ndarray,
+    rng: np.random.Generator,
+) -> None:
+    """Cut each ``late`` run's ``count`` to the clean failures within ``room``.
+
+    A run holds ``C = count`` clean failures, uniform on ``(0, span)`` of
+    up time, and ``C + 1`` windows totalling ``windows``.  Clean failure
+    ``k`` lands ``tau_k + S_k`` after the run starts, ``tau_k`` its up-time
+    position and ``S_k`` the sum of the first ``k`` windows, and these
+    grow with ``k``.  Walk down from the last: ``tau_k = tau_{k+1} *
+    V**(1/k)`` and ``S_k = S_{k+1} * V'**(1/k)``, from ``tau_{C+1} = span``
+    and ``S_{C+1} = windows``, are the largest of ``k`` uniforms and the
+    partial sum of ``k + 1`` exponentials given their total (Devroye,
+    *Non-Uniform Random Variate Generation*, 1986, ch. V).  The first
+    ``k`` that fits is the count; it is usually ``C`` or ``C - 1``.
+    """
+    todo = late[count[late] > 0]
+    tau, part, room = span[todo], windows[todo], room[todo]
+    while todo.size:
+        power = 1.0 / count[todo]
+        shrink = rng.random(todo.size)
+        shrink **= power
+        tau *= shrink
+        shrink = rng.random(todo.size)
+        shrink **= power
+        part *= shrink
+        miss = tau + part >= room
+        count[todo[miss]] -= 1
+        keep = np.flatnonzero(miss & (count[todo] > 0))
+        todo, tau, part, room = todo[keep], tau[keep], part[keep], room[keep]
+
+
+class _CleanRuns:
+    """Runs of clean repair windows, jumped in one draw each.
+
+    Serves the memoryless conventional body.  A lifetime whose failure at
+    ``t`` ends its window cleanly, and which still expects at least
+    :data:`_JUMP_MIN_CLEAN` clean failures in ``[t, H)``, jumps straight to
+    its next failure whose window ends in an outage (:func:`_clean_run`)
+    and adds the clean failures in between to its count, or retires when
+    that failure lands past the horizon.  The working set is jumped in
+    slices of :data:`_JUMP_SLICE` rows.
+
+    Every position of a slice with a jumping row draws its two outage
+    times, so that a lifetime meets the same draws at two hep values
+    whichever rows jump, and the data-loss stream's rate
+    ``n*lambda*p_dl`` does not depend on hep: common random numbers stay
+    coupled across a hep sweep.
+    """
+
+    __slots__ = ("batch", "rng", "first_rate", "race_rate", "p_dl", "p_he", "until")
+
+    def __init__(self, batch, rng, first_rate, race_rate, p_dl, p_he, until) -> None:
+        self.batch = batch
+        self.rng = rng
+        self.first_rate = first_rate
+        self.race_rate = race_rate
+        self.p_dl = p_dl
+        self.p_he = p_he
+        self.until = until
+
+    @classmethod
+    def of(
+        cls, batch: BatchLifetimes, rng: np.random.Generator, first_rate, race_rate, p_dl, p_he
+    ) -> Optional["_CleanRuns"]:
+        """Return the jumps of ``batch``, or ``None`` when no lifetime may jump.
+
+        A lifetime may jump from a failure at or before ``until = H -
+        _JUMP_MIN_CLEAN / clean_rate``; with ``hep = 1`` every window ends
+        in an outage and nothing jumps.
+        """
+        horizon = batch.horizon_hours
+        clean_rate = first_rate * (1.0 - p_he)
+        most = clean_rate.max() if isinstance(clean_rate, np.ndarray) else clean_rate
+        if most * horizon < _JUMP_MIN_CLEAN:
+            return None
+        with np.errstate(divide="ignore"):
+            until = horizon - _JUMP_MIN_CLEAN / np.asarray(clean_rate, dtype=float)
+        until = until if until.ndim else float(until)
+        return cls(batch, rng, first_rate, race_rate, p_dl, p_he, until)
+
+    def jump(
+        self, rows: np.ndarray, below: np.ndarray, start: np.ndarray, fail: np.ndarray
+    ) -> np.ndarray:
+        """Jump the clean windows of ``rows`` that opened early enough.
+
+        ``below`` flags the working-set positions whose window at ``start``
+        ended in an outage.  A jumping position's ``fail`` becomes its next
+        outage failure, or ``+inf`` when it retires, and its clean failures
+        are counted.  Returns the kind of failure each position now fails
+        into (:data:`_LOSS`, :data:`_PULL`, 0 for a drawn one).
+        """
+        landed = np.zeros(rows.size, dtype=np.int8)
+        horizon = self.batch.horizon_hours
+        rng = self.rng
+        for low in range(0, rows.size, _JUMP_SLICE):
+            part = slice(low, low + _JUMP_SLICE)
+            g, t = rows[part], start[part]
+            pos = np.flatnonzero(~below[part] & (t <= _rows(self.until, g)))
+            if pos.size == 0:
+                continue
+            loss = rng.standard_exponential(g.size)[pos]
+            pull = rng.standard_exponential(g.size)[pos]
+            g, t = g[pos], t[pos]
+            pos += low
+            rate = _rows(self.first_rate, g)
+            loss_rate = rate * _rows(self.p_dl, g)
+            outage_rate = rate * _rows(self.p_he, g)
+            with np.errstate(divide="ignore"):
+                loss /= loss_rate
+                pull /= outage_rate - loss_rate
+            arrive, count, kind = _clean_run(
+                horizon - t, loss, pull, rate - outage_rate, _rows(self.race_rate, g), rng
+            )
+            arrive += t
+            fail[pos] = arrive
+            self.batch.disk_failures[g] += count
+            landed[pos] = kind
+        return landed
+
+
 class _Outages:
     """Outage episodes counted into one batch.
 
@@ -838,7 +1023,11 @@ def _memoryless_conventional(
     draws no slot: which disk was pulled no longer matters.  Stacked grids
     take ``n`` and ``lambda`` row by row, so mixed geometries need no
     masking.  Lifetimes whose first failure would come at or after the
-    horizon are counted, not simulated (:func:`_first_failures`).
+    horizon are counted, not simulated (:func:`_first_failures`).  A
+    lifetime that still expects :data:`_JUMP_MIN_CLEAN` clean failures
+    jumps each run of clean windows in one draw (:class:`_CleanRuns`); the
+    failure a jump lands on has its uniform moved into ``[0, p_dl)`` or
+    ``[p_dl, p_he)``, so its window ends in the outage the jump drew.
     """
     if horizon_hours <= 0.0:
         raise SimulationError(f"horizon must be positive, got {horizon_hours!r}")
@@ -851,11 +1040,15 @@ def _memoryless_conventional(
 
     batch = BatchLifetimes.zeros(m, horizon_hours)
     outages = _Outages(params, batch, rng)
+    runs = _CleanRuns.of(batch, rng, first_rate, race_rate, p_dl, p_he)
     rows, fail = _first_failures(params, batch, first_rate, rng)
+    # Where lifetimes may jump, one more column marks the failures a jump
+    # landed on with the outage their window ends in.
+    marks = [] if runs is None else [np.zeros(rows.size, dtype=np.int8)]
 
     rounds = 0
     while True:
-        rows, fail = _retire(batch, rounds, fail < horizon_hours, rows, fail)
+        rows, fail, *marks = _retire(batch, rounds, fail < horizon_hours, rows, fail, *marks)
         if rows.size == 0:
             break
         rounds += 1
@@ -864,11 +1057,23 @@ def _memoryless_conventional(
         # where an outage extends the episode.
         end = _exp_after(fail, _rows(race_rate, rows), rng)
         u = rng.random(rows.size)
+        p_out = _rows(p_he, rows)
+        if marks:
+            # A landed failure's uniform moves into [0, p_dl) for a data
+            # loss and into [p_dl, p_he) for a wrong pull.
+            landed = np.flatnonzero(marks[0])
+            if landed.size:
+                lost = marks[0][landed] == _LOSS
+                p_lost = _rows(p_dl, rows[landed])
+                low = np.where(lost, 0.0, p_lost)
+                high = np.where(lost, p_lost, _rows(p_out, landed))
+                u[landed] = low + u[landed] * (high - low)
 
         # ``u < p_he`` ends the window in an outage; ``u < p_dl`` among
         # those is a double disk failure during the repair (data loss,
         # backup restore), the rest a wrong disk replacement after it.
-        hit = np.flatnonzero(u < _rows(p_he, rows))
+        below = u < p_out
+        hit = np.flatnonzero(below)
         if hit.size:
             g = rows[hit]
             dl = u[hit] < _rows(p_dl, g)
@@ -878,7 +1083,14 @@ def _memoryless_conventional(
             if he.any():
                 end[hit[he]] = outages.wrong_pull(g[he], end[hit[he]])
 
+        # Spent columns are freed before the next draws, which set the
+        # shard's peak memory.
+        del u, p_out
+        start = fail
         fail = _exp_after(end, _rows(first_rate, rows), rng)
+        if marks:
+            del end
+            marks = [runs.jump(rows, below, start, fail)]
 
     return batch
 

@@ -227,8 +227,8 @@ EXECUTOR_CASES = _executor_cases()
 # ----------------------------------------------------------------------
 # Journal run digests
 # ----------------------------------------------------------------------
-SCALAR_DIGEST = "5ba4e8c5cfb9a9b31e0be24cf8dd4b739959783a0403e8d218630c914cb2d020"
-STACKED_DIGEST = "554a76f112233393643d6ccef7900b81643d8438f58213b7bfa43a7190b5db78"
+SCALAR_DIGEST = "fc49863abde53f6d902f81e7ed592010adfb8873c3d52e19a991726dd5b7c9ab"
+STACKED_DIGEST = "ac2127af694719d8791fde688f403599ca0b9075c34e509259b242da0ca6d741"
 
 #: The scalar case's digest under journal version 1, whose unbiased
 #: exponential conventional runs drew from the clock matrix.
@@ -245,6 +245,10 @@ VERSION_3_SCALAR_DIGEST = "ca030f001d0077e8aab0240829edf813f86e9f525e0def7691f0f
 #: The scalar case's digest under journal version 4, whose unbiased
 #: exponential runs drew every lifetime's first failure.
 VERSION_4_SCALAR_DIGEST = "e2c542179bf08d0b527f18f3161d826c404f2955b734e6d44be9df34ad702149"
+
+#: The scalar case's digest under journal version 5, whose unbiased
+#: exponential conventional runs stepped every repair window.
+VERSION_5_SCALAR_DIGEST = "5ba4e8c5cfb9a9b31e0be24cf8dd4b739959783a0403e8d218630c914cb2d020"
 
 
 def _journal_digest(path: Path) -> str:
@@ -418,6 +422,13 @@ def test_version_4_journal_is_refused(tmp_path):
     # where version 5 draws one binomial per point segment and the first
     # failures of only the lifetimes it picks.
     _assert_refused(tmp_path / "version4.jsonl", 4, VERSION_4_SCALAR_DIGEST)
+
+
+def test_version_5_journal_is_refused(tmp_path):
+    # Version 5 stepped every repair window of an unbiased exponential
+    # conventional lifetime, where version 6 jumps each run of clean
+    # windows of a lifetime that expects enough of them.
+    _assert_refused(tmp_path / "version5.jsonl", 5, VERSION_5_SCALAR_DIGEST)
 
 
 if __name__ == "__main__":  # pragma: no cover - fixture regeneration

@@ -15,7 +15,12 @@ between runs, and the estimates meet the analytical chains.  Both
 memoryless kernels simulate only the lifetimes that fail before the
 horizon, one binomial per point segment: the law holds where most
 lifetimes are idle, each point of a shard is thinned on its own, and the
-summary folds the idle lifetimes in exactly.
+summary folds the idle lifetimes in exactly.  The conventional body jumps
+each run of clean repair windows of a lifetime that expects enough of
+them: the law holds where lifetimes cross that mark, the count of clean
+failures before the horizon matches its definition, the run's edges
+land where they should, the paper's point draws as before, and an
+event-rich shard keeps its peak memory.
 """
 
 from __future__ import annotations
@@ -38,8 +43,11 @@ from repro.core.evaluation import evaluate
 from repro.core.montecarlo import MonteCarloConfig, run_monte_carlo, segment_point_records
 from repro.core.parameters import paper_parameters
 from repro.core.policies import stack_parameter_points, vectorized
+from repro.core.policies.base import BatchLifetimes
 from repro.core.policies.registry import resolve_policy
 from repro.core.policies.vectorized import (
+    _clean_before,
+    _CleanRuns,
     _clock_matrix_conventional,
     _clock_matrix_spare_pool,
     _memoryless_conventional,
@@ -79,6 +87,12 @@ def _mixed_grid(pools=None):
     return stack_parameter_points(points, [LAW_LIFETIMES // 3] * 3, n_spares=pools)
 
 
+def _crossing_grid():
+    """Return a grid of a point whose lifetimes cross the jump mark, and a dense one."""
+    points = [_point(RAID5, rate, 0.01) for rate in (6e-6, 1e-4)]
+    return stack_parameter_points(points, [LAW_LIFETIMES // 2] * 2)
+
+
 #: Same-law inputs: ``(kernels, params builder, kernel keywords, lifetimes
 #: per side)``.
 LAW_INPUTS = {
@@ -89,6 +103,12 @@ LAW_INPUTS = {
     # The widest race: five survivors, (n-1)*lambda = 5*lambda.
     "raid6-rate3e-4-hep0.1": (CONVENTIONAL, lambda: _point(RAID6, 3e-4, 0.1), {}, 20_000),
     "mixed-grid": (CONVENTIONAL, _mixed_grid, {}, LAW_LIFETIMES),
+    # Every conventional input above jumps from a lifetime's first clean
+    # window.  Here n*lambda*H is about 2.1, so a lifetime jumps only from
+    # a failure in the first 4% of the horizon and steps once it expects
+    # fewer clean failures than the jump's mark.
+    "raid5-rate6e-6-hep0.01": (CONVENTIONAL, lambda: _point(RAID5, 6e-6, 0.01), {}, LAW_LIFETIMES),
+    "crossing-grid": (CONVENTIONAL, _crossing_grid, {}, LAW_LIFETIMES),
     "failover-raid5-hep0.05": (
         SPARE_POOL, lambda: _point(RAID5, 1e-4, 0.05), {"n_spares": 1}, LAW_LIFETIMES
     ),
@@ -328,6 +348,266 @@ def test_hep_0_windows_end_in_data_loss_or_repair(name):
     assert batch.dl_events.any()
 
 
+# ----------------------------------------------------------------------
+# Runs of clean windows, jumped in one draw
+# ----------------------------------------------------------------------
+class _DrawLog:
+    """A generator that records which of the jump's draws were called."""
+
+    JUMP_DRAWS = ("poisson", "standard_gamma")
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.called = set()
+
+    def __getattr__(self, name):
+        if name in self.JUMP_DRAWS:
+            self.called.add(name)
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize(
+    "params", [paper_parameters(), _point(RAID5, 2e-6, 0.01)], ids=["paper-point", "rate2e-6"]
+)
+def test_no_lifetime_jumps_below_the_mark(params):
+    # At the paper's point n*lambda*H is about 0.35 and at 2e-6 about 0.7,
+    # so no lifetime expects enough clean failures to jump and the draws
+    # are those of a stepping kernel.
+    rng = _DrawLog(RandomStreams(4).stream("montecarlo"))
+    batch = _memoryless_conventional(params, HORIZON, 50_000, rng)
+    assert rng.called == set()
+    assert batch.disk_failures.any()
+
+
+def test_hep_1_leaves_no_clean_stream_to_jump():
+    # At hep = 1 every window ends in an outage, so nothing jumps, and a
+    # grid's hep = 1 rows never do.  (The kernel itself is not run: at
+    # hep = 1 a wrong pull's recovery ends only when the pulled disk
+    # crashes, and one pull in about 22,000 outlasts the recovery race's
+    # 1000 attempts.)
+    batch = BatchLifetimes.zeros(3, HORIZON)
+    rng = np.random.default_rng(0)
+    assert _CleanRuns.of(batch, rng, 4e-4, 0.1, 0.003, 1.0) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = _CleanRuns.of(batch, rng, np.full(3, 4e-4), 0.1, 0.003, np.array([1.0, 0.5, 1.0]))
+    assert runs.until[0] == runs.until[2] == -np.inf
+    assert runs.until[1] == HORIZON - vectorized._JUMP_MIN_CLEAN / 2e-4
+
+
+def test_hep_0_jumps_and_pulls_no_wrong_disk():
+    rng = _DrawLog(RandomStreams(4).stream("montecarlo"))
+    batch = _memoryless_conventional(_point(RAID5, 1e-4, 0.0), HORIZON, 5_000, rng)
+    assert rng.called == {"poisson", "standard_gamma"}
+    assert not batch.human_errors.any() and batch.dl_events.any()
+
+
+def _brute_force_clean_before(count, span, windows, room, n, rng):
+    """Return ``n`` draws of the clean failures within ``room``, by definition.
+
+    ``count`` sorted uniform up-time positions on ``(0, span)``, and
+    ``count + 1`` windows: ``windows`` split by normalised exponential
+    spacings.  Clean failure ``k`` lands at its position plus the first
+    ``k`` windows.
+    """
+    if count == 0:
+        return np.zeros(n, dtype=np.int64)
+    positions = np.sort(rng.random((n, count)) * span, axis=1)
+    spacings = rng.standard_exponential((n, count + 1))
+    partial = np.cumsum(spacings, axis=1)[:, :count] / spacings.sum(axis=1, keepdims=True)
+    return np.count_nonzero(positions + windows * partial < room, axis=1)
+
+
+def _assert_same_frequencies(got, want):
+    """Each value's frequency in ``got`` is within 4 SE of its frequency in ``want``.
+
+    Sparse values are pooled with their neighbours first
+    (:func:`_histogram_table`), so no compared cell is a handful of draws.
+    """
+    n = got.size
+    for k, (p, q) in enumerate(_histogram_table(got, want, min_column=100).T / n):
+        assert abs(p - q) <= 4.0 * math.sqrt((p * (1.0 - p) + q * (1.0 - q)) / n), k
+
+
+@pytest.mark.parametrize("room", [990.0, 1_010.0], ids=["room-below-span", "room-above-span"])
+@pytest.mark.parametrize("count", [0, 1, 2, 30])
+def test_backward_count_matches_brute_force(count, room):
+    n, span, windows = 20_000, 1_000.0, 60.0
+    rng = np.random.default_rng(count)
+    got = np.full(n, count, dtype=np.int64)
+    _clean_before(got, np.arange(n), np.full(n, span), np.full(n, windows), np.full(n, room), rng)
+    assert 0 <= got.min() and got.max() <= count
+    _assert_same_frequencies(got, _brute_force_clean_before(count, span, windows, room, n, rng))
+
+
+def _stepped_clean_run(room, clean_rate, loss_rate, pull_rate, race_rate, n, rng):
+    """Return ``n`` runs after a clean failure at 0, stepped window by window.
+
+    Returns ``(arrive, count, kind)`` as :func:`_clean_run` does: when the
+    next outage failure comes (``inf`` past ``room``), the clean failures
+    before it or before ``room``, and which outage it is.
+    """
+    rate = clean_rate + loss_rate + pull_rate
+    now = rng.standard_exponential(n) / race_rate  # the first failure's own window
+    count = np.zeros(n, dtype=np.int64)
+    arrive = np.full(n, np.inf)
+    kind = np.zeros(n, dtype=np.int64)
+    live = np.arange(n)
+    while live.size:
+        now[live] += rng.standard_exponential(live.size) / rate
+        live = live[now[live] < room]
+        u = rng.random(live.size) * rate
+        pulled = (u >= loss_rate) & (u < loss_rate + pull_rate)
+        for mark, hit in ((vectorized._LOSS, u < loss_rate), (vectorized._PULL, pulled)):
+            arrive[live[hit]] = now[live[hit]]
+            kind[live[hit]] = mark
+        live = live[u >= loss_rate + pull_rate]
+        count[live] += 1
+        now[live] += rng.standard_exponential(live.size) / race_rate
+        live = live[now[live] < room]
+    return arrive, count, kind
+
+
+#: ``(room, clean rate, data-loss rate, wrong-pull rate, race rate)`` of
+#: runs whose windows are as long as the up periods between failures.
+RUN_LAWS = {
+    "short-room": (4.0, 1.0, 0.2, 0.3, 1.0),
+    "long-room": (10.0, 2.0, 0.02, 0.03, 0.5),
+    "no-wrong-pull": (10.0, 2.0, 0.05, 0.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("law", list(RUN_LAWS))
+def test_a_jumped_run_follows_the_stepped_law(law):
+    room, clean_rate, loss_rate, pull_rate, race_rate = RUN_LAWS[law]
+    n = 50_000
+    rng = np.random.default_rng(5)
+    with np.errstate(divide="ignore"):
+        loss = rng.standard_exponential(n) / loss_rate
+        pull = rng.standard_exponential(n) / pull_rate
+    arrive, count, kind = vectorized._clean_run(
+        np.full(n, room), loss, pull, clean_rate, race_rate, rng
+    )
+    want_arrive, want_count, want_kind = _stepped_clean_run(
+        room, clean_rate, loss_rate, pull_rate, race_rate, n, rng
+    )
+    _assert_same_frequencies(kind, want_kind)
+    _assert_same_frequencies(count, want_count)
+    got, want = arrive[kind > 0], want_arrive[want_kind > 0]
+    assert np.all(got < room) and np.all(arrive[kind == 0] == np.inf)
+    assert abs(got.mean() - want.mean()) <= 4.0 * math.hypot(
+        got.std() / math.sqrt(got.size), want.std() / math.sqrt(want.size)
+    )
+
+
+class _Scripted:
+    """A generator whose jump draws are scripted; other draws are real.
+
+    ``standard_exponential`` returns ``loss`` on its first call and
+    ``pull`` on its second, ``poisson`` the clean counts and
+    ``standard_gamma`` the windows' totals.  The Poisson means and gamma
+    shapes the kernel asks for are recorded.
+    """
+
+    def __init__(self, loss, pull, counts, windows):
+        self._rng = np.random.default_rng(0)
+        self.exponentials = [np.array(loss, dtype=float), np.array(pull, dtype=float)]
+        self.counts, self.windows = counts, windows
+        self.means, self.shapes = None, None
+
+    def standard_exponential(self, size):
+        draws = self.exponentials.pop(0)
+        assert size == draws.size
+        return draws
+
+    def poisson(self, means):
+        self.means = np.asarray(means)
+        return np.array(self.counts, dtype=np.int64)
+
+    def standard_gamma(self, shapes):
+        self.shapes = np.asarray(shapes)
+        return np.array(self.windows, dtype=float)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _scripted_jump(loss, pull, counts, windows, room=1_000.0):
+    """Jump one clean failure per scripted draw; return ``(rng, batch, fail, landed)``.
+
+    Each failure comes ``room`` hours before the horizon.  With
+    ``first_rate`` 2, ``p_dl`` 0.25 and ``p_he`` 0.5 the data-loss and
+    wrong-pull rates are 0.5 and the clean rate is 1; the race rate is 1.
+    """
+    n = len(loss)
+    batch = BatchLifetimes.zeros(n, HORIZON)
+    rng = _Scripted(loss, pull, counts, windows)
+    runs = _CleanRuns(batch, rng, 2.0, 1.0, 0.25, 0.5, HORIZON)
+    start = np.full(n, HORIZON - room)
+    fail = np.zeros(n)
+    landed = runs.jump(np.arange(n), np.zeros(n, dtype=bool), start, fail)
+    return rng, batch, fail, landed
+
+
+def test_an_outage_failure_just_before_the_horizon_lands():
+    # Runs of three clean failures, 990 h of up time before the outage
+    # failure (a draw of 495 at rate 0.5): with windows a hair under and
+    # over 10 h, it lands just before the horizon or just after it.  The
+    # third run's first outage is a wrong pull.
+    rng, batch, fail, landed = _scripted_jump(
+        [495.0, 495.0, 900.0], [900.0, 900.0, 495.0], [3, 3, 3], [10.0 - 1e-9, 10.0 + 1e-9, 5.0]
+    )
+    np.testing.assert_array_equal(rng.shapes, [4.0, 4.0, 4.0])  # the first window's own, too
+    assert landed.tolist() == [vectorized._LOSS, 0, vectorized._PULL]
+    assert HORIZON - 1e-6 < fail[0] < HORIZON and fail[1] == np.inf
+    assert fail[2] == HORIZON - 1_000.0 + 995.0
+    assert batch.disk_failures[0] == batch.disk_failures[2] == 3
+    assert 0 <= batch.disk_failures[1] <= 3
+
+
+def test_an_outage_beyond_the_room_counts_clean_failures_in_the_room():
+    # Both outage streams' next failures (1500 and 1800 h of up time) lie
+    # beyond the 1000 h of room: the clean count is Poisson over the room
+    # alone, and the lifetime retires.
+    rng, batch, fail, landed = _scripted_jump([750.0], [900.0], [5], [50.0])
+    np.testing.assert_array_equal(rng.means, [1_000.0])
+    assert landed.tolist() == [0] and fail[0] == np.inf
+    assert 0 <= batch.disk_failures[0] <= 5
+
+
+@pytest.mark.parametrize("kind", ["data_loss", "wrong_pull"])
+def test_a_landed_failure_ends_its_window_in_its_outage(monkeypatch, kind):
+    # Every jump lands on an outage failure of one kind just before the
+    # horizon; its window must end in that outage.
+    mark = {"data_loss": vectorized._LOSS, "wrong_pull": vectorized._PULL}[kind]
+    jumps = []
+
+    def land(room, loss, pull, clean_rate, race_rate, rng):
+        jumps.append(room.size)
+        return room - 1e-6, np.zeros(room.size, dtype=np.int64), np.full(room.size, mark)
+
+    episodes = {"data_loss": 0, "wrong_pull": 0}
+
+    def spy(name):
+        method = getattr(vectorized._Outages, name)
+
+        def counted(self, g, *args):
+            episodes[name] += g.size
+            return method(self, g, *args)
+
+        return counted
+
+    monkeypatch.setattr(vectorized, "_clean_run", land)
+    for name in episodes:
+        monkeypatch.setattr(vectorized._Outages, name, spy(name))
+    _run(_memoryless_conventional, _point(RAID5, 1e-4, 0.05), 40_000, seed=12)
+    # Besides the landed ones, about 5% of the windows that open a
+    # lifetime end in an outage, 94% of them wrong pulls.
+    assert episodes[kind] >= sum(jumps) > 30_000
+    other = "wrong_pull" if kind == "data_loss" else "data_loss"
+    assert episodes[other] < 0.1 * sum(jumps)
+
+
 def _shape_grid(shapes):
     """Return a two-point grid of 100 lifetimes per failure shape."""
     points = [
@@ -453,16 +733,20 @@ def test_one_row_grid_keeps_its_points_counters(kernel, rate):
     np.testing.assert_allclose(got.downtime_hours, want.downtime_hours, rtol=1e-12)
 
 
-def _paper_point_shard_peak(kernel, **kwargs):
-    """Return the ``tracemalloc`` peak of one 50k-lifetime paper-point shard."""
-    params = paper_parameters()
-    _run(kernel, params, 50_000, seed=2017, **kwargs)  # warm caches
+def _shard_peak(kernel, params, n, **kwargs):
+    """Return the ``tracemalloc`` peak of one warm shard of ``n`` lifetimes."""
+    _run(kernel, params, n, seed=2017, **kwargs)  # warm caches
     tracemalloc.start()
     try:
-        _run(kernel, params, 50_000, seed=2017, **kwargs)
+        _run(kernel, params, n, seed=2017, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _paper_point_shard_peak(kernel, **kwargs):
+    """Return the ``tracemalloc`` peak of one 50k-lifetime paper-point shard."""
+    return _shard_peak(kernel, paper_parameters(), 50_000, **kwargs)
 
 
 def test_paper_point_shard_peaks_below_4_5_mb():
@@ -475,6 +759,17 @@ def test_paper_point_shard_peaks_below_4_5_mb():
 def test_paper_point_failover_shard_peaks_below_5_mb():
     # The same for fail-over, whose clock-matrix body peaks at 5.85 MB.
     assert _paper_point_shard_peak(batch_spare_pool, n_spares=1) < 5e6
+
+
+def test_event_rich_stacked_shard_peaks_below_3_55_mb():
+    # One default 25k-lifetime stacked shard from the heavy corner of the
+    # Fig. 5 Monte Carlo surface (perfbench mc_grid: lambda = 10**-4.43
+    # and 1e-4), where nearly every lifetime jumps in the first round.
+    # Stepping every window peaked at 3.23 MB, and jumping the whole
+    # working set in one slice at 6.4 MB; the bound is the first plus 10%.
+    points = [_point(RAID5, rate, 1e-3) for rate in (10.0 ** (-31.0 / 7.0), 1e-4)]
+    grid = stack_parameter_points(points, [12_500, 12_500])
+    assert _shard_peak(_memoryless_conventional, grid, 25_000) < 3.55e6
 
 
 #: Two 200k-lifetime paper-point runs per policy; prints each run's minor
